@@ -2,7 +2,7 @@
 
 Standalone script (deliberately *not* named ``test_*`` so pytest skips
 it): compares the batched kernels against their per-query counterparts
-at the numpy level, below the index classes that ``repro bench`` times.
+at the numpy level, below the index classes that ``bench/run.py`` drives.
 
 Run with::
 

@@ -30,7 +30,6 @@ documented in ``docs/ARCHITECTURE.md``.
 
 from repro.api import ClusterSession, Deployment, Session, open_cluster, \
     open_engine
-from repro.bench import BenchConfig, run_bench
 from repro.chaos import (ChaosRunResult, ChaosSchedule, Supervisor,
                          SupervisorConfig, run_chaos)
 from repro.cluster import ClusterTopology
@@ -43,10 +42,9 @@ from repro.serve import ServeConfig, ServeResult, Tenant, TenantLoad
 from repro.tenancy import TenancyConfig, TenantProfile, TenantRegistry
 from repro.workload.setup import make_runner
 
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 __all__ = [
-    "BenchConfig",
     "ChaosRunResult",
     "ChaosSchedule",
     "ClusterSession",
@@ -74,6 +72,5 @@ __all__ = [
     "make_runner",
     "open_cluster",
     "open_engine",
-    "run_bench",
     "run_chaos",
 ]

@@ -21,11 +21,11 @@ runners' extent allocators.  Build a fresh cluster + runner per run —
 that is also what makes two same-seed runs bit-identical.
 
 The mutation load is the single-node simproc
-(:func:`repro.mutate.simproc.start_mutation_load`) adapted per shard:
+(:func:`repro.mutate.simproc.start_mutation_load`) started per shard:
 each shard's ingest/flush/compaction processes run on the shard
-*primary*'s device and core pool, so compaction I/O contends with that
-node's chaos-faulted reads exactly like the single-node study — it is
-a timing-plane load (the functional op log is exercised separately by
+*primary*'s host, so compaction I/O contends with that node's
+chaos-faulted reads exactly like the single-node study — it is a
+timing-plane load (the functional op log is exercised separately by
 the study's convergence phase).
 """
 
@@ -53,46 +53,6 @@ if t.TYPE_CHECKING:
     from repro.serve import ServeConfig, ServeResult
 
 
-class _PreparedRunner:
-    """A runner facade whose ``open_replay`` returns a prebuilt session.
-
-    :meth:`repro.serve.Server.serve` opens its own replay session from
-    the runner it is given; the chaos harness must open the session
-    *first* (to arm fault planes and start the supervisor on it), so it
-    hands the server this facade instead.  Everything else the server
-    reads (``engine``, ``collection``, ``queries``) passes through to
-    the real cluster runner.
-    """
-
-    def __init__(self, runner: "ClusterBenchRunner",
-                 session: "ClusterReplaySession") -> None:
-        self.engine = runner.engine
-        self.collection = runner.collection
-        self.queries = runner.queries
-        self._session = session
-
-    def open_replay(self, search_params: dict | None = None, *,
-                    telemetry: RunTelemetry | None = None,
-                    ) -> "ClusterReplaySession":
-        return self._session
-
-
-class _NodeHost:
-    """One data node viewed as a single-node replay session.
-
-    Duck-types the ``env`` / ``device`` / ``cores`` surface
-    :func:`repro.mutate.simproc.start_mutation_load` drives, bound to
-    one cluster node's simulated hardware.
-    """
-
-    __slots__ = ("env", "device", "cores")
-
-    def __init__(self, env, device, cores) -> None:
-        self.env = env
-        self.device = device
-        self.cores = cores
-
-
 def start_cluster_mutation(session: "ClusterReplaySession",
                            runner: "ClusterBenchRunner",
                            load: "MutationLoad", duration_s: float,
@@ -110,10 +70,8 @@ def start_cluster_mutation(session: "ClusterReplaySession",
     states = []
     for shard, shard_runner in enumerate(runner.shard_runners):
         primary = session.routing[shard][0]
-        host = _NodeHost(session.env, session.devices[primary],
-                         session.node_cores[primary])
-        states.append(start_mutation_load(host, shard_runner, load,
-                                          duration_s,
+        states.append(start_mutation_load(session.hosts[primary],
+                                          shard_runner, load, duration_s,
                                           telemetry=telemetry))
     return tuple(states)
 
@@ -218,8 +176,7 @@ def run_chaos(runner: "ClusterBenchRunner", config: "ServeConfig",
         states = start_cluster_mutation(session, runner, mutation,
                                         config.duration_s,
                                         telemetry=telem)
-    result = Server(_PreparedRunner(runner, session), config,
-                    telemetry=telem).serve()
+    result = Server(runner, config, telemetry=telem).serve_on(session)
     replayer = session.replayer
     recall = session.recall
     if runner.ground_truth is not None and replayer.outcomes:

@@ -113,7 +113,7 @@ class Supervisor:
     def _note(self, event: str, amount: int = 1) -> None:
         self.counts[event] += amount
         if self.telemetry is not None:
-            self.telemetry.on_chaos(event, amount)
+            self.telemetry.on_event("chaos", event, amount)
 
     @property
     def mttr_s(self) -> float | None:
@@ -255,9 +255,9 @@ class Supervisor:
         offset = 0
         while offset < total:
             size = min(cap, total - offset)
-            yield session.devices[source].submit([(offset, size)], "R")
+            yield session.hosts[source].device.submit([(offset, size)], "R")
             yield session.network.transfer(source, spare)
-            yield session.devices[spare].submit([(offset, size)], "W")
+            yield session.hosts[spare].device.submit([(offset, size)], "W")
             offset += size
         session.cluster.move_replica(shard, replica, spare)
         session.routing[shard][replica] = spare

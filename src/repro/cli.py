@@ -253,16 +253,6 @@ def cmd_study(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import format_bench, run_bench, write_bench
-    doc = run_bench(quick=args.quick, seed=args.seed)
-    if args.out:
-        write_bench(doc, args.out)
-        print(f"wrote {args.out}", file=sys.stderr)
-    print(format_bench(doc))
-    return 0
-
-
 def cmd_prebuild(args: argparse.Namespace) -> int:
     for dataset in args.datasets:
         for setup in SETUPS:
@@ -434,18 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=DATASET_NAMES)
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(fn=cmd_study)
-
-    p = sub.add_parser(
-        "bench",
-        help="wall-clock kernel benchmarks (build, single/batch QPS, "
-             "sim-event throughput)")
-    p.add_argument("--quick", action="store_true",
-                   help="CI-sized run (smaller dataset, fewer repeats)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="dataset/query seed (default 0)")
-    p.add_argument("-o", "--out", default=None, metavar="PATH",
-                   help="write the schema-versioned JSON document here")
-    p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("prebuild", help="build and cache all collections")
     p.add_argument("--datasets", nargs="+", default=list(DATASET_NAMES),

@@ -54,21 +54,20 @@ from repro.cluster.topology import ClusterTopology
 from repro.data.groundtruth import recall_at_k
 from repro.engines.engine import CONSISTENCY_LEVELS, VectorEngine
 from repro.engines.profiles import PAPER_CPU_CORES
-from repro.errors import (ClusterError, DegradedResult, FaultError,
-                          OutOfMemoryError, WorkloadError)
+from repro.errors import ClusterError, DegradedResult, OutOfMemoryError
 from repro.faults.gray import GrayPlan
-from repro.faults.injector import FaultInjector
 from repro.faults.nodes import NodeFaultPlan
 from repro.faults.partition import PartitionPlan
 from repro.faults.plan import FaultPlan
 from repro.faults.resilience import ResiliencePolicy
 from repro.obs import RunTelemetry
 from repro.simkernel import Environment, Network, Resource
-from repro.storage.device import SimSSD
 from repro.storage.spec import DeviceSpec, samsung_990pro_4tb
-from repro.storage.tracer import BlockTracer
-from repro.workload.metrics import RunResult, percentile
-from repro.workload.runner import BenchRunner, CompiledQuery, QueryReplayer
+from repro.workload.metrics import RunResult
+from repro.workload.replay import (ReplaySession, closed_loop, oom_result,
+                                   run_result)
+from repro.workload.runner import (BenchRunner, CompiledQuery, QueryReplayer,
+                                   open_host)
 
 if t.TYPE_CHECKING:
     from repro.cluster.cluster import Cluster, ShardedCollection
@@ -81,7 +80,7 @@ _SHARD_SEGMENT_BASE = 1024
 #: Coordinator CPU per gathered candidate: one (distance, id) key
 #: compare plus the copy into the merge heap — a few ns on the paper's
 #: hardware; the merge is measurable but never dominant, which the
-#: scatter-gather overhead metric in ``BENCH_7.json`` quantifies.
+#: benchmark's ``cluster.merge_overhead_fraction`` quantifies.
 _MERGE_CPU_PER_CANDIDATE_S = 25e-9
 
 #: Fault kinds a failed coordinator query can be attributed to, most
@@ -156,11 +155,10 @@ class _QueryOutcome:
 class ClusterReplayer:
     """The coordinator: fans queries out over the cluster and merges.
 
-    The cluster counterpart of :class:`~repro.workload.runner.
-    QueryReplayer`, with the same :meth:`query_proc` signature so the
-    closed loop and the serving layer dispatch onto either one
-    unchanged.  One instance drives one
-    :class:`ClusterReplaySession`'s timeline.
+    Shares :meth:`query_proc`'s signature with the per-node
+    :class:`~repro.workload.runner.QueryReplayer`, so the closed-loop
+    driver and the serving layer dispatch onto either one unchanged.
+    One instance drives one :class:`ClusterReplaySession`'s timeline.
     """
 
     def __init__(self, env: Environment, topology: ClusterTopology,
@@ -211,7 +209,7 @@ class ClusterReplayer:
     def _note(self, event: str, amount: int = 1) -> None:
         self.ccounts[event] += amount
         if self.telemetry is not None:
-            self.telemetry.on_cluster(event, amount)
+            self.telemetry.on_event("cluster", event, amount)
 
     def _need(self, shard: int) -> int:
         """Replica answers required for this consistency level."""
@@ -458,42 +456,27 @@ class ClusterReplayer:
 
 
 @dataclasses.dataclass
-class ClusterReplaySession:
-    """One fresh simulated cluster with compiled plans bound to it.
+class ClusterReplaySession(ReplaySession):
+    """A :class:`~repro.workload.replay.ReplaySession` over a cluster.
 
-    Built by :meth:`ClusterBenchRunner.open_replay`: per-node devices
-    and core pools, the interconnect, a :class:`QueryReplayer` per data
-    node, and the :class:`ClusterReplayer` coordinator over them all —
-    the cluster counterpart of :class:`~repro.workload.runner.
-    ReplaySession`, with the same driving surface (``env``,
-    ``replayer``, ``plan_for``, ``recall``).
+    Built by :meth:`ClusterBenchRunner.open_replay`: one host per node
+    (data nodes and spares, indexed by node id), the
+    :class:`ClusterReplayer` coordinator as ``replayer``, and what is
+    cluster-shaped on top — the interconnect, the live routing table,
+    the node-fault schedule, and shard migration.
     """
 
-    env: Environment
     network: Network
-    devices: list[SimSSD]
-    node_cores: list[Resource]
-    pools: list[Resource | None]
-    cores: Resource                       # the coordinator's own pool
-    node_replayers: list[QueryReplayer]
-    replayer: ClusterReplayer
-    cold: list[ClusterPlan]
-    warm: list[ClusterPlan]
-    recall: float | None
-    telemetry: RunTelemetry | None
     routing: dict[int, list[int]]
     node_faults: NodeFaultPlan
     cluster: "Cluster"
     device_spec: DeviceSpec
     collection_name: str
-    _cold_replayed: set[int] = dataclasses.field(default_factory=set)
 
-    def plan_for(self, index: int) -> tuple[ClusterPlan, bool]:
-        """The plan to replay for query *index*, tracking warm-up."""
-        cold = index not in self._cold_replayed
-        if cold:
-            self._cold_replayed.add(index)
-        return (self.cold[index] if cold else self.warm[index]), cold
+    @property
+    def core_pools(self) -> list[Resource]:
+        """The nodes' core pools plus the coordinator's own."""
+        return super().core_pools + [self.replayer.cores]
 
     def migrate(self, shard: int, replica: int, to_node: int):
         """Process generator: move one shard replica while serving.
@@ -511,9 +494,9 @@ class ClusterReplaySession:
         offset = 0
         while offset < total:
             size = min(cap, total - offset)
-            yield self.devices[from_node].submit([(offset, size)], "R")
+            yield self.hosts[from_node].device.submit([(offset, size)], "R")
             yield self.network.transfer(from_node, to_node)
-            yield self.devices[to_node].submit([(offset, size)], "W")
+            yield self.hosts[to_node].device.submit([(offset, size)], "W")
             offset += size
         self.cluster.move_replica(shard, replica, to_node)
         self.routing[shard][replica] = to_node
@@ -564,6 +547,8 @@ class ClusterBenchRunner:
     def _compile(self, params: dict[str, t.Any],
                  ) -> tuple[list[ClusterPlan], list[ClusterPlan],
                             float | None]:
+        for runner in self.shard_runners:
+            runner._check_unchanged()
         key = tuple(sorted(params.items()))
         if key in self._plan_cache:
             return self._plan_cache[key]
@@ -619,33 +604,18 @@ class ClusterBenchRunner:
         read-path defences against them.  All default to off and are
         guaranteed passive when empty.
         """
-        params = dict(search_params or {})
-        cold, warm, recall = self._compile(params)
+        cold, warm, recall = self._compile(dict(search_params or {}))
         topo = self.topology
         env = Environment()
         network = Network(env, topo.network, seed=self.cluster.seed)
-        profile = self.engine.profile
-        kind = self.collection.index_spec.kind
-        pool_size = getattr(profile, "diskann_pool", 0)
-        devices, node_cores, pools, node_replayers = [], [], [], []
+        hosts = []
         for node in range(topo.total_nodes):
             plan = (device_faults or {}).get(node)
-            injector = (FaultInjector(plan, telemetry=telemetry)
-                        if plan is not None and not plan.empty else None)
-            device = SimSSD(env, self.device_spec,
-                            BlockTracer(enabled=False),
-                            telemetry=telemetry, injector=injector)
-            cores = Resource(env, self.cores, name=f"node{node}_cores",
-                             telemetry=telemetry)
-            pool = (Resource(env, pool_size, name=f"node{node}_pool",
-                             telemetry=telemetry)
-                    if pool_size and kind == "diskann" else None)
-            devices.append(device)
-            node_cores.append(cores)
-            pools.append(pool)
-            node_replayers.append(QueryReplayer(
-                env, device, cores, pool, profile, telemetry=telemetry,
-                resilience=resilience))
+            hosts.append(open_host(
+                self, env, (f"node{node}_cores", f"node{node}_pool"),
+                telemetry=telemetry, resilience=resilience,
+                fault_plan=(plan if plan is not None and not plan.empty
+                            else None)))
         coordinator_cores = Resource(env, self.cores,
                                      name="coordinator_cores",
                                      telemetry=telemetry)
@@ -653,15 +623,13 @@ class ClusterBenchRunner:
                    for s, nodes in self.cluster.routing.items()}
         faults = node_faults if node_faults is not None else NodeFaultPlan()
         replayer = ClusterReplayer(
-            env, topo, routing, network, node_replayers,
-            coordinator_cores, profile, faults, consistency=consistency,
+            env, topo, routing, network, hosts, coordinator_cores,
+            self.engine.profile, faults, consistency=consistency,
             hedge_after_s=hedge_after_s, deadline_s=deadline_s,
             telemetry=telemetry, partitions=partitions, grays=grays)
         return ClusterReplaySession(
-            env=env, network=network, devices=devices,
-            node_cores=node_cores, pools=pools, cores=coordinator_cores,
-            node_replayers=node_replayers, replayer=replayer, cold=cold,
-            warm=warm, recall=recall, telemetry=telemetry,
+            env=env, hosts=hosts, replayer=replayer, cold=cold, warm=warm,
+            recall=recall, telemetry=telemetry, network=network,
             routing=routing, node_faults=faults, cluster=self.cluster,
             device_spec=self.device_spec,
             collection_name=self.collection.name)
@@ -680,9 +648,9 @@ class ClusterBenchRunner:
             resilience: ResiliencePolicy | None = None) -> RunResult:
         """One measured closed-loop run against the whole cluster.
 
-        Mirrors :meth:`repro.workload.runner.BenchRunner.run`: N
-        clients with one in-flight query each, per-index cold/warm
-        gating, the same fixed-CPU amortization.  The cluster knobs —
+        The same :func:`~repro.workload.replay.closed_loop` protocol as
+        :meth:`repro.workload.runner.BenchRunner.run`, issued to the
+        coordinator.  The cluster knobs —
         ``node_faults``, ``consistency``, ``hedge_after_s``,
         ``deadline_s`` — shape only the replay timeline; with all of
         them off, every query gathers every shard.  When a deadline
@@ -691,69 +659,23 @@ class ClusterBenchRunner:
         their completed-shard merge) and ``result.faults["degraded"]``
         carries the :class:`~repro.errors.DegradedResult`.
         """
-        if concurrency < 1:
-            raise WorkloadError(f"concurrency must be >= 1: {concurrency}")
         telem = RunTelemetry() if telemetry is True else (telemetry or None)
         params = dict(search_params or {})
-        profile = self.engine.profile
         try:
             self.engine.check_concurrency_memory(concurrency)
         except OutOfMemoryError:
-            return RunResult(
-                engine=profile.name,
-                index_kind=self.collection.index_spec.kind,
-                dataset=self.collection.name, concurrency=concurrency,
-                completed=0, elapsed_s=0.0, qps=0.0,
-                mean_latency_s=float("nan"), p99_latency_s=float("nan"),
-                cpu_utilization=0.0, device_utilization=0.0,
-                read_bytes=0, write_bytes=0, search_params=params,
-                error="out-of-memory")
+            return oom_result(self, concurrency, params)
         session = self.open_replay(
             params, telemetry=telem, node_faults=node_faults,
             consistency=consistency, hedge_after_s=hedge_after_s,
             deadline_s=deadline_s, partitions=partitions, grays=grays,
             device_faults=device_faults, resilience=resilience)
-        env, replayer = session.env, session.replayer
-        fixed_cpu = (profile.fixed_query_cpu_s
-                     / min(concurrency, profile.batch_cap))
-        n_queries = len(self.queries)
-        state = {"issued": 0, "failures": 0, "last": 0.0}
-        latencies: list[float] = []
+        replayer = session.replayer
+        tally = closed_loop(session, self, concurrency, duration_s,
+                            max_queries, phase)
+        tally.require_completions(
+            "every shard's replicas were dead or past the deadline")
 
-        def client(client_id: int):
-            while (env.now < duration_s
-                   and state["issued"] < max_queries):
-                ordinal = state["issued"]
-                state["issued"] += 1
-                index = (ordinal + client_id + phase) % n_queries
-                plan, cold = session.plan_for(index)
-                span = (telem.begin_query(ordinal, index, client_id,
-                                          cold, env.now)
-                        if telem is not None else None)
-                start = env.now
-                failed = yield from replayer.query_proc(plan, span,
-                                                        fixed_cpu)
-                if failed:
-                    state["failures"] += 1
-                else:
-                    latencies.append(env.now - start)
-                    state["last"] = env.now
-                if span is not None:
-                    telem.end_query(span, env.now)
-
-        for client_id in range(concurrency):
-            env.process(client(client_id))
-        env.run()
-
-        completed = len(latencies)
-        if completed == 0:
-            if state["failures"]:
-                raise FaultError(
-                    f"all {state['failures']} queries failed: every "
-                    f"shard's replicas were dead or past the deadline")
-            raise WorkloadError(
-                "run completed no queries; duration too short?")
-        elapsed = max(state["last"], 1e-9)
         recall = session.recall
         partials = [o for o in replayer.outcomes if o.partial
                     and o.completed_shards]
@@ -767,42 +689,20 @@ class ClusterBenchRunner:
                          or partitions is not None and not partitions.empty
                          or grays is not None and not grays.empty
                          or bool(device_faults))
-        if cluster_knobs or state["failures"]:
+        if cluster_knobs or tally.failures:
             faults = {event: replayer.ccounts.get(event, 0)
                       for event in ("hedges", "hedge_wins", "failovers",
                                     "quorum_waits", "partial_results",
                                     "shards_missed", "partition_drops",
                                     "gray_delays", "replica_errors")}
-            faults["failed_queries"] = state["failures"]
+            faults["failed_queries"] = tally.failures
             if partials:
                 faults["degraded"] = DegradedResult(
                     queries=len(partials),
                     total=len(replayer.outcomes),
                     params={"deadline_s": deadline_s})
-        data_cores = session.node_cores + [session.cores]
-        return RunResult(
-            engine=profile.name,
-            index_kind=self.collection.index_spec.kind,
-            dataset=self.collection.name,
-            concurrency=concurrency,
-            completed=completed,
-            elapsed_s=elapsed,
-            qps=completed / elapsed,
-            mean_latency_s=float(np.mean(latencies)),
-            p99_latency_s=percentile(latencies, 99),
-            p50_latency_s=percentile(latencies, 50),
-            p95_latency_s=percentile(latencies, 95),
-            cpu_utilization=float(np.mean(
-                [c.utilization(elapsed) for c in data_cores])),
-            device_utilization=float(np.mean(
-                [d.utilization(elapsed) for d in session.devices])),
-            read_bytes=sum(d.bytes_read for d in session.devices),
-            write_bytes=sum(d.bytes_written for d in session.devices),
-            recall=recall,
-            search_params=params,
-            telemetry=telem,
-            faults=faults,
-        )
+        return run_result(self, session, tally, concurrency, params,
+                          recall, faults)
 
     def _weighted_recall(self, outcomes: list[_QueryOutcome],
                          plans: list[ClusterPlan]) -> float | None:

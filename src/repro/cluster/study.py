@@ -67,6 +67,7 @@ from repro.serve.arrivals import PoissonArrivals
 from repro.simkernel.network import NetworkSpec
 from repro.serve.server import ServeConfig, Server, TenantLoad
 from repro.workload.metrics import RunResult
+from repro.workload.replay import closed_loop
 
 #: Shard counts of the aggregate-QPS scaling experiment.
 SCALING_FANOUTS = (1, 2, 4)
@@ -307,32 +308,19 @@ def cluster_study(dataset: str = "cohere-1m", index: str = "diskann",
     report("replication: shard migration while serving")
     spare = rep_topo.total_nodes - 1
     session = rep_runner.open_replay(params)
-    env = session.env
-    served = {"count": 0}
-
-    def client():
-        index = 0
-        while env.now < duration_s:
-            plan, _cold = session.plan_for(index % len(ds.queries))
-            failed = yield from session.replayer.query_proc(plan)
-            if not failed:
-                served["count"] += 1
-            index += 1
-
-    for _ in range(4):
-        env.process(client())
-    env.process_at(duration_s / 3, session.migrate(0, 0, spare))
-    env.run()
+    session.env.process_at(duration_s / 3, session.migrate(0, 0, spare))
+    served = len(closed_loop(session, rep_runner, 4,
+                             duration_s).latencies)
     migrated_to = session.routing[0][0]
     data["migration"] = {
-        "queries_served": served["count"],
+        "queries_served": served,
         "migrations": session.replayer.ccounts.get("migrations", 0),
         "moved_to_node": migrated_to,
         "spare_node": spare,
     }
     verdicts["migration_while_serving"] = bool(
         session.replayer.ccounts.get("migrations", 0) == 1
-        and migrated_to == spare and served["count"] > 0)
+        and migrated_to == spare and served > 0)
 
     report("serving: open-loop admission over the coordinator")
     serve_conf = ServeConfig(

@@ -201,9 +201,9 @@ def save_engine(engine: "VectorEngine", path: str | Path, *,
         if stray.is_file() and stray.name not in keep:
             stray.unlink()
     if telemetry is not None:
-        telemetry.on_durability("saves")
-        telemetry.on_durability("records_written",
-                                sum(1 for _ in manifest.entries))
+        telemetry.on_event("durability", "saves")
+        telemetry.on_event("durability", "records_written",
+                           sum(1 for _ in manifest.entries))
     return manifest
 
 
@@ -279,9 +279,9 @@ def load_engine(path: str | Path, *,
             replayed += 1
         engine._collections[name] = collection
     if telemetry is not None:
-        telemetry.on_durability("loads")
+        telemetry.on_event("durability", "loads")
         if replayed:
-            telemetry.on_durability("wal_replayed", replayed)
+            telemetry.on_event("durability", "wal_replayed", replayed)
     return engine
 
 
@@ -395,11 +395,11 @@ def scrub(path: str | Path, *,
                 findings.append(ScrubFinding(stray.name, "orphan-file"))
     report = ScrubReport(tuple(findings), files_checked, records_checked)
     if telemetry is not None:
-        telemetry.on_durability("scrubs")
-        telemetry.on_durability("records_verified", records_checked)
+        telemetry.on_event("durability", "scrubs")
+        telemetry.on_event("durability", "records_verified", records_checked)
         if report.corruptions:
-            telemetry.on_durability("scrub_findings",
-                                    len(report.corruptions))
+            telemetry.on_event("durability", "scrub_findings",
+                               len(report.corruptions))
     return report
 
 
@@ -437,5 +437,5 @@ def repair(path: str | Path, *,
             stray.unlink()
             removed.append(stray.name)
     if telemetry is not None and removed:
-        telemetry.on_durability("repair_removed", len(removed))
+        telemetry.on_event("durability", "repair_removed", len(removed))
     return RepairReport(tuple(removed))

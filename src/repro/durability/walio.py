@@ -101,7 +101,7 @@ def load_wal(path: str | Path, *, repair_torn: bool = True,
         with open(path, "r+b") as handle:
             handle.truncate(valid_bytes)
         if telemetry is not None:
-            telemetry.on_durability("torn_tail_truncated")
+            telemetry.on_event("durability", "torn_tail_truncated")
     elif problem is not None:
         raise CorruptionError(
             f"{path.name}: {problem} at record {len(payloads)} "

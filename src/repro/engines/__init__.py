@@ -10,8 +10,7 @@ from repro.ann.workprofile import SearchResult
 from repro.engines.costmodel import CostModel
 from repro.engines.engine import (CONSISTENCY_LEVELS, INDEX_KINDS,
                                   Collection, IndexSpec, SearchRequest,
-                                  SearchResponse, VectorEngine,
-                                  build_index, merge_works)
+                                  VectorEngine, build_index, merge_works)
 from repro.engines.mmap import MmapHNSWIndex, wrap_mmap
 from repro.engines.params import (PARAM_TYPES, DiskANNParams, FlatParams,
                                   HNSWMmapParams, HNSWParams, HNSWSQParams,
@@ -50,7 +49,6 @@ __all__ = [
     "Predicate",
     "SPANNParams",
     "SearchRequest",
-    "SearchResponse",
     "SearchResult",
     "Segment",
     "VectorEngine",

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import dataclasses
 import typing as t
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -148,27 +147,6 @@ class SearchRequest:
         return dict(self.params)
 
 
-class SearchResponse(SearchResult):
-    """Deprecated: the pre-unification search return shape.
-
-    Collection- and engine-level searches now return
-    :class:`~repro.ann.workprofile.SearchResult` (which carries the
-    same ``ids`` / ``dists`` / ``works`` / ``total_work`` surface, plus
-    ``work`` and ``span``).  Constructing a ``SearchResponse`` still
-    works and yields that shape, with a :class:`DeprecationWarning`.
-    """
-
-    def __init__(self, ids: np.ndarray, dists: np.ndarray = None,
-                 works: list[WorkProfile] | None = None) -> None:
-        warnings.warn(
-            "SearchResponse is deprecated; searches return SearchResult "
-            "(same fields plus .work/.span)", DeprecationWarning,
-            stacklevel=2)
-        works = list(works) if works is not None else []
-        super().__init__(ids=ids, work=merge_works(works), dists=dists,
-                         works=works)
-
-
 def merge_works(works: t.Sequence[WorkProfile]) -> WorkProfile:
     """One profile holding every step (and prefetch counter) of *works*."""
     merged = WorkProfile()
@@ -253,6 +231,13 @@ def build_index(spec: IndexSpec, vectors: np.ndarray, storage_dim: int,
 class Collection:
     """A named set of vectors with payloads, segments, and an index."""
 
+    #: Bumped by every call that changes what a search answers
+    #: (insert / delete / flush / compact); snapshot holders such as
+    #: :class:`~repro.workload.runner.BenchRunner` compare it to detect
+    #: that their compiled plans went stale.  Class-level so collections
+    #: restored without ``__init__`` start at zero too.
+    mutations = 0
+
     def __init__(self, name: str, dim: int, index_spec: IndexSpec,
                  profile: EngineProfile, storage_dim: int | None = None,
                  seed: int = 0) -> None:
@@ -303,6 +288,7 @@ class Collection:
             self.growing.append(row_id, vector)
             self.payloads.put(row_id, payload)
             ids[i] = row_id
+        self.mutations += 1
         return ids
 
     def delete(self, row_ids: t.Iterable[int]) -> int:
@@ -316,6 +302,7 @@ class Collection:
                 self.tombstones.add(row_id)
                 self.payloads.delete(row_id)
                 deleted += 1
+        self.mutations += 1
         return deleted
 
     def flush(self) -> list[Segment]:
@@ -327,6 +314,7 @@ class Collection:
         """
         if len(self.growing) == 0:
             return []
+        self.mutations += 1
         row_ids, vectors = self.growing.drain()
         if self.index_spec.kind == "diskann" and self.segments:
             # Re-seal everything into one graph (compaction).
@@ -385,6 +373,7 @@ class Collection:
         ``segments_before``, ``segments_after``, ``bytes_read``,
         ``bytes_written``.
         """
+        self.mutations += 1
         parts_ids = [seg.row_ids for seg in self.segments]
         parts_vecs = [seg.vectors for seg in self.segments]
         bytes_read = sum(seg.vectors.nbytes + seg.index.disk_bytes()

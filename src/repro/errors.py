@@ -87,14 +87,6 @@ class AnnIndexError(ReproError):
     """An ANN index was misused (searching before building, bad params)."""
 
 
-#: Deprecated alias of :class:`AnnIndexError` (pre-1.2 spelling with the
-#: trailing underscore that dodged the ``IndexError`` builtin).  Existing
-#: ``except IndexError_`` / ``pytest.raises(IndexError_)`` code keeps
-#: working because it *is* the same class; new code should use
-#: :class:`AnnIndexError`.
-IndexError_ = AnnIndexError
-
-
 class DatasetError(ReproError):
     """A dataset spec or generator was misconfigured."""
 

@@ -53,9 +53,10 @@ def compact_collection(collection: "Collection",
     report = CompactionReport(collection=collection.name,
                               committed=False, **stats)
     if telemetry is not None:
-        telemetry.on_mutate("compactions")
-        telemetry.on_mutate("compacted_rows_kept", report.rows_kept)
-        telemetry.on_mutate("compacted_rows_dropped", report.rows_dropped)
+        telemetry.on_event("mutate", "compactions")
+        telemetry.on_event("mutate", "compacted_rows_kept", report.rows_kept)
+        telemetry.on_event("mutate", "compacted_rows_dropped",
+                           report.rows_dropped)
     return report
 
 
@@ -103,5 +104,5 @@ def compact_engine(engine: "VectorEngine", name: str,
         engine.save(path)
         report = dataclasses.replace(report, committed=True)
         if telemetry is not None:
-            telemetry.on_mutate("compaction_commits")
+            telemetry.on_event("mutate", "compaction_commits")
     return report

@@ -41,7 +41,7 @@ from repro.mutate.policy import CompactionPolicy
 
 if t.TYPE_CHECKING:
     from repro.obs import RunTelemetry
-    from repro.workload.runner import BenchRunner, ReplaySession
+    from repro.workload.runner import BenchRunner, QueryReplayer
 
 #: Serialized size of one tombstone WAL record (frame + row id).
 TOMBSTONE_BYTES = 32
@@ -185,18 +185,18 @@ def snapshot_bytes(collection: t.Any) -> int:
                for segment in collection.segments)
 
 
-def start_mutation_load(session: "ReplaySession", runner: "BenchRunner",
+def start_mutation_load(host: "QueryReplayer", runner: "BenchRunner",
                         load: MutationLoad, duration_s: float,
                         telemetry: "RunTelemetry | None" = None,
                         ) -> MutationState:
-    """Spawn the mutation processes on *session*'s simulated host.
+    """Spawn the mutation processes on one simulated *host*.
 
     Returns the live :class:`MutationState`; it is complete once
-    ``session.env.run()`` has drained.  The processes share the
-    session's device and core pool with whatever query processes the
-    caller spawns — that contention is the point.
+    ``host.env.run()`` has drained.  The processes share the host's
+    device and core pool with whatever query processes the caller
+    spawns — that contention is the point.
     """
-    env, device, cores = session.env, session.device, session.cores
+    env, device, cores = host.env, host.device, host.cores
     spec = runner.device_spec
     state = MutationState(base_rows=runner.collection.total_rows,
                           base_bytes=snapshot_bytes(runner.collection))
@@ -239,9 +239,9 @@ def start_mutation_load(session: "ReplaySession", runner: "BenchRunner",
             state.wal_flushes += 1
             state.wal_bytes += load.flush_bytes
             if telemetry is not None:
-                telemetry.on_mutate("insert_rows", load.batch_rows)
-                telemetry.on_mutate("wal_flushes")
-                telemetry.on_mutate("wal_bytes", load.flush_bytes)
+                telemetry.on_event("mutate", "insert_rows", load.batch_rows)
+                telemetry.on_event("mutate", "wal_flushes")
+                telemetry.on_event("mutate", "wal_bytes", load.flush_bytes)
             maybe_compact()
 
     def deleter():
@@ -261,9 +261,9 @@ def start_mutation_load(session: "ReplaySession", runner: "BenchRunner",
             state.wal_flushes += 1
             state.wal_bytes += flush_bytes
             if telemetry is not None:
-                telemetry.on_mutate("delete_rows", load.batch_rows)
-                telemetry.on_mutate("wal_flushes")
-                telemetry.on_mutate("wal_bytes", flush_bytes)
+                telemetry.on_event("mutate", "delete_rows", load.batch_rows)
+                telemetry.on_event("mutate", "wal_flushes")
+                telemetry.on_event("mutate", "wal_bytes", flush_bytes)
             maybe_compact()
 
     def compaction():
@@ -327,10 +327,10 @@ def start_mutation_load(session: "ReplaySession", runner: "BenchRunner",
         state.tombstones -= tombstones
         state.compacting = False
         if telemetry is not None:
-            telemetry.on_mutate("compactions")
-            telemetry.on_mutate("compaction_read_bytes", read_bytes)
-            telemetry.on_mutate("compaction_write_bytes",
-                                write_bytes + MANIFEST_BYTES)
+            telemetry.on_event("mutate", "compactions")
+            telemetry.on_event("mutate", "compaction_read_bytes", read_bytes)
+            telemetry.on_event("mutate", "compaction_write_bytes",
+                               write_bytes + MANIFEST_BYTES)
             telemetry.end_compaction(span, end)
         maybe_compact()
 

@@ -136,68 +136,14 @@ class RunTelemetry:
         """Record one injected fault (called by the fault injector)."""
         self.counter(f"fault_injected_{kind}").inc()
 
-    def on_resilience(self, event: str, amount: int = 1) -> None:
-        """Record resilience actions: ``timeouts``, ``retries``,
-        ``hedges``, ``hedge_wins``, or ``read_failures``."""
-        self.counter(f"resilience_{event}").inc(amount)
+    def on_event(self, plane: str, event: str, amount: int = 1) -> None:
+        """Count one control-plane event under ``<plane>_<event>``.
 
-    def on_serve(self, event: str, amount: int = 1) -> None:
-        """Record serving-layer admission outcomes (see
-        :mod:`repro.serve`): ``arrivals``, ``admitted``, ``rejected``
-        (queue-bound admission control), ``shed`` (deadline-based load
-        shedding at dispatch), ``batches``, ``completed``,
-        ``slo_completions`` (finished within deadline), or
-        ``slo_misses``."""
-        self.counter(f"serve_{event}").inc(amount)
-
-    def on_tenancy(self, event: str, amount: int = 1) -> None:
-        """Record control-plane actions (see :mod:`repro.tenancy`):
-        ``intervals`` (controller wake-ups), ``degrades`` and
-        ``restores`` (per-tenant ladder moves), ``floor_capped``
-        (degrades refused by a tenant's recall floor), ``promotions``
-        and ``demotions`` (placement tier migrations completed), or
-        ``quota_rejected`` (arrivals priced out by a token bucket —
-        also counted under ``serve_rejected``)."""
-        self.counter(f"tenancy_{event}").inc(amount)
-
-    def on_cluster(self, event: str, amount: int = 1) -> None:
-        """Record scatter-gather outcomes (see :mod:`repro.cluster`):
-        ``fanout`` (shard requests issued), ``hedges`` and
-        ``hedge_wins`` (duplicate cross-node requests raced against a
-        slow replica), ``failovers`` (replica retries after a node
-        death), ``quorum_waits`` (quorum satisfied before all replicas
-        answered), ``partial_results`` (queries answered from a shard
-        subset at the partial-result deadline), ``shards_missed``
-        (shard answers dropped by those deadlines), or ``migrations``
-        (replica moves completed while serving)."""
-        self.counter(f"cluster_{event}").inc(amount)
-
-    def on_chaos(self, event: str, amount: int = 1) -> None:
-        """Record chaos-layer events (see :mod:`repro.chaos`):
-        ``probes`` and ``probe_misses`` (supervisor health probing),
-        ``failures_detected`` (nodes declared failed after consecutive
-        probe misses), ``rereplications`` (shard replicas rebuilt onto
-        spares), ``scrubs`` and ``scrub_findings`` (durability scrubs
-        of rebuilt replicas), ``no_spare`` (recoveries skipped because
-        the spare pool ran dry), or ``unrecoverable`` (shards with no
-        live replica left to stream from)."""
-        self.counter(f"chaos_{event}").inc(amount)
-
-    def on_durability(self, event: str, amount: int = 1) -> None:
-        """Record durability actions (see :mod:`repro.durability`):
-        ``saves``, ``loads``, ``records_written``, ``records_verified``,
-        ``wal_replayed``, ``torn_tail_truncated``, ``scrubs``,
-        ``scrub_findings``, or ``repair_removed``."""
-        self.counter(f"durability_{event}").inc(amount)
-
-    def on_mutate(self, event: str, amount: int = 1) -> None:
-        """Record streaming-mutability activity (see
-        :mod:`repro.mutate`): ``insert_rows``, ``delete_rows``,
-        ``wal_flushes``, ``wal_bytes``, ``compactions``,
-        ``compaction_read_bytes``, ``compaction_write_bytes``,
-        ``compaction_commits``, ``compacted_rows_kept``, or
-        ``compacted_rows_dropped``."""
-        self.counter(f"mutate_{event}").inc(amount)
+        The planes (``resilience``, ``serve``, ``tenancy``, ``cluster``,
+        ``chaos``, ``durability``, ``mutate``) and their event
+        vocabularies are tabulated in ``docs/ARCHITECTURE.md``.
+        """
+        self.counter(f"{plane}_{event}").inc(amount)
 
     def observe_queue_depth(self, resource: str, depth: int) -> None:
         """Sample a resource's wait-queue depth at request arrival."""

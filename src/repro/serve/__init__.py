@@ -20,7 +20,7 @@ from repro.serve.queueing import (POLICIES, AdmissionQueue, EdfQueue,
                                   WeightedFairQueue, make_queue)
 from repro.serve.result import ServeResult, TenantStats
 from repro.serve.server import ServeConfig, Server, TenantLoad, serve
-from repro.serve.tenant import Tenant, TenantIdentity
+from repro.serve.tenant import Tenant
 
 __all__ = [
     "AIMDConfig",
@@ -39,7 +39,6 @@ __all__ = [
     "ServeResult",
     "Server",
     "Tenant",
-    "TenantIdentity",
     "TenantLoad",
     "TenantStats",
     "WeightedFairQueue",

@@ -24,10 +24,9 @@ simulated hardware — into a *service* facing offered load:
    (AIMD against the SLO target).
 
 A :class:`ClosedLoopArrivals` tenant bypasses all of the above and runs
-the benchmark runner's N-clients-one-in-flight loop verbatim, so an
-inert configuration reproduces :meth:`BenchRunner.run
-<repro.workload.runner.BenchRunner.run>` numbers exactly — the bridge
-the determinism suite pins down.
+the benchmark runner's own :func:`~repro.workload.replay.closed_loop`
+driver, so an inert configuration reproduces :meth:`BenchRunner.run
+<repro.workload.runner.BenchRunner.run>` numbers by construction.
 """
 
 from __future__ import annotations
@@ -45,11 +44,12 @@ from repro.serve.queueing import POLICIES, QueuedQuery, make_queue
 from repro.serve.result import ServeResult, TenantStats
 from repro.serve.tenant import Tenant
 from repro.workload.metrics import percentile
+from repro.workload.replay import ReplaySession, closed_loop
 
 if t.TYPE_CHECKING:
     from repro.mutate.simproc import MutationLoad, MutationState
     from repro.tenancy.autopilot import TenancyStats
-    from repro.workload.runner import BenchRunner, CompiledQuery, ReplaySession
+    from repro.workload.runner import BenchRunner, CompiledQuery
 
 
 @dataclasses.dataclass(frozen=True)
@@ -204,7 +204,7 @@ class Server:
 
     def _note(self, event: str, amount: int = 1) -> None:
         if self.telemetry is not None:
-            self.telemetry.on_serve(event, amount)
+            self.telemetry.on_event("serve", event, amount)
 
     # -- control-plane hook points ----------------------------------------
     #
@@ -218,7 +218,7 @@ class Server:
         """Pre-queue admission gate (quota buckets live here)."""
         return True
 
-    def _plan_for(self, session: "ReplaySession",
+    def _plan_for(self, session: ReplaySession,
                   query: QueuedQuery) -> "tuple[CompiledQuery, bool]":
         """The plan to replay for *query* (level/tier selection hook)."""
         return session.plan_for(query.index)
@@ -230,10 +230,10 @@ class Server:
     def _on_shed(self, query: QueuedQuery) -> None:
         """Notification that an admitted query was shed at dispatch."""
 
-    def _start_background(self, session: "ReplaySession") -> None:
+    def _start_background(self, session: ReplaySession) -> None:
         """Spawn control-plane simprocs before arrivals are scheduled."""
 
-    def _recall(self, session: "ReplaySession") -> float | None:
+    def _recall(self, session: ReplaySession) -> float | None:
         """Run-level recall (completion-weighted under the autopilot)."""
         return session.recall
 
@@ -245,7 +245,7 @@ class Server:
         """Autopilot accounting attached to the result; ``None`` here."""
         return None
 
-    def _result(self, session: "ReplaySession", tallies: list[_Tally],
+    def _result(self, session: ReplaySession, tallies: list[_Tally],
                 batches: int, max_depth: int,
                 controller: ConcurrencyController | None,
                 final_limit: int | None) -> ServeResult:
@@ -341,50 +341,27 @@ class Server:
 
     # -- closed loop (the back-compat bridge) -----------------------------
 
-    def _serve_closed(self, session: "ReplaySession") -> ServeResult:
-        """Run the benchmark runner's closed loop, with SLO accounting.
-
-        Mirrors :meth:`BenchRunner.run` step for step — same issue
-        ordinals, same first-touch cold/warm gating, same fixed-CPU
-        amortization — so QPS and latency percentiles come out
-        bit-identical to a closed-loop run at the same concurrency.
-        """
+    def _serve_closed(self, session: ReplaySession) -> ServeResult:
+        """Run the benchmark runner's closed loop, with SLO accounting."""
         config = self.config
-        arrivals: ClosedLoopArrivals = config.tenants[0].arrivals
-        clients = arrivals.clients
-        env, replayer, telem = session.env, session.replayer, self.telemetry
-        profile = self.runner.engine.profile
-        fixed_cpu = (profile.fixed_query_cpu_s
-                     / min(clients, profile.batch_cap))
-        n_queries = len(self.runner.queries)
+        clients = config.tenants[0].arrivals.clients
+        env = session.env
         tally = _Tally()
-        issued = [0]
 
-        def client(client_id: int):
-            while (env.now < config.duration_s
-                   and issued[0] < config.max_queries):
-                ordinal = issued[0]
-                issued[0] += 1
-                index = (ordinal + client_id) % n_queries
-                plan, cold = session.plan_for(index)
-                record = _QueryRecord(tenant=0, arrival_s=env.now,
-                                      dispatch_s=env.now)
-                tally.arrivals += 1
-                tally.admitted += 1
-                tally.records.append(record)
-                span = (telem.begin_query(ordinal, index, client_id,
-                                          cold, env.now)
-                        if telem is not None else None)
-                failed = yield from replayer.query_proc(plan, span,
-                                                        fixed_cpu)
-                record.end_s = env.now
-                record.failed = bool(failed)
-                if span is not None:
-                    telem.end_query(span, env.now)
+        def pick(index: int):
+            plan, cold = session.plan_for(index)
+            record = _QueryRecord(tenant=0, arrival_s=env.now,
+                                  dispatch_s=env.now)
+            tally.records.append(record)
+            return plan, cold, record
 
-        for client_id in range(clients):
-            env.process(client(client_id))
-        env.run()
+        def complete(record: _QueryRecord, _start, failed: bool, _span):
+            record.end_s = env.now
+            record.failed = failed
+
+        closed_loop(session, self.runner, clients, config.duration_s,
+                    config.max_queries, pick=pick, record=complete)
+        tally.arrivals = tally.admitted = len(tally.records)
         self._note("arrivals", tally.arrivals)
         self._note("admitted", tally.admitted)
         return self._result(session, [tally], batches=0, max_depth=0,
@@ -392,7 +369,7 @@ class Server:
 
     # -- open loop --------------------------------------------------------
 
-    def _serve_open(self, session: "ReplaySession") -> ServeResult:
+    def _serve_open(self, session: ReplaySession) -> ServeResult:
         config = self.config
         env, replayer, telem = session.env, session.replayer, self.telemetry
         profile = self.runner.engine.profile
@@ -526,12 +503,19 @@ class Server:
 
     def serve(self) -> ServeResult:
         """Run the configured serving simulation and return its result."""
-        session = self.runner.open_replay(self.config.search_params,
-                                          telemetry=self.telemetry)
+        return self.serve_on(self.runner.open_replay(
+            self.config.search_params, telemetry=self.telemetry))
+
+    def serve_on(self, session: ReplaySession) -> ServeResult:
+        """Serve on an already opened *session* of this server's runner.
+
+        For callers that must arm the session before traffic starts
+        (:func:`repro.chaos.run_chaos`); a session serves once.
+        """
         if self.config.mutation is not None:
             from repro.mutate.simproc import start_mutation_load
             self._mutation = start_mutation_load(
-                session, self.runner, self.config.mutation,
+                session.hosts[0], self.runner, self.config.mutation,
                 self.config.duration_s, telemetry=self.telemetry)
         self._start_background(session)
         if self.config.closed_loop:

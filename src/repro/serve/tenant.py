@@ -40,7 +40,3 @@ class Tenant:
             raise ServeError("tenant name must be non-empty")
         if self.weight <= 0:
             raise ServeError(f"tenant weight must be > 0: {self.weight}")
-
-
-#: Deprecated alias, kept so downstream imports stay additive.
-TenantIdentity = Tenant

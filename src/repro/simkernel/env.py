@@ -4,12 +4,12 @@
 Simulation logic is written as generator functions that yield
 :class:`~repro.simkernel.events.Event` objects::
 
-    def client(env: Environment):
+    def worker(env: Environment):
         yield env.timeout(1.5)          # sleep 1.5 simulated seconds
         done = yield env.all_of([...])  # wait for several events
 
     env = Environment()
-    env.process(client(env))
+    env.process(worker(env))
     env.run(until=30.0)
 
 The kernel is deterministic: events scheduled for the same time fire in
@@ -64,7 +64,7 @@ class Environment:
         self._heap: list[tuple[float, int, Event]] = []
         self._counter = itertools.count()
         #: Events processed since construction; the numerator of the
-        #: sim-event throughput metric in ``repro.bench``.
+        #: benchmark's ``simkernel.events*`` metrics (``bench/trace.py``).
         self.events_processed = 0
 
     @property

@@ -49,8 +49,8 @@ from repro.tenancy.registry import TenantRegistry
 from repro.workload.metrics import percentile
 
 if t.TYPE_CHECKING:
-    from repro.workload.runner import BenchRunner, CompiledQuery, \
-        ReplaySession
+    from repro.workload.replay import ReplaySession
+    from repro.workload.runner import BenchRunner, CompiledQuery
 
 
 @dataclasses.dataclass(frozen=True)
@@ -176,7 +176,6 @@ class AutopilotServer(Server):
 
         # Per-run mutable state.
         n = len(registry)
-        self._seen: set[int] = set()          # hot-tier first touches
         self._meta: dict[int, tuple[str, int]] = {}   # seq -> (tier, level)
         self._admitted = [0] * n
         self._done = [0] * n
@@ -192,7 +191,7 @@ class AutopilotServer(Server):
 
     def _tnote(self, event: str, amount: int = 1) -> None:
         if self.telemetry is not None:
-            self.telemetry.on_tenancy(event, amount)
+            self.telemetry.on_event("tenancy", event, amount)
 
     # -- hook overrides ----------------------------------------------------
 
@@ -232,9 +231,7 @@ class AutopilotServer(Server):
             # Demoted: evicted from memory, so every touch replays the
             # cold (device-read) profile of the quantized level.
             return rung.cold[query.index], True
-        cold = query.index not in self._seen
-        if cold:
-            self._seen.add(query.index)
+        _, cold = session.plan_for(query.index)
         return (rung.cold if cold else rung.warm)[query.index], cold
 
     def _on_completion(self, query: QueuedQuery,
@@ -283,10 +280,11 @@ class AutopilotServer(Server):
         env.process(control_loop())
         if self._placement is None:
             return
-        if not hasattr(session, "device"):
+        if len(session.hosts) != 1:
             raise TenancyError(
                 "tiered placement needs the single-node replay session "
                 "(its shared SimSSD); disable placement for clusters")
+        device = session.hosts[0].device
         spec = self.runner.device_spec
         place = t.cast(PlacementConfig, self.tenancy.placement)
         rows = self.runner.collection.num_rows
@@ -308,7 +306,7 @@ class AutopilotServer(Server):
             offset = 0
             while offset < total:
                 size = min(cap, total - offset)
-                yield session.device.submit([(offset, size)], op)
+                yield device.submit([(offset, size)], op)
                 offset += size
             manager.commit(move.group, move.target, env.now)
             if move.target == "hot":

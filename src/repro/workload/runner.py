@@ -19,6 +19,11 @@ from the engine profile.
 One simulated "thread" maps to one client; the paper's 30-second runs
 are shortened by ``duration_s``/``max_queries`` since the simulator is
 deterministic and converges far faster than noisy hardware.
+
+This module holds the functional phase (:class:`BenchRunner`) and the
+per-host replayer (:class:`QueryReplayer`, :func:`open_host`); the
+session, the closed-loop driver and the result assembly shared with the
+cluster runner and the server live in :mod:`repro.workload.replay`.
 """
 
 from __future__ import annotations
@@ -35,8 +40,7 @@ from repro.data.groundtruth import recall_at_k
 from repro.engines.costmodel import CostModel
 from repro.engines.engine import Collection, VectorEngine
 from repro.engines.profiles import PAPER_CPU_CORES
-from repro.errors import (DegradedResult, FaultError, OutOfMemoryError,
-                          WorkloadError)
+from repro.errors import DegradedResult, OutOfMemoryError, WorkloadError
 from repro.faults import (FaultInjector, FaultPlan, PressureTracker,
                           ResiliencePolicy, degraded_search_params)
 from repro.obs import RunTelemetry
@@ -45,7 +49,9 @@ from repro.storage.blockfile import ExtentAllocator
 from repro.storage.device import SimSSD
 from repro.storage.spec import DeviceSpec, samsung_990pro_4tb
 from repro.storage.tracer import BlockTracer
-from repro.workload.metrics import RunResult, percentile
+from repro.workload.metrics import RunResult
+from repro.workload.replay import (ReplaySession, closed_loop, oom_result,
+                                   run_result)
 
 #: ('cpu', seconds), ('io', ((abs_offset, size), ...)) — a blocking
 #: demand round — ('pf', requests) — a non-blocking speculative issue —
@@ -71,6 +77,39 @@ class WriteLoad:
     def __post_init__(self) -> None:
         if self.writers < 1 or self.bytes_per_flush < 1:
             raise WorkloadError(f"bad write load: {self}")
+
+
+def start_write_load(host: "QueryReplayer", runner: "BenchRunner",
+                     load: WriteLoad, duration_s: float) -> None:
+    """Spawn *load*'s writer processes on *host*.
+
+    Each writer flushes into its own circular log region, sharing the
+    host's device and core pool with whatever query processes the
+    caller spawns next.
+    """
+    env, device, cores = host.env, host.device, host.cores
+    spec = runner.device_spec
+    log_size = 256 * load.bytes_per_flush
+
+    def writer():
+        base = runner._allocator.allocate(log_size)
+        position = 0
+        while env.now < duration_s:
+            yield env.timeout(load.interval_s)
+            remaining = load.bytes_per_flush
+            requests = []
+            while remaining > 0:
+                size = min(remaining, spec.max_request_bytes)
+                if position + size > log_size:
+                    position = 0  # circular log wrap
+                requests.append((base + position, size))
+                position += size
+                remaining -= size
+            yield from cores.use(len(requests) * spec.cpu_per_request_s)
+            yield device.submit(requests, "W")
+
+    for _ in range(load.writers):
+        env.process(writer())
 
 
 def work_extrapolation(index_kind: str, n: int,
@@ -117,7 +156,9 @@ class QueryReplayer:
 
     Owns nothing but references: the environment, the device, the core
     pool, and (optionally) the DiskANN admission pool, plus the engine
-    profile and the resilience policy.  :meth:`query_proc` is the
+    profile and the resilience policy — which makes it the *host*
+    record of the replay core too (``env`` / ``device`` / ``cores`` /
+    ``pool``; see :func:`open_host`).  :meth:`query_proc` is the
     process generator that replays one :class:`CompiledQuery` end to
     end — RPC halves, admission pool, amortized fixed CPU, and every
     per-segment CPU/IO/prefetch step, with the resilience defences
@@ -153,7 +194,7 @@ class QueryReplayer:
     def note(self, event: str) -> None:
         self.rcounts[event] += 1
         if self.telemetry is not None:
-            self.telemetry.on_resilience(event)
+            self.telemetry.on_event("resilience", event)
 
     def _read_attempt(self, payload, timing):
         """One submission of a demand round, raced against the
@@ -357,43 +398,31 @@ class QueryReplayer:
         return failed[0]
 
 
-@dataclasses.dataclass
-class ReplaySession:
-    """One fresh simulated host with compiled plans bound to it.
+def open_host(runner: "BenchRunner", env: Environment,
+              names: tuple[str, str] = ("cores", "diskann_pool"), *,
+              telemetry: RunTelemetry | None = None, trace: bool = False,
+              fault_plan: FaultPlan | None = None,
+              resilience: ResiliencePolicy | None = None) -> QueryReplayer:
+    """One fresh simulated machine on *env*, as its replayer.
 
-    Built by :meth:`BenchRunner.open_replay`: the environment, the
-    calibrated device (with optional fault injector and tracer), the
-    core and admission pools, and a :class:`QueryReplayer` over them,
-    alongside the cold/warm compiled plans of the requested search
-    parameters.  Callers drive it by spawning
-    ``session.replayer.query_proc(plan, ...)`` processes and running
-    ``session.env``.
+    Builds the calibrated device (with optional tracer and fault
+    injector), the core pool, and — for DiskANN collections on profiles
+    that have one — the admission pool, sized from *runner*.  *names*
+    are the core- and admission-pool resource names (they key the
+    telemetry queue-depth histograms).
     """
-
-    env: "Environment"
-    device: SimSSD
-    cores: Resource
-    pool: Resource | None
-    tracer: BlockTracer
-    injector: FaultInjector | None
-    replayer: QueryReplayer
-    cold: list[CompiledQuery]
-    warm: list[CompiledQuery]
-    recall: float | None
-    telemetry: RunTelemetry | None
-    _cold_replayed: set[int] = dataclasses.field(default_factory=set)
-
-    def plan_for(self, index: int) -> tuple[CompiledQuery, bool]:
-        """The plan to replay for query *index*, tracking warm-up.
-
-        The first replay of an index after the cache drop uses its cold
-        profile, every later one the warm profile; returns
-        ``(plan, cold)``.
-        """
-        cold = index not in self._cold_replayed
-        if cold:
-            self._cold_replayed.add(index)
-        return (self.cold[index] if cold else self.warm[index]), cold
+    injector = (FaultInjector(fault_plan, telemetry=telemetry)
+                if fault_plan is not None else None)
+    device = SimSSD(env, runner.device_spec, BlockTracer(enabled=trace),
+                    telemetry=telemetry, injector=injector)
+    cores = Resource(env, runner.cores, name=names[0], telemetry=telemetry)
+    profile = runner.engine.profile
+    pool_size = getattr(profile, "diskann_pool", 0)
+    pool = (Resource(env, pool_size, name=names[1], telemetry=telemetry)
+            if pool_size and runner.collection.index_spec.kind == "diskann"
+            else None)
+    return QueryReplayer(env, device, cores, pool, profile,
+                         telemetry=telemetry, resilience=resilience)
 
 
 class BenchRunner:
@@ -424,6 +453,7 @@ class BenchRunner:
         self.work_scale = work_extrapolation(
             self.collection.index_spec.kind, self.collection.num_rows,
             paper_n)
+        self._built_at = self.collection.mutations
         self._segment_bases = self._allocate_index_files()
         self._plan_cache: dict[tuple, tuple[list[CompiledQuery],
                                             list[CompiledQuery],
@@ -456,9 +486,19 @@ class BenchRunner:
             if reset is not None:
                 reset()
 
+    def _check_unchanged(self) -> None:
+        """Refuse to compile or replay once the collection has mutated:
+        extents, plans and recall all describe it as it was built over,
+        so replaying them would report the old answers."""
+        if self.collection.mutations != self._built_at:
+            raise WorkloadError(
+                f"{self.collection.name}: collection changed since this "
+                f"runner was built; build a new one")
+
     def _compile(self, params: dict[str, t.Any],
                  ) -> tuple[list[CompiledQuery], list[CompiledQuery],
                             float | None]:
+        self._check_unchanged()
         key = tuple(sorted(params.items()))
         if key in self._plan_cache:
             return self._plan_cache[key]
@@ -568,32 +608,17 @@ class BenchRunner:
         """A fresh simulated host ready to replay this runner's queries.
 
         Compiles (or reuses) the cold/warm plans for *search_params* and
-        builds the environment, device, core pool, and optional DiskANN
-        admission pool — everything :meth:`run` assembles for a closed
-        loop, packaged for callers that drive their own schedule (the
-        open-loop :class:`repro.serve.Server`).
+        binds them to one new host (:func:`open_host`) — what :meth:`run`
+        drives with the closed loop, packaged for callers that drive
+        their own schedule (the open-loop :class:`repro.serve.Server`).
         """
-        params = dict(search_params or {})
-        cold, warm, recall = self._compile(params)
+        cold, warm, recall = self._compile(dict(search_params or {}))
         env = Environment()
-        tracer = BlockTracer(enabled=trace)
-        injector = (FaultInjector(fault_plan, telemetry=telemetry)
-                    if fault_plan is not None else None)
-        device = SimSSD(env, self.device_spec, tracer, telemetry=telemetry,
-                        injector=injector)
-        cores = Resource(env, self.cores, name="cores", telemetry=telemetry)
-        profile = self.engine.profile
-        pool_size = getattr(profile, "diskann_pool", 0)
-        pool = (Resource(env, pool_size, name="diskann_pool",
-                         telemetry=telemetry)
-                if pool_size and self.collection.index_spec.kind == "diskann"
-                else None)
-        replayer = QueryReplayer(env, device, cores, pool, profile,
-                                 telemetry=telemetry, resilience=resilience)
-        return ReplaySession(env=env, device=device, cores=cores, pool=pool,
-                             tracer=tracer, injector=injector,
-                             replayer=replayer, cold=cold, warm=warm,
-                             recall=recall, telemetry=telemetry)
+        host = open_host(self, env, telemetry=telemetry, trace=trace,
+                         fault_plan=fault_plan, resilience=resilience)
+        return ReplaySession(env=env, hosts=[host], replayer=host,
+                             cold=cold, warm=warm, recall=recall,
+                             telemetry=telemetry)
 
     def run(self, concurrency: int, search_params: dict | None = None,
             duration_s: float = 4.0, max_queries: int = 25_000,
@@ -630,38 +655,21 @@ class BenchRunner:
         the reported recall is the completion-weighted mix of the full
         and degraded plans' compile-time recalls.
         """
-        if concurrency < 1:
-            raise WorkloadError(f"concurrency must be >= 1: {concurrency}")
         telem = RunTelemetry() if telemetry is True else (telemetry or None)
         params = dict(search_params or {})
-        profile = self.engine.profile
         resil = (resilience
                  if resilience is not None and resilience.active else None)
-
-        def failure(reason: str) -> RunResult:
-            return RunResult(
-                engine=profile.name,
-                index_kind=self.collection.index_spec.kind,
-                dataset=self.collection.name, concurrency=concurrency,
-                completed=0, elapsed_s=0.0, qps=0.0,
-                mean_latency_s=float("nan"), p99_latency_s=float("nan"),
-                cpu_utilization=0.0, device_utilization=0.0,
-                read_bytes=0, write_bytes=0, search_params=params,
-                error=reason)
-
         try:
             self.engine.check_concurrency_memory(concurrency)
         except OutOfMemoryError:
-            return failure("out-of-memory")
+            return oom_result(self, concurrency, params)
 
         cache_base = self._cache_counters() if telem is not None else {}
         session = self.open_replay(params, telemetry=telem, trace=trace,
                                    fault_plan=fault_plan, resilience=resil)
-        cold, warm, recall = session.cold, session.warm, session.recall
-        degraded_cold = degraded_warm = None
-        recall_degraded: float | None = None
-        degraded_params: dict[str, t.Any] = {}
-        tracker = None
+        host = session.replayer
+        pick = record = tracker = None
+        degraded_completions = 0
         if resil is not None and resil.degrade:
             degraded_params = (dict(resil.degrade_params)
                                if resil.degrade_params is not None
@@ -671,96 +679,38 @@ class BenchRunner:
             degraded_cold, degraded_warm, recall_degraded = self._compile(
                 degraded_params)
             tracker = PressureTracker(resil)
-        env, device, cores = session.env, session.device, session.cores
-        tracer, injector = session.tracer, session.injector
-        replayer = session.replayer
-        fixed_cpu = (profile.fixed_query_cpu_s
-                     / min(concurrency, profile.batch_cap))
-        state = _RunState(n_queries=len(self.queries),
-                          max_queries=max_queries)
 
-        def client(client_id: int):
-            while env.now < duration_s and state.issued < state.max_queries:
-                ordinal = state.issued
-                state.issued += 1
-                index = (ordinal + client_id + phase) % state.n_queries
-                # Cold-vs-warm is a per-*index* decision: the first
-                # replay of a query index after the cache drop uses its
-                # cold profile, every later replay the warm one.  (The
-                # global issue ordinal is offset from the index by
-                # client_id + phase, so gating on it replayed some
-                # indexes cold twice and others never.)
-                cold_replay = state.first_touch(index)
-                degraded = tracker is not None and tracker.degraded
+            def pick(index: int):
+                plan, cold = session.plan_for(index)
+                degraded = tracker.degraded
                 if degraded:
-                    plan = (degraded_cold if cold_replay
-                            else degraded_warm)[index]
-                else:
-                    plan = cold[index] if cold_replay else warm[index]
-                span = (telem.begin_query(ordinal, index, client_id,
-                                          cold_replay, env.now)
-                        if telem is not None else None)
-                if span is not None and degraded:
+                    plan = (degraded_cold if cold else degraded_warm)[index]
+                return plan, cold, degraded
+
+            def record(degraded: bool, start: float, failed: bool, span):
+                nonlocal degraded_completions
+                tracker.on_completion(session.env.now - start, failed=failed)
+                if degraded and not failed:
+                    degraded_completions += 1
+                if degraded and span is not None:
                     span.degraded = True
-                start = env.now
-                query_failed = yield from replayer.query_proc(plan, span,
-                                                              fixed_cpu)
-                latency = env.now - start
-                if tracker is not None:
-                    tracker.on_completion(latency,
-                                          failed=bool(query_failed))
-                if query_failed:
-                    state.failures += 1
-                else:
-                    state.latencies.append(latency)
-                    state.last_completion = env.now
-                    if degraded:
-                        state.degraded_completions += 1
-                if span is not None:
-                    telem.end_query(span, env.now)
 
-        def writer(writer_id: int):
-            log_size = 256 * write_load.bytes_per_flush
-            base = self._allocator.allocate(log_size)
-            position = 0
-            cap = self.device_spec.max_request_bytes
-            while env.now < duration_s:
-                yield env.timeout(write_load.interval_s)
-                remaining = write_load.bytes_per_flush
-                requests = []
-                while remaining > 0:
-                    size = min(remaining, cap)
-                    if position + size > log_size:
-                        position = 0  # circular log wrap
-                    requests.append((base + position, size))
-                    position += size
-                    remaining -= size
-                yield from cores.use(
-                    len(requests) * self.device_spec.cpu_per_request_s)
-                yield device.submit(requests, "W")
-
-        for client_id in range(concurrency):
-            env.process(client(client_id))
         if write_load is not None:
-            for writer_id in range(write_load.writers):
-                env.process(writer(writer_id))
-        env.run()
+            start_write_load(host, self, write_load, duration_s)
+        tally = closed_loop(session, self, concurrency, duration_s,
+                            max_queries, phase, pick, record)
+        tally.require_completions(
+            "demand reads exhausted their retry budget under the fault plan")
 
-        completed = len(state.latencies)
-        if completed == 0:
-            if state.failures:
-                raise FaultError(
-                    f"all {state.failures} queries failed: demand reads "
-                    f"exhausted their retry budget under the fault plan")
-            raise WorkloadError(
-                "run completed no queries; duration too short?")
-        elapsed = max(state.last_completion, 1e-9)
-        if (tracker is not None and state.degraded_completions
+        completed = len(tally.latencies)
+        recall = session.recall
+        if (tracker is not None and degraded_completions
                 and recall is not None and recall_degraded is not None):
             # Completion-weighted recall: queries replayed degraded
             # contribute the degraded plan's compile-time recall.
-            fraction = state.degraded_completions / completed
+            fraction = degraded_completions / completed
             recall = recall * (1.0 - fraction) + recall_degraded * fraction
+        injector = host.device.injector
         faults = None
         if injector is not None or resil is not None:
             faults = {}
@@ -770,11 +720,11 @@ class BenchRunner:
                 for event in ("timeouts", "retries", "hedges",
                               "hedge_wins", "read_failures",
                               "deadline_abandons"):
-                    faults[event] = replayer.rcounts.get(event, 0)
-                faults["failed_queries"] = state.failures
+                    faults[event] = host.rcounts.get(event, 0)
+                faults["failed_queries"] = tally.failures
                 if tracker is not None:
                     faults["degraded"] = DegradedResult(
-                        queries=state.degraded_completions,
+                        queries=degraded_completions,
                         total=completed, params=degraded_params)
         if telem is not None:
             # Functional-phase cache activity attributable to this run
@@ -783,28 +733,8 @@ class BenchRunner:
                 delta = value - cache_base.get(name, 0)
                 if delta:
                     telem.counter(name).inc(delta)
-        return RunResult(
-            engine=profile.name,
-            index_kind=self.collection.index_spec.kind,
-            dataset=self.collection.name,
-            concurrency=concurrency,
-            completed=completed,
-            elapsed_s=elapsed,
-            qps=completed / elapsed,
-            mean_latency_s=float(np.mean(state.latencies)),
-            p99_latency_s=percentile(state.latencies, 99),
-            p50_latency_s=percentile(state.latencies, 50),
-            p95_latency_s=percentile(state.latencies, 95),
-            cpu_utilization=cores.utilization(elapsed),
-            device_utilization=device.utilization(elapsed),
-            read_bytes=device.bytes_read,
-            write_bytes=device.bytes_written,
-            recall=recall,
-            search_params=params,
-            tracer=tracer if trace else None,
-            telemetry=telem,
-            faults=faults,
-        )
+        return run_result(self, session, tally, concurrency, params,
+                          recall, faults, trace)
 
     #: Counter names that predate the generic per-kind scheme; kept so
     #: existing dashboards/tests keep their series.
@@ -832,23 +762,3 @@ class BenchRunner:
                 totals["cache_page_misses"] += cache.misses
         return dict(totals)
 
-
-@dataclasses.dataclass
-class _RunState:
-    n_queries: int
-    max_queries: int
-    issued: int = 0
-    last_completion: float = 0.0
-    latencies: list[float] = dataclasses.field(default_factory=list)
-    cold_replayed: set[int] = dataclasses.field(default_factory=set)
-    #: Queries whose demand reads failed permanently (FaultError path).
-    failures: int = 0
-    #: Completions replayed with degraded (shrunken) search params.
-    degraded_completions: int = 0
-
-    def first_touch(self, index: int) -> bool:
-        """True exactly once per query index: replay its cold profile."""
-        if index in self.cold_replayed:
-            return False
-        self.cold_replayed.add(index)
-        return True

@@ -16,7 +16,7 @@ from repro.ann import (DiskANNIndex, FlatIndex, HNSWIndex, IVFIndex,
                        ProductQuantizer, SPANNIndex)
 from repro.ann.distance import (make_batch_kernel, prepare, prepare_queries,
                                 prepare_query, top_k, top_k_batch)
-from repro.errors import IndexError_
+from repro.errors import AnnIndexError
 
 
 # -- kernel layer ---------------------------------------------------------
@@ -57,7 +57,7 @@ def test_batch_kernel_l2_accepts_precomputed_norms():
 
 
 def test_batch_kernel_unknown_metric_raises():
-    with pytest.raises(IndexError_):
+    with pytest.raises(AnnIndexError):
         make_batch_kernel(np.zeros((1, 2), dtype=np.float32), "cosine")
 
 
@@ -73,7 +73,7 @@ def test_prepare_queries_rows_match_prepare_query():
 
 
 def test_prepare_queries_rejects_1d():
-    with pytest.raises(IndexError_):
+    with pytest.raises(AnnIndexError):
         prepare_queries(np.zeros(4), "l2")
 
 
@@ -101,7 +101,7 @@ def test_top_k_batch_ambiguous_ties_at_kth_place():
 def test_top_k_batch_shapes_and_errors():
     assert top_k_batch(np.zeros((3, 5)), 0).shape == (3, 0)
     assert top_k_batch(np.zeros((2, 4)), 9).shape == (2, 4)
-    with pytest.raises(IndexError_):
+    with pytest.raises(AnnIndexError):
         top_k_batch(np.zeros(5), 2)
 
 
@@ -197,7 +197,7 @@ def test_search_batch_bit_identical_to_sequential(
 
 def test_search_batch_default_validates_input(small_data):
     index = FlatIndex(metric="l2").build(small_data)
-    with pytest.raises(IndexError_):
+    with pytest.raises(AnnIndexError):
         index.search_batch(np.zeros(24), 3)
 
 

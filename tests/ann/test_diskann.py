@@ -8,7 +8,7 @@ from repro.ann import DiskANNIndex, build_vamana, greedy_search, robust_prune
 from repro.ann.diskann import DiskLayout
 from repro.ann.distance import make_kernel, prepare, prepare_query
 from repro.data.groundtruth import recall_at_k
-from repro.errors import IndexError_
+from repro.errors import AnnIndexError
 
 
 @pytest.fixture(scope="module")
@@ -61,11 +61,11 @@ class TestVamana:
         assert kept[0] == nearest
 
     def test_ip_metric_rejected(self, small_data):
-        with pytest.raises(IndexError_):
+        with pytest.raises(AnnIndexError):
             build_vamana(small_data, "ip", R=8)
 
     def test_alpha_below_one_rejected(self, small_data):
-        with pytest.raises(IndexError_):
+        with pytest.raises(AnnIndexError):
             build_vamana(small_data, "l2", alpha=0.5)
 
 
@@ -182,13 +182,13 @@ class TestDiskANN:
         assert recold.io_requests == cold.io_requests
 
     def test_search_before_build_raises(self):
-        with pytest.raises(IndexError_):
+        with pytest.raises(AnnIndexError):
             DiskANNIndex().search(np.zeros(4), 1)
 
     def test_bad_params_raise(self, diskann, small_queries):
-        with pytest.raises(IndexError_):
+        with pytest.raises(AnnIndexError):
             diskann.search(small_queries[0], 10, search_list=0)
-        with pytest.raises(IndexError_):
+        with pytest.raises(AnnIndexError):
             diskann.search(small_queries[0], 10, beam_width=0)
 
     def test_memory_much_smaller_than_disk(self, diskann):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.ann.distance import (distances, make_kernel, normalize, pairwise,
                                 prepare, prepare_query, top_k)
-from repro.errors import IndexError_
+from repro.errors import AnnIndexError
 
 
 def test_l2_matches_manual():
@@ -27,14 +27,14 @@ def test_cosine_ignores_magnitude():
 
 
 def test_unknown_metric_raises():
-    with pytest.raises(IndexError_):
+    with pytest.raises(AnnIndexError):
         distances(np.zeros(2), np.zeros((1, 2)), "hamming")
 
 
 def test_dimension_mismatch_raises():
-    with pytest.raises(IndexError_):
+    with pytest.raises(AnnIndexError):
         distances(np.zeros(3), np.zeros((2, 2)), "l2")
-    with pytest.raises(IndexError_):
+    with pytest.raises(AnnIndexError):
         pairwise(np.zeros((2, 3)), np.zeros((2, 2)), "l2")
 
 
@@ -139,7 +139,7 @@ def test_kernels_match_reference_distances():
 
 
 def test_make_kernel_rejects_unknown():
-    with pytest.raises(IndexError_):
+    with pytest.raises(AnnIndexError):
         make_kernel(np.zeros((1, 2), dtype=np.float32), "cosine")
 
 

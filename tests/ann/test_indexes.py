@@ -6,7 +6,7 @@ import pytest
 from repro.ann import (FlatIndex, HNSWIndex, IVFIndex, ProductQuantizer,
                        default_nlist)
 from repro.data.groundtruth import recall_at_k
-from repro.errors import IndexError_
+from repro.errors import AnnIndexError
 
 
 def run_queries(index, queries, k=10, **params):
@@ -27,12 +27,12 @@ class TestFlat:
         assert result.work.io_requests == 0
 
     def test_search_before_build_raises(self):
-        with pytest.raises(IndexError_):
+        with pytest.raises(AnnIndexError):
             FlatIndex().search(np.zeros(4), 1)
 
     def test_rejects_search_params(self, small_data):
         flat = FlatIndex(metric="cosine").build(small_data)
-        with pytest.raises(IndexError_):
+        with pytest.raises(AnnIndexError):
             flat.search(small_data[0], 1, nprobe=4)
 
     def test_memory_is_data_size(self, small_data):
@@ -93,12 +93,12 @@ class TestIVF:
         assert results[0].work.table_builds == 1
 
     def test_nlist_larger_than_n_raises(self, small_data):
-        with pytest.raises(IndexError_):
+        with pytest.raises(AnnIndexError):
             IVFIndex(metric="cosine", nlist=10_000).build(small_data)
 
     def test_bad_nprobe_raises(self, small_data):
         ivf = IVFIndex(metric="cosine", nlist=8).build(small_data)
-        with pytest.raises(IndexError_):
+        with pytest.raises(AnnIndexError):
             ivf.search(small_data[0], 5, nprobe=0)
 
 
@@ -142,11 +142,11 @@ class TestHNSW:
         assert 3 in found
 
     def test_bad_m_raises(self):
-        with pytest.raises(IndexError_):
+        with pytest.raises(AnnIndexError):
             HNSWIndex(M=1)
 
     def test_bad_ef_raises(self, hnsw, small_data):
-        with pytest.raises(IndexError_):
+        with pytest.raises(AnnIndexError):
             hnsw.search(small_data[0], 5, ef_search=0)
 
     def test_single_point_dataset(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ann.kmeans import kmeans
-from repro.errors import IndexError_
+from repro.errors import AnnIndexError
 
 
 def blobs(k=4, per=50, dim=5, seed=0, spread=0.05):
@@ -62,12 +62,12 @@ def test_deterministic_for_fixed_seed():
 
 def test_invalid_k_raises():
     X, _ = blobs()
-    with pytest.raises(IndexError_):
+    with pytest.raises(AnnIndexError):
         kmeans(X, 0)
 
 
 def test_empty_data_raises():
-    with pytest.raises(IndexError_):
+    with pytest.raises(AnnIndexError):
         kmeans(np.empty((0, 4), dtype=np.float32), 2)
 
 

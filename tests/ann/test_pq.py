@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ann.pq import ProductQuantizer
-from repro.errors import IndexError_
+from repro.errors import AnnIndexError
 
 
 @pytest.fixture(scope="module")
@@ -14,22 +14,22 @@ def data():
 
 
 def test_dim_must_divide_into_subspaces():
-    with pytest.raises(IndexError_):
+    with pytest.raises(AnnIndexError):
         ProductQuantizer(dim=10, m=3)
 
 
 def test_nbits_bounds():
-    with pytest.raises(IndexError_):
+    with pytest.raises(AnnIndexError):
         ProductQuantizer(dim=8, m=2, nbits=9)
-    with pytest.raises(IndexError_):
+    with pytest.raises(AnnIndexError):
         ProductQuantizer(dim=8, m=2, nbits=0)
 
 
 def test_use_before_train_raises(data):
     pq = ProductQuantizer(dim=16, m=4)
-    with pytest.raises(IndexError_):
+    with pytest.raises(AnnIndexError):
         pq.encode(data)
-    with pytest.raises(IndexError_):
+    with pytest.raises(AnnIndexError):
         pq.adc_table(data[0])
 
 
@@ -127,5 +127,5 @@ def test_code_bytes(data):
 
 def test_train_shape_mismatch_raises(data):
     pq = ProductQuantizer(dim=8, m=2)
-    with pytest.raises(IndexError_):
+    with pytest.raises(AnnIndexError):
         pq.train(data)  # dim 16 != 8

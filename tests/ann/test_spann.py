@@ -5,7 +5,7 @@ import pytest
 
 from repro.ann.spann import SPANNIndex
 from repro.data.groundtruth import recall_at_k
-from repro.errors import IndexError_
+from repro.errors import AnnIndexError
 
 
 @pytest.fixture(scope="module")
@@ -91,16 +91,16 @@ def test_self_query_finds_self(spann, small_data):
 
 
 def test_bad_params_raise(small_data, spann):
-    with pytest.raises(IndexError_):
+    with pytest.raises(AnnIndexError):
         SPANNIndex(max_replicas=0)
-    with pytest.raises(IndexError_):
+    with pytest.raises(AnnIndexError):
         SPANNIndex(closure_eps=-0.1)
-    with pytest.raises(IndexError_):
+    with pytest.raises(AnnIndexError):
         spann.search(small_data[0], 5, nprobe=0)
-    with pytest.raises(IndexError_):
+    with pytest.raises(AnnIndexError):
         SPANNIndex(n_postings=10 ** 6).build(small_data)
 
 
 def test_search_before_build_raises():
-    with pytest.raises(IndexError_):
+    with pytest.raises(AnnIndexError):
         SPANNIndex().search(np.zeros(4), 1)

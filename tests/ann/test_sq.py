@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ann.sq import ScalarQuantizer
-from repro.errors import IndexError_
+from repro.errors import AnnIndexError
 
 
 @pytest.fixture
@@ -40,12 +40,12 @@ def test_constant_dimension_survives():
 
 
 def test_use_before_train_raises(data):
-    with pytest.raises(IndexError_):
+    with pytest.raises(AnnIndexError):
         ScalarQuantizer().encode(data)
 
 
 def test_empty_training_raises():
-    with pytest.raises(IndexError_):
+    with pytest.raises(AnnIndexError):
         ScalarQuantizer().train(np.empty((0, 3), dtype=np.float32))
 
 

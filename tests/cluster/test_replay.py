@@ -16,7 +16,7 @@ import pytest
 from repro.cluster import Cluster, ClusterTopology
 from repro.cluster.runner import ClusterBenchRunner
 from repro.engines.engine import IndexSpec
-from repro.errors import ClusterError, DegradedResult
+from repro.errors import ClusterError, DegradedResult, WorkloadError
 from repro.faults.nodes import NodeFaultPlan
 from repro.obs import RunTelemetry
 from repro.serve.arrivals import PoissonArrivals
@@ -169,7 +169,7 @@ def test_migration_cuts_routing_over_while_serving(replay_corpus):
     assert served and not any(failed for _t, failed in served)
     # The stream moved real bytes through both devices.
     moved = cluster.shard_bytes("c", 0)
-    assert session.devices[spare].bytes_written >= moved
+    assert session.hosts[spare].device.bytes_written >= moved
 
 
 def test_cluster_spans_record_network_and_merge_stages(replay_corpus):
@@ -197,3 +197,28 @@ def test_server_drives_cluster_coordinator_open_loop(replay_corpus):
     assert result.arrivals > 0
     assert result.qps > 0
     assert result.p99_latency_s > 0
+
+
+def test_mutating_the_cluster_invalidates_the_runner(replay_corpus):
+    # The cluster twin of the single-node stale-plan regression.
+    X, queries, truth = replay_corpus
+    topo = ClusterTopology(n_shards=2, replicas=1, seed=0)
+    runner = _runner(replay_corpus, topo)
+    runner.run(4, duration_s=0.05)
+    runner.cluster.insert("c", X[:16])
+    runner.cluster.flush("c")
+    with pytest.raises(WorkloadError, match="build a new one"):
+        runner.run(4, duration_s=0.05)
+    fresh = ClusterBenchRunner(runner.cluster, "c", queries,
+                               ground_truth=truth, k=10)
+    assert fresh.run(4, duration_s=0.05).completed > 0
+
+
+def test_telemetry_is_passive_through_the_shared_driver(replay_corpus):
+    topo = ClusterTopology(n_shards=2, replicas=2, seed=0)
+    runner = _runner(replay_corpus, topo)
+    plain = runner.run(8, duration_s=0.1)
+    traced = runner.run(8, duration_s=0.1, telemetry=True)
+    assert plain.telemetry is None and traced.telemetry.spans
+    assert (dataclasses.replace(traced, telemetry=None)
+            == dataclasses.replace(plain, telemetry=None))

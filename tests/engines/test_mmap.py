@@ -5,7 +5,7 @@ import pytest
 
 from repro.ann.hnsw import HNSWIndex
 from repro.engines.mmap import MmapHNSWIndex, wrap_mmap
-from repro.errors import IndexError_
+from repro.errors import AnnIndexError
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +82,7 @@ def test_memory_excludes_vectors(mmap_index, small_data):
 
 
 def test_wrap_mmap_requires_built(small_data):
-    with pytest.raises(IndexError_):
+    with pytest.raises(AnnIndexError):
         wrap_mmap(HNSWIndex(metric="cosine"), 768, 1 << 20)
 
 

@@ -1,14 +1,14 @@
-"""Typed index parameters, SearchRequest, and the deprecation shims."""
+"""Typed index parameters, SearchRequest, and work-profile merging."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.ann.workprofile import SearchResult, WorkProfile
+from repro.ann.workprofile import WorkProfile
 from repro.engines import (DiskANNParams, HNSWParams, IndexSpec,
-                           SearchRequest, SearchResponse, SPANNParams,
-                           make_params, merge_works)
+                           SearchRequest, SPANNParams, make_params,
+                           merge_works)
 from repro.engines.params import coerce_params
 from repro.errors import EngineError
 
@@ -97,19 +97,7 @@ class TestSearchRequest:
         assert a == b and hash(a) == hash(b)
 
 
-class TestSearchResponseShim:
-    def test_constructing_warns_but_works(self):
-        ids = np.array([3, 1])
-        works = [WorkProfile(), WorkProfile()]
-        with pytest.warns(DeprecationWarning, match="SearchResult"):
-            response = SearchResponse(ids, dists=np.array([0.1, 0.2]),
-                                      works=works)
-        assert isinstance(response, SearchResult)
-        np.testing.assert_array_equal(response.ids, ids)
-        np.testing.assert_array_equal(response.distances,
-                                      np.array([0.1, 0.2]))
-        assert isinstance(response.total_work, WorkProfile)
-
+class TestMergeWorks:
     def test_merge_works_sums_prefetch_counters(self):
         a, b = WorkProfile(), WorkProfile()
         a.prefetch_issued, a.prefetch_wasted = 4, 1

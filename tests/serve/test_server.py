@@ -4,12 +4,15 @@ The two anchor contracts:
 
 * same config + same seed => an identical :class:`ServeResult`;
 * an inert configuration (one closed-loop tenant, unbounded FIFO, no
-  shedding, no controller) reproduces :meth:`BenchRunner.run` exactly.
+  shedding, no controller) reproduces ``runner.run`` exactly, for the
+  single-node and the cluster runner alike.
 """
 
 import numpy as np
 import pytest
 
+from repro.cluster import Cluster, ClusterBenchRunner, ClusterTopology
+from repro.engines import IndexSpec
 from repro.errors import ServeError
 from repro.obs import RunTelemetry
 from repro.serve import (AIMDConfig, ClosedLoopArrivals, PoissonArrivals,
@@ -24,6 +27,17 @@ def runner(small_data, small_queries, small_truth):
     engine = make_engine(small_data)
     return BenchRunner(engine, "bench", small_queries,
                        ground_truth=small_truth)
+
+
+@pytest.fixture(scope="module")
+def cluster_runner(small_data, small_queries, small_truth):
+    cluster = Cluster(ClusterTopology(n_shards=2, replicas=2), "milvus")
+    cluster.create("bench", small_data.shape[1], IndexSpec.of(
+        "hnsw", M=8, ef_construction=40))
+    cluster.insert("bench", small_data)
+    cluster.flush("bench")
+    return ClusterBenchRunner(cluster, "bench", small_queries,
+                              ground_truth=small_truth)
 
 
 def open_config(**overrides):
@@ -56,19 +70,21 @@ class TestDeterminism:
 
 
 class TestClosedLoopBridge:
-    def test_inert_config_reproduces_run_exactly(self, runner):
+    def test_inert_config_reproduces_run_exactly(self, runner,
+                                                 cluster_runner):
         config = ServeConfig(
             tenants=(TenantLoad("t", ClosedLoopArrivals(clients=4)),),
             duration_s=0.3, search_params={"ef_search": 16})
-        result = serve(runner, config)
-        baseline = runner.run(4, {"ef_search": 16}, duration_s=0.3)
-        assert result.qps == baseline.qps
-        assert result.p99_latency_s == baseline.p99_latency_s
-        assert result.p50_latency_s == baseline.p50_latency_s
-        assert result.completed == baseline.completed
-        assert result.recall == baseline.recall
-        assert result.offered_qps is None
-        assert result.rejected == 0 and result.shed == 0
+        for each in (runner, cluster_runner):
+            result = serve(each, config)
+            baseline = each.run(4, {"ef_search": 16}, duration_s=0.3)
+            for field in ("engine", "index_kind", "dataset", "qps",
+                          "p99_latency_s", "p95_latency_s",
+                          "p50_latency_s", "completed", "recall"):
+                assert getattr(result, field) == getattr(baseline, field)
+            assert result.duration_s == baseline.elapsed_s
+            assert result.offered_qps is None
+            assert result.rejected == 0 and result.shed == 0
 
     def test_closed_loop_queue_time_is_zero(self, runner):
         config = ServeConfig(

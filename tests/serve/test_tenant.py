@@ -3,8 +3,7 @@
 import pytest
 
 from repro.errors import ServeError
-from repro.serve import (PoissonArrivals, Tenant, TenantIdentity,
-                         TenantLoad)
+from repro.serve import PoissonArrivals, Tenant, TenantLoad
 from repro.serve.result import TenantStats
 
 
@@ -21,10 +20,6 @@ def test_identity_validation():
         Tenant("acme", weight=0.0)
     with pytest.raises(ServeError):
         Tenant("acme", weight=-1.0)
-
-
-def test_deprecated_alias_is_the_same_type():
-    assert TenantIdentity is Tenant
 
 
 def test_tenant_load_exposes_the_identity():

@@ -20,7 +20,6 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 DOCTESTED_MODULES = (
     "repro.api",
     "repro.errors",
-    "repro.bench",
     "repro.engines.engine",
     "repro.engines.params",
     "repro.ann.workprofile",

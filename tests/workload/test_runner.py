@@ -150,6 +150,25 @@ class TestOomHandling:
         assert not ok.failed
 
 
+class TestStalePlans:
+    def test_mutating_the_collection_invalidates_the_runner(
+            self, small_data, small_queries):
+        # Regression: the plan caches are keyed on search params only,
+        # so a runner used to replay pre-mutation plans (same QPS, ids
+        # and recall) after the collection changed under it.
+        engine = make_engine(small_data[:300], kind="flat")
+        runner = BenchRunner(engine, "bench", small_queries)
+        runner.run(4, {}, duration_s=0.05)
+        engine.insert("bench", small_data[300:])
+        engine.flush("bench")
+        with pytest.raises(WorkloadError, match="build a new one"):
+            runner.run(4, {}, duration_s=0.05)
+        with pytest.raises(WorkloadError, match="build a new one"):
+            runner.compiled_results({})
+        fresh = BenchRunner(engine, "bench", small_queries)
+        assert fresh.run(4, {}, duration_s=0.05).completed > 0
+
+
 class TestEngineOverheads:
     def test_rpc_floor_on_latency(self, small_data, small_queries):
         engine = make_engine(small_data)

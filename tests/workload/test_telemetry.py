@@ -10,7 +10,7 @@ schedule (bit-identical results).
 import pytest
 
 from repro.obs import STAGES, RunTelemetry
-from repro.workload.runner import _RunState
+from repro.workload.replay import ReplaySession
 
 from tests.workload.test_runner import make_engine  # noqa: F401
 from repro.workload import BenchRunner
@@ -34,9 +34,13 @@ class TestFirstTouch:
     """S4: per-query-index cold replay, not 'first N issued queries'."""
 
     def test_first_touch_true_exactly_once_per_index(self):
-        state = _RunState(n_queries=4, max_queries=100)
-        assert [state.first_touch(i) for i in (0, 1, 0, 1, 2, 0)] == [
-            True, True, False, False, True, False]
+        session = ReplaySession(env=None, hosts=[], replayer=None,
+                                cold=["c0", "c1", "c2"],
+                                warm=["w0", "w1", "w2"], recall=None,
+                                telemetry=None)
+        assert [session.plan_for(i) for i in (0, 1, 0, 1, 2, 0)] == [
+            ("c0", True), ("c1", True), ("w0", False), ("w1", False),
+            ("c2", True), ("w0", False)]
 
     def test_each_index_replays_cold_exactly_once(self, diskann_runner):
         result = diskann_runner.run(2, {"search_list": 16}, duration_s=0.5,

@@ -90,11 +90,6 @@ class DiskANNIndex(VectorIndex):
 
     kind = "diskann"
     storage_based = True
-    # Class-level fallbacks: indexes unpickled from a pre-counter build
-    # cache never ran the current __init__.
-    static_hits = 0
-    lru_hits = 0
-    cache_misses = 0
 
     def __init__(self, metric: str = "l2", R: int = 32, L_build: int = 96,
                  alpha: float = 1.3, pq_m: int | None = None,
@@ -231,17 +226,6 @@ class DiskANNIndex(VectorIndex):
         cache refills hot-first instead of thrashing from scratch.
         """
         self._node_cache.clear()
-
-    def __setstate__(self, state: dict) -> None:
-        # Indexes pickled before the policy refactor carry a plain
-        # ``_lru`` OrderedDict; migrate them to an (empty) LRU policy.
-        self.__dict__.update(state)
-        if "_node_cache" not in state:
-            self._policy_name = "lru"
-            self._node_cache = make_policy(
-                "lru", state.get("_lru_capacity", 0))
-        if "prefetch_stats" not in state:
-            self.prefetch_stats = PrefetchStats()
 
     def resize_caches(self, cache_bytes: int, lru_bytes: int) -> None:
         """Re-provision the node caches of a built index.

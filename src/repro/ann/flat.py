@@ -57,7 +57,7 @@ class FlatIndex(VectorIndex):
             raise AnnIndexError(f"flat index takes no search params: {params}")
         dists = make_batch_kernel(
             self._X, self._imetric,
-            x_sq=getattr(self, "_x_sq", None))(prepared, slice(None))
+            x_sq=self._x_sq)(prepared, slice(None))
         orders = top_k_batch(dists, k)
         results = []
         for row in range(prepared.shape[0]):

@@ -72,8 +72,6 @@ class HNSWIndex(VectorIndex):
         self.__dict__.update(state)
         if self._X is not None:
             self._kern = make_kernel(self._X, self._imetric)
-        if self._built:
-            self._freeze_adjacency()  # older pickles hold Python lists
 
     # -- construction -----------------------------------------------------
 

@@ -147,18 +147,6 @@ class IVFIndex(VectorIndex):
         self._require_built()
         return self._scan(prepare_queries(queries, self.metric), k, nprobe)
 
-    def _cached_sq(self, attr: str, X: np.ndarray) -> np.ndarray | None:
-        """Row norms for the l2 batch kernel, cached on the instance
-        (lazily, so indexes pickled before the cache existed warm up on
-        first search)."""
-        if self._imetric != "l2":
-            return None
-        val = getattr(self, attr, None)
-        if val is None:
-            val = np.einsum("ij,ij->i", X, X)
-            setattr(self, attr, val)
-        return val
-
     def _scan(self, Q: np.ndarray, k: int, nprobe: int) -> list[SearchResult]:
         if nprobe < 1:
             raise AnnIndexError(f"nprobe must be >= 1: {nprobe}")
@@ -167,7 +155,7 @@ class IVFIndex(VectorIndex):
 
         centroid_dists = make_batch_kernel(
             self.centroids, self._imetric,
-            x_sq=self._cached_sq("_c_sq", self.centroids))(Q, slice(None))
+            x_sq=self._c_sq)(Q, slice(None))
         probes = top_k_batch(centroid_dists, nprobe)
 
         # Invert probes so each cell is scored once per batch, for
@@ -183,7 +171,7 @@ class IVFIndex(VectorIndex):
         else:
             kernel = make_batch_kernel(
                 self._X, self._imetric,
-                x_sq=self._cached_sq("_x_sq", self._X))
+                x_sq=self._x_sq)
 
         scores: dict[tuple[int, int], np.ndarray] = {}
         for cell, rows in cell_rows.items():

@@ -72,15 +72,6 @@ class ProductQuantizer:
         if not self.trained:
             raise AnnIndexError("product quantizer used before train()")
 
-    def __setstate__(self, state: dict) -> None:
-        # Quantizers pickled before the effective-ksub fix carry padded
-        # codebooks; their stored shape *is* their effective width.
-        self.__dict__.update(state)
-        if "ksub_effective" not in state:
-            self.ksub_effective = (self.codebooks.shape[1]
-                                   if self.codebooks is not None
-                                   else self.ksub)
-
     def encode(self, X: np.ndarray) -> np.ndarray:
         """Quantize rows of *X* to (n, m) uint8 codes."""
         self._require_trained()

@@ -162,18 +162,6 @@ class SPANNIndex(VectorIndex):
         """Drop the posting-list cache (pre-run ``drop_caches``)."""
         self._list_cache.clear()
 
-    def __setstate__(self, state: dict) -> None:
-        # Indexes pickled before the list cache existed get a disabled
-        # one (the old behaviour: every probe reads its extent).
-        self.__dict__.update(state)
-        if "_list_cache" not in state:
-            self.list_cache_bytes = 0
-            self.cache_policy = "hotness"
-            self._list_cache = make_policy("lru", 0)
-            self._mean_extent = 0
-            self.list_hits = 0
-            self.list_misses = 0
-
     def cache_stats(self) -> dict[str, int]:
         """Cumulative posting-list cache counters (telemetry)."""
         return {"list_hits": self.list_hits,

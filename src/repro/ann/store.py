@@ -25,6 +25,11 @@ from repro.errors import ReproError
 CACHE_ENV = "REPRO_CACHE_DIR"
 DEFAULT_DIR = ".repro-cache"
 
+#: Pickle-shape version of cached objects, folded into every key.  Bump
+#: it when a cached class gains or loses an attribute: entries written
+#: by older code then miss and are rebuilt instead of being migrated.
+CACHE_FORMAT = 2
+
 #: Per-process serial for temp-file names; combined with the pid it
 #: keeps concurrent builders (and re-entrant builds of the same key in
 #: one process) from ever sharing a temp file.
@@ -40,7 +45,8 @@ def cache_key(**parts: t.Any) -> str:
     """Canonical, filesystem-safe key from keyword parts."""
     if not parts:
         raise ReproError("cache_key needs at least one part")
-    text = ";".join(f"{key}={parts[key]!r}" for key in sorted(parts))
+    text = f"format={CACHE_FORMAT};" + ";".join(
+        f"{key}={parts[key]!r}" for key in sorted(parts))
     digest = hashlib.sha256(text.encode()).hexdigest()[:16]
     head = "-".join(
         str(parts[key]) for key in sorted(parts)

@@ -37,7 +37,6 @@ from repro.chaos.schedule import ChaosElement, ChaosSchedule
 from repro.chaos.shrink import shrink_elements, shrink_schedule
 from repro.chaos.supervisor import (RecoveryEvent, Supervisor,
                                     SupervisorConfig)
-from repro.chaos.study import chaos_study
 
 __all__ = [
     "ChaosElement",
@@ -47,7 +46,6 @@ __all__ = [
     "RecoveryEvent",
     "Supervisor",
     "SupervisorConfig",
-    "chaos_study",
     "check_attribution",
     "check_conservation",
     "check_convergence",

@@ -6,12 +6,9 @@ Examples::
     repro table2                   # tuned parameters + recall
     repro sweep -s milvus-hnsw -d cohere-1m
     repro figure 2                 # any of 2..15
-    repro prefetch -d cohere-1m    # cache-policy + prefetch study
-    repro serve -d cohere-1m       # open-loop serving study
-    repro cluster -d cohere-1m     # distributed cluster study
-    repro chaos --quick            # composed faults + self-healing
-    repro faults -d cohere-1m      # fault-injection + resilience study
-    repro recover --quick          # crash/corruption recovery matrix
+    repro serve -d cohere-1m       # one beyond-the-paper study; each
+    repro chaos --quick            #   takes -d/--dataset, --quick, --seed
+    repro recover --quick --seed 7 #   (see repro.core.study.STUDY_MODULES)
     repro study -o report.txt      # everything, with observation checks
     repro prebuild                 # build & cache all collections
 """
@@ -24,7 +21,7 @@ import typing as t
 
 from repro.api import open_bench
 from repro.core import figures, report
-from repro.core.study import run_study
+from repro.core.study import Study, run_study, studies
 from repro.core.tuning import tune_setup
 from repro.data.spec import DATASET_NAMES, current_scale
 from repro.obs import write_prometheus, write_spans_jsonl
@@ -36,17 +33,7 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 
 def cmd_fio(_args: argparse.Namespace) -> int:
-    data = figures.ssd_baseline_data()
-    print(report.format_table(
-        ["metric", "paper", "measured"],
-        [["4 KiB randread, 1 core (KIOPS)", "324.3",
-          f"{data['single_core_4k_kiops']:.1f}"],
-         ["4 KiB randread, QD64 (MIOPS)", "1.3",
-          f"{data['deep_queue_4k_miops']:.2f}"],
-         ["128 KiB seqread (GiB/s)", "7.2",
-          f"{data['seq_128k_gib_s']:.1f}"],
-         ["QD1 mean latency (us)", "<100",
-          f"{data['qd1_mean_latency_us']:.1f}"]]))
+    print(report.render_ssd_baseline(figures.ssd_baseline_data()))
     return 0
 
 
@@ -90,7 +77,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
             figures.fig3_latency(datasets), "P99us", 0))
     elif number == 4:
         print(report.render_series_figure(
-            figures.fig4_cpu(), "CPU%", 0))
+            figures.fig4_cpu(datasets), "CPU%", 0))
     elif number == 5:
         print(report.render_fig5(figures.fig5_bandwidth_timeline(datasets)))
     elif number == 6:
@@ -134,102 +121,14 @@ def cmd_telemetry(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_prefetch(args: argparse.Namespace) -> int:
-    data = figures.prefetch_comparison(
-        args.dataset, beam_widths=args.beams,
-        search_list=args.search_list, concurrency=args.threads)
-    print(report.render_prefetch_comparison(data))
-    return 0
-
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serve.study import SERVE_SETUPS, serving_study
-    setups = SERVE_SETUPS[:1] if args.quick else SERVE_SETUPS
-    duration = min(args.duration, 0.3) if args.quick else args.duration
-    data = serving_study(
-        args.dataset, setups=setups,
-        duration_s=duration, seed=args.seed,
-        progress=lambda m: print(f"[serve] {m}", file=sys.stderr))
-    print(report.render_serving_study(data))
-    return 0 if all(data["verdicts"].values()) else 1
-
-
-def cmd_mutate(args: argparse.Namespace) -> int:
-    from repro.mutate.study import mutate_study
-    duration = min(args.duration, 0.3) if args.quick else args.duration
-    data = mutate_study(
-        args.dataset, duration_s=duration, seed=args.seed,
-        quick=args.quick,
-        progress=lambda m: print(f"[mutate] {m}", file=sys.stderr))
-    print(report.render_mutate_study(data))
-    return 0 if all(data["verdicts"].values()) else 1
-
-
-def cmd_cluster(args: argparse.Namespace) -> int:
-    from repro.cluster.study import cluster_study
-    duration = min(args.duration, 0.25) if args.quick else args.duration
-    data = cluster_study(
-        args.dataset, duration_s=duration, concurrency=args.threads,
-        seed=args.seed, quick=args.quick,
-        progress=lambda m: print(f"[cluster] {m}", file=sys.stderr))
-    print(report.render_cluster_study(data))
-    return 0 if all(data["verdicts"].values()) else 1
-
-
-def cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.chaos.study import chaos_study
-    duration = min(args.duration, 0.25) if args.quick else args.duration
-    data = chaos_study(
-        args.dataset, index=args.index, duration_s=duration,
-        seed=args.seed, quick=args.quick,
-        progress=lambda m: print(f"[chaos] {m}", file=sys.stderr))
-    print(report.render_chaos_study(data))
-    return 0 if all(data["verdicts"].values()) else 1
-
-
-def cmd_tenancy(args: argparse.Namespace) -> int:
-    from repro.tenancy.study import tenancy_study
-    duration = min(args.duration, 0.5) if args.quick else args.duration
-    data = tenancy_study(
-        args.dataset, n_tenants=args.tenants, duration_s=duration,
-        seed=args.seed,
-        progress=lambda m: print(f"[tenancy] {m}", file=sys.stderr))
-    print(report.render_tenancy_study(data))
-    return 0 if all(data["verdicts"].values()) else 1
-
-
-def cmd_faults(args: argparse.Namespace) -> int:
-    data = figures.resilience_comparison(
-        args.dataset, search_list=args.search_list,
-        concurrency=args.threads, duration_s=args.duration,
-        seed=args.seed)
-    print(report.render_resilience_comparison(data))
-    return 0 if all(data["verdicts"].values()) else 1
-
-
-def cmd_recover(args: argparse.Namespace) -> int:
-    from repro.durability.study import run_recover_study
-    data = run_recover_study(quick=args.quick, seed=args.seed)
-    rows = []
-    for row in data["crash_matrix"]:
-        torn = "" if row["torn"] is None else f"torn {row['torn']:.0%}"
-        rows.append([row["point"], row["occurrence"], torn, row["state"],
-                     "yes" if row["repaired_scrub_ok"] else "NO",
-                     "yes" if row["resumed_ok"] else "NO"])
-    print(report.format_table(
-        ["crash point", "occ", "mode", "recovered", "scrub ok",
-         "resume ok"], rows))
-    torn_wal = data["torn_wal"]
-    print(f"\ntorn WAL tail: {torn_wal['recovered']}/"
-          f"{torn_wal['appended']} entries recovered, "
-          f"{torn_wal['truncated_bytes']} torn bytes truncated")
-    rot = data["corruption"]
-    print(f"corruption scrub: {rot['detected']}/{rot['injected_files']} "
-          f"damaged files attributed; load refused: "
-          f"{rot['load_refused']}")
-    print("\nverdicts:")
-    for name, holds in data["verdicts"].items():
-        print(f"  {'PASS' if holds else 'FAIL'}  {name}")
+def cmd_run_study(args: argparse.Namespace) -> int:
+    study: Study = args.study
+    seed = {} if args.seed is None else {"seed": args.seed}
+    data = study.run(
+        getattr(args, "dataset", None), quick=args.quick, **seed,
+        progress=lambda m: print(f"[{study.name}] {m}", file=sys.stderr))
+    print(study.render(data))
+    print("\n" + report.verdict_table(data["verdicts"]))
     return 0 if all(data["verdicts"].values()) else 1
 
 
@@ -308,116 +207,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write Prometheus text-format metrics")
     p.set_defaults(fn=cmd_telemetry)
 
-    p = sub.add_parser(
-        "prefetch",
-        help="cache-policy + look-ahead prefetch study (beyond the paper)")
-    p.add_argument("-d", "--dataset", required=True, choices=DATASET_NAMES)
-    p.add_argument("--beams", type=_parse_ints,
-                   default=figures.PREFETCH_BEAMS,
-                   help="beam_width axis (default 1,2,4,8)")
-    p.add_argument("--search-list", type=int, default=50)
-    p.add_argument("--threads", type=int, default=4)
-    p.set_defaults(fn=cmd_prefetch)
-
-    p = sub.add_parser(
-        "serve",
-        help="open-loop serving study: admission control, batching, "
-             "shedding (beyond the paper)")
-    p.add_argument("-d", "--dataset", default="cohere-1m",
-                   choices=DATASET_NAMES)
-    p.add_argument("--quick", action="store_true",
-                   help="first setup only, shorter window (CI smoke)")
-    p.add_argument("--duration", type=float, default=0.5,
-                   help="simulated seconds per serving run (default 0.5)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="arrival-timeline seed (default 0)")
-    p.set_defaults(fn=cmd_serve)
-
-    p = sub.add_parser(
-        "mutate",
-        help="streaming-mutability study: merged-search identity, "
-             "reads under sustained writes, compaction interference "
-             "(beyond the paper)")
-    p.add_argument("-d", "--dataset", default="cohere-1m",
-                   choices=DATASET_NAMES)
-    p.add_argument("--quick", action="store_true",
-                   help="two index kinds, shorter window (CI smoke)")
-    p.add_argument("--duration", type=float, default=0.5,
-                   help="simulated seconds per serving run (default 0.5)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="history + arrival-timeline seed (default 0)")
-    p.set_defaults(fn=cmd_mutate)
-
-    p = sub.add_parser(
-        "cluster",
-        help="distributed cluster study: sharded QPS scaling, fan-out "
-             "tails, failover (beyond the paper)")
-    p.add_argument("-d", "--dataset", default="cohere-1m",
-                   choices=DATASET_NAMES)
-    p.add_argument("--quick", action="store_true",
-                   help="shorter windows, smaller fan-out axis (CI smoke)")
-    p.add_argument("--duration", type=float, default=0.4,
-                   help="simulated seconds per run (default 0.4)")
-    p.add_argument("--threads", type=int, default=16,
-                   help="closed-loop clients per run (default 16)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="placement/jitter/kill seed (default 0)")
-    p.set_defaults(fn=cmd_cluster)
-
-    p = sub.add_parser(
-        "chaos",
-        help="chaos study: composed fault schedules, self-healing "
-             "supervisor, invariant oracles, schedule shrinking "
-             "(beyond the paper)")
-    p.add_argument("-d", "--dataset", default="cohere-1m",
-                   choices=DATASET_NAMES)
-    p.add_argument("--index", default="diskann",
-                   help="index kind on every node (default diskann)")
-    p.add_argument("--quick", action="store_true",
-                   help="shorter serving window (CI smoke)")
-    p.add_argument("--duration", type=float, default=0.4,
-                   help="simulated seconds per chaos run (default 0.4)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="schedule + arrival-timeline seed (default 0)")
-    p.set_defaults(fn=cmd_chaos)
-
-    p = sub.add_parser(
-        "tenancy",
-        help="multi-tenant SLO autopilot study: cost-priced quotas, "
-             "closed-loop degradation, tiered placement vs the static "
-             "sweep (beyond the paper)")
-    p.add_argument("-d", "--dataset", default="cohere-1m",
-                   choices=DATASET_NAMES)
-    p.add_argument("--tenants", type=int, default=100,
-                   help="fleet size (default 100)")
-    p.add_argument("--quick", action="store_true",
-                   help="shorter serving window (CI smoke)")
-    p.add_argument("--duration", type=float, default=0.5,
-                   help="simulated seconds per serving run (default 0.5)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="arrival-timeline seed (default 0)")
-    p.set_defaults(fn=cmd_tenancy)
-
-    p = sub.add_parser(
-        "faults",
-        help="fault-injection + resilience study (beyond the paper)")
-    p.add_argument("-d", "--dataset", required=True, choices=DATASET_NAMES)
-    p.add_argument("--search-list", type=int, default=50)
-    p.add_argument("--threads", type=int, default=4)
-    p.add_argument("--duration", type=float, default=1.0,
-                   help="simulated seconds per run (default 1.0)")
-    p.add_argument("--seed", type=int, default=42,
-                   help="fault plan + jitter seed (default 42)")
-    p.set_defaults(fn=cmd_faults)
-
-    p = sub.add_parser(
-        "recover",
-        help="crash-consistency + corruption recovery matrix")
-    p.add_argument("--quick", action="store_true",
-                   help="reduced matrix (CI smoke)")
-    p.add_argument("--seed", type=int, default=42,
-                   help="crash/corruption plan seed (default 42)")
-    p.set_defaults(fn=cmd_recover)
+    for study in studies():
+        p = sub.add_parser(study.name, help=study.title)
+        if study.takes_dataset:
+            p.add_argument("-d", "--dataset", default="cohere-1m",
+                           choices=DATASET_NAMES)
+        p.add_argument("--quick", action="store_true",
+                       help="the study's reduced preset (CI smoke)")
+        p.add_argument("--seed", type=int, default=None,
+                       help="study seed (default: the study's own)")
+        p.set_defaults(fn=cmd_run_study, study=study)
 
     p = sub.add_parser("study", help="run the whole evaluation")
     p.add_argument("--datasets", nargs="+", default=list(DATASET_NAMES),

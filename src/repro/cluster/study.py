@@ -58,6 +58,8 @@ import numpy as np
 from repro.cluster.cluster import Cluster
 from repro.cluster.runner import ClusterBenchRunner
 from repro.cluster.topology import ClusterTopology
+from repro.core.report import fmt, format_table
+from repro.core.study import Study, silent
 from repro.data.groundtruth import exact_knn
 from repro.data.registry import load_dataset
 from repro.engines.engine import IndexSpec
@@ -66,6 +68,7 @@ from repro.faults.nodes import NodeFaultPlan
 from repro.serve.arrivals import PoissonArrivals
 from repro.simkernel.network import NetworkSpec
 from repro.serve.server import ServeConfig, Server, TenantLoad
+from repro.serve.study import serve_row
 from repro.workload.metrics import RunResult
 from repro.workload.replay import closed_loop
 
@@ -137,13 +140,14 @@ def _row(result: RunResult) -> dict[str, t.Any]:
 def cluster_study(dataset: str = "cohere-1m", index: str = "diskann",
                   duration_s: float = 0.4, concurrency: int = 16,
                   seed: int = 0, quick: bool = False,
-                  progress: t.Callable[[str], None] | None = None,
+                  progress: t.Callable[[str], None] = silent,
                   ) -> dict:
-    """Run the full cluster study; see the module docstring."""
-    def report(message: str) -> None:
-        if progress is not None:
-            progress(message)
+    """Run the full cluster study; see the module docstring.
 
+    ``quick`` runs 0.25 s windows and drops the widest fan-out.
+    """
+    if quick:
+        duration_s = min(duration_s, 0.25)
     k = 10
     params = dict(CLUSTER_PARAMS)
     data: dict[str, t.Any] = {
@@ -153,7 +157,7 @@ def cluster_study(dataset: str = "cohere-1m", index: str = "diskann",
     verdicts: dict[str, bool] = {}
 
     # -- 1. N=1/R=1 identity against a single engine ----------------------
-    report("identity: N=1/R=1 cluster vs single engine")
+    progress("identity: N=1/R=1 cluster vs single engine")
     single_topo = ClusterTopology(n_shards=1, replicas=1, seed=seed)
     cluster1, ds = build_cluster(dataset, single_topo, index)
     spec = ds.spec
@@ -177,7 +181,7 @@ def cluster_study(dataset: str = "cohere-1m", index: str = "diskann",
                                         n_queries=96, k=k, seed=seed + 23)
     scaling: dict[str, dict] = {}
     for n in SCALING_FANOUTS:
-        report(f"scaling: {n} shard(s), {concurrency} clients")
+        progress(f"scaling: {n} shard(s), {concurrency} clients")
         cluster = Cluster(ClusterTopology(n_shards=n, seed=seed),
                           "milvus", seed=seed)
         cluster.create("scaling", sX.shape[1], IndexSpec.of("flat", "l2"))
@@ -208,7 +212,7 @@ def cluster_study(dataset: str = "cohere-1m", index: str = "diskann",
     tail_duration = min(duration_s, 0.15)
     tail: dict[str, dict] = {}
     for n in fanouts:
-        report(f"tail: fan-out {n}, constant per-shard work")
+        progress(f"tail: fan-out {n}, constant per-shard work")
         X, queries, gt = _synthetic(600, n, dim=48, n_queries=128,
                                     k=k, seed=seed + 17)
         topo = ClusterTopology(n_shards=n, seed=seed, network=tail_net)
@@ -232,7 +236,7 @@ def cluster_study(dataset: str = "cohere-1m", index: str = "diskann",
         tail[str(fanouts[-1])]["p99_ms"] > 1.05 * base_p99)
 
     # -- 4.-7. replication: failover, quorum, hedging, deadline, move ------
-    report("replication: building the N=2 R=2 (+1 spare) cluster")
+    progress("replication: building the N=2 R=2 (+1 spare) cluster")
     rep_topo = ClusterTopology(n_shards=2, replicas=2, spares=1,
                                seed=seed)
     rep_cluster, _ = build_cluster(dataset, rep_topo, index)
@@ -242,7 +246,7 @@ def cluster_study(dataset: str = "cohere-1m", index: str = "diskann",
     healthy = rep_runner.run(concurrency, params, duration_s=duration_s)
     data["replicated_healthy"] = _row(healthy)
 
-    report("replication: failover under seeded node kills")
+    progress("replication: failover under seeded node kills")
     kills = NodeFaultPlan.seeded(
         n_nodes=rep_topo.n_shards * rep_topo.replicas,
         duration_s=duration_s, kills=4, outage_s=duration_s / 8,
@@ -258,14 +262,14 @@ def cluster_study(dataset: str = "cohere-1m", index: str = "diskann",
         failover.recall is not None and healthy.recall is not None
         and failover.recall >= healthy.recall - 0.02)
 
-    report("replication: quorum reads")
+    progress("replication: quorum reads")
     quorum = rep_runner.run(concurrency, params, duration_s=duration_s,
                             consistency="quorum")
     data["quorum"] = _row(quorum)
     verdicts["quorum_reads_engage"] = bool(
         (quorum.faults or {}).get("quorum_waits", 0) > 0)
 
-    report("replication: hedged requests")
+    progress("replication: hedged requests")
     # Hedge against slow *legs*, not slow queries: the threshold sits
     # below the median end-to-end latency (which includes rpc halves
     # and the merge), so straggling shard requests get a backup fired
@@ -276,7 +280,7 @@ def cluster_study(dataset: str = "cohere-1m", index: str = "diskann",
     verdicts["hedging_engages"] = bool(
         (hedged.faults or {}).get("hedges", 0) > 0)
 
-    report("replication: partial-result deadline")
+    progress("replication: partial-result deadline")
     # The interesting deadline sits between "the fastest shard made it"
     # and "every shard made it"; where that is depends on the queueing
     # at this concurrency, so scan a few multiples of the healthy P50
@@ -305,7 +309,7 @@ def cluster_study(dataset: str = "cohere-1m", index: str = "diskann",
         degraded is not None and deadline.recall is not None
         and deadline.recall < (healthy.recall or 1.0))
 
-    report("replication: shard migration while serving")
+    progress("replication: shard migration while serving")
     spare = rep_topo.total_nodes - 1
     session = rep_runner.open_replay(params)
     session.env.process_at(duration_s / 3, session.migrate(0, 0, spare))
@@ -322,23 +326,103 @@ def cluster_study(dataset: str = "cohere-1m", index: str = "diskann",
         session.replayer.ccounts.get("migrations", 0) == 1
         and migrated_to == spare and served > 0)
 
-    report("serving: open-loop admission over the coordinator")
+    progress("serving: open-loop admission over the coordinator")
     serve_conf = ServeConfig(
         policy="fifo", duration_s=duration_s, seed=seed,
         max_inflight=concurrency, search_params=params,
         tenants=(TenantLoad("all", PoissonArrivals(
             rate_qps=0.6 * healthy.qps)),))
     serve_result = Server(rep_runner, serve_conf).serve()
-    data["serving"] = {
-        "offered_qps": serve_result.offered_qps,
-        "qps": serve_result.qps,
-        "goodput_qps": serve_result.goodput_qps,
-        "p99_ms": serve_result.p99_latency_s * 1e3,
-        "arrivals": serve_result.arrivals,
-        "rejected": serve_result.rejected,
-    }
+    data["serving"] = serve_row(serve_result)
     verdicts["coordinator_serves_open_loop"] = bool(
         serve_result.qps > 0 and serve_result.arrivals > 0)
 
     data["verdicts"] = verdicts
     return data
+
+
+def render_cluster_study(data: dict) -> str:
+    """Tables for the distributed cluster study (``repro cluster``).
+
+    The N=1 identity line, the aggregate-QPS scaling table, the
+    constant-per-shard P99-vs-N tail-amplification curve, the
+    replication rows (failover, quorum, hedging, deadline), and the
+    migration and serving lines.
+    """
+    def run_row(label: str, row: dict) -> list:
+        faults = row.get("faults", {})
+        notes = ", ".join(f"{key}={value}"
+                          for key, value in sorted(faults.items())
+                          if value)
+        if row.get("degraded_ratio") is not None:
+            notes = (notes + (", " if notes else "")
+                     + f"degraded={row['degraded_ratio']:.1%}")
+        return [label, fmt(row["qps"], 0), fmt(row["recall"], 3),
+                fmt(row["p50_ms"], 2), fmt(row["p99_ms"], 2), notes]
+
+    scaling_rows = [
+        [n, fmt(row["qps"], 0),
+         f"{row['qps'] / max(data['scaling']['1']['qps'], 1e-9):.2f}x",
+         fmt(row["recall"], 3), fmt(row["p99_ms"], 2),
+         f"{row['cpu_utilization']:.0%}"]
+        for n, row in data["scaling"].items()]
+    tail_rows = [
+        [n, fmt(row["p50_ms"], 2), fmt(row["p99_ms"], 2),
+         f"{row['amplification']:.2f}x"]
+        for n, row in data["tail"].items()]
+    rep_rows = [run_row(label, data[key]) for label, key in (
+        ("healthy R=2", "replicated_healthy"),
+        ("node kills", "failover"),
+        ("quorum", "quorum"),
+        ("hedged", "hedging"),
+        ("deadline", "deadline"))]
+    migration = data["migration"]
+    serving = data["serving"]
+    return "\n".join([
+        f"[{data['dataset']}] cluster study, {data['index']} "
+        f"(params={data['params']}), window={data['duration_s']}s, "
+        f"{data['concurrency']} clients",
+        "",
+        f"identity: N=1/R=1 cluster vs single engine over "
+        f"{data['identity']['queries']} queries: "
+        f"{'bit-identical' if data['identity']['identical'] else 'DRIFT'}",
+        "",
+        "aggregate QPS scaling (480k-row flat corpus sharded across "
+        "N nodes):",
+        format_table(["shards", "QPS", "speedup", "recall@10", "p99 ms",
+                      "CPU"], scaling_rows),
+        "",
+        "fan-out tail amplification (constant per-shard work):",
+        format_table(["fan-out", "p50 ms", "p99 ms", "p99 vs N=1"],
+                     tail_rows),
+        "",
+        "replication (N=2, R=2):",
+        format_table(["config", "QPS", "recall@10", "p50 ms", "p99 ms",
+                      "events"], rep_rows),
+        "",
+        f"migration: replica (shard 0, replica 0) -> node "
+        f"{migration['moved_to_node']} while serving "
+        f"{migration['queries_served']} queries "
+        f"({migration['migrations']} move)",
+        f"serving over the coordinator: offered "
+        f"{serving['offered_qps']:.0f} QPS -> {serving['qps']:.0f} QPS, "
+        f"goodput {serving['goodput_qps']:.0f}, "
+        f"p99 {serving['p99_ms']:.2f} ms, "
+        f"{serving['rejected']} rejected",
+    ])
+
+
+STUDY = Study(
+    name="cluster",
+    title="Distributed cluster (beyond the paper)",
+    blurb="The paper's engines run on one node; this study shards "
+          "and replicates them across simulated nodes behind a "
+          "scatter-gather coordinator (see docs/CLUSTER.md).  "
+          "Aggregate QPS scales near-linearly with the shard count "
+          "at equal recall; holding per-shard work constant, P99 "
+          "climbs with the fan-out (the coordinator waits for the "
+          "slowest leg); replica failover masks seeded node kills; "
+          "an N=1/R=1 cluster is bit-identical to a single engine.",
+    run=cluster_study,
+    render=render_cluster_study,
+)

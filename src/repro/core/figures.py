@@ -12,8 +12,6 @@ import typing as t
 
 from repro.data.spec import DATASET_NAMES
 from repro.errors import WorkloadError
-from repro.faults import (FaultPlan, LatencySpike, ReadError,
-                          ResiliencePolicy, TailAmplification, Throttle)
 from repro.storage.fio import FioJobSpec, run_fio
 from repro.storage.spec import GiB, KiB, samsung_990pro_4tb
 from repro.trace.analysis import (bandwidth_series, fraction_at_size,
@@ -139,51 +137,45 @@ def table2_data(datasets: t.Sequence[str] = DATASET_NAMES) -> dict:
 
 # -- Figures 2-4: performance scalability ---------------------------------------
 
+def _series_figure(datasets: t.Sequence[str], setups: t.Sequence[str],
+                   threads: t.Sequence[int],
+                   value: t.Callable[[RunResult], float]) -> dict:
+    """One value per (dataset, setup, thread count); None marks an OOM."""
+    return {"threads": list(threads), "datasets": {
+        dataset: {
+            setup: [None if r is None else value(r)
+                    for r in perf_sweep(setup, dataset, threads)]
+            for setup in setups}
+        for dataset in datasets}}
+
+
 def fig2_throughput(datasets: t.Sequence[str] = DATASET_NAMES,
                     setups: t.Sequence[str] = tuple(SETUPS),
                     threads: t.Sequence[int] = THREADS) -> dict:
     """QPS vs client threads for every setup (paper Figure 2)."""
-    data: dict[str, dict] = {"threads": list(threads), "datasets": {}}
-    for dataset in datasets:
-        per_setup = {}
-        for setup in setups:
-            results = perf_sweep(setup, dataset, threads)
-            per_setup[setup] = [None if r is None else r.qps
-                                for r in results]
-        data["datasets"][dataset] = per_setup
-    return data
+    return _series_figure(datasets, setups, threads, lambda r: r.qps)
 
 
 def fig3_latency(datasets: t.Sequence[str] = DATASET_NAMES,
                  setups: t.Sequence[str] = tuple(SETUPS),
                  threads: t.Sequence[int] = THREADS) -> dict:
     """P99 latency (us) vs client threads (paper Figure 3)."""
-    data: dict[str, dict] = {"threads": list(threads), "datasets": {}}
-    for dataset in datasets:
-        per_setup = {}
-        for setup in setups:
-            results = perf_sweep(setup, dataset, threads)
-            per_setup[setup] = [
-                None if r is None else r.p99_latency_s * 1e6
-                for r in results]
-        data["datasets"][dataset] = per_setup
-    return data
+    return _series_figure(datasets, setups, threads,
+                          lambda r: r.p99_latency_s * 1e6)
 
 
 def fig4_cpu(datasets: t.Sequence[str] = LARGE_DATASETS,
              setups: t.Sequence[str] = tuple(SETUPS),
              threads: t.Sequence[int] = THREADS) -> dict:
-    """Global CPU utilization (%) vs client threads (paper Figure 4)."""
-    data: dict[str, dict] = {"threads": list(threads), "datasets": {}}
-    for dataset in datasets:
-        per_setup = {}
-        for setup in setups:
-            results = perf_sweep(setup, dataset, threads)
-            per_setup[setup] = [
-                None if r is None else 100.0 * r.cpu_utilization
-                for r in results]
-        data["datasets"][dataset] = per_setup
-    return data
+    """Global CPU utilization (%) vs client threads (paper Figure 4).
+
+    The paper draws this figure for the two large datasets only: of
+    *datasets*, the large ones are swept — or all of them when the
+    selection holds no large dataset.
+    """
+    large = [d for d in LARGE_DATASETS if d in datasets]
+    return _series_figure(large or datasets, setups, threads,
+                          lambda r: 100.0 * r.cpu_utilization)
 
 
 # -- Figures 5-6: I/O characterization of Milvus-DiskANN -----------------------
@@ -294,219 +286,6 @@ def fig12_to_15_data(datasets: t.Sequence[str] = DATASET_NAMES,
                 "per_query_kib": result.per_query_read_bytes / 1024,
             }
         data[dataset] = per_width
-    return data
-
-
-# -- Prefetch & cache-policy study (beyond the paper) ---------------------------
-
-#: The beam_width axis of the prefetch study (direct beam sizes, not
-#: Milvus BeamWidthRatio units — small beams are where look-ahead can
-#: overlap device time with CPU).
-PREFETCH_BEAMS = (1, 2, 4, 8)
-
-
-def prefetch_comparison(dataset: str,
-                        beam_widths: t.Sequence[int] = PREFETCH_BEAMS,
-                        search_list: int = 50,
-                        concurrency: int = 4) -> dict:
-    """LRU vs hotness vs hotness + look-ahead prefetch on Milvus-DiskANN.
-
-    Runs the Figure-7 setup (milvus-diskann) across ``beam_widths`` at a
-    fixed ``search_list`` under three cache/prefetch configurations:
-
-    - ``lru``        — LRU node cache, no prefetching (the baseline);
-    - ``hotness``    — frequency-weighted node cache with pinned
-      entry-point/hub nodes, no prefetching;
-    - ``hotness+pf`` — hotness cache plus look-ahead prefetching with
-      ``prefetch_depth = max(1, beam_width // 2)``: speculating half a
-      beam ahead keeps the hit rate high; deeper speculation trades
-      read-byte waste for no extra overlap.
-
-    Prefetching and the cache policy are speculative-I/O-only knobs:
-    returned ids/distances — and therefore recall@10 — are identical in
-    every configuration (the table shows it).  What changes is the I/O
-    schedule: per-query device reads, tail latency, and the
-    prefetcher's hit/waste rates.
-    """
-    runner = get_runner("milvus-diskann", dataset)
-    data: dict[str, t.Any] = {
-        "dataset": dataset,
-        "search_list": search_list,
-        "configs": ["lru", "hotness", "hotness+pf"],
-        "rows": {},
-    }
-    for width in beam_widths:
-        per_config: dict[str, dict] = {}
-        for label in data["configs"]:
-            policy = "lru" if label == "lru" else "hotness"
-            depth = max(1, width // 2) if label == "hotness+pf" else 0
-            result = runner.run(concurrency, {
-                "search_list": search_list, "beam_width": width,
-                "cache_policy": policy, "prefetch_depth": depth},
-                telemetry=True)
-            telemetry = result.telemetry
-            assert telemetry is not None
-            per_config[label] = {
-                "qps": result.qps,
-                "p99_us": result.p99_latency_s * 1e6,
-                "recall": result.recall,
-                "per_query_kib": result.per_query_read_bytes / 1024,
-                "prefetch_hit_rate": telemetry.prefetch_hit_rate,
-                "wasted_read_ratio": telemetry.wasted_read_ratio,
-            }
-        data["rows"][width] = per_config
-    return data
-
-
-# -- Fault-injection & resilience study (beyond the paper) ----------------------
-
-#: The three configurations the resilience study compares.
-FAULT_STUDY_CONFIGS = ("healthy", "faults", "faults+resilience")
-
-
-def default_fault_plan(duration_s: float = 4.0,
-                       seed: int = 42) -> FaultPlan:
-    """The study's reference fault timeline, scaled to the run length.
-
-    A compressed "bad day" for the device: background tail
-    amplification all run long, a housekeeping latency spike early on,
-    a transient-read-error storm through the middle, and a thermal
-    throttle over the second half — overlapping enough that every
-    resilience mechanism gets exercised.
-    """
-    d = duration_s
-    return FaultPlan.of(
-        TailAmplification(0.0, d, multiplier=8.0, probability=0.05),
-        LatencySpike(0.10 * d, 0.35 * d, extra_s=0.002),
-        ReadError(0.20 * d, 0.80 * d, probability=0.02, stall_s=0.02),
-        Throttle(0.55 * d, 0.85 * d, bandwidth_fraction=0.25),
-        seed=seed)
-
-
-def _fault_reconciliation(result: RunResult) -> dict[str, t.Any]:
-    """Cross-check one faulted run's three fault-attribution ledgers.
-
-    The injector's per-kind counts, the telemetry ``fault_injected_*``
-    counters, and the block tracer's per-request fault tags must all
-    tell the same story; ``timeouts == retries + read_failures`` must
-    balance (every timed-out attempt is either retried or gives up).
-    """
-    injected = {kind: count
-                for kind, count in result.faults["injected"].items()
-                if kind != "reads_sampled"}
-    telemetry = result.telemetry
-    from_telemetry = {
-        name[len("fault_injected_"):]: counter.value
-        for name, counter in telemetry.counters.items()
-        if name.startswith("fault_injected_")} if telemetry else {}
-    from_trace = (result.tracer.fault_counts()
-                  if result.tracer is not None else {})
-    timeouts = result.faults.get("timeouts", 0)
-    retries = result.faults.get("retries", 0)
-    failures = result.faults.get("read_failures", 0)
-    return {
-        "injected": injected,
-        "telemetry": from_telemetry,
-        "trace": from_trace,
-        "ledgers_agree": injected == from_telemetry == from_trace,
-        "timeouts_balance": timeouts == retries + failures,
-    }
-
-
-def resilience_comparison(dataset: str, search_list: int = 50,
-                          concurrency: int = 4, duration_s: float = 1.0,
-                          seed: int = 42) -> dict:
-    """Healthy vs faulted vs faulted-with-defences on Milvus-DiskANN.
-
-    Three runs over the same query set and the same
-    :func:`default_fault_plan` timeline:
-
-    - ``healthy``           — no plan (the baseline, and the source of
-      the device-round P99 that calibrates the hedge delay);
-    - ``faults``            — the plan injected, no defences: the tail
-      collapses (stalled reads serialize the beam);
-    - ``faults+resilience`` — the same plan, with per-read timeouts +
-      retries, hedged reads after ~3x the healthy round P99, and
-      graceful degradation under sustained pressure.
-
-    The expected outcome — asserted under ``verdicts`` — is that the
-    defences claw back most of the injected P99 at equal-or-better
-    recall@10, and that the three fault-attribution ledgers (injector,
-    telemetry counters, block-trace tags) reconcile exactly.
-    """
-    runner = get_runner("milvus-diskann", dataset)
-    params = {"search_list": search_list}
-    common = dict(duration_s=duration_s, telemetry=True, trace=True)
-    healthy = runner.run(concurrency, params, **common)
-    round_p99 = healthy.telemetry.device_round.quantile(0.99)
-    plan = default_fault_plan(duration_s, seed)
-    faulted = runner.run(concurrency, params, fault_plan=plan, **common)
-    policy = ResiliencePolicy(
-        read_timeout_s=max(12.0 * round_p99, 1e-4),
-        max_retries=6,
-        hedge_after_s=max(3.0 * round_p99, 5e-5),
-        degrade=True,
-        latency_budget_s=max(8.0 * healthy.p99_latency_s, 1e-3),
-        degrade_after=4, recover_after=8, degrade_factor=0.7,
-        seed=seed)
-    resilient = runner.run(concurrency, params, fault_plan=plan,
-                           resilience=policy, **common)
-
-    def row(result: RunResult) -> dict[str, t.Any]:
-        entry = {
-            "qps": result.qps,
-            "mean_us": result.mean_latency_s * 1e6,
-            "p99_us": result.p99_latency_s * 1e6,
-            "recall": result.recall,
-            "completed": result.completed,
-        }
-        if result.faults is not None:
-            for key in ("timeouts", "retries", "hedges", "hedge_wins",
-                        "read_failures", "failed_queries"):
-                entry[key] = result.faults.get(key, 0)
-            degraded = result.faults.get("degraded")
-            if degraded is not None:
-                entry["degraded_ratio"] = degraded.ratio
-                entry["degraded_params"] = degraded.params
-        return entry
-
-    data = {
-        "dataset": dataset,
-        "search_list": search_list,
-        "concurrency": concurrency,
-        "configs": list(FAULT_STUDY_CONFIGS),
-        "rows": {
-            "healthy": row(healthy),
-            "faults": row(faulted),
-            "faults+resilience": row(resilient),
-        },
-        "plan": plan.describe(),
-        "policy": {
-            "read_timeout_s": policy.read_timeout_s,
-            "hedge_after_s": policy.hedge_after_s,
-            "max_retries": policy.max_retries,
-            "latency_budget_s": policy.latency_budget_s,
-        },
-        "reconciliation": {
-            "faults": _fault_reconciliation(faulted),
-            "faults+resilience": _fault_reconciliation(resilient),
-        },
-    }
-    data["verdicts"] = {
-        "faults_raise_p99":
-            faulted.p99_latency_s > healthy.p99_latency_s,
-        "resilience_lowers_p99":
-            resilient.p99_latency_s < faulted.p99_latency_s,
-        # Recall compared at the reported precision (10^-3, as Table II
-        # rounds): degradation trades ~1e-5 recall for the tail, which
-        # must not show up at the precision every table reports.
-        "recall_preserved":
-            (resilient.recall is None or faulted.recall is None
-             or round(resilient.recall, 3) >= round(faulted.recall, 3)),
-        "ledgers_reconcile": all(
-            entry["ledgers_agree"] and entry["timeouts_balance"]
-            for entry in data["reconciliation"].values()),
-    }
     return data
 
 

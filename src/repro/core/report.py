@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import typing as t
 
 from repro.core.observations import ObservationCheck
-from repro.core.study import StudyResults
+from repro.core.study import StudyResults, studies
 from repro.obs import RunTelemetry
 from repro.trace.analysis import (cold_warm_split, per_query_io_histogram,
                                   stage_latency_breakdown)
@@ -27,7 +28,7 @@ def format_table(headers: t.Sequence[str],
     return "\n".join(lines)
 
 
-def _fmt(value: t.Any, digits: int = 1) -> str:
+def fmt(value: t.Any, digits: int = 1) -> str:
     if value is None:
         return "OOM"
     if isinstance(value, float):
@@ -42,7 +43,7 @@ def render_series_figure(data: dict, value_name: str,
     threads = data["threads"]
     for dataset, per_setup in data["datasets"].items():
         headers = [f"{value_name} @threads"] + [str(x) for x in threads]
-        rows = [[setup] + [_fmt(v, digits) for v in values]
+        rows = [[setup] + [fmt(v, digits) for v in values]
                 for setup, values in per_setup.items()]
         blocks.append(f"[{dataset}]\n" + format_table(headers, rows))
     return "\n\n".join(blocks)
@@ -58,13 +59,39 @@ def render_table2(table2: dict) -> str:
     return format_table(["dataset", "setup", "params", "recall@10"], rows)
 
 
+def _holds(holds: bool) -> str:
+    return "HOLDS" if holds else "DIFFERS"
+
+
+def verdict_table(verdicts: dict[str, bool]) -> str:
+    """The one shared rendering of a ``{verdict name: holds}`` dict."""
+    return format_table(["verdict", "holds"],
+                        [[name, _holds(holds)]
+                         for name, holds in verdicts.items()])
+
+
+def render_ssd_baseline(data: dict) -> str:
+    """Section III-A: the fio numbers, paper vs the simulated device."""
+    return format_table(
+        ["metric", "paper", "measured"],
+        [["4 KiB randread, 1 core (KIOPS)", "324.3",
+          f"{data['single_core_4k_kiops']:.1f}"],
+         ["4 KiB randread, QD64 (MIOPS)", "1.3",
+          f"{data['deep_queue_4k_miops']:.2f}"],
+         ["128 KiB seqread (GiB/s)", "7.2",
+          f"{data['seq_128k_gib_s']:.1f}"],
+         ["QD1 mean latency (us)", "<100",
+          f"{data['qd1_mean_latency_us']:.1f}"]])
+
+
 def render_observations(checks: t.Sequence[ObservationCheck],
                         key_findings: dict[str, bool]) -> str:
-    rows = [[c.obs_id, "HOLDS" if c.holds else "DIFFERS", c.claim]
+    rows = [[c.obs_id, _holds(c.holds), c.claim, c.measured]
             for c in checks]
-    out = [format_table(["obs", "verdict", "paper claim"], rows), ""]
+    out = [format_table(["obs", "verdict", "paper claim", "measured"],
+                        rows), ""]
     for finding, holds in key_findings.items():
-        out.append(f"{'HOLDS ' if holds else 'DIFFERS'}  {finding}")
+        out.append(f"{_holds(holds):7}  {finding}")
     return "\n".join(out)
 
 
@@ -76,12 +103,12 @@ def render_searchlist_sweep(fig7_11: dict) -> str:
         rows = []
         for L, per_conc in sweep.items():
             rows.append([
-                L, _fmt(per_conc[1]["qps"], 0),
-                _fmt(per_conc[256]["qps"], 0),
-                _fmt(per_conc[1]["p99_us"], 0),
-                _fmt(per_conc[1]["recall"], 3),
-                _fmt(per_conc[1]["read_mib_s"], 1),
-                _fmt(per_conc[1]["per_query_kib"], 1)])
+                L, fmt(per_conc[1]["qps"], 0),
+                fmt(per_conc[256]["qps"], 0),
+                fmt(per_conc[1]["p99_us"], 0),
+                fmt(per_conc[1]["recall"], 3),
+                fmt(per_conc[1]["read_mib_s"], 1),
+                fmt(per_conc[1]["per_query_kib"], 1)])
         blocks.append(f"[{dataset}]\n" + format_table(headers, rows))
     return "\n\n".join(blocks)
 
@@ -90,443 +117,11 @@ def render_beamwidth_sweep(fig12_15: dict) -> str:
     blocks = []
     for dataset, per_width in fig12_15.items():
         headers = ["beam_width", "qps@1", "p99us@1", "MiB/s", "KiB/query"]
-        rows = [[width, _fmt(e["qps"], 0), _fmt(e["p99_us"], 0),
-                 _fmt(e["read_mib_s"], 1), _fmt(e["per_query_kib"], 1)]
+        rows = [[width, fmt(e["qps"], 0), fmt(e["p99_us"], 0),
+                 fmt(e["read_mib_s"], 1), fmt(e["per_query_kib"], 1)]
                 for width, e in per_width.items()]
         blocks.append(f"[{dataset}]\n" + format_table(headers, rows))
     return "\n\n".join(blocks)
-
-
-def render_prefetch_comparison(data: dict) -> str:
-    """Table for the cache-policy/prefetch study (beyond the paper)."""
-    headers = ["beam", "config", "qps", "p99 us", "KiB/query",
-               "recall@10", "pf hit", "wasted"]
-    rows = []
-    for width, per_config in data["rows"].items():
-        for label in data["configs"]:
-            entry = per_config[label]
-            rows.append([
-                width, label, _fmt(entry["qps"], 0),
-                _fmt(entry["p99_us"], 0),
-                _fmt(entry["per_query_kib"], 1),
-                _fmt(entry["recall"], 3),
-                f"{entry['prefetch_hit_rate']:.2f}",
-                f"{entry['wasted_read_ratio']:.3f}"])
-    return (f"[{data['dataset']}] milvus-diskann, "
-            f"search_list={data['search_list']}\n"
-            + format_table(headers, rows))
-
-
-def render_resilience_comparison(data: dict) -> str:
-    """Tables for the fault-injection & resilience study."""
-    headers = ["config", "qps", "mean us", "p99 us", "recall@10",
-               "timeouts", "retries", "hedges", "wins", "failed",
-               "degraded"]
-    rows = []
-    for label in data["configs"]:
-        entry = data["rows"][label]
-        degraded = entry.get("degraded_ratio")
-        rows.append([
-            label, _fmt(entry["qps"], 0), _fmt(entry["mean_us"], 0),
-            _fmt(entry["p99_us"], 0), _fmt(entry["recall"], 3),
-            entry.get("timeouts", ""), entry.get("retries", ""),
-            entry.get("hedges", ""), entry.get("hedge_wins", ""),
-            entry.get("failed_queries", ""),
-            "" if degraded is None else f"{degraded:.2%}"])
-    policy = data["policy"]
-    plan_lines = [
-        f"  [{w['start_s']:.2f}s, {w['end_s']:.2f}s) {w['kind']}: "
-        + ", ".join(f"{key}={value}" for key, value in w.items()
-                    if key not in ("kind", "start_s", "end_s"))
-        for w in data["plan"]]
-    verdict_rows = [[name, "HOLDS" if holds else "DIFFERS"]
-                    for name, holds in data["verdicts"].items()]
-    recon = data["reconciliation"]["faults+resilience"]
-    return "\n".join([
-        f"[{data['dataset']}] milvus-diskann, "
-        f"search_list={data['search_list']}, "
-        f"threads={data['concurrency']}",
-        "",
-        "fault plan:",
-        *plan_lines,
-        f"policy: timeout={policy['read_timeout_s'] * 1e6:.0f}us "
-        f"hedge_after={policy['hedge_after_s'] * 1e6:.0f}us "
-        f"retries<={policy['max_retries']} "
-        f"latency_budget={policy['latency_budget_s'] * 1e6:.0f}us",
-        "",
-        format_table(headers, rows),
-        "",
-        "fault ledger (faults+resilience): "
-        f"injector {recon['injected']} == telemetry == trace: "
-        f"{recon['ledgers_agree']}",
-        "",
-        format_table(["verdict", "holds"], verdict_rows),
-    ])
-
-
-def render_serving_study(data: dict) -> str:
-    """Tables for the open-loop serving study (``repro serve``).
-
-    Per setup: the closed-loop saturation probe (with the
-    :class:`~repro.workload.metrics.Summary` p50/p95 error bars), the
-    offered-load sweep, the shedding comparison, the FIFO-vs-WFQ
-    noisy-neighbor table, the AIMD controller line, and the verdicts.
-    """
-    blocks = [f"[{data['dataset']}] serving study, "
-              f"window={data['duration_s']}s"]
-    for setup, entry in data["setups"].items():
-        probe_rows = [
-            [threads,
-             f"{s['qps']:.0f} ±{s['qps_std']:.0f}",
-             f"{s['p50_ms']:.2f} ±{s['p50_std_ms']:.2f}",
-             f"{s['p95_ms']:.2f} ±{s['p95_std_ms']:.2f}",
-             f"{s['p99_ms']:.2f}"]
-            for threads, s in entry["probe"].items()]
-        sweep_rows = [
-            [fraction, _fmt(row["offered_qps"], 0), _fmt(row["qps"], 0),
-             _fmt(row["goodput_qps"], 0), _fmt(row["p50_ms"], 2),
-             _fmt(row["p99_ms"], 2), _fmt(row["mean_queue_ms"], 2),
-             row["slo_misses"], row["max_queue_depth"]]
-            for fraction, row in entry["sweep"].items()]
-        shed_rows = [
-            [label, _fmt(row["qps"], 0), _fmt(row["goodput_qps"], 0),
-             row["shed"], row["slo_misses"], _fmt(row["p99_ms"], 2)]
-            for label, row in entry["shedding"].items()]
-        fairness = entry["fairness"]
-        fair_rows = [
-            [policy,
-             _fmt(fairness[policy]["light_p99_ms"], 2),
-             f"{fairness[policy]['light_p99_over_isolated']:.1f}x",
-             _fmt(fairness[policy]["light_goodput_qps"], 0),
-             _fmt(fairness[policy]["noisy_p99_ms"], 2)]
-            for policy in ("fifo", "wfq")]
-        aimd = entry["aimd"]
-        blocks.append("\n".join([
-            f"-- {setup} (params={entry['params']}, "
-            f"knee={entry['knee_concurrency']}, "
-            f"saturation={entry['saturation_qps']:.0f} QPS, "
-            f"SLO={entry['slo_deadline_ms']:.1f} ms)",
-            "",
-            "closed-loop saturation probe:",
-            format_table(["threads", "QPS", "p50 ms", "p95 ms", "p99 ms"],
-                         probe_rows),
-            "",
-            "offered-load sweep (fraction of saturation):",
-            format_table(["λ/sat", "offered", "QPS", "goodput", "p50 ms",
-                          "p99 ms", "queue ms", "late", "depth"],
-                         sweep_rows),
-            "",
-            "shedding at 1.2x saturation:",
-            format_table(["config", "QPS", "goodput", "shed", "late",
-                          "p99 ms"], shed_rows),
-            "",
-            "noisy neighbor (light tenant p99 vs isolated "
-            f"{fairness['isolated_light_p99_ms']:.2f} ms):",
-            format_table(["policy", "light p99 ms", "vs isolated",
-                          "light goodput", "noisy p99 ms"], fair_rows),
-            "",
-            f"AIMD: limit {aimd['final_limit']} after "
-            f"{aimd['adaptations']} adaptations, "
-            f"qps {aimd['qps']:.0f}, goodput {aimd['goodput_qps']:.0f}",
-        ]))
-    verdict_rows = [[name, "HOLDS" if holds else "DIFFERS"]
-                    for name, holds in data["verdicts"].items()]
-    blocks.append(format_table(["verdict", "holds"], verdict_rows))
-    return "\n\n".join(blocks)
-
-
-def render_mutate_study(data: dict) -> str:
-    """Tables for the streaming-mutability study (``repro mutate``).
-
-    The per-kind merged-search identity table, the read-only vs
-    read+write interference comparison, the compaction ledger with its
-    windows, the in-vs-out-of-window latency split, and the verdicts.
-    """
-    identity_rows = [
-        [row["kind"], row["metric"], row["live_rows"],
-         "bit-identical" if row["merged_identical"] else "DRIFT",
-         "bit-identical" if row["compacted_identical"] else "DRIFT"]
-        for row in data["identity"]]
-    probe = data["probe"]
-    load = data["load"]
-    base, mut = data["baseline"], data["mutated"]
-    compare_rows = [
-        [label, _fmt(row["qps"], 0), _fmt(row["goodput_qps"], 0),
-         _fmt(row["recall"], 3), _fmt(row["p50_ms"], 2),
-         _fmt(row["p99_ms"], 2), row["slo_misses"]]
-        for label, row in (("read-only", base), ("reads+writes", mut))]
-    window = data["window"]
-    windows = ", ".join(f"{start:.0f}-{end:.0f}"
-                        for start, end in mut["compaction_windows_ms"])
-    verdict_rows = [[name, "HOLDS" if holds else "DIFFERS"]
-                    for name, holds in data["verdicts"].items()]
-    return "\n".join([
-        f"[{data['dataset']}] mutability study, "
-        f"window={data['duration_s']}s, seed={data['seed']}",
-        "",
-        "merged search (snapshot + delta - tombstones) vs fresh "
-        "rebuild over the live rows:",
-        format_table(["kind", "metric", "live rows", "merged",
-                      "after compaction"], identity_rows),
-        "",
-        f"offered load: {probe['offered_qps']:.0f} QPS "
-        f"(0.6x the {probe['qps']:.0f} QPS closed-loop saturation), "
-        f"SLO {probe['slo_deadline_ms']:.1f} ms",
-        f"write stream: {load['insert_qps']:.0f} inserts/s + "
-        f"{load['delete_qps']:.0f} deletes/s, compaction at "
-        f"{load['delta_rows_threshold']} delta rows",
-        "",
-        format_table(["config", "QPS", "goodput", "recall@10", "p50 ms",
-                      "p99 ms", "late"], compare_rows),
-        "",
-        f"mutation ledger: {mut['inserted_rows']} rows in / "
-        f"{mut['deleted_rows']} deleted, "
-        f"{mut['wal_mib']:.1f} MiB WAL, "
-        f"{mut['compactions']} compactions "
-        f"({mut['compaction_read_mib']:.0f} MiB read, "
-        f"{mut['compaction_write_mib']:.0f} MiB written)",
-        f"compaction windows (ms): {windows}",
-        f"query latency: {window['in_window_mean_ms']:.2f} ms mean "
-        f"inside the windows ({window['in_window_queries']} queries) vs "
-        f"{window['out_window_mean_ms']:.2f} ms outside "
-        f"({window['out_window_queries']})",
-        "",
-        format_table(["verdict", "holds"], verdict_rows),
-    ])
-
-
-def render_cluster_study(data: dict) -> str:
-    """Tables for the distributed cluster study (``repro cluster``).
-
-    The N=1 identity line, the aggregate-QPS scaling table, the
-    constant-per-shard P99-vs-N tail-amplification curve, the
-    replication rows (failover, quorum, hedging, deadline), the
-    migration and serving lines, and the verdicts.
-    """
-    def run_row(label: str, row: dict) -> list:
-        faults = row.get("faults", {})
-        notes = ", ".join(f"{key}={value}"
-                          for key, value in sorted(faults.items())
-                          if value)
-        if row.get("degraded_ratio") is not None:
-            notes = (notes + (", " if notes else "")
-                     + f"degraded={row['degraded_ratio']:.1%}")
-        return [label, _fmt(row["qps"], 0), _fmt(row["recall"], 3),
-                _fmt(row["p50_ms"], 2), _fmt(row["p99_ms"], 2), notes]
-
-    scaling_rows = [
-        [n, _fmt(row["qps"], 0),
-         f"{row['qps'] / max(data['scaling']['1']['qps'], 1e-9):.2f}x",
-         _fmt(row["recall"], 3), _fmt(row["p99_ms"], 2),
-         f"{row['cpu_utilization']:.0%}"]
-        for n, row in data["scaling"].items()]
-    tail_rows = [
-        [n, _fmt(row["p50_ms"], 2), _fmt(row["p99_ms"], 2),
-         f"{row['amplification']:.2f}x"]
-        for n, row in data["tail"].items()]
-    rep_rows = [run_row(label, data[key]) for label, key in (
-        ("healthy R=2", "replicated_healthy"),
-        ("node kills", "failover"),
-        ("quorum", "quorum"),
-        ("hedged", "hedging"),
-        ("deadline", "deadline"))]
-    migration = data["migration"]
-    serving = data["serving"]
-    verdict_rows = [[name, "HOLDS" if holds else "DIFFERS"]
-                    for name, holds in data["verdicts"].items()]
-    return "\n".join([
-        f"[{data['dataset']}] cluster study, {data['index']} "
-        f"(params={data['params']}), window={data['duration_s']}s, "
-        f"{data['concurrency']} clients",
-        "",
-        f"identity: N=1/R=1 cluster vs single engine over "
-        f"{data['identity']['queries']} queries: "
-        f"{'bit-identical' if data['identity']['identical'] else 'DRIFT'}",
-        "",
-        "aggregate QPS scaling (480k-row flat corpus sharded across "
-        "N nodes):",
-        format_table(["shards", "QPS", "speedup", "recall@10", "p99 ms",
-                      "CPU"], scaling_rows),
-        "",
-        "fan-out tail amplification (constant per-shard work):",
-        format_table(["fan-out", "p50 ms", "p99 ms", "p99 vs N=1"],
-                     tail_rows),
-        "",
-        "replication (N=2, R=2):",
-        format_table(["config", "QPS", "recall@10", "p50 ms", "p99 ms",
-                      "events"], rep_rows),
-        "",
-        f"migration: replica (shard 0, replica 0) -> node "
-        f"{migration['moved_to_node']} while serving "
-        f"{migration['queries_served']} queries "
-        f"({migration['migrations']} move)",
-        f"serving over the coordinator: offered "
-        f"{serving['offered_qps']:.0f} QPS -> {serving['qps']:.0f} QPS, "
-        f"goodput {serving['goodput_qps']:.0f}, "
-        f"p99 {serving['p99_ms']:.2f} ms, "
-        f"{serving['rejected']} rejected",
-        "",
-        format_table(["verdict", "holds"], verdict_rows),
-    ])
-
-
-def _schedule_lines(schedule: dict) -> list[str]:
-    """One line per fault element of a described ChaosSchedule."""
-    lines = []
-    for kill in schedule["kills"]:
-        lines.append(f"  kill       node {kill['node']}  "
-                     f"[{kill['start_s']:.2f}s, {kill['end_s']:.2f}s)")
-    for window in schedule["partitions"]:
-        nodes = ",".join(str(n) for n in window["nodes"])
-        lines.append(f"  partition  nodes {nodes}  "
-                     f"[{window['start_s']:.2f}s, "
-                     f"{window['end_s']:.2f}s)")
-    for gray in schedule["grays"]:
-        lines.append(f"  gray       node {gray['node']}  "
-                     f"[{gray['start_s']:.2f}s, {gray['end_s']:.2f}s) "
-                     f"slowdown={gray['slowdown']:.0f}x")
-    for window in schedule["device_faults"]:
-        detail = ", ".join(
-            f"{key}={value}" for key, value in window.items()
-            if key not in ("node", "kind", "start_s", "end_s"))
-        lines.append(f"  device     node {window['node']}  "
-                     f"[{window['start_s']:.2f}s, "
-                     f"{window['end_s']:.2f}s) {window['kind']}: "
-                     f"{detail}")
-    if schedule["crash"] is not None:
-        crash = schedule["crash"]
-        lines.append(f"  crash      {crash['point']} "
-                     f"(occurrence {crash['occurrence']})")
-    return lines
-
-
-def render_chaos_study(data: dict) -> str:
-    """Tables for the chaos study (``repro chaos``).
-
-    The composed schedule, the healthy/unsupervised/supervised run
-    comparison, the failure-attribution and supervisor ledgers, the
-    post-chaos quiesce lines (crash state, convergence, replica
-    consistency), the shrinker line, and the verdicts.
-    """
-    def run_row(label: str, row: dict) -> list:
-        mttr = row["mttr_s"]
-        return [label, row["completed"], row["failed"], row["shed"],
-                _fmt(row["p50_latency_s"] * 1e3, 2),
-                _fmt(row["p99_latency_s"] * 1e3, 2),
-                _fmt(row["goodput_qps"], 0), _fmt(row["recall"], 3),
-                row["recoveries"],
-                "" if mttr is None else f"{mttr * 1e3:.1f}"]
-
-    rows = [run_row(label, data[key]) for label, key in (
-        ("healthy", "healthy"),
-        ("unsupervised", "unsupervised"),
-        ("supervised", "supervised"))]
-    causes = ", ".join(
-        f"{kind}={count}" for kind, count in
-        data["unsupervised"]["failure_causes"].items()) or "none"
-    events = ", ".join(f"{key}={value}" for key, value in
-                       data["supervised"]["events"].items())
-    supervisor = ", ".join(f"{key}={value}" for key, value in
-                           data["supervised"]["supervisor"].items())
-    crash = data["crash"]
-    shrink = data["shrink"]
-    minimal = _schedule_lines(shrink["minimal"])
-    verdict_rows = [[name, "HOLDS" if holds else "DIFFERS"]
-                    for name, holds in data["verdicts"].items()]
-    return "\n".join([
-        f"[{data['dataset']}] chaos study, {data['index']} "
-        f"(params={data['params']}), window={data['duration_s']}s",
-        "",
-        "composed schedule:",
-        *_schedule_lines(data["schedule"]),
-        "",
-        "open-loop serving under chaos (same offered load):",
-        format_table(["config", "completed", "failed", "shed", "p50 ms",
-                      "p99 ms", "goodput", "recall@10", "recoveries",
-                      "mttr ms"], rows),
-        "",
-        f"failure attribution (unsupervised): {causes}",
-        f"chaos events (supervised): {events}",
-        f"supervisor ledger: {supervisor}",
-        f"tail amplification (supervised p99 / healthy p99): "
-        f"{data['tail_amplification']:.2f}x",
-        "",
-        "post-chaos quiesce on the scarred cluster:",
-        f"  crashed save recovered committed-{crash['state']}; "
-        f"repaired store scrubs clean: "
-        f"{'yes' if crash['repaired_scrub_ok'] else 'NO'}",
-        f"  vs never-faulted cluster, same ops: "
-        f"{data['convergence']}",
-        f"  replica op logs: {data['replica_consistency']}",
-        "",
-        f"shrink: {shrink['initial_elements']} elements -> "
-        f"{shrink['minimal_elements']} in {shrink['probes']} probes; "
-        f"minimal reproducer:",
-        *minimal,
-        "",
-        format_table(["verdict", "holds"], verdict_rows),
-    ])
-
-
-def render_tenancy_study(data: dict) -> str:
-    """Tables for the tenancy study (``repro tenancy``).
-
-    The degradation ladder, the static sweep vs the autopilot at the
-    same offered load, the control-plane ledger, the per-class SLO
-    attainment split, and the verdicts.
-    """
-    ladder_rows = [[rung["level"], rung["params"],
-                    _fmt(rung["recall"], 4),
-                    _fmt(rung["prior_cost_ms"], 3)]
-                   for rung in data["ladder"]]
-
-    def run_row(label: str, row: dict) -> list:
-        return [label, f"{row['attainment']:.1%}",
-                _fmt(row["goodput_qps"], 0), _fmt(row["qps"], 0),
-                _fmt(row["p50_ms"], 1), _fmt(row["p99_ms"], 1),
-                row["rejected"], row["shed"], _fmt(row["recall"], 3)]
-
-    rows = [run_row(f"static L{level}", row)
-            for level, row in data["statics"].items()]
-    rows.append(run_row("autopilot", data["autopilot"]))
-    auto = data["autopilot"]
-    classes = data["classes"]
-    class_rows = [[name, f"{classes['autopilot'][name]:.1%}",
-                   f"{classes['best_static'][name]:.1%}"]
-                  for name in classes["autopilot"]]
-    verdict_rows = [[name, "HOLDS" if holds else "DIFFERS"]
-                    for name, holds in data["verdicts"].items()]
-    legal = ", ".join(f"L{lv}" for lv in data["legal_static_levels"])
-    return "\n".join([
-        f"[{data['dataset']}] tenancy study, {data['n_tenants']} tenants, "
-        f"window={data['duration_s']}s",
-        f"offered {data['offered_qps']:.0f} qps against a saturation of "
-        f"{data['saturation_qps']:.0f} qps (knee "
-        f"{data['knee_concurrency']}); legal statics: {legal}",
-        "",
-        "precompiled degradation ladder:",
-        format_table(["level", "params", "recall@10", "prior cost ms"],
-                     ladder_rows),
-        "",
-        "same offered load, fleet-wide statics vs the autopilot:",
-        format_table(["config", "attainment", "goodput", "qps", "p50 ms",
-                      "p99 ms", "rejected", "shed", "recall@10"], rows),
-        "",
-        f"control plane: {auto['intervals']} intervals, "
-        f"{auto['degrades']} degrades / {auto['restores']} restores "
-        f"({auto['floor_capped']} capped at a recall floor), "
-        f"{auto['quota_rejected']} quota-rejected",
-        f"placement: {auto['promotions']} promotions, "
-        f"{auto['demotions']} demotions, "
-        f"{auto['hot_groups']} hot / {auto['cold_groups']} cold at end",
-        f"cost model: mean prediction error "
-        f"{auto['cost_error']:.1%} over completions",
-        "",
-        "per-class SLO attainment:",
-        format_table(["class", "autopilot", "best static"], class_rows),
-        "",
-        format_table(["verdict", "holds"], verdict_rows),
-    ])
 
 
 def render_fig5(fig5: dict) -> str:
@@ -536,7 +131,7 @@ def render_fig5(fig5: dict) -> str:
         rows = []
         for concurrency, line in entry["lines"].items():
             sparkline = " ".join(f"{v:.0f}" for v in line["read_mib_s"])
-            rows.append([concurrency, _fmt(line["mean_mib_s"], 1),
+            rows.append([concurrency, fmt(line["mean_mib_s"], 1),
                          sparkline])
         blocks.append(f"[{dataset}] (plateau={entry['plateau']})\n"
                       + format_table(headers, rows))
@@ -547,8 +142,8 @@ def render_fig6(fig6: dict) -> str:
     headers = ["dataset", "KiB/query@1", "KiB/query@256", "4KiB fraction"]
     rows = []
     for dataset, per_conc in fig6.items():
-        rows.append([dataset, _fmt(per_conc[1]["per_query_kib"], 1),
-                     _fmt(per_conc[256]["per_query_kib"], 1),
+        rows.append([dataset, fmt(per_conc[1]["per_query_kib"], 1),
+                     fmt(per_conc[256]["per_query_kib"], 1),
                      f"{per_conc[1]['fraction_4k']:.4f}"])
     return format_table(headers, rows)
 
@@ -623,258 +218,121 @@ def render_telemetry(telemetry: RunTelemetry) -> str:
     return "\n\n".join(sections)
 
 
+
+
+# -- the whole report: one section list, two formatters ------------------
+
+@dataclasses.dataclass(frozen=True)
+class Section:
+    """One report section; ``body``/``verdicts`` read the results."""
+
+    title: str
+    blurb: str = ""
+    body: t.Callable[[StudyResults], str] | None = None
+    verdicts: t.Callable[[StudyResults], dict[str, bool]] | None = None
+
+
+def report_sections() -> list[Section]:
+    """The report in order: paper artifacts, studies, observations
+    (the key findings close the observation table).
+
+    Both whole-report writers walk this list, so a section (and every
+    registered study) appears in the text report and in EXPERIMENTS.md
+    by construction.
+    """
+    sections = [
+        Section("Section III-A — raw SSD baseline (fio)",
+                body=lambda r: render_ssd_baseline(r.ssd_baseline)),
+        Section("Table II — tuned parameters and recall@10",
+                "Paper comparison: all Milvus setups reach >= 0.9; DiskANN "
+                "passes at the minimum search_list on the small proxies "
+                "(paper: on all datasets); LanceDB-HNSW needs ef >= "
+                "Milvus's; LanceDB-IVF-PQ misses the target at Milvus's "
+                "nprobe (paper: 0.64-0.73; the parenthesized accuracies).",
+                lambda r: render_table2(r.table2)),
+        Section("Figure 2 — throughput vs client threads",
+                body=lambda r: render_series_figure(r.fig2, "QPS", 0)),
+        Section("Figure 3 — P99 latency (us) vs client threads",
+                body=lambda r: render_series_figure(r.fig3, "P99us", 0)),
+        Section("Figure 4 — global CPU usage (%) on the large datasets",
+                body=lambda r: render_series_figure(r.fig4, "CPU%", 0)),
+        Section("Figure 5 — Milvus-DiskANN read-bandwidth timeline",
+                body=lambda r: render_fig5(r.fig5)),
+        Section("Figure 6 — per-query read volume (+ request sizes, O-15)",
+                body=lambda r: render_fig6(r.fig6)),
+        Section("Figures 7-11 — the effect of search_list",
+                body=lambda r: render_searchlist_sweep(r.fig7_11)),
+        Section("Figures 12-15 — the effect of beam_width",
+                body=lambda r: render_beamwidth_sweep(r.fig12_15)),
+    ]
+    for study in studies():
+        sections.append(Section(
+            study.title, study.blurb,
+            lambda r, s=study: s.render(r.studies[s.name]),
+            lambda r, s=study: r.studies[s.name]["verdicts"]))
+    sections += [
+        Section("Observation verdicts",
+                body=lambda r: render_observations(r.checks,
+                                                   r.key_findings)),
+        Section("Known proxy-scale divergences",
+                "- DiskANN needs search_list 15-21 (not 10) for recall 0.9 "
+                "on the 10x proxies; Figure 9's large-dataset lines start "
+                "at ~0.82-0.85 instead of >= 0.90 (PQ-steered beams miss "
+                "more of the true top-10 at 20k-40k points than at "
+                "millions).\n"
+                "- Absolute throughput is higher than the paper's because "
+                "proxy graphs are shallower; the work-extrapolation factor "
+                "restores cross-family CPU ratios, not absolute "
+                "magnitudes.\n"
+                "- DiskANN-vs-IVF throughput gaps overshoot the paper's "
+                "1.2-3.2x band (the sqrt-vs-log work gap is larger at "
+                "paper scale than the band the paper measured)."),
+    ]
+    return sections
+
+
+def markdown_section(section: Section, results: StudyResults) -> str:
+    """``## title``, the blurb, the fenced body, one bullet per verdict."""
+    parts = [f"## {section.title}"]
+    if section.blurb:
+        parts.append(section.blurb)
+    if section.body is not None:
+        parts.append(f"```\n{section.body(results)}\n```")
+    if section.verdicts is not None:
+        parts.append("\n".join(
+            f"- **{_holds(holds)}** — {name.replace('_', ' ')}"
+            for name, holds in section.verdicts(results).items()))
+    return "\n\n".join(parts)
+
+
+def text_section(section: Section, results: StudyResults) -> str:
+    """``== title``, the blurb, the body, the shared verdict table."""
+    parts = [f"== {section.title}"]
+    if section.blurb:
+        parts.append(section.blurb)
+    if section.body is not None:
+        parts.append(section.body(results))
+    if section.verdicts is not None:
+        parts.append(verdict_table(section.verdicts(results)))
+    return "\n\n".join(parts)
+
+
 def write_experiments_md(results: StudyResults, path: str) -> None:
     """Write EXPERIMENTS.md: paper-vs-measured for every table/figure."""
-    ssd = results.ssd_baseline
-    lines = [
+    parts = [
         "# EXPERIMENTS — paper vs. measured",
-        "",
         "Generated by `repro study` on the scaled proxy datasets "
         "(`REPRO_SCALE` governs sizes; see DESIGN.md section 6).  "
         "Absolute numbers are simulator outputs and differ from the "
         "paper's testbed; every *shape* claim (orderings, crossovers, "
         "scaling bands) is checked programmatically below.",
-        "",
-        "## Section III-A — raw SSD baseline (fio)",
-        "",
-        "| metric | paper | measured |",
-        "|---|---|---|",
-        f"| 4 KiB randread, 1 core | 324.3 KIOPS | "
-        f"{ssd['single_core_4k_kiops']:.1f} KIOPS |",
-        f"| 4 KiB randread, QD64 | 1.3 MIOPS | "
-        f"{ssd['deep_queue_4k_miops']:.2f} MIOPS |",
-        f"| 128 KiB sequential read | 7.2 GiB/s | "
-        f"{ssd['seq_128k_gib_s']:.1f} GiB/s |",
-        f"| QD1 read latency | tens of us | "
-        f"{ssd['qd1_mean_latency_us']:.1f} us |",
-        "",
-        "## Table II — tuned parameters and recall@10",
-        "",
-        "```",
-        render_table2(results.table2),
-        "```",
-        "",
-        "Paper comparison: all Milvus setups reach >= 0.9; DiskANN "
-        "passes at the minimum search_list on the small proxies "
-        "(paper: on all datasets); LanceDB-HNSW needs ef >= Milvus's; "
-        "LanceDB-IVF-PQ misses the target at Milvus's nprobe (paper: "
-        "0.64-0.73; the parenthesized accuracies).",
-        "",
-        "## Figure 2 — throughput vs client threads",
-        "",
-        "```",
-        render_series_figure(results.fig2, "QPS", 0),
-        "```",
-        "",
-        "## Figure 3 — P99 latency (us) vs client threads",
-        "",
-        "```",
-        render_series_figure(results.fig3, "P99us", 0),
-        "```",
-        "",
-        "## Figure 4 — global CPU usage (%) on the large datasets",
-        "",
-        "```",
-        render_series_figure(results.fig4, "CPU%", 0),
-        "```",
-        "",
-        "## Figure 5 — Milvus-DiskANN read-bandwidth timeline",
-        "",
-        "```",
-        render_fig5(results.fig5),
-        "```",
-        "",
-        "## Figure 6 — per-query read volume (+ request sizes, O-15)",
-        "",
-        "```",
-        render_fig6(results.fig6),
-        "```",
-        "",
-        "## Figures 7-11 — the effect of search_list",
-        "",
-        "```",
-        render_searchlist_sweep(results.fig7_11),
-        "```",
-        "",
-        "## Figures 12-15 — the effect of beam_width",
-        "",
-        "```",
-        render_beamwidth_sweep(results.fig12_15),
-        "```",
-        "",
-    ]
-    if results.resilience is not None:
-        lines += [
-            "## Fault injection & resilience (beyond the paper)",
-            "",
-            "Healthy vs faulted vs defended runs under the reference "
-            "fault plan (see docs/FAULT_MODEL.md).  The defences — "
-            "read timeouts with retry, hedged reads, graceful "
-            "degradation — should recover most of the injected P99 at "
-            "equal-or-better recall@10.",
-            "",
-            "```",
-            render_resilience_comparison(results.resilience),
-            "```",
-            "",
-        ]
-        for name, holds in results.resilience["verdicts"].items():
-            lines.append(f"- **{'HOLDS' if holds else 'DIFFERS'}** — "
-                         f"{name.replace('_', ' ')}")
-        lines.append("")
-    if results.serving is not None:
-        lines += [
-            "## Open-loop serving (beyond the paper)",
-            "",
-            "The paper's closed-loop sweeps measure capacity; this "
-            "study offers the backend Poisson load it does not control "
-            "(see docs/SERVING.md).  P99 diverges as λ approaches the "
-            "closed-loop saturation while goodput plateaus; deadline "
-            "shedding beats blind queueing at 1.2x saturation; "
-            "weighted fair queueing isolates a light tenant from a "
-            "noisy neighbor where FIFO does not.",
-            "",
-            "```",
-            render_serving_study(results.serving),
-            "```",
-            "",
-        ]
-        for name, holds in results.serving["verdicts"].items():
-            lines.append(f"- **{'HOLDS' if holds else 'DIFFERS'}** — "
-                         f"{name.replace('_', ' ')}")
-        lines.append("")
-    if results.cluster is not None:
-        lines += [
-            "## Distributed cluster (beyond the paper)",
-            "",
-            "The paper's engines run on one node; this study shards "
-            "and replicates them across simulated nodes behind a "
-            "scatter-gather coordinator (see docs/CLUSTER.md).  "
-            "Aggregate QPS scales near-linearly with the shard count "
-            "at equal recall; holding per-shard work constant, P99 "
-            "climbs with the fan-out (the coordinator waits for the "
-            "slowest leg); replica failover masks seeded node kills; "
-            "an N=1/R=1 cluster is bit-identical to a single engine.",
-            "",
-            "```",
-            render_cluster_study(results.cluster),
-            "```",
-            "",
-        ]
-        for name, holds in results.cluster["verdicts"].items():
-            lines.append(f"- **{'HOLDS' if holds else 'DIFFERS'}** — "
-                         f"{name.replace('_', ' ')}")
-        lines.append("")
-    if results.chaos is not None:
-        lines += [
-            "## Chaos engineering (beyond the paper)",
-            "",
-            "`repro.chaos` composes every fault plane — node kills, a "
-            "network partition, a gray failure, SSD fault windows, a "
-            "write-path crash — into one seeded schedule injected "
-            "against the replicated cluster under open-loop load and "
-            "streaming mutation (see docs/CHAOS.md).  Unsupervised, "
-            "the kill+partition overlap blacks out both shards and "
-            "availability degrades with every failure attributed; "
-            "with the self-healing supervisor probing, replicas are "
-            "rebuilt onto spares and zero queries fail while the full "
-            "invariant-oracle battery holds; a violating schedule "
-            "ddmin-shrinks to its minimal reproducer.",
-            "",
-            "```",
-            render_chaos_study(results.chaos),
-            "```",
-            "",
-        ]
-        for name, holds in results.chaos["verdicts"].items():
-            lines.append(f"- **{'HOLDS' if holds else 'DIFFERS'}** — "
-                         f"{name.replace('_', ' ')}")
-        lines.append("")
-    lines += [
-        "## Observation verdicts",
-        "",
-        "| obs | verdict | paper claim | measured |",
-        "|---|---|---|---|",
-    ]
-    for check in results.checks:
-        verdict = "HOLDS" if check.holds else "DIFFERS"
-        lines.append(f"| {check.obs_id} | {verdict} | {check.claim} | "
-                     f"{check.measured} |")
-    lines += ["", "## Key findings", ""]
-    for finding, holds in results.key_findings.items():
-        lines.append(f"- **{'HOLDS' if holds else 'DIFFERS'}** — "
-                     f"{finding}")
-    lines += [
-        "",
-        "## Known proxy-scale divergences",
-        "",
-        "- DiskANN needs search_list 15-21 (not 10) for recall 0.9 on "
-        "the 10x proxies; Figure 9's large-dataset lines start at "
-        "~0.82-0.85 instead of >= 0.90 (PQ-steered beams miss more of "
-        "the true top-10 at 20k-40k points than at millions).",
-        "- Absolute throughput is higher than the paper's because proxy "
-        "graphs are shallower; the work-extrapolation factor restores "
-        "cross-family CPU ratios, not absolute magnitudes.",
-        "- DiskANN-vs-IVF throughput gaps overshoot the paper's "
-        "1.2-3.2x band (the sqrt-vs-log work gap is larger at paper "
-        "scale than the band the paper measured).",
-    ]
+    ] + [markdown_section(section, results)
+         for section in report_sections()]
     with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write("\n\n".join(parts) + "\n")
 
 
 def render_study(results: StudyResults) -> str:
     """The full study as one readable report."""
-    ssd = results.ssd_baseline
-    sections = [
-        "== Section III-A: raw SSD baseline (fio on the simulated device)",
-        format_table(
-            ["metric", "paper", "measured"],
-            [["4 KiB randread, 1 core (KIOPS)", "324.3",
-              _fmt(ssd["single_core_4k_kiops"], 1)],
-             ["4 KiB randread, QD64 (MIOPS)", "1.3",
-              _fmt(ssd["deep_queue_4k_miops"], 2)],
-             ["128 KiB seqread (GiB/s)", "7.2",
-              _fmt(ssd["seq_128k_gib_s"], 1)]]),
-        "\n== Table II: tuned parameters and recall@10",
-        render_table2(results.table2),
-        "\n== Figure 2: throughput (QPS) vs client threads",
-        render_series_figure(results.fig2, "QPS", 0),
-        "\n== Figure 3: P99 latency (us) vs client threads",
-        render_series_figure(results.fig3, "P99", 0),
-        "\n== Figure 4: global CPU usage (%) vs client threads",
-        render_series_figure(results.fig4, "CPU%", 0),
-        "\n== Figure 5: Milvus-DiskANN read bandwidth timeline",
-        render_fig5(results.fig5),
-        "\n== Figure 6: per-query read volume",
-        render_fig6(results.fig6),
-        "\n== Figures 7-11: the effect of search_list",
-        render_searchlist_sweep(results.fig7_11),
-        "\n== Figures 12-15: the effect of beam_width",
-        render_beamwidth_sweep(results.fig12_15),
-    ]
-    if results.resilience is not None:
-        sections += [
-            "\n== Fault injection & resilience (beyond the paper)",
-            render_resilience_comparison(results.resilience),
-        ]
-    if results.serving is not None:
-        sections += [
-            "\n== Open-loop serving (beyond the paper)",
-            render_serving_study(results.serving),
-        ]
-    if results.cluster is not None:
-        sections += [
-            "\n== Distributed cluster (beyond the paper)",
-            render_cluster_study(results.cluster),
-        ]
-    if results.chaos is not None:
-        sections += [
-            "\n== Chaos engineering (beyond the paper)",
-            render_chaos_study(results.chaos),
-        ]
-    sections += [
-        "\n== Observations and key findings",
-        render_observations(results.checks, results.key_findings),
-    ]
-    return "\n".join(sections)
+    return "\n\n".join(text_section(section, results)
+                       for section in report_sections())

@@ -1,14 +1,17 @@
 """The full characterization study: every experiment, one call.
 
 ``run_study()`` executes the reproduction of every table and figure in
-the paper's evaluation and checks all shape observations; the result
-bundle feeds the CLI, the benchmark harness, and the EXPERIMENTS.md
-generator.
+the paper's evaluation, checks all shape observations, and runs every
+registered beyond-the-paper study; the result bundle feeds the CLI and
+the EXPERIMENTS.md generator.  The CLI subcommands, ``repro study`` and
+EXPERIMENTS.md are loops over :func:`studies`, so adding a study is one
+``study.py`` exposing ``STUDY`` plus one line in :data:`STUDY_MODULES`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import typing as t
 
 from repro.core import figures, observations
@@ -16,6 +19,51 @@ from repro.core.figures import (BEAM_WIDTHS, SEARCH_LISTS, THREADS)
 from repro.core.observations import ObservationCheck
 from repro.data.spec import DATASET_NAMES
 from repro.storage.spec import samsung_990pro_4tb
+
+
+def silent(message: str) -> None:
+    """The default ``progress`` callback: report nothing."""
+
+
+@dataclasses.dataclass(frozen=True)
+class Study:
+    """One beyond-the-paper study, declared next to the code that runs it.
+
+    ``name`` is the CLI subcommand and the key in
+    :attr:`StudyResults.studies`; ``title``/``blurb`` are the
+    EXPERIMENTS.md heading and paragraph.  ``run(dataset, *, quick,
+    seed, progress)`` returns the data dict with a ``"verdicts": {name:
+    bool}`` entry and owns what ``quick`` means; ``render(data)`` is the
+    table body *without* the verdict block.  A study that builds its own
+    engine sets ``takes_dataset=False`` and is not offered ``-d``.
+    """
+
+    name: str
+    title: str
+    blurb: str
+    run: t.Callable[..., dict]
+    render: t.Callable[[dict], str]
+    takes_dataset: bool = True
+
+
+#: The registered studies, in report order.  Modules, not records: study
+#: modules import :class:`Study` from here, so they load on first use.
+STUDY_MODULES = (
+    "repro.faults.study",
+    "repro.serve.study",
+    "repro.cluster.study",
+    "repro.chaos.study",
+    "repro.tenancy.study",
+    "repro.mutate.study",
+    "repro.durability.study",
+    "repro.prefetch.study",
+)
+
+
+def studies() -> tuple[Study, ...]:
+    """Every registered :class:`Study`, in report order."""
+    return tuple(importlib.import_module(module).STUDY
+                 for module in STUDY_MODULES)
 
 
 @dataclasses.dataclass
@@ -33,33 +81,9 @@ class StudyResults:
     fig12_15: dict
     checks: list[ObservationCheck]
     key_findings: dict[str, bool]
-    #: The fault-injection & resilience study (beyond the paper):
-    #: healthy vs faulted vs defended runs on the first dataset, with
-    #: ledger reconciliation and verdicts (see
-    #: :func:`repro.core.figures.resilience_comparison`).
-    resilience: dict | None = None
-    #: The open-loop serving study (beyond the paper): saturation
-    #: probe, λ sweep, shedding, FIFO-vs-WFQ fairness, and the AIMD
-    #: controller on the first dataset (see
-    #: :func:`repro.serve.study.serving_study`).
-    serving: dict | None = None
-    #: The distributed cluster study (beyond the paper): sharded QPS
-    #: scaling, the P99-vs-fan-out tail-amplification curve, failover,
-    #: quorum/hedging/deadline reads, and migration while serving on
-    #: the first dataset (see
-    #: :func:`repro.cluster.study.cluster_study`).
-    cluster: dict | None = None
-    #: The chaos study (beyond the paper): a composed fault schedule
-    #: (kills + partition + gray + SSD faults + crash) against the
-    #: replicated cluster, unsupervised and with the self-healing
-    #: supervisor, audited by the invariant-oracle battery, plus the
-    #: ddmin schedule shrinker (see
-    #: :func:`repro.chaos.study.chaos_study`).
-    chaos: dict | None = None
-
-    @property
-    def holds(self) -> dict[str, bool]:
-        return {check.obs_id: check.holds for check in self.checks}
+    #: Data dict of every registered beyond-the-paper study, keyed by
+    #: :attr:`Study.name`, run on the first dataset.
+    studies: dict[str, dict]
 
 
 def run_observation_checks(fig2: dict, fig3: dict, fig5: dict, fig6: dict,
@@ -95,42 +119,30 @@ def run_study(datasets: t.Sequence[str] = DATASET_NAMES,
               threads: t.Sequence[int] = THREADS,
               search_lists: t.Sequence[int] = SEARCH_LISTS,
               beam_widths: t.Sequence[int] = BEAM_WIDTHS,
-              progress: t.Callable[[str], None] | None = None,
+              progress: t.Callable[[str], None] = silent,
               ) -> StudyResults:
     """Run every experiment of the paper's evaluation section."""
-    def report(message: str) -> None:
-        if progress is not None:
-            progress(message)
-
-    report("fio baseline (Section III-A)")
+    progress("fio baseline (Section III-A)")
     ssd = figures.ssd_baseline_data()
-    report("Table II: tuning search parameters")
+    progress("Table II: tuning search parameters")
     table2 = figures.table2_data(datasets)
-    report("Figures 2-4: throughput/latency/CPU sweeps")
+    progress("Figures 2-4: throughput/latency/CPU sweeps")
     fig2 = figures.fig2_throughput(datasets, threads=threads)
     fig3 = figures.fig3_latency(datasets, threads=threads)
-    large = [d for d in ("cohere-10m", "openai-5m") if d in datasets]
-    fig4 = figures.fig4_cpu(large or datasets, threads=threads)
-    report("Figure 5: bandwidth timelines")
+    fig4 = figures.fig4_cpu(datasets, threads=threads)
+    progress("Figure 5: bandwidth timelines")
     fig5 = figures.fig5_bandwidth_timeline(datasets)
-    report("Figure 6: per-query I/O")
+    progress("Figure 6: per-query I/O")
     fig6 = figures.fig6_per_query_io(datasets)
-    report("Figures 7-11: search_list sweeps")
+    progress("Figures 7-11: search_list sweeps")
     fig7_11 = figures.fig7_to_11_data(datasets, search_lists)
-    report("Figures 12-15: beam_width sweeps")
+    progress("Figures 12-15: beam_width sweeps")
     fig12_15 = figures.fig12_to_15_data(datasets, beam_widths)
-    report("fault injection & resilience study")
-    resilience = figures.resilience_comparison(datasets[0])
-    report("open-loop serving study")
-    from repro.serve.study import serving_study
-    serving = serving_study(datasets[0], progress=progress)
-    report("distributed cluster study")
-    from repro.cluster.study import cluster_study
-    cluster = cluster_study(datasets[0], progress=progress)
-    report("chaos study")
-    from repro.chaos.study import chaos_study
-    chaos = chaos_study(datasets[0], progress=progress)
-    report("checking observations")
+    beyond: dict[str, dict] = {}
+    for study in studies():
+        progress(f"{study.name} study")
+        beyond[study.name] = study.run(datasets[0], progress=progress)
+    progress("checking observations")
     checks = run_observation_checks(fig2, fig3, fig5, fig6, fig7_11,
                                     fig12_15)
     return StudyResults(
@@ -138,5 +150,4 @@ def run_study(datasets: t.Sequence[str] = DATASET_NAMES,
         fig5=fig5, fig6=fig6, fig7_11=fig7_11, fig12_15=fig12_15,
         checks=checks,
         key_findings=observations.key_findings(checks),
-        resilience=resilience, serving=serving, cluster=cluster,
-        chaos=chaos)
+        studies=beyond)

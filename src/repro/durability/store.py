@@ -152,10 +152,9 @@ def save_engine(engine: "VectorEngine", path: str | Path, *,
     """Persist *engine* at *path* as a new committed store version."""
     root = Path(path)
     if root.exists() and not root.is_dir():
-        # A legacy single-file snapshot is being upgraded in place; the
-        # unchecksummed blob is the only copy, so it is read fully by
-        # ``load`` paths, never by ``save`` — replace it with a store.
-        root.unlink()
+        raise DurabilityError(
+            f"{root}: not a store directory; refusing to replace a file "
+            f"that save did not write")
     root.mkdir(parents=True, exist_ok=True)
     version = _scan_version(root) + 1
     prefix = f"v{version:06d}-"
@@ -227,15 +226,9 @@ def _verified_records(root: Path, entry: ManifestEntry) -> list[bytes]:
 
 def load_engine(path: str | Path, *,
                 telemetry: "RunTelemetry | None" = None) -> "VectorEngine":
-    """Recover the committed engine state at *path*.
-
-    Accepts both the checksummed store directory and the legacy
-    single-file pickle snapshot (pre-durability saves).
-    """
+    """Recover the committed engine state of the store at *path*."""
     from repro.engines.engine import Collection, VectorEngine
     root = Path(path)
-    if root.is_file():
-        return _load_legacy(root)
     manifest = read_manifest(root)
     engine_meta = pickle.loads(
         _verified_records(root, manifest.entry("engine-meta"))[0])
@@ -282,21 +275,6 @@ def load_engine(path: str | Path, *,
         telemetry.on_event("durability", "loads")
         if replayed:
             telemetry.on_event("durability", "wal_replayed", replayed)
-    return engine
-
-
-def _load_legacy(path: Path) -> "VectorEngine":
-    """Read a pre-durability whole-engine pickle snapshot."""
-    from repro.engines.engine import VectorEngine
-    try:
-        with open(path, "rb") as handle:
-            profile, seed, collections = pickle.load(handle)
-    except Exception as exc:
-        raise CorruptionError(
-            f"{path.name}: legacy snapshot does not load: {exc}",
-            file=path.name) from exc
-    engine = VectorEngine(profile, seed)
-    engine._collections = collections
     return engine
 
 

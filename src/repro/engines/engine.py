@@ -46,8 +46,7 @@ class IndexSpec:
     """What index a collection builds over its sealed segments.
 
     ``params`` is the typed parameter object of the kind (see
-    :mod:`repro.engines.params`); legacy encodings — a dict or the old
-    sorted tuple of ``(name, value)`` pairs — are converted and
+    :mod:`repro.engines.params`); a plain dict is converted and
     validated on construction.
     """
 
@@ -683,9 +682,8 @@ class VectorEngine:
     def load(cls, path: str | Path) -> "VectorEngine":
         """Recover an engine previously written by :meth:`save`.
 
-        Verifies every record checksum, replays WAL entries past the
-        last checkpoint to rebuild unsealed rows, and still reads the
-        legacy single-file snapshots of pre-durability versions.
+        Verifies every record checksum and replays WAL entries past
+        the last checkpoint to rebuild unsealed rows.
         """
         from repro.durability import load_engine
         return load_engine(path)

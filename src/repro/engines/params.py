@@ -171,8 +171,7 @@ def make_params(kind: str, **params: t.Any) -> IndexParams:
     """The typed parameter object of *kind* from keyword values.
 
     Unknown parameter names raise :class:`~repro.errors.EngineError`
-    listing the valid ones — the typo protection the old tuple encoding
-    never had.
+    listing the valid ones.
 
     >>> make_params("diskann", R=16)
     DiskANNParams(R=16, L_build=96, alpha=1.3)
@@ -192,10 +191,10 @@ def make_params(kind: str, **params: t.Any) -> IndexParams:
 
 
 def coerce_params(kind: str, params: t.Any) -> IndexParams:
-    """Normalize any legacy parameter encoding to the typed form.
+    """Normalize a parameter encoding to the typed form.
 
-    Accepts the typed dataclass itself, a plain dict, the legacy sorted
-    tuple of ``(name, value)`` pairs, or None (all defaults).
+    Accepts the typed dataclass itself, a plain dict, or None (all
+    defaults).
     """
     if params is None:
         return make_params(kind)
@@ -208,8 +207,6 @@ def coerce_params(kind: str, params: t.Any) -> IndexParams:
         return params
     if isinstance(params, dict):
         return make_params(kind, **params)
-    if isinstance(params, (tuple, list)):
-        return make_params(kind, **dict(params))
     raise EngineError(
         f"cannot interpret {kind} params of type "
         f"{type(params).__name__}")

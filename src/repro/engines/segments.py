@@ -16,7 +16,7 @@ import dataclasses
 import numpy as np
 
 from repro.ann.base import VectorIndex
-from repro.ann.distance import distances, prepare_queries, top_k
+from repro.ann.distance import prepare_queries, top_k
 from repro.ann.scoring import delta_kernel
 from repro.ann.workprofile import SearchResult, WorkProfile
 from repro.errors import EngineError
@@ -70,8 +70,8 @@ class GrowingBuffer:
     distance carries the exact bits the sealed index would report for
     it — the invariant that makes a merged base+delta search
     bit-identical to a fresh build over the same rows (see
-    ``docs/MUTABILITY.md``).  Unbound buffers (legacy pickles) keep the
-    historical exact-scan path.
+    ``docs/MUTABILITY.md``).  An unbound buffer (``kind=None``) scans
+    through the exact kernel.
     """
 
     def __init__(self, dim: int, metric: str, kind: str | None = None,
@@ -100,9 +100,8 @@ class GrowingBuffer:
         """Kind-matched ``(B, n)`` distances over the unsealed rows."""
         if self._scorer is None or self._scorer_rows != len(self._row_ids):
             self._scorer = delta_kernel(
-                getattr(self, "kind", None), self.metric,
-                np.vstack(self._vectors), pq_m=getattr(self, "pq_m", None),
-                seed=getattr(self, "seed", 0))
+                self.kind, self.metric, np.vstack(self._vectors),
+                pq_m=self.pq_m, seed=self.seed)
             self._scorer_rows = len(self._row_ids)
         return self._scorer(prepare_queries(queries, self.metric))
 
@@ -111,18 +110,8 @@ class GrowingBuffer:
         work = WorkProfile()
         if not self._row_ids:
             return SearchResult(ids=np.empty(0, dtype=np.int64), work=work)
-        if getattr(self, "kind", None) is not None:
-            dists = self._score(np.asarray(query, dtype=np.float32)
-                                .reshape(1, -1))[0]
-        else:
-            # Legacy path for buffers pickled before kind binding.
-            X = np.vstack(self._vectors)
-            dists = distances(query, X, self.metric)
-            if self.metric == "cosine":
-                # Sealed indexes report squared-L2-on-unit-vectors
-                # (l2n) distances; convert so merged rankings are
-                # consistent.
-                dists = 2.0 + 2.0 * dists
+        dists = self._score(np.asarray(query, dtype=np.float32)
+                            .reshape(1, -1))[0]
         work.add_cpu(full_evals=len(self._row_ids))
         order = top_k(dists, k)
         ids = np.asarray(self._row_ids, dtype=np.int64)[order]
@@ -132,7 +121,7 @@ class GrowingBuffer:
     def search_batch(self, queries: np.ndarray,
                      k: int) -> list[SearchResult]:
         """Batched :meth:`search`; bit-identical to looping it."""
-        if not self._row_ids or getattr(self, "kind", None) is None:
+        if not self._row_ids:
             return [self.search(query, k) for query in queries]
         queries = np.asarray(queries, dtype=np.float32)
         all_dists = self._score(queries)

@@ -33,6 +33,8 @@ from __future__ import annotations
 import dataclasses
 import typing as t
 
+from repro.core.report import fmt, format_table
+from repro.core.study import Study, silent
 from repro.data.registry import load_dataset
 from repro.engines.engine import IndexSpec, VectorEngine
 from repro.serve.arrivals import PoissonArrivals
@@ -121,16 +123,21 @@ def saturation_probe(runner: BenchRunner, params: dict,
     return summaries, knee, saturation
 
 
-def _serve_row(result: ServeResult) -> dict[str, t.Any]:
+def serve_row(result: ServeResult) -> dict[str, t.Any]:
+    """One :class:`ServeResult` as a report row (latencies in ms)."""
     return {
         "offered_qps": result.offered_qps,
         "qps": result.qps,
         "goodput_qps": result.goodput_qps,
+        "attainment": (result.slo_completions / result.arrivals
+                       if result.arrivals else 0.0),
+        "recall": result.recall,
         "p50_ms": result.p50_latency_s * 1e3,
         "p99_ms": result.p99_latency_s * 1e3,
         "mean_queue_ms": result.mean_queue_s * 1e3,
         "mean_service_ms": result.mean_service_s * 1e3,
         "arrivals": result.arrivals,
+        "completed": result.completed,
         "rejected": result.rejected,
         "shed": result.shed,
         "slo_misses": result.slo_misses,
@@ -142,17 +149,20 @@ def _serve_row(result: ServeResult) -> dict[str, t.Any]:
 def serving_study(dataset: str = "cohere-1m",
                   setups: t.Sequence[str] = SERVE_SETUPS,
                   duration_s: float = 0.5, seed: int = 0,
-                  progress: t.Callable[[str], None] | None = None) -> dict:
-    """Run the full serving study; see the module docstring."""
-    def report(message: str) -> None:
-        if progress is not None:
-            progress(message)
+                  quick: bool = False,
+                  progress: t.Callable[[str], None] = silent) -> dict:
+    """Run the full serving study; see the module docstring.
 
+    ``quick`` keeps the first setup only and a 0.3 s serving window.
+    """
+    if quick:
+        setups = tuple(setups)[:1]
+        duration_s = min(duration_s, 0.3)
     data: dict[str, t.Any] = {"dataset": dataset, "duration_s": duration_s,
                               "setups": {}}
     verdicts: dict[str, bool] = {}
     for setup in setups:
-        report(f"{setup}: closed-loop saturation probe")
+        progress(f"{setup}: closed-loop saturation probe")
         runner = serve_runner(setup, dataset)
         params = dict(SEARCH_PARAMS.get(setup, {}))
         summaries, knee, saturation = saturation_probe(runner, params)
@@ -171,16 +181,16 @@ def serving_study(dataset: str = "cohere-1m",
         def run(config: ServeConfig) -> ServeResult:
             return Server(runner, config).serve()
 
-        report(f"{setup}: open-loop λ sweep")
+        progress(f"{setup}: open-loop λ sweep")
         sweep: dict[str, dict] = {}
         for fraction in LOAD_FRACTIONS:
             result = run(open_config(tenants=(
                 TenantLoad("all",
                            PoissonArrivals(rate_qps=fraction * saturation)),
             )))
-            sweep[f"{fraction:.2f}"] = _serve_row(result)
+            sweep[f"{fraction:.2f}"] = serve_row(result)
 
-        report(f"{setup}: shedding at 1.2x saturation")
+        progress(f"{setup}: shedding at 1.2x saturation")
         overload = (TenantLoad(
             "all", PoissonArrivals(rate_qps=1.2 * saturation)),)
         # At 1.2x saturation queueing delay grows at ~0.2 s per second,
@@ -194,7 +204,7 @@ def serving_study(dataset: str = "cohere-1m",
                                    shed_late=True,
                                    duration_s=shed_window))
 
-        report(f"{setup}: FIFO vs WFQ under a noisy neighbor")
+        progress(f"{setup}: FIFO vs WFQ under a noisy neighbor")
         # The weight is the tenant's provisioned share: the light
         # tenant offers 10 % of capacity but is provisioned for 2/3 of
         # the dispatch slots, so under WFQ its queries never wait
@@ -211,7 +221,7 @@ def serving_study(dataset: str = "cohere-1m",
                                             policy=policy))
                     for policy in ("fifo", "wfq")}
 
-        report(f"{setup}: AIMD concurrency controller")
+        progress(f"{setup}: AIMD concurrency controller")
         aimd = run(open_config(
             tenants=overload, max_inflight=None, shed_late=True,
             policy="edf",
@@ -251,30 +261,22 @@ def serving_study(dataset: str = "cohere-1m",
                     "p99_ms": s.p99_latency_s * 1e3,
                 } for threads, s in summaries.items()},
             "sweep": sweep,
-            "shedding": {"queued": _serve_row(queued),
-                         "shed": _serve_row(shedding)},
+            "shedding": {"queued": serve_row(queued),
+                         "shed": serve_row(shedding)},
             "fairness": {
                 "isolated_light_p99_ms": iso_p99 * 1e3,
-                "fifo": {
-                    "light_p99_ms": fifo_p99 * 1e3,
-                    "light_p99_over_isolated": fifo_p99 / iso_p99,
+                **{policy: {
+                    "light_p99_ms":
+                        result.tenant("light").p99_latency_s * 1e3,
+                    "light_p99_over_isolated":
+                        result.tenant("light").p99_latency_s / iso_p99,
                     "light_goodput_qps":
-                        fairness["fifo"].tenant("light").goodput_qps,
+                        result.tenant("light").goodput_qps,
                     "noisy_p99_ms":
-                        fairness["fifo"].tenant("noisy").p99_latency_s
-                        * 1e3,
-                },
-                "wfq": {
-                    "light_p99_ms": wfq_p99 * 1e3,
-                    "light_p99_over_isolated": wfq_p99 / iso_p99,
-                    "light_goodput_qps":
-                        fairness["wfq"].tenant("light").goodput_qps,
-                    "noisy_p99_ms":
-                        fairness["wfq"].tenant("noisy").p99_latency_s
-                        * 1e3,
-                },
+                        result.tenant("noisy").p99_latency_s * 1e3,
+                } for policy, result in fairness.items()},
             },
-            "aimd": dict(_serve_row(aimd),
+            "aimd": dict(serve_row(aimd),
                          final_limit=aimd.final_limit,
                          adaptations=len(aimd.controller_history)),
         }
@@ -282,6 +284,84 @@ def serving_study(dataset: str = "cohere-1m",
     return data
 
 
-def clear_caches() -> None:
-    """Drop the in-process runner cache (tests use this)."""
-    _runner_cache.clear()
+def render_serving_study(data: dict) -> str:
+    """Tables for the open-loop serving study (``repro serve``).
+
+    Per setup: the closed-loop saturation probe (with the
+    :class:`~repro.workload.metrics.Summary` p50/p95 error bars), the
+    offered-load sweep, the shedding comparison, the FIFO-vs-WFQ
+    noisy-neighbor table, and the AIMD controller line.
+    """
+    blocks = [f"[{data['dataset']}] serving study, "
+              f"window={data['duration_s']}s"]
+    for setup, entry in data["setups"].items():
+        probe_rows = [
+            [threads,
+             f"{s['qps']:.0f} ±{s['qps_std']:.0f}",
+             f"{s['p50_ms']:.2f} ±{s['p50_std_ms']:.2f}",
+             f"{s['p95_ms']:.2f} ±{s['p95_std_ms']:.2f}",
+             f"{s['p99_ms']:.2f}"]
+            for threads, s in entry["probe"].items()]
+        sweep_rows = [
+            [fraction, fmt(row["offered_qps"], 0), fmt(row["qps"], 0),
+             fmt(row["goodput_qps"], 0), fmt(row["p50_ms"], 2),
+             fmt(row["p99_ms"], 2), fmt(row["mean_queue_ms"], 2),
+             row["slo_misses"], row["max_queue_depth"]]
+            for fraction, row in entry["sweep"].items()]
+        shed_rows = [
+            [label, fmt(row["qps"], 0), fmt(row["goodput_qps"], 0),
+             row["shed"], row["slo_misses"], fmt(row["p99_ms"], 2)]
+            for label, row in entry["shedding"].items()]
+        fairness = entry["fairness"]
+        fair_rows = [
+            [policy,
+             fmt(fairness[policy]["light_p99_ms"], 2),
+             f"{fairness[policy]['light_p99_over_isolated']:.1f}x",
+             fmt(fairness[policy]["light_goodput_qps"], 0),
+             fmt(fairness[policy]["noisy_p99_ms"], 2)]
+            for policy in ("fifo", "wfq")]
+        aimd = entry["aimd"]
+        blocks.append("\n".join([
+            f"-- {setup} (params={entry['params']}, "
+            f"knee={entry['knee_concurrency']}, "
+            f"saturation={entry['saturation_qps']:.0f} QPS, "
+            f"SLO={entry['slo_deadline_ms']:.1f} ms)",
+            "",
+            "closed-loop saturation probe:",
+            format_table(["threads", "QPS", "p50 ms", "p95 ms", "p99 ms"],
+                         probe_rows),
+            "",
+            "offered-load sweep (fraction of saturation):",
+            format_table(["λ/sat", "offered", "QPS", "goodput", "p50 ms",
+                          "p99 ms", "queue ms", "late", "depth"],
+                         sweep_rows),
+            "",
+            "shedding at 1.2x saturation:",
+            format_table(["config", "QPS", "goodput", "shed", "late",
+                          "p99 ms"], shed_rows),
+            "",
+            "noisy neighbor (light tenant p99 vs isolated "
+            f"{fairness['isolated_light_p99_ms']:.2f} ms):",
+            format_table(["policy", "light p99 ms", "vs isolated",
+                          "light goodput", "noisy p99 ms"], fair_rows),
+            "",
+            f"AIMD: limit {aimd['final_limit']} after "
+            f"{aimd['adaptations']} adaptations, "
+            f"qps {aimd['qps']:.0f}, goodput {aimd['goodput_qps']:.0f}",
+        ]))
+    return "\n\n".join(blocks)
+
+
+STUDY = Study(
+    name="serve",
+    title="Open-loop serving (beyond the paper)",
+    blurb="The paper's closed-loop sweeps measure capacity; this "
+          "study offers the backend Poisson load it does not control "
+          "(see docs/SERVING.md).  P99 diverges as λ approaches the "
+          "closed-loop saturation while goodput plateaus; deadline "
+          "shedding beats blind queueing at 1.2x saturation; "
+          "weighted fair queueing isolates a light tenant from a "
+          "noisy neighbor where FIFO does not.",
+    run=serving_study,
+    render=render_serving_study,
+)

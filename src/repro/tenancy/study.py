@@ -32,10 +32,13 @@ from __future__ import annotations
 
 import typing as t
 
+from repro.core.report import fmt, format_table
+from repro.core.study import Study, silent
 from repro.serve.arrivals import BurstyArrivals, DiurnalArrivals
 from repro.serve.result import ServeResult
 from repro.serve.server import ServeConfig, Server
-from repro.serve.study import SEARCH_PARAMS, saturation_probe, serve_runner
+from repro.serve.study import (SEARCH_PARAMS, saturation_probe, serve_row,
+                               serve_runner)
 from repro.serve.tenant import Tenant
 from repro.tenancy.autopilot import (AutopilotServer, TenancyConfig,
                                      serve_autopilot)
@@ -149,24 +152,6 @@ def fingerprint(result: ServeResult) -> str:
     return repr(result)
 
 
-def _row(result: ServeResult) -> dict[str, t.Any]:
-    return {
-        "offered_qps": result.offered_qps,
-        "qps": result.qps,
-        "goodput_qps": result.goodput_qps,
-        "attainment": (result.slo_completions / result.arrivals
-                       if result.arrivals else 0.0),
-        "p50_ms": result.p50_latency_s * 1e3,
-        "p99_ms": result.p99_latency_s * 1e3,
-        "arrivals": result.arrivals,
-        "rejected": result.rejected,
-        "shed": result.shed,
-        "slo_misses": result.slo_misses,
-        "recall": result.recall,
-        "max_queue_depth": result.max_queue_depth,
-    }
-
-
 def _class_attainment(result: ServeResult,
                       registry: TenantRegistry) -> dict[str, float]:
     sums: dict[str, list[int]] = {}
@@ -180,20 +165,23 @@ def _class_attainment(result: ServeResult,
 
 def tenancy_study(dataset: str = "cohere-1m", n_tenants: int = 100,
                   duration_s: float = 0.5, seed: int = 0,
-                  progress: t.Callable[[str], None] | None = None) -> dict:
-    """Run the full tenancy study; see the module docstring."""
-    def report(message: str) -> None:
-        if progress is not None:
-            progress(message)
+                  quick: bool = False,
+                  progress: t.Callable[[str], None] = silent) -> dict:
+    """Run the full tenancy study; see the module docstring.
 
-    report("closed-loop saturation probe")
+    ``quick`` caps the serving window at 0.5 s — the default, so the
+    quick preset *is* the full study (it runs in seconds).
+    """
+    if quick:
+        duration_s = min(duration_s, 0.5)
+    progress("closed-loop saturation probe")
     runner: "BenchRunner" = serve_runner(TENANCY_SETUP, dataset)
     params = dict(SEARCH_PARAMS[TENANCY_SETUP])
     summaries, knee, saturation = saturation_probe(
         runner, params, threads=(2, 4, 8), repetitions=1)
     knee_p99 = summaries[knee].p99_latency_s
 
-    report("precompiling the degradation ladder")
+    progress("precompiling the degradation ladder")
     ladder = build_ladder(runner, params, factor=0.5, max_levels=3)
     spec = runner.device_spec
     priors = [plan_cost_prior(lvl.warm, spec) for lvl in ladder.levels]
@@ -249,15 +237,15 @@ def tenancy_study(dataset: str = "cohere-1m", n_tenants: int = 100,
 
     statics: dict[int, ServeResult] = {}
     for level in range(legal_max + 1):
-        report(f"static sweep: fleet-wide level {level}")
+        progress(f"static sweep: fleet-wide level {level}")
         statics[level] = Server(runner, config_for(level)).serve()
-        data["statics"][str(level)] = _row(statics[level])
+        data["statics"][str(level)] = serve_row(statics[level])
 
-    report("autopilot run (same offered load)")
+    progress("autopilot run (same offered load)")
     autopilot = AutopilotServer(runner, config_for(0), tenancy).serve()
     assert autopilot.tenancy is not None
     data["autopilot"] = dict(
-        _row(autopilot),
+        serve_row(autopilot),
         quota_rejected=autopilot.tenancy.quota_rejected,
         degrades=autopilot.tenancy.degrades,
         restores=autopilot.tenancy.restores,
@@ -273,7 +261,7 @@ def tenancy_study(dataset: str = "cohere-1m", n_tenants: int = 100,
         "best_static": _class_attainment(statics[legal_max], registry),
     }
 
-    report("disabled-autopilot bit-identity check")
+    progress("disabled-autopilot bit-identity check")
     disabled = serve_autopilot(
         runner, config_for(0),
         TenancyConfig(registry=registry, enabled=False))
@@ -298,3 +286,87 @@ def tenancy_study(dataset: str = "cohere-1m", n_tenants: int = 100,
     }
     data["verdicts"] = verdicts
     return data
+
+
+def render_tenancy_study(data: dict) -> str:
+    """Tables for the tenancy study (``repro tenancy``).
+
+    The degradation ladder, the static sweep vs the autopilot at the
+    same offered load, the control-plane ledger, and the per-class
+    SLO attainment split.
+    """
+    ladder_rows = [[rung["level"], rung["params"],
+                    fmt(rung["recall"], 4),
+                    fmt(rung["prior_cost_ms"], 3)]
+                   for rung in data["ladder"]]
+
+    def run_row(label: str, row: dict) -> list:
+        return [label, f"{row['attainment']:.1%}",
+                fmt(row["goodput_qps"], 0), fmt(row["qps"], 0),
+                fmt(row["p50_ms"], 1), fmt(row["p99_ms"], 1),
+                row["rejected"], row["shed"], fmt(row["recall"], 3)]
+
+    rows = [run_row(f"static L{level}", row)
+            for level, row in data["statics"].items()]
+    rows.append(run_row("autopilot", data["autopilot"]))
+    auto = data["autopilot"]
+    classes = data["classes"]
+    class_rows = [[name, f"{classes['autopilot'][name]:.1%}",
+                   f"{classes['best_static'][name]:.1%}"]
+                  for name in classes["autopilot"]]
+    legal = ", ".join(f"L{lv}" for lv in data["legal_static_levels"])
+    return "\n".join([
+        f"[{data['dataset']}] tenancy study, {data['n_tenants']} tenants, "
+        f"window={data['duration_s']}s",
+        f"offered {data['offered_qps']:.0f} qps against a saturation of "
+        f"{data['saturation_qps']:.0f} qps (knee "
+        f"{data['knee_concurrency']}); legal statics: {legal}",
+        "",
+        "precompiled degradation ladder:",
+        format_table(["level", "params", "recall@10", "prior cost ms"],
+                     ladder_rows),
+        "",
+        "same offered load, fleet-wide statics vs the autopilot:",
+        format_table(["config", "attainment", "goodput", "qps", "p50 ms",
+                      "p99 ms", "rejected", "shed", "recall@10"], rows),
+        "",
+        f"control plane: {auto['intervals']} intervals, "
+        f"{auto['degrades']} degrades / {auto['restores']} restores "
+        f"({auto['floor_capped']} capped at a recall floor), "
+        f"{auto['quota_rejected']} quota-rejected",
+        f"placement: {auto['promotions']} promotions, "
+        f"{auto['demotions']} demotions, "
+        f"{auto['hot_groups']} hot / {auto['cold_groups']} cold at end",
+        f"cost model: mean prediction error "
+        f"{auto['cost_error']:.1%} over completions",
+        "",
+        "per-class SLO attainment:",
+        format_table(["class", "autopilot", "best static"], class_rows),
+    ])
+
+
+STUDY = Study(
+    name="tenancy",
+    title="Multi-tenant SLO autopilot (beyond the paper)",
+    blurb="`repro.tenancy` wraps the serving layer in a per-tenant "
+          "control plane — cost-priced admission against token-bucket "
+          "quotas, a closed AIMD quality loop over a precompiled "
+          "degradation ladder, and hot/cold tiered placement streaming "
+          "migrations through the shared SSD (see "
+          "[docs/TENANCY.md](docs/TENANCY.md)).  The study offers a "
+          "100-tenant fleet (diurnal + bursty arrivals, "
+          "interactive/standard/batch classes with per-class SLOs and "
+          "recall floors) ~1.3x the saturation throughput of the best "
+          "*legal* fleet-wide static configuration, then compares the "
+          "autopilot against every legal static at the same offered "
+          "load.  The autopilot sinks batch tenants (zero recall floor) "
+          "to the deep ladder levels the fleet-wide statics cannot "
+          "legally use — interactive floors pin the legal statics at "
+          "L1 — and spends the freed capacity on the SLO-bearing "
+          "classes, so it wins *per class* as well as in aggregate "
+          "while every floor holds (note the aggregate recall@10 is "
+          "*lower* by design: it is completion-weighted over legally "
+          "degraded answers).",
+    run=tenancy_study,
+    render=render_tenancy_study,
+)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.study import studies
 
 
 def test_fio_command_runs(capsys):
@@ -59,16 +60,17 @@ def test_parser_lists_all_commands():
     parser = build_parser()
     text = parser.format_help()
     for command in ("fio", "table2", "tune", "sweep", "figure", "telemetry",
-                    "prefetch", "study", "prebuild"):
+                    "study", "prebuild",
+                    *(study.name for study in studies())):
         assert command in text
 
 
 def test_prefetch_command(capsys):
-    assert main(["prefetch", "-d", "openai-500k", "--beams", "1,2",
-                 "--search-list", "15", "--threads", "2"]) == 0
+    assert main(["prefetch", "-d", "openai-500k", "--quick"]) == 0
     out = capsys.readouterr().out
     assert "hotness+pf" in out and "lru" in out
     assert "pf hit" in out and "wasted" in out
+    assert "recall_identical_across_configs  HOLDS" in out
     # Recall is identical across the three configs of each beam row.
     recalls = {}
     for line in out.splitlines()[3:]:

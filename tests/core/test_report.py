@@ -100,19 +100,3 @@ def test_render_telemetry_prefetch_block():
     assert "prefetch hit rate" in text and "0.750" in text
     assert "wasted read ratio" in text
     assert "device_prefetch_requests" in text
-
-
-def test_render_prefetch_comparison():
-    from repro.core.report import render_prefetch_comparison
-
-    entry = {"qps": 1000.0, "p99_us": 2500.0, "recall": 0.99,
-             "per_query_kib": 40.0, "prefetch_hit_rate": 0.8,
-             "wasted_read_ratio": 0.05}
-    data = {"dataset": "cohere-1m", "search_list": 50,
-            "configs": ["lru", "hotness", "hotness+pf"],
-            "rows": {2: {"lru": entry, "hotness": entry,
-                         "hotness+pf": entry}}}
-    text = render_prefetch_comparison(data)
-    assert "cohere-1m" in text and "search_list=50" in text
-    assert "hotness+pf" in text
-    assert "0.80" in text and "0.990" in text

@@ -1,7 +1,5 @@
 """The checksummed segment store: save/load, versioning, scrub, repair."""
 
-import pickle
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,8 @@ from repro.data.synthetic import make_vectors
 from repro.durability import (MANIFEST_NAME, load_engine, read_manifest,
                               repair, save_engine, scrub)
 from repro.engines.engine import IndexSpec, VectorEngine
-from repro.errors import CorruptionError, RecoveryError
+from repro.errors import (CorruptionError, DurabilityError,
+                          RecoveryError)
 from repro.faults.crash import CorruptionPlan
 from repro.obs import RunTelemetry
 
@@ -80,21 +79,14 @@ class TestSaveLoad:
         with pytest.raises(RecoveryError):
             load_engine(tmp_path / "nope.db")
 
-    def test_legacy_pickle_snapshot_still_loads(self, engine, vectors,
-                                                tmp_path):
-        legacy = tmp_path / "legacy.db"
-        with open(legacy, "wb") as handle:
-            pickle.dump((engine.profile, engine.seed,
-                         engine._collections), handle)
-        recovered = VectorEngine.load(legacy)
-        assert_same_answers(engine, recovered, vectors)
-
-    def test_save_upgrades_legacy_file_in_place(self, engine, tmp_path):
-        legacy = tmp_path / "legacy.db"
-        legacy.write_bytes(b"old unchecksummed blob")
-        engine.save(legacy)
-        assert legacy.is_dir()
-        assert VectorEngine.load(legacy).list_collections() == ["docs"]
+    def test_save_onto_a_file_raises_and_keeps_it(self, engine, tmp_path):
+        blob = tmp_path / "engine.db"
+        blob.write_bytes(b"somebody's only copy")
+        with pytest.raises(DurabilityError, match="not a store directory"):
+            engine.save(blob)
+        assert blob.read_bytes() == b"somebody's only copy"
+        with pytest.raises(RecoveryError):
+            VectorEngine.load(blob)
 
     def test_empty_engine_roundtrips(self, tmp_path):
         engine = VectorEngine("qdrant", seed=3)

@@ -50,11 +50,6 @@ class TestIndexSpecShims:
         assert isinstance(spec.params, HNSWParams)
         assert spec.param_dict == {"M": 8, "ef_construction": 40}
 
-    def test_legacy_tuple_of_pairs_still_accepted(self):
-        spec = IndexSpec("hnsw", "cosine",
-                         (("M", 8), ("ef_construction", 40)))
-        assert spec.params == HNSWParams(M=8, ef_construction=40)
-
     def test_plain_dict_accepted(self):
         spec = IndexSpec("diskann", "cosine", {"R": 16})
         assert spec.params == DiskANNParams(R=16)
@@ -73,6 +68,8 @@ class TestIndexSpecShims:
     def test_coerce_rejects_garbage(self):
         with pytest.raises(EngineError, match="cannot interpret"):
             coerce_params("hnsw", 42)
+        with pytest.raises(EngineError, match="cannot interpret"):
+            coerce_params("hnsw", (("M", 8), ("ef_construction", 40)))
 
 
 class TestSearchRequest:

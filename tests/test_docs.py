@@ -117,3 +117,23 @@ def test_architecture_documents_every_package():
         if p.is_dir() and (p / "__init__.py").exists())
     missing = [p for p in packages if f"repro.{p}" not in text]
     assert not missing, f"ARCHITECTURE.md omits: {missing}"
+
+
+def test_readme_study_table_matches_registry():
+    """The README's study table is the registry, in registry order."""
+    from repro.core.study import studies
+    rows = re.findall(r"^\| `repro (\w+)` \| (.+) \|$",
+                      (REPO / "README.md").read_text(), re.MULTILINE)
+    assert rows == [(study.name, study.title) for study in studies()]
+
+
+def test_version_is_single_sourced():
+    """pyproject.toml takes its version from ``repro.__version__``."""
+    import repro
+    tomllib = pytest.importorskip("tomllib")     # stdlib from 3.11
+    project = tomllib.loads((REPO / "pyproject.toml").read_text())
+    assert "version" not in project["project"]
+    assert "version" in project["project"]["dynamic"]
+    attr = project["tool"]["setuptools"]["dynamic"]["version"]["attr"]
+    module, _, name = attr.rpartition(".")
+    assert getattr(__import__(module), name) == repro.__version__

@@ -13,18 +13,33 @@ Covers the three primitives the vectorized path is built from:
 * ``make_batch_kernel`` (fixed-width padded GEMM) vs a per-query loop,
 * ``ProductQuantizer.adc_tables`` + ``adc_distances_batch`` vs the
   per-query ``adc_table`` + ``adc_distances`` pair,
-* ``top_k_batch`` vs a row-wise ``top_k`` loop.
+* ``top_k_batch`` vs a row-wise ``top_k`` loop,
+
+and the two rewrites that are held to a reference implementation kept
+under ``tests/``: the Vamana build (rows/s, graphs compared edge by
+edge) and CRC-32C (MB/s, digests compared).  Those two sections exit
+non-zero on any *inequality*; no section fails on a speed.
 """
 
 from __future__ import annotations
 
 import argparse
+import pathlib
+import sys
 import time
 
 import numpy as np
 
 from repro.ann.distance import make_batch_kernel, top_k, top_k_batch
 from repro.ann.pq import ProductQuantizer
+from repro.ann.vamana import build_vamana
+from repro.data.synthetic import make_vectors
+from repro.durability.record import crc32c
+
+# The reference implementations live with the tests that use them.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
+from tests.ann import reference_vamana  # noqa: E402
+from tests.durability import reference_crc32c  # noqa: E402
 
 
 def best_of(fn, repeats: int = 3) -> float:
@@ -80,6 +95,43 @@ def bench_top_k(n: int, n_queries: int, k: int) -> None:
           f"({loop_s / batch_s:4.1f}x)")
 
 
+def timed(fn):
+    start = time.perf_counter()
+    result = fn()
+    return result, time.perf_counter() - start
+
+
+def bench_build(n: int, dim: int) -> bool:
+    """Vamana rows/s, current vs reference; True iff the graphs match."""
+    data = make_vectors(n, dim, n_clusters=max(16, int(n ** 0.5 / 2)),
+                        seed=4, latent_dim=32)
+    args = (data, "cosine", 32, 96, 1.3, 0)
+    built, build_s = timed(lambda: build_vamana(*args))
+    expected, reference_s = timed(
+        lambda: reference_vamana.build_vamana(*args))
+    same = built.medoid == expected.medoid and all(
+        got.dtype == want.dtype and np.array_equal(got, want)
+        for got, want in zip(built.neighbors, expected.neighbors))
+    print(f"  build    n={n} dim={dim}: reference "
+          f"{n / reference_s:7.0f} rows/s  current {n / build_s:7.0f} rows/s "
+          f"({reference_s / build_s:4.1f}x)  "
+          f"graph {'identical' if same else 'DIFFERS'}")
+    return same
+
+
+def bench_crc(n_bytes: int) -> bool:
+    """CRC-32C MB/s, current vs reference; True iff the digests match."""
+    data = np.random.default_rng(5).bytes(n_bytes)
+    digest, crc_s = timed(lambda: crc32c(data))
+    expected, reference_s = timed(lambda: reference_crc32c.crc32c(data))
+    same = digest == expected
+    print(f"  crc32c   {n_bytes / 1e6:.1f} MB: reference "
+          f"{n_bytes / reference_s / 1e6:6.1f} MB/s  current "
+          f"{n_bytes / crc_s / 1e6:6.1f} MB/s ({reference_s / crc_s:4.1f}x)  "
+          f"digest {'equal' if same else 'DIFFERS'}")
+    return same
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true")
@@ -90,7 +142,11 @@ def main() -> int:
     bench_gemm_kernel(n, 64, n_queries)
     bench_adc(n, 64, n_queries, m=16)
     bench_top_k(n, n_queries, k=10)
-    return 0
+    print("rewrites vs their reference implementations (single run):")
+    build_sizes = (300, 800) if args.quick else (800, 2_000)
+    equal = [bench_build(size, 96) for size in build_sizes]
+    equal.append(bench_crc(500_000 if args.quick else 5_000_000))
+    return 0 if all(equal) else 1
 
 
 if __name__ == "__main__":

@@ -169,8 +169,7 @@ class DiskANNIndex(VectorIndex):
             while queue and len(cached) < static_count:
                 node = queue.popleft()
                 cached.append(node)
-                for nid in self.graph.neighbors[node]:
-                    nid = int(nid)
+                for nid in self.graph.neighbors[node].tolist():
                     if nid not in seen:
                         seen.add(nid)
                         queue.append(nid)

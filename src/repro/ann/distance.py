@@ -93,6 +93,22 @@ def prepare_query(query: np.ndarray, metric: str) -> np.ndarray:
     return normalize(query) if metric == "cosine" else query
 
 
+def _padded_gemm(Xs: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """``(B, n)`` inner products of *Q* rows with *Xs* rows.
+
+    Runs as zero-padded fixed-width ``(n, dim) @ (dim, _BATCH_W)``
+    blocks, so an entry's bits depend only on its two vectors.
+    """
+    n_queries, dim = Q.shape
+    out = np.empty((n_queries, Xs.shape[0]), dtype=np.float32)
+    for start in range(0, n_queries, _BATCH_W):
+        stop = min(start + _BATCH_W, n_queries)
+        padded = np.zeros((dim, _BATCH_W), dtype=np.float32)
+        padded[:, :stop - start] = Q[start:stop].T
+        out[start:stop] = (Xs @ padded)[:, :stop - start].T
+    return out
+
+
 def make_kernel(X: np.ndarray, internal_metric: str):
     """A fast closure ``kernel(query, ids) -> dists`` over rows of *X*.
 
@@ -109,10 +125,30 @@ def make_kernel(X: np.ndarray, internal_metric: str):
     are what keeps a sharded index's distances identical to the
     single-node index's for identical rows, which the cluster layer's
     (distance, id) merge relies on (see :mod:`repro.cluster.merge`).
+
+    One caveat: numpy hands a product with a *single* gathered row to
+    BLAS ``gemv`` instead of ``gemm``, and the two sum in different
+    orders, so ``kernel(q, [j])`` and ``kernel(q, [i, j])`` may
+    disagree in the last ulp about row ``j``.  Each value is still a
+    function of the two vectors alone.
+
+    The GEMM-backed kernels (``ip``, ``l2n``) also take a ``(B, dim)``
+    block of prepared vectors as *query*; the result is then
+    ``(B, n_ids)`` and its row ``b`` is bit-identical to
+    ``kernel(query[b], ids)``.  They advertise it as
+    ``kernel.block_width = _BATCH_W``, the number of queries one call
+    scores at no extra cost (the padded GEMM is that wide whether one
+    column is used or all).  The ``l2`` kernel's ``diff`` formula pays
+    for every query and has no block form; :func:`make_batch_kernel`'s
+    norm expansion rounds differently, so it is no substitute.  Vamana
+    construction leans on the blocks to reproduce, in bulk, the bits
+    its one-query calls would produce.
     """
     dim = X.shape[1]
 
     def matvec(Xs: np.ndarray, query: np.ndarray) -> np.ndarray:
+        if query.ndim == 2:
+            return _padded_gemm(Xs, query)
         padded = np.zeros((dim, _BATCH_W), dtype=np.float32)
         padded[:, 0] = query
         return (Xs @ padded)[:, 0]
@@ -120,10 +156,12 @@ def make_kernel(X: np.ndarray, internal_metric: str):
     if internal_metric == "ip":
         def kernel(query: np.ndarray, ids) -> np.ndarray:
             return -matvec(X[ids], query)
+        kernel.block_width = _BATCH_W
         return kernel
     if internal_metric == "l2n":
         def kernel(query: np.ndarray, ids) -> np.ndarray:
             return 2.0 - 2.0 * matvec(X[ids], query)
+        kernel.block_width = _BATCH_W
         return kernel
     if internal_metric == "l2":
         def kernel(query: np.ndarray, ids) -> np.ndarray:
@@ -131,6 +169,55 @@ def make_kernel(X: np.ndarray, internal_metric: str):
             return np.einsum("ij,ij->i", diff, diff)
         return kernel
     raise AnnIndexError(f"no kernel for metric {internal_metric!r}")
+
+
+def make_row_kernels(X: np.ndarray, internal_metric: str):
+    """Kernels whose query is itself a row of *X*, a block at a time.
+
+    Returns ``bind(rows) -> [score, ...]``, one closure per row, where
+    ``score(ids)`` takes a list of ints and returns, as Python floats,
+    exactly ``make_kernel(X, internal_metric)(X[row], ids).tolist()`` —
+    bit for bit and for every ``len(ids)``.  Graph construction asks
+    for thousands of small gathers per inserted row; this serves them
+    at the price of a lookup.
+
+    For ``l2n``, where a block of queries is free, one call scores the
+    rows against all of *X* and ``score`` reads the result; a one-id
+    gather, whose product BLAS routes (and rounds) differently, is
+    still issued for real, against a query padded once per row.
+    Scratch is ``len(rows) * n`` float32.  The ``l2`` kernel pays per
+    element, so scoring all of *X* would cost more than the gathers it
+    saves: its ``score`` gathers.
+    """
+    kernel = make_kernel(X, internal_metric)
+    if internal_metric == "l2":
+        return lambda rows: [
+            lambda ids, query=X[row]: kernel(query, ids).tolist()
+            for row in rows]
+    if internal_metric != "l2n":
+        raise AnnIndexError(
+            f"no row kernels for metric {internal_metric!r}")
+    dim = X.shape[1]
+    two = np.float32(2.0)   # the array kernel's float32 arithmetic
+
+    def bind_row(query: np.ndarray, dense: memoryview):
+        padded = np.zeros((dim, _BATCH_W), dtype=np.float32)
+        padded[:, 0] = query
+
+        def score(ids: list[int]) -> list[float]:
+            if len(ids) == 1:
+                j = ids[0]
+                return [float(two - two * (X[j:j + 1] @ padded)[0, 0])]
+            # A memoryview hands out Python floats one entry at a time:
+            # no O(n) conversion per row.
+            return [dense[j] for j in ids]
+        return score
+
+    def bind(rows: np.ndarray):
+        dense = kernel(X[rows], slice(None))
+        return [bind_row(X[row], memoryview(dense[b]))
+                for b, row in enumerate(rows)]
+    return bind
 
 
 def top_k(dists: np.ndarray, k: int) -> np.ndarray:
@@ -215,26 +302,13 @@ def make_batch_kernel(X: np.ndarray, internal_metric: str,
     For ``l2``, *x_sq* may pass in the precomputed row norms
     ``einsum("ij,ij->i", X, X)`` to avoid recomputing them per call.
     """
-    dim = X.shape[1]
-
-    def gemm(Xs: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        """(B, n) inner products via zero-padded fixed-width blocks."""
-        n_queries = Q.shape[0]
-        out = np.empty((n_queries, Xs.shape[0]), dtype=np.float32)
-        for start in range(0, n_queries, _BATCH_W):
-            stop = min(start + _BATCH_W, n_queries)
-            padded = np.zeros((dim, _BATCH_W), dtype=np.float32)
-            padded[:, :stop - start] = Q[start:stop].T
-            out[start:stop] = (Xs @ padded)[:, :stop - start].T
-        return out
-
     if internal_metric == "ip":
         def kernel(Q: np.ndarray, ids) -> np.ndarray:
-            return -gemm(X[ids], Q)
+            return -_padded_gemm(X[ids], Q)
         return kernel
     if internal_metric == "l2n":
         def kernel(Q: np.ndarray, ids) -> np.ndarray:
-            return 2.0 - 2.0 * gemm(X[ids], Q)
+            return 2.0 - 2.0 * _padded_gemm(X[ids], Q)
         return kernel
     if internal_metric == "l2":
         if x_sq is None:
@@ -242,7 +316,7 @@ def make_batch_kernel(X: np.ndarray, internal_metric: str,
 
         def kernel(Q: np.ndarray, ids) -> np.ndarray:
             out = x_sq[ids][None, :] + np.einsum(
-                "ij,ij->i", Q, Q)[:, None] - 2.0 * gemm(X[ids], Q)
+                "ij,ij->i", Q, Q)[:, None] - 2.0 * _padded_gemm(X[ids], Q)
             np.maximum(out, 0.0, out=out)
             return out
         return kernel

@@ -39,8 +39,11 @@ True
 
 from __future__ import annotations
 
+import functools
 import struct
 import typing as t
+
+import numpy as np
 
 from repro.errors import CorruptionError
 
@@ -68,14 +71,56 @@ def _make_table() -> list[int]:
 _TABLE = _make_table()
 
 
+#: Bytes folded per vectorised step, and input bytes gathered at a time
+#: (the gather's scratch is ~12x the slice, so ~0.8 MiB).
+_BLOCK = 1024
+_SLICE = 64 * _BLOCK
+
+
+@functools.cache
+def _fold_tables() -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
+    """The tables that fold a whole ``_BLOCK`` into the register at once.
+
+    CRC is linear over GF(2), so the register a block leaves behind is
+    the XOR of what each byte alone would leave: ``table[i, v]`` for
+    byte *v* at offset *i* of an otherwise-zero block (1 MiB, built on
+    first use) — one gather and one reduction instead of a byte loop.
+    Returned flat, with each offset's base index, plus rows 0-3 as
+    lists: a register carried past ``_BLOCK`` zero bytes is the XOR of
+    its own four bytes' entries.
+    """
+    step = np.array(_TABLE, dtype=np.uint32)
+    table = np.empty((_BLOCK, 256), dtype=np.uint32)
+    table[-1] = step
+    for offset in range(_BLOCK - 2, -1, -1):      # one more zero byte
+        table[offset] = (table[offset + 1] >> 8) ^ step[
+            table[offset + 1] & 0xFF]
+    bases = np.arange(_BLOCK, dtype=np.intp) * 256
+    return table.reshape(-1), bases, table[:4].tolist()
+
+
 def crc32c(data: bytes, crc: int = 0) -> int:
-    """CRC-32C (Castagnoli) of *data*.
+    """CRC-32C (Castagnoli) of *data*; *crc* chains a previous call.
 
     >>> hex(crc32c(b"123456789"))   # the standard check value
     '0xe3069283'
+    >>> crc32c(b"6789", crc32c(b"12345")) == crc32c(b"123456789")
+    True
     """
     crc ^= 0xFFFFFFFF
-    for byte in data:
+    whole = len(data) - len(data) % _BLOCK
+    if whole:
+        table, bases, (adv0, adv1, adv2, adv3) = _fold_tables()
+        for start in range(0, whole, _SLICE):
+            blocks = np.frombuffer(
+                data, dtype=np.uint8, offset=start,
+                count=min(_SLICE, whole - start)).reshape(-1, _BLOCK)
+            folded = np.bitwise_xor.reduce(table[blocks + bases], axis=1)
+            for block_crc in folded.tolist():
+                crc = (adv0[crc & 0xFF] ^ adv1[(crc >> 8) & 0xFF]
+                       ^ adv2[(crc >> 16) & 0xFF] ^ adv3[crc >> 24]
+                       ^ block_crc)
+    for byte in memoryview(data)[whole:]:
         crc = (crc >> 8) ^ _TABLE[(crc ^ byte) & 0xFF]
     return crc ^ 0xFFFFFFFF
 

@@ -278,6 +278,10 @@ class Collection:
         if payloads is not None and len(payloads) != len(vectors):
             raise EngineError(
                 f"{len(payloads)} payloads for {len(vectors)} vectors")
+        if not np.isfinite(vectors).all():
+            bad = int(np.isfinite(vectors).all(axis=1).argmin())
+            raise EngineError(
+                f"{self.name}: row {bad} of the insert holds NaN or inf")
         ids = np.empty(len(vectors), dtype=np.int64)
         for i, vector in enumerate(vectors):
             row_id = self._next_row_id

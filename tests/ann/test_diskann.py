@@ -68,6 +68,33 @@ class TestVamana:
         with pytest.raises(AnnIndexError):
             build_vamana(small_data, "l2", alpha=0.5)
 
+    @pytest.mark.parametrize("params", [{"R": 0}, {"R": -3},
+                                        {"L_build": 0}])
+    def test_degenerate_build_params_rejected(self, small_data, params):
+        with pytest.raises(AnnIndexError, match="R >= 1 and L_build >= 1"):
+            build_vamana(small_data, "cosine", **params)
+        with pytest.raises(AnnIndexError, match="R >= 1 and L_build >= 1"):
+            DiskANNIndex(metric="cosine", **params).build(small_data)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_rejected_naming_the_first(self, small_data,
+                                                       bad):
+        data = small_data.copy()
+        data[40, 2] = data[300, 0] = bad
+        with pytest.raises(AnnIndexError, match="row 40 "):
+            build_vamana(data, "cosine", R=8)
+
+    def test_high_degree_nodes_rank_by_in_plus_out_degree(self, graph):
+        degree = np.zeros(graph.n, dtype=np.int64)
+        for node, nbrs in enumerate(graph.neighbors):
+            degree[node] += len(nbrs)
+            degree[nbrs] += 1
+        expected = np.lexsort((np.arange(graph.n), -degree))
+        for count in (0, 1, 7, graph.n, graph.n + 5):
+            got = graph.high_degree_nodes(count)
+            assert got == [int(nid) for nid in expected[:count]]
+            assert all(type(nid) is int for nid in got)
+
 
 class TestDiskLayout:
     def test_768d_node_fits_one_sector(self):

@@ -1,5 +1,7 @@
 """Structural invariants of the graph indexes (HNSW, Vamana, DiskANN)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -55,10 +57,29 @@ class TestHNSWInvariants:
         assert len(seen) >= 0.98 * len(data)
 
 
+#: sha256 over (medoid, then per node: degree, neighbour ids) of the
+#: ``TestVamanaInvariants`` fixture graph, as built by the seed.
+PINNED = "e715d9a9684b6e978dbc6cf407e2455af30057290c68dd44386f95e21f7ea749"
+
+
 class TestVamanaInvariants:
     @pytest.fixture(scope="class")
     def graph(self, data):
         return build_vamana(data, "cosine", R=10, L_build=20, seed=1)
+
+    def test_adjacency_is_pinned(self, graph):
+        """The exact graph, so a drift fails here without the oracle.
+
+        (``tests/ann/test_vamana_identity.py`` compares against the
+        seed implementation; this digest is of what that produced.)
+        """
+        digest = hashlib.sha256()
+        digest.update(np.int64(graph.medoid).tobytes())
+        for nbrs in graph.neighbors:
+            assert nbrs.dtype == np.int64
+            digest.update(np.int64(len(nbrs)).tobytes())
+            digest.update(nbrs.tobytes())
+        assert digest.hexdigest() == PINNED
 
     def test_out_degree_bounded(self, graph):
         assert all(len(nbrs) <= 10 for nbrs in graph.neighbors)

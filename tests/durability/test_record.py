@@ -1,10 +1,14 @@
 """Record framing: CRC32C, frame round-trips, damage classification."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.durability.record import (MAGIC, crc32c, frame, frame_all,
-                                     read_frames, scan_frames)
+from repro.durability.record import (_BLOCK, _SLICE, MAGIC, crc32c, frame,
+                                     frame_all, read_frames, scan_frames)
 from repro.errors import CorruptionError
+from tests.durability.reference_crc32c import crc32c as byte_loop_crc32c
 
 
 class TestCrc32c:
@@ -18,6 +22,30 @@ class TestCrc32c:
     def test_incremental_matches_whole(self):
         whole = crc32c(b"hello world")
         assert crc32c(b"world", crc32c(b"hello ")) == whole
+
+
+    @pytest.mark.parametrize("length", [
+        0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 5 * _BLOCK + 7,
+        _SLICE, _SLICE + _BLOCK + 3, 1 << 20])
+    def test_matches_the_byte_loop_at_block_edges(self, length):
+        data = np.random.default_rng(length).bytes(length)
+        expected = byte_loop_crc32c(data)
+        assert crc32c(data) == expected
+        assert crc32c(bytearray(data)) == expected
+        assert crc32c(memoryview(data)) == expected
+
+    @given(data=st.binary(max_size=3 * _BLOCK),
+           cuts=st.lists(st.integers(0, 3 * _BLOCK), max_size=4),
+           start=st.integers(0, 0xFFFFFFFF))
+    @settings(max_examples=60, deadline=None)
+    def test_chained_calls_match_the_byte_loop(self, data, cuts, start):
+        expected = byte_loop_crc32c(data, start)
+        assert crc32c(data, start) == expected
+        crc = start
+        edges = [0, *sorted(min(cut, len(data)) for cut in cuts), len(data)]
+        for lo, hi in zip(edges, edges[1:]):
+            crc = crc32c(data[lo:hi], crc)
+        assert crc == expected
 
 
 class TestFraming:

@@ -11,6 +11,7 @@ from repro.errors import (CorruptionError, DurabilityError,
                           RecoveryError)
 from repro.faults.crash import CorruptionPlan
 from repro.obs import RunTelemetry
+from tests.durability.reference_crc32c import crc32c as byte_loop_crc32c
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +108,31 @@ class TestSaveLoad:
         assert counters["durability_loads"] == 1
         # 40 inserts + 2 post-flush deletes replayed past the checkpoint.
         assert counters["durability_wal_replayed"] == 42
+
+
+class TestCrcCompatibility:
+    """The vectorised CRC-32C is a speed-up, not a format change."""
+
+    @pytest.mark.parametrize("seed_side", ["writer", "reader"])
+    def test_stores_cross_between_the_seed_crc_and_this_one(
+            self, engine, vectors, tmp_path, monkeypatch, seed_side):
+        import repro.durability.record
+        import repro.durability.store
+
+        def use_byte_loop():
+            for module in (repro.durability.record, repro.durability.store):
+                monkeypatch.setattr(module, "crc32c", byte_loop_crc32c)
+
+        root = tmp_path / "engine.db"
+        if seed_side == "writer":
+            use_byte_loop()
+        engine.save(root)
+        monkeypatch.undo()
+        if seed_side == "reader":
+            use_byte_loop()
+        report = scrub(root)
+        assert report.ok and report.records_checked > 1
+        assert_same_answers(engine, VectorEngine.load(root), vectors)
 
 
 class TestScrubAndRepair:

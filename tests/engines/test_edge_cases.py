@@ -56,6 +56,17 @@ def test_1d_vector_insert_reshapes(flat_engine, small_data):
     assert ids.tolist() == [0]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_insert_is_rejected_naming_the_row(flat_engine,
+                                                      small_data, bad):
+    vectors = small_data[:8].copy()
+    vectors[5, 3] = bad
+    with pytest.raises(EngineError, match="row 5"):
+        flat_engine.insert("e", vectors)
+    # Nothing of the refused batch was logged or buffered.
+    assert flat_engine.collection("e").num_rows == 0
+
+
 def test_collection_seed_isolation(small_data):
     """Two engines building the same data produce identical indexes."""
     results = []

@@ -45,6 +45,17 @@ def test_filtered_search(session, small_queries):
     assert all(payloads.get(int(i))["lang"] == "de" for i in result.ids)
 
 
+def test_insert_rejects_non_finite_vectors(small_data):
+    from repro.errors import EngineError
+    session = open_engine("milvus")
+    session.create("docs", small_data.shape[1], index="diskann",
+                   metric="cosine")
+    vectors = small_data[:64].copy()
+    vectors[17, 0] = np.nan
+    with pytest.raises(EngineError, match="row 17"):
+        session.insert("docs", vectors, flush=True)
+
+
 def test_create_accepts_ready_spec(small_data):
     session = open_engine("milvus")
     session.create("c", small_data.shape[1],

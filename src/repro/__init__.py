@@ -13,13 +13,14 @@ Subpackages
 - ``repro.serve``    — open-loop serving: admission control, batching,
   load shedding, SLO/goodput accounting (beyond the paper);
 - ``repro.trace``    — block-trace analysis (bandwidth, request sizes);
-- ``repro.faults``   — fault injection + resilience (beyond the paper);
+- ``repro.faults``   — fault injection + resilience, and the cluster
+  fault model :class:`ChaosSchedule` (beyond the paper);
 - ``repro.cluster``  — sharding, replication, scatter-gather top-k over
   simulated nodes, behind the same :class:`Deployment` facade;
 - ``repro.mutate``   — streaming mutability: snapshot + delta log +
   tombstones + background compaction (beyond the paper);
-- ``repro.chaos``    — composed fault schedules, a self-healing
-  supervisor, invariant oracles, schedule shrinking (beyond the paper);
+- ``repro.chaos``    — the chaos harness: a self-healing supervisor,
+  invariant oracles, schedule shrinking (beyond the paper);
 - ``repro.tenancy``  — multi-tenant SLO autopilot: cost-priced quotas,
   closed-loop quality control, tiered placement (beyond the paper);
 - ``repro.core``     — the study: figures, observation checks, reports.
@@ -42,7 +43,7 @@ from repro.serve import ServeConfig, ServeResult, Tenant, TenantLoad
 from repro.tenancy import TenancyConfig, TenantProfile, TenantRegistry
 from repro.workload.setup import make_runner
 
-__version__ = "1.12.0"
+__version__ = "1.13.0"
 
 __all__ = [
     "ChaosRunResult",

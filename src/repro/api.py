@@ -37,10 +37,10 @@ from repro.workload.runner import BenchRunner, WriteLoad
 
 if t.TYPE_CHECKING:
     from repro.ann.workprofile import SearchResult
-    from repro.chaos import ChaosRunResult, ChaosSchedule, Supervisor
+    from repro.chaos import ChaosRunResult, Supervisor
     from repro.cluster import Cluster, ClusterBenchRunner, ClusterTopology
     from repro.cluster.cluster import ShardedCollection
-    from repro.faults import FaultPlan, NodeFaultPlan, ResiliencePolicy
+    from repro.faults import ChaosSchedule, FaultPlan, ResiliencePolicy
     from repro.mutate import MutationLoad
     from repro.serve import ServeConfig, ServeResult
     from repro.tenancy import TenancyConfig
@@ -582,7 +582,7 @@ class ClusterSession:
                   search_params: dict[str, t.Any] | None = None,
                   duration_s: float = 4.0,
                   telemetry: RunTelemetry | bool | None = None,
-                  node_faults: "NodeFaultPlan | None" = None,
+                  chaos: "ChaosSchedule | None" = None,
                   consistency: str = "one",
                   hedge_after_s: float | None = None,
                   deadline_s: float | None = None,
@@ -590,7 +590,7 @@ class ClusterSession:
         """One measured closed-loop run against the whole cluster.
 
         The cluster counterpart of :meth:`Session.run_bench`; the extra
-        knobs attach node-kill windows, the consistency level, hedged
+        knobs attach the fault schedule, the consistency level, hedged
         cross-node requests, and the partial-result deadline (see
         :meth:`repro.cluster.ClusterBenchRunner.run`).
         """
@@ -599,7 +599,7 @@ class ClusterSession:
                                    paper_n=paper_n)
         return runner.run(concurrency, search_params=search_params,
                           duration_s=duration_s, telemetry=telemetry,
-                          node_faults=node_faults, consistency=consistency,
+                          chaos=chaos, consistency=consistency,
                           hedge_after_s=hedge_after_s,
                           deadline_s=deadline_s)
 

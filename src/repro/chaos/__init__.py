@@ -3,12 +3,13 @@
 ``repro.chaos`` turns the repo's individual fault planes into one
 adversarial harness against a live serving cluster:
 
-* :mod:`~repro.chaos.schedule` — :class:`ChaosSchedule` composes every
-  plane (node kills, network partitions, gray failures, per-node SSD
-  fault windows, a write-path crash) into one seeded, immutable value
-  that flattens into atomic elements for the shrinker;
+* :class:`ChaosSchedule` (:mod:`repro.faults.schedule`, re-exported
+  here) holds every plane (node kills, network partitions, gray
+  failures, per-node SSD fault windows, a write-path crash) as one
+  seeded, immutable value that tags into atomic elements for the
+  shrinker;
 * :mod:`~repro.chaos.runner` — :func:`run_chaos` injects a schedule
-  into an open- or closed-loop serving cluster with streaming
+  into an open-loop serving cluster with streaming
   mutation and the supervisor on the same deterministic clock;
 * :mod:`~repro.chaos.supervisor` — :class:`Supervisor` health-probes
   the cluster through the chaos-aware network path, detects failed
@@ -33,10 +34,10 @@ from repro.chaos.oracles import (OracleReport, check_attribution,
                                  engine_fingerprint, summarize)
 from repro.chaos.runner import (ChaosRunResult, run_chaos,
                                 start_cluster_mutation)
-from repro.chaos.schedule import ChaosElement, ChaosSchedule
 from repro.chaos.shrink import shrink_elements, shrink_schedule
 from repro.chaos.supervisor import (RecoveryEvent, Supervisor,
                                     SupervisorConfig)
+from repro.faults.schedule import ChaosElement, ChaosSchedule
 
 __all__ = [
     "ChaosElement",

@@ -3,11 +3,11 @@
 :func:`run_chaos` is the experiment kernel the chaos study and the
 ``repro chaos`` CLI drive.  One call takes a freshly built
 :class:`~repro.cluster.runner.ClusterBenchRunner`, opens a replay
-session with every fault plane of a :class:`~repro.chaos.schedule.
-ChaosSchedule` armed (node kills, partitions, gray failures, per-node
-SSD faults), starts the :class:`~repro.chaos.supervisor.Supervisor`
-and an optional streaming-mutation load on the same clock, then serves
-the configured open- or closed-loop workload through the standard
+session with a :class:`~repro.faults.ChaosSchedule` armed (node kills,
+partitions, gray failures, per-node SSD faults), starts the
+:class:`~repro.chaos.supervisor.Supervisor` and an optional
+streaming-mutation load on the same clock, then serves the configured
+open-loop workload through the standard
 :class:`repro.serve.Server` — faults, recovery, mutation, and serving
 all contend on one deterministic timeline.  Afterwards it runs the
 in-run half of the invariant-oracle battery (query conservation,
@@ -37,9 +37,9 @@ import typing as t
 from repro.chaos.oracles import (OracleReport, check_attribution,
                                  check_conservation, check_recall_floor,
                                  check_replica_consistency, summarize)
-from repro.chaos.schedule import ChaosSchedule
 from repro.chaos.supervisor import Supervisor, SupervisorConfig
 from repro.errors import WorkloadError
+from repro.faults.schedule import ChaosSchedule
 from repro.mutate.simproc import start_mutation_load
 from repro.obs import RunTelemetry
 from repro.serve.server import Server
@@ -156,15 +156,13 @@ def run_chaos(runner: "ClusterBenchRunner", config: "ServeConfig",
         raise WorkloadError(
             "run_chaos drives mutation per shard; pass it as the "
             "mutation= keyword, not via ServeConfig.mutation")
-    sched = schedule if schedule is not None else ChaosSchedule()
     telem = (RunTelemetry() if telemetry is True
              else (telemetry or None))
     session = runner.open_replay(
-        config.search_params, telemetry=telem,
-        node_faults=sched.node_faults, partitions=sched.partitions,
-        grays=sched.grays, device_faults=sched.device_plans(),
+        config.search_params, telemetry=telem, chaos=schedule,
         consistency=consistency, hedge_after_s=hedge_after_s,
         deadline_s=deadline_s, resilience=resilience)
+    sched = session.chaos
     sup = (supervisor if supervisor is not None
            else Supervisor(SupervisorConfig(enabled=False)))
     if sup.telemetry is None:

@@ -1,6 +1,6 @@
 """Delta-debugging shrinker: minimize a violating chaos schedule.
 
-Given a :class:`~repro.chaos.schedule.ChaosSchedule` whose run violates
+Given a :class:`~repro.faults.ChaosSchedule` whose run violates
 an invariant, :func:`shrink_schedule` searches for a *minimal* fault
 subset that still violates it, using Zeller's classic ddmin algorithm
 over the schedule's flattened elements: repeatedly try removing chunks
@@ -11,20 +11,19 @@ disappear — which turns a noisy composed schedule ("kill + partition +
 gray + device faults, somewhere in there") into the one or two faults
 that actually matter.
 
-Determinism carries through: sub-schedules keep their planes' seeds
-(:meth:`~repro.chaos.schedule.ChaosSchedule.with_elements`), and the
+Determinism carries through: sub-schedules keep the schedule's seed
+(:meth:`~repro.faults.ChaosSchedule.with_elements`), and the
 violation predicate re-runs the same deterministic harness, so the
 shrink is reproducible and the reported reproducer really does violate
 the invariant when replayed.
 
 Example (shrinking over a toy predicate that needs element 3)::
 
-    >>> from repro.chaos.schedule import ChaosSchedule
-    >>> from repro.faults import NodeFaultPlan, NodeKill
-    >>> kills = [NodeKill(n, 0.0, 1.0) for n in range(4)]
-    >>> sched = ChaosSchedule(node_faults=NodeFaultPlan.of(*kills))
+    >>> from repro.faults import ChaosSchedule, NodeKill
+    >>> sched = ChaosSchedule(
+    ...     kills=[NodeKill(n, 0.0, 1.0) for n in range(4)])
     >>> def violates(sub):
-    ...     return any(k.node == 3 for k in sub.node_faults.kills)
+    ...     return any(k.node == 3 for k in sub.kills)
     >>> minimal, probes = shrink_schedule(sched, violates)
     >>> [(tag, e.node) for tag, e in minimal.elements()]
     [('kill', 3)]
@@ -36,8 +35,8 @@ from __future__ import annotations
 
 import typing as t
 
-from repro.chaos.schedule import ChaosElement, ChaosSchedule
 from repro.errors import WorkloadError
+from repro.faults.schedule import ChaosElement, ChaosSchedule
 
 
 def _chunks(elements: list, n: int) -> list[list]:

@@ -1,7 +1,7 @@
 """The chaos study: composed faults, self-healing, and the oracles.
 
 The ``repro chaos`` command injects a composed
-:class:`~repro.chaos.schedule.ChaosSchedule` — node kills, a network
+:class:`~repro.faults.ChaosSchedule` — node kills, a network
 partition, a gray failure, SSD fault windows, and a write-path crash —
 into a replicated serving cluster (2 shards x 2 replicas + 2 spares)
 under open-loop arrivals and a streaming mutation load, and audits
@@ -53,7 +53,6 @@ import numpy as np
 from repro.chaos.oracles import (check_convergence, check_crash_state,
                                  cluster_fingerprint, engine_fingerprint)
 from repro.chaos.runner import ChaosRunResult, run_chaos
-from repro.chaos.schedule import ChaosSchedule
 from repro.chaos.shrink import shrink_schedule
 from repro.chaos.supervisor import Supervisor, SupervisorConfig
 from repro.cluster.cluster import Cluster
@@ -66,11 +65,12 @@ from repro.durability import load_engine, repair, save_engine, scrub
 from repro.engines.engine import IndexSpec
 from repro.errors import FaultError, InjectedCrash
 from repro.faults.crash import CrashInjector, CrashPlan
-from repro.faults.gray import GrayFailure, GrayPlan
-from repro.faults.nodes import NodeFaultPlan, NodeKill
-from repro.faults.partition import PartitionPlan, PartitionWindow
+from repro.faults.gray import GrayFailure
+from repro.faults.nodes import NodeKill
+from repro.faults.partition import PartitionWindow
 from repro.faults.plan import LatencySpike, ReadError
 from repro.faults.resilience import ResiliencePolicy
+from repro.faults.schedule import ChaosSchedule
 from repro.mutate import MutationLoad
 from repro.serve.arrivals import PoissonArrivals
 from repro.serve.server import ServeConfig, Server, TenantLoad
@@ -96,13 +96,10 @@ def _demo_schedule(duration_s: float) -> ChaosSchedule:
     """
     d = duration_s
     return ChaosSchedule(
-        node_faults=NodeFaultPlan.of(
-            NodeKill(0, 0.30 * d, 1.05 * d),
-            NodeKill(2, 0.45 * d, 0.70 * d)),
-        partitions=PartitionPlan.of(
-            PartitionWindow((1, 3), 0.55 * d, 0.70 * d)),
-        grays=GrayPlan.of(
-            GrayFailure(1, 0.05 * d, 0.20 * d, slowdown=16.0)),
+        kills=(NodeKill(0, 0.30 * d, 1.05 * d),
+               NodeKill(2, 0.45 * d, 0.70 * d)),
+        partitions=(PartitionWindow((1, 3), 0.55 * d, 0.70 * d),),
+        grays=(GrayFailure(1, 0.05 * d, 0.20 * d, slowdown=16.0),),
         device_faults=(
             (2, LatencySpike(0.10 * d, 0.30 * d, extra_s=0.0005)),
             (2, ReadError(0.10 * d, 0.30 * d, probability=0.02,
@@ -304,9 +301,9 @@ def chaos_study(dataset: str = "cohere-1m", index: str = "diskann",
     mini_queries = rng.standard_normal((12, 16), dtype=np.float32)
     culprit = NodeKill(0, 0.005, 0.05)
     noisy = ChaosSchedule(
-        node_faults=NodeFaultPlan.of(culprit, NodeKill(0, 0.2, 0.25)),
-        partitions=PartitionPlan.of(PartitionWindow((0,), 0.5, 0.6)),
-        grays=GrayPlan.of(GrayFailure(0, 0.0, 0.01, slowdown=2.0)),
+        kills=(culprit, NodeKill(0, 0.2, 0.25)),
+        partitions=(PartitionWindow((0,), 0.5, 0.6),),
+        grays=(GrayFailure(0, 0.0, 0.01, slowdown=2.0),),
         device_faults=((0, LatencySpike(0.0, 0.01, extra_s=0.0002)),))
 
     def violates(sub: ChaosSchedule) -> bool:
@@ -317,11 +314,7 @@ def chaos_study(dataset: str = "cohere-1m", index: str = "diskann",
         cluster.flush("mini")
         mini = ClusterBenchRunner(cluster, "mini", mini_queries, k=5)
         try:
-            result = mini.run(2, {}, duration_s=0.03,
-                              node_faults=sub.node_faults,
-                              partitions=sub.partitions,
-                              grays=sub.grays,
-                              device_faults=sub.device_plans())
+            result = mini.run(2, {}, duration_s=0.03, chaos=sub)
         except FaultError:
             return True
         return (result.faults or {}).get("failed_queries", 0) > 0

@@ -15,7 +15,7 @@ recovered:
    :meth:`repro.cluster.cluster.Cluster.move_replica` — the spare
    replays the shard's full op log, so the rebuilt replica is
    bit-identical to the survivors;
-3. **scrub** — optionally save the rebuilt replica's engine through
+3. **scrub** — save the rebuilt replica's engine through
    :mod:`repro.durability` and run ``scrub()`` over it, proving the
    rebuilt state is free of corruption before it takes reads;
 4. **return to rotation** — the routing cutover makes the spare a live
@@ -47,7 +47,7 @@ if t.TYPE_CHECKING:
 
 @dataclasses.dataclass(frozen=True)
 class SupervisorConfig:
-    """Supervision knobs: probe cadence, failure threshold, scrubbing.
+    """Supervision knobs: probe cadence and failure threshold.
 
     The defaults suit the chaos study's sub-second runs: probing every
     4 ms with a 0.8 ms reply timeout detects a dead or partitioned
@@ -60,8 +60,6 @@ class SupervisorConfig:
     probe_timeout_s: float = 0.0008
     #: Consecutive probe misses before a node is declared failed.
     fail_after: int = 2
-    #: Scrub rebuilt replicas with repro.durability before rotation.
-    scrub: bool = True
     #: A disabled supervisor is inert: no probes, no processes.
     enabled: bool = True
 
@@ -82,7 +80,7 @@ class RecoveryEvent:
     spare: int         # the node the replica was rebuilt on
     detected_s: float  # when the supervisor declared the failure
     restored_s: float  # when the rebuilt replica entered rotation
-    scrub_ok: bool | None = None
+    scrub_ok: bool     # the rebuilt replica's durability scrub verdict
 
     @property
     def mttr_s(self) -> float:
@@ -172,7 +170,7 @@ class Supervisor:
         replayer = session.replayer
         coord = replayer.topology.coordinator
         delivered = yield from replayer.hop(coord, node)
-        if not delivered or session.node_faults.dead(
+        if not delivered or session.chaos.dead(
                 node, session.env.now):
             return
         delivered = yield from replayer.hop(node, coord)
@@ -197,7 +195,7 @@ class Supervisor:
         for node in range(total):
             if (node not in hosting and node not in self._claimed
                     and node not in self._recovering
-                    and not session.node_faults.dead(node, env.now)):
+                    and not session.chaos.dead(node, env.now)):
                 self._claimed.add(node)
                 return node
         return None
@@ -236,10 +234,9 @@ class Supervisor:
         env = session.env
         survivors = [node for node in session.routing[shard]
                      if node != failed
-                     and not session.node_faults.dead(node, env.now)]
+                     and not session.chaos.dead(node, env.now)]
         healthy = [node for node in survivors
-                   if session.replayer.grays.slowdown(node, env.now)
-                   == 1.0]
+                   if session.chaos.slowdown(node, env.now) == 1.0]
         if healthy:
             return healthy[0]
         return survivors[0] if survivors else None
@@ -248,26 +245,14 @@ class Supervisor:
                      replica: int, source: int, spare: int,
                      failed: int, detected_s: float):
         """Stream the shard onto the spare, cut over, scrub, record."""
-        env = session.env
-        total = session.cluster.shard_bytes(session.collection_name,
-                                            shard)
-        cap = session.device_spec.max_request_bytes
-        offset = 0
-        while offset < total:
-            size = min(cap, total - offset)
-            yield session.hosts[source].device.submit([(offset, size)], "R")
-            yield session.network.transfer(source, spare)
-            yield session.hosts[spare].device.submit([(offset, size)], "W")
-            offset += size
+        yield from session.stream_shard(shard, source, spare)
         session.cluster.move_replica(shard, replica, spare)
         session.routing[shard][replica] = spare
         self._note("rereplications")
-        scrub_ok: bool | None = None
-        if self.config.scrub:
-            scrub_ok = self._scrub(session, spare)
+        scrub_ok = self._scrub(session, spare)
         self._claimed.discard(spare)
         self.events.append(RecoveryEvent(
-            failed, shard, replica, spare, detected_s, env.now,
+            failed, shard, replica, spare, detected_s, session.env.now,
             scrub_ok))
 
     def _scrub(self, session: "ClusterReplaySession",

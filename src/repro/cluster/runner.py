@@ -17,14 +17,13 @@ each query out across the shards and merges the replies:
   change timing, never results);
 * hedged requests race a slow replica against a backup copy on the
   kernel's :class:`~repro.simkernel.events.Race` primitive;
-* :class:`~repro.faults.NodeFaultPlan` kill windows abandon in-flight
-  sub-queries, driving failover to the next live replica;
-* :class:`~repro.faults.PartitionPlan` windows drop messages crossing
-  a partition cut and :class:`~repro.faults.GrayPlan` windows stretch
-  a slow-but-alive node's hops (see :meth:`ClusterReplayer.hop`);
-  per-node SSD :class:`~repro.faults.FaultPlan` schedules and a
-  :class:`~repro.faults.ResiliencePolicy` arm the node-local read
-  path — together these are the injection surface of ``repro.chaos``;
+* one :class:`~repro.faults.ChaosSchedule` is the whole fault model:
+  its kill windows abandon in-flight sub-queries, driving failover to
+  the next live replica; its partition windows drop messages crossing
+  a cut and its gray windows stretch a slow-but-alive node's hops (see
+  :meth:`ClusterReplayer.hop`); its per-node SSD fault windows, with a
+  :class:`~repro.faults.ResiliencePolicy` as the defence, arm the
+  node-local read path — the injection surface of ``repro.chaos``;
 * every failed coordinator query is attributed to the first fault
   kind (in :data:`FAILURE_CAUSES` order) that touched its gather, and
   the per-kind ledger (:attr:`ClusterReplayer.failure_causes`) must
@@ -55,11 +54,8 @@ from repro.data.groundtruth import recall_at_k
 from repro.engines.engine import CONSISTENCY_LEVELS, VectorEngine
 from repro.engines.profiles import PAPER_CPU_CORES
 from repro.errors import ClusterError, DegradedResult, OutOfMemoryError
-from repro.faults.gray import GrayPlan
-from repro.faults.nodes import NodeFaultPlan
-from repro.faults.partition import PartitionPlan
-from repro.faults.plan import FaultPlan
 from repro.faults.resilience import ResiliencePolicy
+from repro.faults.schedule import ChaosSchedule
 from repro.obs import RunTelemetry
 from repro.simkernel import Environment, Network, Resource
 from repro.storage.spec import DeviceSpec, samsung_990pro_4tb
@@ -164,13 +160,11 @@ class ClusterReplayer:
     def __init__(self, env: Environment, topology: ClusterTopology,
                  routing: dict[int, list[int]], network: Network,
                  node_replayers: list[QueryReplayer], cores: Resource,
-                 profile, node_faults: NodeFaultPlan,
+                 profile, chaos: ChaosSchedule | None = None,
                  consistency: str = "one",
                  hedge_after_s: float | None = None,
                  deadline_s: float | None = None,
-                 telemetry: RunTelemetry | None = None,
-                 partitions: PartitionPlan | None = None,
-                 grays: GrayPlan | None = None) -> None:
+                 telemetry: RunTelemetry | None = None) -> None:
         if consistency not in CONSISTENCY_LEVELS:
             raise ClusterError(
                 f"unknown consistency {consistency!r}; expected one of "
@@ -186,16 +180,12 @@ class ClusterReplayer:
         self.node_replayers = node_replayers
         self.cores = cores
         self.profile = profile
-        self.node_faults = node_faults
+        #: The fault model; ``None`` means the empty, passive schedule.
+        self.chaos = chaos if chaos is not None else ChaosSchedule()
         self.consistency = consistency
         self.hedge_after_s = hedge_after_s
         self.deadline_s = deadline_s
         self.telemetry = telemetry
-        #: Network partitions dropping boundary-crossing messages.
-        self.partitions = (partitions if partitions is not None
-                           else PartitionPlan())
-        #: Gray failures stretching a slow node's hops.
-        self.grays = grays if grays is not None else GrayPlan()
         #: Scatter-gather event counts (fanout, hedges, failovers, ...).
         self.ccounts: collections.Counter[str] = collections.Counter()
         #: Failed queries by attributed fault kind (the injection-side
@@ -229,22 +219,21 @@ class ClusterReplayer:
         endpoint then stretches the transit by its slowdown factor; a
         partition severing the hop drops the message *after* it paid
         the wire (the bytes left, nobody received them) and the hop
-        returns False.  With empty partition/gray plans this is
-        event-for-event identical to a bare ``network.transfer`` —
-        the passivity tests assert it.
+        returns False.  With no partitions or gray failures scheduled
+        this is event-for-event identical to a bare
+        ``network.transfer`` — the passivity tests assert it.
         """
-        env = self.env
+        env, chaos = self.env, self.chaos
         sent = env.now
         ordinal = self.network.messages
         yield self.network.transfer(src, dst)
-        slow = max(self.grays.slowdown(src, sent),
-                   self.grays.slowdown(dst, sent))
+        slow = max(chaos.slowdown(src, sent), chaos.slowdown(dst, sent))
         if slow > 1.0:
             yield env.timeout((slow - 1.0) * (env.now - sent))
             self._note("gray_delays")
             if causes is not None:
                 causes.add("gray")
-        if self.partitions.dropped(src, dst, sent, ordinal):
+        if chaos.dropped(src, dst, sent, ordinal):
             self._note("partition_drops")
             if causes is not None:
                 causes.add("partition")
@@ -252,8 +241,7 @@ class ClusterReplayer:
         return True
 
     def _node_query(self, node: int, splan: CompiledQuery, view,
-                    fixed_cpu: float, outcome: list,
-                    causes: set | None = None):
+                    fixed_cpu: float, outcome: list, causes: set):
         """One request/reply round trip to one replica node.
 
         Sets ``outcome[0]`` when the reply makes it back; a node that is
@@ -272,25 +260,22 @@ class ClusterReplayer:
             view.add_stage("network", env.now - hop)
         if not delivered:
             return
-        if self.node_faults.dead(node, env.now):
-            if causes is not None:
-                causes.add("node_kill")
+        if self.chaos.dead(node, env.now):
+            causes.add("node_kill")
             return
         sub = env.process(self.node_replayers[node].query_proc(
             splan, view, fixed_cpu))
-        death_at = self.node_faults.next_death_after(node, env.now)
+        death_at = self.chaos.next_death_after(node, env.now)
         if death_at is None:
             yield sub
         else:
             winner = yield env.race([sub, env.timeout(death_at - env.now)])
             if winner == 1:
-                if causes is not None:
-                    causes.add("node_kill")
+                causes.add("node_kill")
                 return
         if sub.value:
             self._note("replica_errors")
-            if causes is not None:
-                causes.add("device")
+            causes.add("device")
             return
         hop = env.now
         delivered = yield from self.hop(node, coord, causes)
@@ -301,8 +286,7 @@ class ClusterReplayer:
         outcome[0] = True
 
     def _slot_proc(self, shard: int, splan: CompiledQuery, view,
-                   fixed_cpu: float, claim, successes,
-                   causes: set | None = None):
+                   fixed_cpu: float, claim, successes, causes: set):
         """Get one replica answer for *shard*, failing over on death.
 
         *claim* hands out the next live, unclaimed replica in rotation
@@ -358,7 +342,7 @@ class ClusterReplayer:
 
     def _shard_proc(self, shard: int, splan: CompiledQuery, view,
                     fixed_cpu: float, ordinal: int, successes,
-                    causes: set | None = None):
+                    causes: set):
         """Gather this shard's answers at the session's consistency."""
         env = self.env
         replicas = self.routing[shard]
@@ -371,9 +355,8 @@ class ClusterReplayer:
             for node in rotation:
                 if node in taken:
                     continue
-                if self.node_faults.dead(node, env.now):
-                    if causes is not None:
-                        causes.add("node_kill")
+                if self.chaos.dead(node, env.now):
+                    causes.add("node_kill")
                     continue
                 taken.append(node)
                 return node
@@ -463,12 +446,12 @@ class ClusterReplaySession(ReplaySession):
     (data nodes and spares, indexed by node id), the
     :class:`ClusterReplayer` coordinator as ``replayer``, and what is
     cluster-shaped on top — the interconnect, the live routing table,
-    the node-fault schedule, and shard migration.
+    the fault schedule, and shard migration.
     """
 
     network: Network
     routing: dict[int, list[int]]
-    node_faults: NodeFaultPlan
+    chaos: ChaosSchedule
     cluster: "Cluster"
     device_spec: DeviceSpec
     collection_name: str
@@ -488,7 +471,15 @@ class ClusterReplaySession(ReplaySession):
         functional replica via :meth:`repro.cluster.cluster.Cluster.
         move_replica`.  Spawn it with ``session.env.process(...)``.
         """
-        from_node = self.routing[shard][replica]
+        yield from self.stream_shard(shard, self.routing[shard][replica],
+                                     to_node)
+        self.cluster.move_replica(shard, replica, to_node)
+        self.routing[shard][replica] = to_node
+        self.replayer._note("migrations")
+
+    def stream_shard(self, shard: int, from_node: int, to_node: int):
+        """Process generator: copy *shard*'s stored bytes node to node,
+        chunk by chunk through both devices and the interconnect."""
         total = self.cluster.shard_bytes(self.collection_name, shard)
         cap = self.device_spec.max_request_bytes
         offset = 0
@@ -498,9 +489,6 @@ class ClusterReplaySession(ReplaySession):
             yield self.network.transfer(from_node, to_node)
             yield self.hosts[to_node].device.submit([(offset, size)], "W")
             offset += size
-        self.cluster.move_replica(shard, replica, to_node)
-        self.routing[shard][replica] = to_node
-        self.replayer._note("migrations")
 
 
 class ClusterBenchRunner:
@@ -585,52 +573,45 @@ class ClusterBenchRunner:
 
     def open_replay(self, search_params: dict | None = None, *,
                     telemetry: RunTelemetry | None = None,
-                    node_faults: NodeFaultPlan | None = None,
+                    chaos: ChaosSchedule | None = None,
                     consistency: str = "one",
                     hedge_after_s: float | None = None,
                     deadline_s: float | None = None,
-                    partitions: PartitionPlan | None = None,
-                    grays: GrayPlan | None = None,
-                    device_faults: t.Mapping[int, FaultPlan] | None = None,
                     resilience: ResiliencePolicy | None = None,
                     ) -> ClusterReplaySession:
         """A fresh simulated cluster ready to replay the query set.
 
-        The chaos knobs compose with the baseline cluster faults:
-        ``partitions`` and ``grays`` shape the coordinator<->node hops,
-        ``device_faults`` attaches a per-node SSD
-        :class:`~repro.faults.FaultPlan` (keyed by node id) to that
-        node's device, and ``resilience`` arms every node replayer's
-        read-path defences against them.  All default to off and are
-        guaranteed passive when empty.
+        *chaos* is the whole fault model: its kills, partitions and
+        gray failures shape the coordinator<->node hops, its per-node
+        device plans (:meth:`~repro.faults.ChaosSchedule.device_plans`)
+        attach to the nodes' SSDs, and ``resilience`` arms every node
+        replayer's read-path defences against them.  ``None`` and the
+        empty schedule are the same, guaranteed-passive, run.
         """
         cold, warm, recall = self._compile(dict(search_params or {}))
         topo = self.topology
         env = Environment()
         network = Network(env, topo.network, seed=self.cluster.seed)
-        hosts = []
-        for node in range(topo.total_nodes):
-            plan = (device_faults or {}).get(node)
-            hosts.append(open_host(
-                self, env, (f"node{node}_cores", f"node{node}_pool"),
-                telemetry=telemetry, resilience=resilience,
-                fault_plan=(plan if plan is not None and not plan.empty
-                            else None)))
+        device_plans = chaos.device_plans() if chaos is not None else {}
+        hosts = [
+            open_host(self, env, (f"node{node}_cores", f"node{node}_pool"),
+                      telemetry=telemetry, resilience=resilience,
+                      fault_plan=device_plans.get(node))
+            for node in range(topo.total_nodes)]
         coordinator_cores = Resource(env, self.cores,
                                      name="coordinator_cores",
                                      telemetry=telemetry)
         routing = {s: list(nodes)
                    for s, nodes in self.cluster.routing.items()}
-        faults = node_faults if node_faults is not None else NodeFaultPlan()
         replayer = ClusterReplayer(
             env, topo, routing, network, hosts, coordinator_cores,
-            self.engine.profile, faults, consistency=consistency,
+            self.engine.profile, chaos, consistency=consistency,
             hedge_after_s=hedge_after_s, deadline_s=deadline_s,
-            telemetry=telemetry, partitions=partitions, grays=grays)
+            telemetry=telemetry)
         return ClusterReplaySession(
             env=env, hosts=hosts, replayer=replayer, cold=cold, warm=warm,
             recall=recall, telemetry=telemetry, network=network,
-            routing=routing, node_faults=faults, cluster=self.cluster,
+            routing=routing, chaos=replayer.chaos, cluster=self.cluster,
             device_spec=self.device_spec,
             collection_name=self.collection.name)
 
@@ -638,20 +619,17 @@ class ClusterBenchRunner:
             duration_s: float = 4.0, max_queries: int = 25_000,
             phase: int = 0,
             telemetry: RunTelemetry | bool | None = None,
-            node_faults: NodeFaultPlan | None = None,
+            chaos: ChaosSchedule | None = None,
             consistency: str = "one",
             hedge_after_s: float | None = None,
             deadline_s: float | None = None,
-            partitions: PartitionPlan | None = None,
-            grays: GrayPlan | None = None,
-            device_faults: t.Mapping[int, FaultPlan] | None = None,
             resilience: ResiliencePolicy | None = None) -> RunResult:
         """One measured closed-loop run against the whole cluster.
 
         The same :func:`~repro.workload.replay.closed_loop` protocol as
         :meth:`repro.workload.runner.BenchRunner.run`, issued to the
         coordinator.  The cluster knobs —
-        ``node_faults``, ``consistency``, ``hedge_after_s``,
+        ``chaos``, ``consistency``, ``hedge_after_s``,
         ``deadline_s`` — shape only the replay timeline; with all of
         them off, every query gathers every shard.  When a deadline
         leaves queries partially gathered, the reported recall is
@@ -666,10 +644,9 @@ class ClusterBenchRunner:
         except OutOfMemoryError:
             return oom_result(self, concurrency, params)
         session = self.open_replay(
-            params, telemetry=telem, node_faults=node_faults,
+            params, telemetry=telem, chaos=chaos,
             consistency=consistency, hedge_after_s=hedge_after_s,
-            deadline_s=deadline_s, partitions=partitions, grays=grays,
-            device_faults=device_faults, resilience=resilience)
+            deadline_s=deadline_s, resilience=resilience)
         replayer = session.replayer
         tally = closed_loop(session, self, concurrency, duration_s,
                             max_queries, phase)
@@ -682,13 +659,9 @@ class ClusterBenchRunner:
         if partials and self.ground_truth is not None:
             recall = self._weighted_recall(replayer.outcomes, session.cold)
         faults = None
-        cluster_knobs = (node_faults is not None and not node_faults.empty
-                         or consistency != "one"
+        cluster_knobs = (not session.chaos.empty or consistency != "one"
                          or hedge_after_s is not None
-                         or deadline_s is not None
-                         or partitions is not None and not partitions.empty
-                         or grays is not None and not grays.empty
-                         or bool(device_faults))
+                         or deadline_s is not None)
         if cluster_knobs or tally.failures:
             faults = {event: replayer.ccounts.get(event, 0)
                       for event in ("hedges", "hedge_wins", "failovers",

@@ -64,7 +64,7 @@ from repro.data.groundtruth import exact_knn
 from repro.data.registry import load_dataset
 from repro.engines.engine import IndexSpec
 from repro.errors import FaultError
-from repro.faults.nodes import NodeFaultPlan
+from repro.faults.schedule import ChaosSchedule
 from repro.serve.arrivals import PoissonArrivals
 from repro.simkernel.network import NetworkSpec
 from repro.serve.server import ServeConfig, Server, TenantLoad
@@ -247,12 +247,12 @@ def cluster_study(dataset: str = "cohere-1m", index: str = "diskann",
     data["replicated_healthy"] = _row(healthy)
 
     progress("replication: failover under seeded node kills")
-    kills = NodeFaultPlan.seeded(
-        n_nodes=rep_topo.n_shards * rep_topo.replicas,
-        duration_s=duration_s, kills=4, outage_s=duration_s / 8,
-        seed=seed + 1)
+    kills = ChaosSchedule.seeded(
+        rep_topo.n_shards * rep_topo.replicas, duration_s, seed=seed + 1,
+        kills=4, outage_s=duration_s / 8, partitions=0, grays=0,
+        device_nodes=0)
     failover = rep_runner.run(concurrency, params, duration_s=duration_s,
-                              node_faults=kills)
+                              chaos=kills)
     data["failover"] = _row(failover)
     faults = failover.faults or {}
     verdicts["failover_masks_node_kills"] = bool(

@@ -473,77 +473,40 @@ class Collection:
         if filter_ is not None or self.tombstones:
             return [self.search(query, k, filter_=filter_, **params)
                     for query in queries]
-        results = []
-        for response in self._gather_batch(queries, k, **params):
-            keep = list(range(min(k, len(response.ids))))
-            results.append(SearchResult(
-                ids=response.ids[keep], work=response.work,
-                dists=response.dists[keep], works=response.works))
-        return results
+        return self._gather_batch(queries, k, **params)
 
     def _gather(self, query: np.ndarray, k: int,
                 **params: t.Any) -> SearchResult:
-        all_ids, all_dists, works = [], [], []
-        for segment in self.segments:
-            result = segment.search(query, k, **params)
-            all_ids.append(result.ids)
-            all_dists.append(result.dists)
-            works.append(result.work)
-        if len(self.growing):
-            result = self.growing.search(query, k)
-            all_ids.append(result.ids)
-            all_dists.append(result.dists)
-            works.append(result.work)
-        merged = merge_works(works)
-        if not all_ids:
-            return SearchResult(ids=np.empty(0, dtype=np.int64),
-                                work=merged,
-                                dists=np.empty(0, dtype=np.float32),
-                                works=works)
-        ids = np.concatenate(all_ids)
-        dists = np.concatenate(all_dists)
-        order = np.argsort(dists, kind="stable")[:k]
-        return SearchResult(ids=ids[order], work=merged,
-                            dists=dists[order], works=works)
+        """One query's gather: row 0 of a one-row :meth:`_gather_batch`."""
+        query = np.asarray(query, dtype=np.float32)
+        return self._gather_batch(query[None], k, **params)[0]
 
     def _gather_batch(self, queries: np.ndarray, k: int,
                       **params: t.Any) -> list[SearchResult]:
-        """Segment-major counterpart of :func:`_gather`.
+        """Top-k over every segment and the growing rows, per query.
 
-        Each segment's batched search amortizes its kernel work across
-        the whole query block; the per-query merge afterwards is the
-        same stable sort as the sequential path.
+        Segment-major: each segment's batched search amortizes its
+        kernel work across the whole query block, then every query's
+        candidates merge under one stable sort.
         """
-        n_queries = queries.shape[0]
-        per_ids: list[list[np.ndarray]] = [[] for _ in range(n_queries)]
-        per_dists: list[list[np.ndarray]] = [[] for _ in range(n_queries)]
-        per_works: list[list[WorkProfile]] = [[] for _ in range(n_queries)]
-        for segment in self.segments:
-            for row, result in enumerate(
-                    segment.search_batch(queries, k, **params)):
-                per_ids[row].append(result.ids)
-                per_dists[row].append(result.dists)
-                per_works[row].append(result.work)
+        found = [segment.search_batch(queries, k, **params)
+                 for segment in self.segments]
         if len(self.growing):
-            for row, result in enumerate(
-                    self.growing.search_batch(queries, k)):
-                per_ids[row].append(result.ids)
-                per_dists[row].append(result.dists)
-                per_works[row].append(result.work)
+            found.append(self.growing.search_batch(queries, k))
+        if not found:                  # an empty collection
+            return [SearchResult(ids=np.empty(0, dtype=np.int64),
+                                 work=merge_works([]),
+                                 dists=np.empty(0, dtype=np.float32),
+                                 works=[]) for _ in queries]
         gathered = []
-        for row in range(n_queries):
-            works = per_works[row]
-            merged = merge_works(works)
-            if not per_ids[row]:
-                gathered.append(SearchResult(
-                    ids=np.empty(0, dtype=np.int64), work=merged,
-                    dists=np.empty(0, dtype=np.float32), works=works))
-                continue
-            ids = np.concatenate(per_ids[row])
-            dists = np.concatenate(per_dists[row])
+        for row in zip(*found):        # one query's per-segment results
+            works = [result.work for result in row]
+            ids = np.concatenate([result.ids for result in row])
+            dists = np.concatenate([result.dists for result in row])
             order = np.argsort(dists, kind="stable")[:k]
-            gathered.append(SearchResult(ids=ids[order], work=merged,
-                                         dists=dists[order], works=works))
+            gathered.append(SearchResult(
+                ids=ids[order], work=merge_works(works),
+                dists=dists[order], works=works))
         return gathered
 
     # -- accounting --------------------------------------------------------

@@ -107,23 +107,17 @@ class GrowingBuffer:
 
     def search(self, query: np.ndarray, k: int) -> SearchResult:
         """Brute-force scan of unsealed rows (global ids)."""
-        work = WorkProfile()
-        if not self._row_ids:
-            return SearchResult(ids=np.empty(0, dtype=np.int64), work=work)
-        dists = self._score(np.asarray(query, dtype=np.float32)
-                            .reshape(1, -1))[0]
-        work.add_cpu(full_evals=len(self._row_ids))
-        order = top_k(dists, k)
-        ids = np.asarray(self._row_ids, dtype=np.int64)[order]
-        return SearchResult(ids=ids, work=work,
-                            dists=dists[order].astype(np.float32))
+        query = np.asarray(query, dtype=np.float32)
+        return self.search_batch(query.reshape(1, -1), k)[0]
 
     def search_batch(self, queries: np.ndarray,
                      k: int) -> list[SearchResult]:
-        """Batched :meth:`search`; bit-identical to looping it."""
-        if not self._row_ids:
-            return [self.search(query, k) for query in queries]
+        """Batched :meth:`search`; one result per query, in order."""
         queries = np.asarray(queries, dtype=np.float32)
+        if not self._row_ids:
+            return [SearchResult(ids=np.empty(0, dtype=np.int64),
+                                 work=WorkProfile())
+                    for _ in range(queries.shape[0])]
         all_dists = self._score(queries)
         ids = np.asarray(self._row_ids, dtype=np.int64)
         results = []

@@ -2,7 +2,7 @@
 
 The paper characterizes storage-based ANNS on a *healthy* SSD; this
 package asks what happens when the device misbehaves — and what the
-host can do about it.  Three pieces:
+host can do about it.  The pieces:
 
 * :mod:`repro.faults.plan` — :class:`FaultPlan`: a deterministic,
   seedable schedule of fault windows (latency spikes, tail
@@ -12,15 +12,14 @@ host can do about it.  Three pieces:
 * :mod:`repro.faults.resilience` — :class:`ResiliencePolicy`: timeouts
   with exponential-backoff-and-jitter retries, hedged reads, and
   graceful search-parameter degradation;
-* :mod:`repro.faults.nodes` — :class:`NodeFaultPlan`: seeded node-kill
-  windows that take whole cluster nodes down mid-query, driving the
-  replica failover in :mod:`repro.cluster`;
-* :mod:`repro.faults.partition` — :class:`PartitionPlan`: seeded
-  network partitions dropping messages that cross a node-group cut
-  (the scatter-gather hops in :mod:`repro.cluster.runner` consult it);
-* :mod:`repro.faults.gray` — :class:`GrayPlan`: gray failures — nodes
-  that stay alive but run persistently slow, stretching their network
-  hops and (via a compiled device throttle) their SSD;
+* :mod:`repro.faults.schedule` — :class:`ChaosSchedule`: the cluster
+  fault model, one flat seeded timeline of :class:`NodeKill` windows
+  (whole nodes down mid-query, driving the replica failover in
+  :mod:`repro.cluster`), :class:`PartitionWindow` cuts (messages
+  crossing a node-group boundary dropped on the scatter-gather hops),
+  :class:`GrayFailure` windows (alive but persistently slow nodes,
+  stretching their hops and — via a compiled device throttle — their
+  SSD) and per-node device fault windows;
 * :mod:`repro.faults.crash` — the *write-path* attacks:
   :class:`CrashPlan`/:class:`CrashInjector` kill a durable save or WAL
   append at a declared crash point (optionally tearing the in-flight
@@ -38,18 +37,20 @@ full fault model are documented in ``docs/ARCHITECTURE.md``,
 
 from repro.faults.crash import (Corruption, CorruptionPlan, CrashInjector,
                                 CrashPlan)
-from repro.faults.gray import GrayFailure, GrayPlan
+from repro.faults.gray import GrayFailure
 from repro.faults.injector import FaultInjector
-from repro.faults.nodes import NodeFaultPlan, NodeKill
-from repro.faults.partition import PartitionPlan, PartitionWindow
+from repro.faults.nodes import NodeKill
+from repro.faults.partition import PartitionWindow
 from repro.faults.plan import (FAULT_KINDS, FaultEffect, FaultPlan,
                                FaultWindow, LatencySpike, ReadError,
                                TailAmplification, Throttle)
 from repro.faults.resilience import (PressureTracker, ResiliencePolicy,
                                      degraded_search_params)
+from repro.faults.schedule import ChaosSchedule
 
 __all__ = [
     "FAULT_KINDS",
+    "ChaosSchedule",
     "Corruption",
     "CorruptionPlan",
     "CrashInjector",
@@ -59,11 +60,8 @@ __all__ = [
     "FaultPlan",
     "FaultWindow",
     "GrayFailure",
-    "GrayPlan",
     "LatencySpike",
-    "NodeFaultPlan",
     "NodeKill",
-    "PartitionPlan",
     "PartitionWindow",
     "PressureTracker",
     "ReadError",

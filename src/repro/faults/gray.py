@@ -5,40 +5,36 @@ answers health probes *eventually*, never trips the dead-node check,
 and yet drags every query routed through it into the latency tail.
 :class:`GrayFailure` models that as a long-lived slowdown window on one
 node — while active, every network hop touching the node is stretched
-by ``slowdown``x, and the chaos layer additionally compiles the window
+by ``slowdown``x, and the schedule additionally compiles the window
 into a device :class:`~repro.faults.plan.Throttle` so the node's SSD
 slows down in sympathy (the usual root cause: a dying disk or a
 thermally-throttled device behind a healthy-looking process).
 
-The plan is pure data; :meth:`GrayPlan.slowdown` is a pure function of
-(node, now), so the same plan always slows the same hops by the same
-factor.  An empty plan reports 1.0 everywhere and is guaranteed
-passive.
+Gray failures are scheduled on a
+:class:`~repro.faults.schedule.ChaosSchedule`, whose ``slowdown`` is a
+pure function of (node, now).
 
 Example::
 
-    >>> plan = GrayPlan.of(GrayFailure(2, 0.0, 1.0, slowdown=8.0))
-    >>> plan.slowdown(2, 0.5)
-    8.0
-    >>> plan.slowdown(2, 1.5)      # window closed: back to healthy
-    1.0
-    >>> plan.slowdown(0, 0.5)      # other nodes unaffected
-    1.0
-    >>> GrayPlan().empty
-    True
+    >>> gray = GrayFailure(2, 0.0, 1.0, slowdown=8.0)
+    >>> gray.active(0.5), gray.active(1.5)
+    (True, False)
+    >>> GrayFailure(2, 0.0, 1.0, slowdown=1.0)
+    Traceback (most recent call last):
+        ...
+    repro.errors.WorkloadError: gray slowdown must exceed 1.0: 1.0
 """
 
 from __future__ import annotations
 
 import dataclasses
-import typing as t
 
 from repro.errors import WorkloadError
-from repro.faults.plan import FaultPlan, Throttle, _unit
+from repro.faults.plan import TimeWindow
 
 
 @dataclasses.dataclass(frozen=True)
-class GrayFailure:
+class GrayFailure(TimeWindow):
     """One node running ``slowdown``x slow between start_s and end_s."""
 
     node: int
@@ -49,82 +45,7 @@ class GrayFailure:
     def __post_init__(self) -> None:
         if self.node < 0:
             raise WorkloadError(f"bad gray-failure node: {self.node}")
-        if self.start_s < 0 or self.end_s <= self.start_s:
-            raise WorkloadError(
-                f"bad gray window [{self.start_s}, {self.end_s})")
+        self._check_span("gray")
         if self.slowdown <= 1.0:
             raise WorkloadError(
                 f"gray slowdown must exceed 1.0: {self.slowdown}")
-
-    def active(self, now: float) -> bool:
-        """Whether the window covers simulated time *now*."""
-        return self.start_s <= now < self.end_s
-
-
-@dataclasses.dataclass(frozen=True)
-class GrayPlan:
-    """A seedable schedule of gray failures on the run timeline."""
-
-    grays: tuple[GrayFailure, ...] = ()
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "grays", tuple(self.grays))
-        for gray in self.grays:
-            if not isinstance(gray, GrayFailure):
-                raise WorkloadError(
-                    f"gray plan holds a non-gray-failure: {gray!r}")
-
-    @classmethod
-    def of(cls, *grays: GrayFailure, seed: int = 0) -> "GrayPlan":
-        """Build a plan from gray failures given positionally."""
-        return cls(tuple(grays), seed)
-
-    @classmethod
-    def seeded(cls, n_nodes: int, duration_s: float, *,
-               grays: int = 1, outage_s: float = 0.1,
-               slowdown: float = 8.0, seed: int = 0) -> "GrayPlan":
-        """Sample *grays* slowdown windows from the seed."""
-        if n_nodes <= 0 or duration_s <= 0 or outage_s <= 0:
-            raise WorkloadError("bad seeded-gray parameters")
-        span = max(duration_s - outage_s, 1e-9)
-        out = []
-        for i in range(grays):
-            victim = int(_unit(seed, 4, i) * n_nodes) % n_nodes
-            start = _unit(seed, 5, i) * span
-            out.append(GrayFailure(victim, start, start + outage_s,
-                                   slowdown=slowdown))
-        return cls(tuple(out), seed)
-
-    @property
-    def empty(self) -> bool:
-        """True when the plan schedules no gray failures."""
-        return not self.grays
-
-    @property
-    def end_s(self) -> float:
-        """When the last window closes (0.0 for an empty plan)."""
-        return max((g.end_s for g in self.grays), default=0.0)
-
-    def slowdown(self, node: int, now: float) -> float:
-        """The node's slowdown factor at time *now* (1.0 = healthy)."""
-        return max((g.slowdown for g in self.grays
-                    if g.node == node and g.active(now)), default=1.0)
-
-    def device_plan(self, node: int, *, seed: int = 0) -> FaultPlan:
-        """The node's gray windows compiled to device throttles.
-
-        The SSD-side half of a gray failure: each window becomes a
-        :class:`~repro.faults.plan.Throttle` capping the node's device
-        bandwidth to ``1/slowdown`` of nominal for the same interval.
-        Returns an empty (passive) plan for healthy nodes.
-        """
-        windows = tuple(
-            Throttle(g.start_s, g.end_s,
-                     bandwidth_fraction=1.0 / g.slowdown)
-            for g in self.grays if g.node == node)
-        return FaultPlan(windows, seed)
-
-    def describe(self) -> list[dict[str, t.Any]]:
-        """The plan as plain dicts (reports, serialization)."""
-        return [dataclasses.asdict(g) for g in self.grays]

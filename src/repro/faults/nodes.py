@@ -1,42 +1,35 @@
 """Node-kill fault windows for the distributed cluster layer.
 
-:class:`repro.faults.FaultPlan` misbehaves a *device*; this module kills
-whole *nodes*.  A :class:`NodeKill` window marks one node as dead over an
-interval of the simulated timeline: requests routed to it while dead are
-never answered, and requests in flight when the window opens are
-abandoned mid-query — which is exactly what drives replica failover in
-:mod:`repro.cluster`.  Like every fault schedule in this package the
-plan is pure data, so same-seed runs replay the identical kill timeline.
+:class:`repro.faults.FaultPlan` misbehaves a *device*; a
+:class:`NodeKill` kills a whole *node*: it marks one node as dead over
+an interval of the simulated timeline.  Requests routed to it while
+dead are never answered, and requests in flight when the window opens
+are abandoned mid-query — which is exactly what drives replica failover
+in :mod:`repro.cluster`.  Kills are scheduled (by hand or seeded) on a
+:class:`~repro.faults.schedule.ChaosSchedule`, which answers the
+replayer's ``dead`` / ``next_death_after`` questions.
 
 Example::
 
-    >>> plan = NodeFaultPlan.of(NodeKill(node=1, start_s=0.5, end_s=2.0))
-    >>> plan.dead(node=1, now=1.0)
-    True
-    >>> plan.dead(node=0, now=1.0)
-    False
-    >>> plan.next_death_after(node=1, now=0.1)
-    0.5
-    >>> plan.next_death_after(node=1, now=3.0) is None
-    True
-    >>> seeded = NodeFaultPlan.seeded(n_nodes=4, duration_s=2.0,
-    ...                               kills=2, outage_s=0.4, seed=9)
-    >>> seeded == NodeFaultPlan.seeded(n_nodes=4, duration_s=2.0,
-    ...                                kills=2, outage_s=0.4, seed=9)
-    True
+    >>> kill = NodeKill(node=1, start_s=0.5, end_s=2.0)
+    >>> kill.active(1.0), kill.active(2.0)
+    (True, False)
+    >>> NodeKill(node=1, start_s=2.0, end_s=0.5)
+    Traceback (most recent call last):
+        ...
+    repro.errors.WorkloadError: bad kill window [2.0, 0.5)
 """
 
 from __future__ import annotations
 
 import dataclasses
-import typing as t
 
 from repro.errors import WorkloadError
-from repro.faults.plan import _unit
+from repro.faults.plan import TimeWindow
 
 
 @dataclasses.dataclass(frozen=True)
-class NodeKill:
+class NodeKill(TimeWindow):
     """One node is dead during ``[start_s, end_s)``.
 
     Death is total: the node answers nothing while the window is open,
@@ -52,86 +45,4 @@ class NodeKill:
     def __post_init__(self) -> None:
         if self.node < 0:
             raise WorkloadError(f"bad node id: {self.node}")
-        if self.start_s < 0 or self.end_s <= self.start_s:
-            raise WorkloadError(
-                f"bad kill window [{self.start_s}, {self.end_s})")
-
-    def active(self, now: float) -> bool:
-        """Whether the node is dead at simulated time *now*."""
-        return self.start_s <= now < self.end_s
-
-
-@dataclasses.dataclass(frozen=True)
-class NodeFaultPlan:
-    """A deterministic schedule of node deaths on the run timeline.
-
-    Pure data, replayed from construction: the same plan against the
-    same query stream kills the same nodes at the same instants.  An
-    empty plan leaves the cluster simulation bit-identical to running
-    with no plan at all.
-    """
-
-    kills: tuple[NodeKill, ...] = ()
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "kills", tuple(self.kills))
-        for kill in self.kills:
-            if not isinstance(kill, NodeKill):
-                raise WorkloadError(
-                    f"node fault plan holds a non-kill: {kill!r}")
-
-    @classmethod
-    def of(cls, *kills: NodeKill, seed: int = 0) -> "NodeFaultPlan":
-        """Build a plan from kill windows given positionally."""
-        return cls(tuple(kills), seed)
-
-    @classmethod
-    def seeded(cls, n_nodes: int, duration_s: float, kills: int,
-               outage_s: float, seed: int = 0) -> "NodeFaultPlan":
-        """Sample *kills* outage windows deterministically from *seed*.
-
-        Each kill picks a victim node and a start time with the same
-        stateless splitmix64 draw the device fault plans use, so the
-        schedule is a pure function of the arguments.
-        """
-        if n_nodes <= 0 or kills < 0 or outage_s <= 0 or duration_s <= 0:
-            raise WorkloadError(
-                f"bad seeded kill spec: n_nodes={n_nodes} kills={kills} "
-                f"outage_s={outage_s} duration_s={duration_s}")
-        span = max(duration_s - outage_s, 0.0)
-        windows = []
-        for i in range(kills):
-            node = int(_unit(seed, 0, i) * n_nodes) % n_nodes
-            start = _unit(seed, 1, i) * span
-            windows.append(NodeKill(node, start, start + outage_s))
-        return cls(tuple(windows), seed)
-
-    @property
-    def empty(self) -> bool:
-        """True when the plan schedules no kills."""
-        return not self.kills
-
-    @property
-    def end_s(self) -> float:
-        """When the last kill window closes (0.0 for an empty plan)."""
-        return max((k.end_s for k in self.kills), default=0.0)
-
-    def dead(self, node: int, now: float) -> bool:
-        """Whether *node* is dead at simulated time *now*."""
-        return any(k.node == node and k.active(now) for k in self.kills)
-
-    def next_death_after(self, node: int, now: float) -> float | None:
-        """Start of the next kill window for *node* strictly after *now*.
-
-        The failover race arms a death timer with this: a request sent
-        to a live node at *now* is abandoned if the node dies before the
-        request completes.  Returns None when the node never dies again.
-        """
-        starts = [k.start_s for k in self.kills
-                  if k.node == node and k.start_s > now]
-        return min(starts, default=None)
-
-    def describe(self) -> list[dict[str, t.Any]]:
-        """The plan as plain dicts (reports, serialization)."""
-        return [dataclasses.asdict(k) for k in self.kills]
+        self._check_span("kill")

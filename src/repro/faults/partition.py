@@ -1,4 +1,4 @@
-"""Network partitions: seeded per-hop message drops between node groups.
+"""Network partitions: message drops between node groups.
 
 A :class:`PartitionWindow` isolates a *group* of nodes from the rest of
 the cluster for a timed window: every message crossing the group
@@ -9,38 +9,32 @@ partition rather than a node kill: the isolated nodes stay alive,
 keep serving anything that reaches them, and rejoin silently when the
 window closes.
 
-Like every fault plane in :mod:`repro.faults`, the plan is pure data
-and every drop decision is a deterministic function of
-``(seed, hop lane, message ordinal)`` via the shared splitmix64 unit
-sampler, so replaying the same plan against the same message stream
-drops the *same* messages.  An empty plan is guaranteed passive: it
-never draws, so a run with ``PartitionPlan()`` is bit-identical to a
-run with no plan at all.
+Windows are scheduled on a
+:class:`~repro.faults.schedule.ChaosSchedule`, whose ``dropped`` makes
+every drop decision a deterministic function of
+``(seed, hop lane, message ordinal)``.
 
 Example::
 
-    >>> plan = PartitionPlan.of(PartitionWindow((1,), 0.0, 1.0))
-    >>> plan.dropped(src=0, dst=1, now=0.5, ordinal=0)   # crosses cut
+    >>> window = PartitionWindow((1,), 0.0, 1.0)
+    >>> window.severs(src=0, dst=1)        # crosses the cut
     True
-    >>> plan.dropped(src=0, dst=2, now=0.5, ordinal=0)   # outside group
+    >>> window.severs(src=0, dst=2)        # outside the group
     False
-    >>> plan.dropped(src=0, dst=1, now=2.0, ordinal=0)   # window closed
-    False
-    >>> PartitionPlan().dropped(0, 1, 0.5, 0)            # empty = passive
+    >>> window.active(2.0)                 # window closed
     False
 """
 
 from __future__ import annotations
 
 import dataclasses
-import typing as t
 
 from repro.errors import WorkloadError
-from repro.faults.plan import _unit
+from repro.faults.plan import TimeWindow
 
 
 @dataclasses.dataclass(frozen=True)
-class PartitionWindow:
+class PartitionWindow(TimeWindow):
     """One timed partition: ``nodes`` cut off from everyone else.
 
     ``drop_fraction`` is the probability that a boundary-crossing
@@ -57,102 +51,11 @@ class PartitionWindow:
         object.__setattr__(self, "nodes", tuple(self.nodes))
         if not self.nodes:
             raise WorkloadError("partition window isolates no nodes")
-        if self.start_s < 0 or self.end_s <= self.start_s:
-            raise WorkloadError(
-                f"bad partition window [{self.start_s}, {self.end_s})")
+        self._check_span("partition")
         if not 0.0 < self.drop_fraction <= 1.0:
             raise WorkloadError(
                 f"bad drop_fraction: {self.drop_fraction}")
 
-    def active(self, now: float) -> bool:
-        """Whether the window covers simulated time *now*."""
-        return self.start_s <= now < self.end_s
-
     def severs(self, src: int, dst: int) -> bool:
         """Whether a src->dst message crosses this partition's cut."""
         return (src in self.nodes) != (dst in self.nodes)
-
-
-@dataclasses.dataclass(frozen=True)
-class PartitionPlan:
-    """A seedable schedule of network partitions on the run timeline.
-
-    The replay layer asks :meth:`dropped` once per cross-node message,
-    passing the network's message ordinal; the answer is a pure
-    function of (seed, hop lane, ordinal), so a given request stream
-    always loses the same messages.
-    """
-
-    windows: tuple[PartitionWindow, ...] = ()
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "windows", tuple(self.windows))
-        for window in self.windows:
-            if not isinstance(window, PartitionWindow):
-                raise WorkloadError(
-                    f"partition plan holds a non-window: {window!r}")
-
-    @classmethod
-    def of(cls, *windows: PartitionWindow,
-           seed: int = 0) -> "PartitionPlan":
-        """Build a plan from windows given positionally."""
-        return cls(tuple(windows), seed)
-
-    @classmethod
-    def seeded(cls, n_nodes: int, duration_s: float, *,
-               partitions: int = 1, outage_s: float = 0.05,
-               seed: int = 0) -> "PartitionPlan":
-        """Sample *partitions* single-node isolation windows.
-
-        Victims and window starts are drawn from the seed exactly like
-        :meth:`repro.faults.nodes.NodeFaultPlan.seeded` draws kills, so
-        a seeded chaos schedule is reproducible end to end.
-        """
-        if n_nodes <= 0 or duration_s <= 0 or outage_s <= 0:
-            raise WorkloadError("bad seeded-partition parameters")
-        span = max(duration_s - outage_s, 1e-9)
-        windows = []
-        for i in range(partitions):
-            victim = int(_unit(seed, 2, i) * n_nodes) % n_nodes
-            start = _unit(seed, 3, i) * span
-            windows.append(PartitionWindow((victim,), start,
-                                           start + outage_s))
-        return cls(tuple(windows), seed)
-
-    @property
-    def empty(self) -> bool:
-        """True when the plan schedules no partition windows."""
-        return not self.windows
-
-    @property
-    def end_s(self) -> float:
-        """When the last window closes (0.0 for an empty plan)."""
-        return max((w.end_s for w in self.windows), default=0.0)
-
-    def drop_fraction(self, src: int, dst: int, now: float) -> float:
-        """Max loss probability on the src->dst hop at time *now*."""
-        if src == dst:
-            return 0.0
-        return max((w.drop_fraction for w in self.windows
-                    if w.active(now) and w.severs(src, dst)),
-                   default=0.0)
-
-    def dropped(self, src: int, dst: int, now: float,
-                ordinal: int) -> bool:
-        """Whether message *ordinal* on the src->dst hop is dropped.
-
-        Deterministic: the draw key is (seed, hop lane, ordinal) with
-        the same hop-lane packing the network uses for jitter, so the
-        loss pattern is stable under replay.
-        """
-        fraction = self.drop_fraction(src, dst, now)
-        if fraction <= 0.0:
-            return False
-        if fraction >= 1.0:
-            return True
-        return _unit(self.seed, src * 0x10001 + dst, ordinal) < fraction
-
-    def describe(self) -> list[dict[str, t.Any]]:
-        """The plan as plain dicts (reports, serialization)."""
-        return [dataclasses.asdict(w) for w in self.windows]

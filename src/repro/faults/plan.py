@@ -82,21 +82,33 @@ class FaultEffect:
     extra_s: float = 0.0
 
 
+class TimeWindow:
+    """``[start_s, end_s)`` on the simulated timeline: the one copy of
+    span validation and the activity test, mixed into every fault
+    window (device windows, node kills, partitions, gray failures)."""
+
+    start_s: float
+    end_s: float
+
+    def _check_span(self, what: str) -> None:
+        if self.start_s < 0 or self.end_s <= self.start_s:
+            raise WorkloadError(
+                f"bad {what} window [{self.start_s}, {self.end_s})")
+
+    def active(self, now: float) -> bool:
+        """Whether the window covers simulated time *now*."""
+        return self.start_s <= now < self.end_s
+
+
 @dataclasses.dataclass(frozen=True)
-class FaultWindow:
+class FaultWindow(TimeWindow):
     """Base class: one timed window of device misbehaviour."""
 
     start_s: float
     end_s: float
 
     def __post_init__(self) -> None:
-        if self.start_s < 0 or self.end_s <= self.start_s:
-            raise WorkloadError(
-                f"bad fault window [{self.start_s}, {self.end_s})")
-
-    def active(self, now: float) -> bool:
-        """Whether the window covers simulated time *now*."""
-        return self.start_s <= now < self.end_s
+        self._check_span("fault")
 
     @property
     def kind(self) -> str:

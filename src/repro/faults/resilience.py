@@ -73,10 +73,8 @@ class ResiliencePolicy:
     degrade_after: int = 4
     #: Consecutive within-budget completions that restore full params.
     recover_after: int = 16
-    #: Explicit degraded search params; None derives them by shrinking
-    #: the run's params with ``degrade_factor`` (see the index kinds'
-    #: ``degrade_search_params``).
-    degrade_params: dict[str, t.Any] | None = None
+    #: Degraded mode shrinks the run's search params by this factor
+    #: (see :func:`degraded_search_params`).
     degrade_factor: float = 0.5
     #: Jitter seed (composed with attempt ordinals).
     seed: int = 0

@@ -54,12 +54,18 @@ COMPACTION_ROUND_REQUESTS = 8
 MANIFEST_BYTES = 4096
 
 
+#: Serialized bytes per inserted row (vector + frame + payload) in WAL
+#: flushes and in a compaction's delta read.  A constant, not a knob:
+#: WAL volume is then a function of the insert rate alone.
+ROW_BYTES = 512
+
+
 @dataclasses.dataclass(frozen=True)
 class MutationLoad:
     """A sustained insert/delete stream riding alongside queries.
 
     Inserts arrive at ``insert_qps`` rows/s and are flushed to the WAL
-    in batches of ``batch_rows`` rows of ``row_bytes`` each; deletes
+    in batches of ``batch_rows`` rows of :data:`ROW_BYTES` each; deletes
     arrive at ``delete_qps`` rows/s as tombstone records.  When the
     accumulated delta crosses ``policy``'s thresholds, a background
     compaction merges it into a new snapshot.
@@ -81,8 +87,6 @@ class MutationLoad:
     delete_qps: float = 2_000.0
     #: Rows per WAL flush (one batched device write).
     batch_rows: int = 64
-    #: Serialized bytes per inserted row (vector + frame + payload).
-    row_bytes: int = 512
     #: Compaction trigger thresholds over the accumulated delta.
     policy: CompactionPolicy = CompactionPolicy()
     #: Index-rebuild CPU per surviving row during compaction.
@@ -98,7 +102,7 @@ class MutationLoad:
         if self.delete_qps < 0:
             raise WorkloadError(
                 f"delete_qps must be >= 0: {self.delete_qps}")
-        if self.batch_rows < 1 or self.row_bytes < 1:
+        if self.batch_rows < 1:
             raise WorkloadError(f"bad mutation batch shape: {self}")
         if self.rebuild_cpu_per_row_s < 0 or self.write_amplification <= 0:
             raise WorkloadError(f"bad compaction cost model: {self}")
@@ -111,7 +115,7 @@ class MutationLoad:
     @property
     def flush_bytes(self) -> int:
         """WAL bytes per insert flush."""
-        return self.batch_rows * self.row_bytes
+        return self.batch_rows * ROW_BYTES
 
 
 @dataclasses.dataclass(frozen=True)
@@ -274,7 +278,7 @@ def start_mutation_load(host: "QueryReplayer", runner: "BenchRunner",
         delta_rows, tombstones = state.delta_rows, state.tombstones
         total = max(state.total_rows, 1)
         live_fraction = max(0.0, 1.0 - tombstones / total)
-        read_bytes = state.base_bytes + delta_rows * load.row_bytes
+        read_bytes = state.base_bytes + delta_rows * ROW_BYTES
         write_bytes = max(
             int(read_bytes * live_fraction * load.write_amplification),
             cap)

@@ -12,8 +12,7 @@ lives in :mod:`repro.tenancy`.
 """
 
 from repro.serve.arrivals import (ArrivalModel, BurstyArrivals,
-                                  ClosedLoopArrivals, DiurnalArrivals,
-                                  PoissonArrivals)
+                                  DiurnalArrivals, PoissonArrivals)
 from repro.serve.controller import AIMDConfig, ConcurrencyController
 from repro.serve.queueing import (POLICIES, AdmissionQueue, EdfQueue,
                                   FifoQueue, QueuedQuery,
@@ -27,7 +26,6 @@ __all__ = [
     "AdmissionQueue",
     "ArrivalModel",
     "BurstyArrivals",
-    "ClosedLoopArrivals",
     "ConcurrencyController",
     "DiurnalArrivals",
     "EdfQueue",

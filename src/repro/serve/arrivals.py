@@ -9,7 +9,7 @@ offered load self-throttles at saturation.  A production service faces
 backend is, so when offered load exceeds capacity the queue grows
 without bound instead of the QPS curve politely flattening.
 
-Four generator families, all seeded and deterministic:
+Three generator families, all seeded and deterministic:
 
 * :class:`PoissonArrivals` — memoryless arrivals at a constant mean
   rate λ, the M/G/k baseline of open-loop analysis;
@@ -19,11 +19,7 @@ Four generator families, all seeded and deterministic:
 * :class:`DiurnalArrivals` — an inhomogeneous Poisson process whose
   rate swings sinusoidally between a trough and a peak (one "day" per
   ``period_s``), sampled exactly by Lewis–Shedler thinning; the slow
-  tide the tenancy autopilot's placement tier surfs;
-* :class:`ClosedLoopArrivals` — not a timeline at all but a marker
-  telling the :class:`~repro.serve.Server` to run N closed-loop
-  clients exactly like the benchmark runner, the back-compat bridge
-  used by the determinism tests.
+  tide the tenancy autopilot's placement tier surfs.
 
 ``timeline()`` materializes the whole arrival schedule up front (one
 sorted tuple of seconds), so a serve run's schedule is a pure function
@@ -210,34 +206,4 @@ class DiurnalArrivals:
         return tuple(times)
 
 
-@dataclasses.dataclass(frozen=True)
-class ClosedLoopArrivals:
-    """Back-compat marker: run *clients* closed-loop benchmark clients.
-
-    No arrival timeline exists — each client issues its next query the
-    moment the previous one completes, exactly like
-    :meth:`~repro.workload.runner.BenchRunner.run`.  An inert server
-    configuration over this model reproduces the closed-loop run's QPS
-    and P99 bit for bit (asserted by the determinism suite).
-    """
-
-    clients: int = 1
-
-    def __post_init__(self) -> None:
-        if self.clients < 1:
-            raise ServeError(f"clients must be >= 1: {self.clients}")
-
-    @property
-    def mean_qps(self) -> float | None:
-        """Closed loops have no offered rate; load adapts to service."""
-        return None
-
-    def timeline(self, duration_s: float, seed: int = 0,
-                 stream: int = 0) -> t.NoReturn:
-        raise ServeError(
-            "closed-loop arrivals have no timeline; the Server runs "
-            f"{self.clients} closed-loop clients instead")
-
-
-ArrivalModel = t.Union[PoissonArrivals, BurstyArrivals, DiurnalArrivals,
-                       ClosedLoopArrivals]
+ArrivalModel = t.Union[PoissonArrivals, BurstyArrivals, DiurnalArrivals]

@@ -88,14 +88,14 @@ class TenantStats:
 
 @dataclasses.dataclass(frozen=True)
 class ServeResult:
-    """Metrics of one open- or closed-loop serving run."""
+    """Metrics of one open-loop serving run."""
 
     engine: str
     index_kind: str
     dataset: str
     policy: str                 # admission-queue policy ("fifo"/"wfq"/"edf")
     duration_s: float           # simulated wall clock of the run
-    offered_qps: float | None   # None for closed-loop arrival models
+    offered_qps: float
     arrivals: int
     admitted: int
     rejected: int

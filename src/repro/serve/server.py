@@ -23,10 +23,8 @@ simulated hardware — into a *service* facing offered load:
    discovered online by the :class:`~repro.serve.ConcurrencyController`
    (AIMD against the SLO target).
 
-A :class:`ClosedLoopArrivals` tenant bypasses all of the above and runs
-the benchmark runner's own :func:`~repro.workload.replay.closed_loop`
-driver, so an inert configuration reproduces :meth:`BenchRunner.run
-<repro.workload.runner.BenchRunner.run>` numbers by construction.
+Serving is open-loop only; the closed loop is :meth:`BenchRunner.run
+<repro.workload.runner.BenchRunner.run>`.
 """
 
 from __future__ import annotations
@@ -38,13 +36,13 @@ import numpy as np
 
 from repro.errors import ServeError
 from repro.obs import RunTelemetry
-from repro.serve.arrivals import ArrivalModel, ClosedLoopArrivals
+from repro.serve.arrivals import ArrivalModel
 from repro.serve.controller import AIMDConfig, ConcurrencyController
 from repro.serve.queueing import POLICIES, QueuedQuery, make_queue
 from repro.serve.result import ServeResult, TenantStats
 from repro.serve.tenant import Tenant
 from repro.workload.metrics import percentile
-from repro.workload.replay import ReplaySession, closed_loop
+from repro.workload.replay import ReplaySession
 
 if t.TYPE_CHECKING:
     from repro.mutate.simproc import MutationLoad, MutationState
@@ -100,8 +98,6 @@ class ServeConfig:
     #: Offered-load window; arrivals stop here, in-flight work drains.
     duration_s: float = 1.0
     seed: int = 0
-    #: Closed-loop issue cap (mirrors ``BenchRunner.run``'s).
-    max_queries: int = 25_000
     search_params: dict[str, t.Any] = dataclasses.field(
         default_factory=dict)
     #: Concurrent insert/delete stream plus threshold-triggered
@@ -115,15 +111,6 @@ class ServeConfig:
         if self.policy not in POLICIES:
             raise ServeError(f"unknown queue policy {self.policy!r}; "
                              f"expected one of {POLICIES}")
-        closed = [isinstance(ten.arrivals, ClosedLoopArrivals)
-                  for ten in self.tenants]
-        if any(closed) and not all(closed):
-            raise ServeError(
-                "cannot mix closed-loop and open-loop tenants")
-        if all(closed) and len(self.tenants) != 1:
-            raise ServeError(
-                "closed-loop serving takes exactly one tenant "
-                f"(got {len(self.tenants)})")
         if self.duration_s <= 0:
             raise ServeError(f"duration must be > 0: {self.duration_s}")
         if self.batch_cap is not None and self.batch_cap < 1:
@@ -137,20 +124,14 @@ class ServeConfig:
         if self.shed_late and self.deadline_for(0) is None:
             raise ServeError("shedding needs an SLO deadline")
 
-    @property
-    def closed_loop(self) -> bool:
-        return isinstance(self.tenants[0].arrivals, ClosedLoopArrivals)
-
     def deadline_for(self, tenant: int) -> float | None:
         """The effective SLO deadline of tenant index *tenant*."""
         own = self.tenants[tenant].slo_deadline_s
         return own if own is not None else self.slo_deadline_s
 
     @property
-    def offered_qps(self) -> float | None:
-        """Total mean offered load; ``None`` for closed-loop configs."""
-        if self.closed_loop:
-            return None
+    def offered_qps(self) -> float:
+        """Total mean offered load across the tenants."""
         return sum(ten.arrivals.mean_qps for ten in self.tenants)
 
 
@@ -255,14 +236,9 @@ class Server:
         if not completed:
             raise ServeError("serving run completed no queries; "
                              "offered load or duration too small?")
-        # Closed loop: QPS over the last completion, exactly like
-        # ``BenchRunner.run``.  Open loop: the offered window is the
-        # denominator floor — draining a backlog after arrivals stop
-        # must not inflate the rate.
-        elapsed = max(r.end_s for r in completed)
-        if not config.closed_loop:
-            elapsed = max(elapsed, config.duration_s)
-        elapsed = max(elapsed, 1e-9)
+        # The offered window is the denominator floor — draining a
+        # backlog after arrivals stop must not inflate the rate.
+        elapsed = max(max(r.end_s for r in completed), config.duration_s)
 
         def met_slo(record: _QueryRecord) -> bool:
             deadline = config.deadline_for(record.tenant)
@@ -338,34 +314,6 @@ class Server:
             tenancy=self._tenancy_stats(),
             telemetry=self.telemetry,
         )
-
-    # -- closed loop (the back-compat bridge) -----------------------------
-
-    def _serve_closed(self, session: ReplaySession) -> ServeResult:
-        """Run the benchmark runner's closed loop, with SLO accounting."""
-        config = self.config
-        clients = config.tenants[0].arrivals.clients
-        env = session.env
-        tally = _Tally()
-
-        def pick(index: int):
-            plan, cold = session.plan_for(index)
-            record = _QueryRecord(tenant=0, arrival_s=env.now,
-                                  dispatch_s=env.now)
-            tally.records.append(record)
-            return plan, cold, record
-
-        def complete(record: _QueryRecord, _start, failed: bool, _span):
-            record.end_s = env.now
-            record.failed = failed
-
-        closed_loop(session, self.runner, clients, config.duration_s,
-                    config.max_queries, pick=pick, record=complete)
-        tally.arrivals = tally.admitted = len(tally.records)
-        self._note("arrivals", tally.arrivals)
-        self._note("admitted", tally.admitted)
-        return self._result(session, [tally], batches=0, max_depth=0,
-                            controller=None, final_limit=clients)
 
     # -- open loop --------------------------------------------------------
 
@@ -518,8 +466,6 @@ class Server:
                 session.hosts[0], self.runner, self.config.mutation,
                 self.config.duration_s, telemetry=self.telemetry)
         self._start_background(session)
-        if self.config.closed_loop:
-            return self._serve_closed(session)
         return self._serve_open(session)
 
 

@@ -103,11 +103,11 @@ class Network:
     one-way hops, numbering messages internally so each transfer draws
     fresh deterministic jitter.  Purely a latency source: it never
     reorders or drops messages itself — loss and slowdown live one
-    layer up, where :mod:`repro.faults` node-kill windows kill the
-    *endpoint*, :class:`~repro.faults.PartitionPlan` drops delivered
-    messages crossing a partition cut (keyed by this network's message
-    ordinals), and :class:`~repro.faults.GrayPlan` stretches a slow
-    node's hops (see :meth:`repro.cluster.runner.ClusterReplayer.hop`).
+    layer up, in the run's :class:`~repro.faults.ChaosSchedule`: its
+    node-kill windows kill the *endpoint*, its partition windows drop
+    delivered messages crossing a cut (keyed by this network's message
+    ordinals), and its gray windows stretch a slow node's hops (see
+    :meth:`repro.cluster.runner.ClusterReplayer.hop`).
     """
 
     def __init__(self, env: "Environment", spec: NetworkSpec,

@@ -43,8 +43,8 @@ from repro.tenancy.controller import (DegradationLadder,
                                       SloControllerConfig, build_ladder)
 from repro.tenancy.costmodel import (QueryCostModel, TokenBucket,
                                      plan_cost_prior)
-from repro.tenancy.placement import (Migration, PlacementConfig,
-                                     PlacementManager)
+from repro.tenancy.placement import (QUANTIZE_RATIO, Migration,
+                                     PlacementConfig, PlacementManager)
 from repro.tenancy.registry import TenantRegistry
 from repro.workload.metrics import percentile
 
@@ -69,8 +69,6 @@ class TenancyConfig:
     degrade_factor: float = 0.5
     #: Ladder depth (levels beyond the contracted level 0).
     max_levels: int = 3
-    #: EMA weight of the online cost-model fit.
-    cost_alpha: float = 0.125
 
     def serve_config(self, **overrides: t.Any) -> ServeConfig:
         """A :class:`ServeConfig` whose tenants mirror the registry."""
@@ -110,8 +108,6 @@ class AutopilotServer(Server):
             raise TenancyError(
                 "AutopilotServer needs enabled=True; use serve_autopilot "
                 "(or the plain Server) for disabled configs")
-        if config.closed_loop:
-            raise TenancyError("the autopilot drives open-loop runs only")
         registry = tenancy.registry
         if tuple(config.tenants) != registry.serve_tenants():
             raise TenancyError(
@@ -131,7 +127,7 @@ class AutopilotServer(Server):
             priorities=tuple(p.priority for p in registry.profiles))
 
         # The online cost model, seeded with the plan-derived priors.
-        self.costs = QueryCostModel(alpha=tenancy.cost_alpha)
+        self.costs = QueryCostModel()
         spec = runner.device_spec
         for lvl in self.ladder.levels:
             self.costs.seed(("hot", lvl.level),
@@ -152,13 +148,8 @@ class AutopilotServer(Server):
         self._cold_level = 0
         if tenancy.placement is not None:
             place = tenancy.placement
-            self._cold_level = (place.cold_level
-                                if place.cold_level is not None
-                                else self.ladder.deepest)
-            if not 0 <= self._cold_level <= self.ladder.deepest:
-                raise TenancyError(
-                    f"cold level {place.cold_level} outside the ladder "
-                    f"(deepest {self.ladder.deepest})")
+            # The cold tier serves the deepest (cheapest) ladder level.
+            self._cold_level = self.ladder.deepest
             cold_recall = self.ladder.levels[self._cold_level].recall
             demotable = tuple(
                 all((cold_recall is not None
@@ -301,7 +292,7 @@ class AutopilotServer(Server):
             if move.target == "hot":
                 total, op = group_bytes, "R"
             else:
-                total, op = group_bytes // place.quantize_ratio, "W"
+                total, op = group_bytes // QUANTIZE_RATIO, "W"
             cap = spec.max_request_bytes
             offset = 0
             while offset < total:

@@ -145,6 +145,15 @@ class IntervalObservation:
     backlog: int
 
 
+#: An interval is *hot* when p95 latency exceeds ``HIGH_WATER * slo *
+#: bias`` (the SLO itself: react to violations, not to a margin) ...
+HIGH_WATER = 1.0
+#: ... and *calm* only under ``LOW_WATER * slo * bias``; the band in
+#: between is the latency hysteresis, wide enough to absorb the
+#: latency a one-level restore gives back.
+LOW_WATER = 0.5
+
+
 @dataclasses.dataclass(frozen=True)
 class SloControllerConfig:
     """Knobs of the per-tenant AIMD quality controller."""
@@ -155,10 +164,6 @@ class SloControllerConfig:
     degrade_after: int = 2
     #: Consecutive calm intervals before a one-level restore.
     restore_after: int = 6
-    #: Hot when p95 latency exceeds ``high_water * slo * bias``.
-    high_water: float = 1.0
-    #: Calm only when p95 latency is under ``low_water * slo * bias``.
-    low_water: float = 0.5
     #: Minimum completions for a latency-based verdict; quieter
     #: intervals can still go hot on backlog runaway.
     min_observations: int = 4
@@ -168,10 +173,6 @@ class SloControllerConfig:
             raise TenancyError(f"interval must be > 0: {self.interval_s}")
         if self.degrade_after < 1 or self.restore_after < 1:
             raise TenancyError("hysteresis streaks must be >= 1")
-        if not 0.0 < self.low_water < self.high_water:
-            raise TenancyError(
-                f"need 0 < low_water < high_water: {self.low_water}, "
-                f"{self.high_water}")
         if self.min_observations < 1:
             raise TenancyError(
                 f"min_observations must be >= 1: {self.min_observations}")
@@ -212,9 +213,9 @@ class SloController:
         measured = obs.completions >= cfg.min_observations
         runaway = obs.backlog > 2 * max(1, obs.completions)
         hot = (measured and obs.p95_latency_s
-               > cfg.high_water * slo_s * bias) or runaway
+               > HIGH_WATER * slo_s * bias) or runaway
         calm = (measured
-                and obs.p95_latency_s < cfg.low_water * slo_s * bias
+                and obs.p95_latency_s < LOW_WATER * slo_s * bias
                 and obs.backlog <= obs.completions)
         if hot:
             self._calm[tenant] = 0

@@ -39,6 +39,13 @@ import dataclasses
 from repro.errors import TenancyError
 
 
+#: Quantization ratio of the cold representation (PQ-style): a
+#: demotion writes ``group_bytes / QUANTIZE_RATIO`` to the device, a
+#: promotion reads the full ``group_bytes`` back.  A constant, not a
+#: knob: every study and test ran the one value.
+QUANTIZE_RATIO = 8
+
+
 @dataclasses.dataclass(frozen=True)
 class PlacementConfig:
     """Knobs of the two-tier residency manager."""
@@ -51,12 +58,6 @@ class PlacementConfig:
     ewma_alpha: float = 0.3
     #: Hysteresis: minimum time in a tier before migrating again.
     min_residency_s: float = 0.2
-    #: Ladder level served by the cold tier; ``None`` = the deepest.
-    cold_level: int | None = None
-    #: Quantization ratio of the cold representation (PQ-style); a
-    #: demotion writes ``group_bytes / quantize_ratio`` to the device,
-    #: a promotion reads the full ``group_bytes`` back.
-    quantize_ratio: int = 8
 
     def __post_init__(self) -> None:
         if self.hot_capacity < 1:
@@ -67,9 +68,6 @@ class PlacementConfig:
         if not 0.0 < self.ewma_alpha <= 1.0:
             raise TenancyError(
                 f"EWMA alpha must be in (0, 1]: {self.ewma_alpha}")
-        if self.quantize_ratio < 1:
-            raise TenancyError(
-                f"quantize ratio must be >= 1: {self.quantize_ratio}")
 
 
 @dataclasses.dataclass(frozen=True)

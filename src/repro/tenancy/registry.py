@@ -30,8 +30,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.errors import TenancyError
-from repro.serve.arrivals import ArrivalModel, ClosedLoopArrivals, \
-    PoissonArrivals
+from repro.serve.arrivals import ArrivalModel, PoissonArrivals
 from repro.serve.server import TenantLoad
 from repro.serve.tenant import Tenant
 
@@ -65,10 +64,6 @@ class TenantProfile:
     group: str | None = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.arrivals, ClosedLoopArrivals):
-            raise TenancyError(
-                f"tenant {self.tenant.name!r}: the autopilot drives "
-                "open-loop arrivals only")
         if self.slo_latency_s <= 0:
             raise TenancyError(
                 f"SLO latency must be > 0: {self.slo_latency_s}")

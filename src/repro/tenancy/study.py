@@ -200,7 +200,7 @@ def tenancy_study(dataset: str = "cohere-1m", n_tenants: int = 100,
             tenant=p.tenant, arrivals=p.arrivals,
             slo_latency_s=p.slo_latency_s, recall_floor=p.recall_floor,
             quota_cost_per_s=QUOTA_HEADROOM
-            * (p.arrivals.mean_qps or 0.0) * priors[0],
+            * p.arrivals.mean_qps * priors[0],
             quota_burst_s=0.2, priority=p.priority, group=p.group)
         for p in registry.profiles))
 
@@ -225,7 +225,7 @@ def tenancy_study(dataset: str = "cohere-1m", n_tenants: int = 100,
         "dataset": dataset, "duration_s": duration_s,
         "n_tenants": len(registry), "knee_concurrency": knee,
         "saturation_qps": saturation,
-        "offered_qps": sum(p.arrivals.mean_qps or 0.0
+        "offered_qps": sum(p.arrivals.mean_qps
                            for p in registry.profiles),
         "legal_static_levels": list(range(legal_max + 1)),
         "ladder": [{"level": lvl.level, "params": lvl.params,

@@ -671,11 +671,9 @@ class BenchRunner:
         pick = record = tracker = None
         degraded_completions = 0
         if resil is not None and resil.degrade:
-            degraded_params = (dict(resil.degrade_params)
-                               if resil.degrade_params is not None
-                               else degraded_search_params(
-                                   self.collection.index_spec.kind,
-                                   params, resil.degrade_factor, self.k))
+            degraded_params = degraded_search_params(
+                self.collection.index_spec.kind, params,
+                resil.degrade_factor, self.k)
             degraded_cold, degraded_warm, recall_degraded = self._compile(
                 degraded_params)
             tracker = PressureTracker(resil)

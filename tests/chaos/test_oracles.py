@@ -10,7 +10,7 @@ from repro.chaos import (ChaosSchedule, check_attribution,
                          check_replica_consistency, run_chaos,
                          summarize)
 from repro.chaos.oracles import OracleReport
-from repro.faults.nodes import NodeFaultPlan, NodeKill
+from repro.faults.nodes import NodeKill
 
 DURATION = 0.08
 
@@ -41,7 +41,7 @@ class TestAttribution:
     @pytest.fixture
     def blackout(self, fresh_runner, serve_config):
         """An unsupervised run where both shards die at once."""
-        kills = ChaosSchedule(node_faults=NodeFaultPlan.of(
+        kills = ChaosSchedule(kills=(
             NodeKill(0, 0.02, 0.05), NodeKill(1, 0.02, 0.05)))
         return run_chaos(fresh_runner(replicas=1, spares=0),
                          serve_config(DURATION), kills, telemetry=True)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.chaos import ChaosSchedule, shrink_elements, shrink_schedule
 from repro.errors import WorkloadError
-from repro.faults.nodes import NodeFaultPlan, NodeKill
+from repro.faults.nodes import NodeKill
 
 
 def elements(n):
@@ -56,16 +56,15 @@ class TestShrinkElements:
 
 class TestShrinkSchedule:
     def test_minimal_schedule_still_violates(self):
-        kills = [NodeKill(n, 0.0, 1.0) for n in range(5)]
-        sched = ChaosSchedule(node_faults=NodeFaultPlan.of(*kills))
+        sched = ChaosSchedule(
+            kills=[NodeKill(n, 0.0, 1.0) for n in range(5)], seed=5)
 
         def violates(sub):
-            return any(k.node == 3 for k in sub.node_faults.kills)
+            return any(k.node == 3 for k in sub.kills)
 
         minimal, _probes = shrink_schedule(sched, violates)
         assert violates(minimal)
         assert [(tag, e.node) for tag, e in minimal.elements()] \
             == [("kill", 3)]
-        # Seeds survive the rebuild, so the reproducer replays as-is.
-        assert minimal.seed == sched.seed
-        assert minimal.node_faults.seed == sched.node_faults.seed
+        # The seed survives the rebuild, so the reproducer replays as-is.
+        assert minimal.seed == sched.seed == 5

@@ -5,8 +5,8 @@ import pytest
 from repro.chaos import ChaosSchedule, Supervisor, SupervisorConfig, \
     run_chaos
 from repro.errors import WorkloadError
-from repro.faults.gray import GrayFailure, GrayPlan
-from repro.faults.nodes import NodeFaultPlan, NodeKill
+from repro.faults.gray import GrayFailure
+from repro.faults.nodes import NodeKill
 
 DURATION = 0.08
 
@@ -22,8 +22,7 @@ class TestConfig:
 
     def test_disabled_supervisor_is_inert(self, fresh_runner,
                                           serve_config):
-        kills = ChaosSchedule(node_faults=NodeFaultPlan.of(
-            NodeKill(0, 0.02, 1.0)))
+        kills = ChaosSchedule(kills=(NodeKill(0, 0.02, 1.0),))
         run = run_chaos(fresh_runner(), serve_config(DURATION), kills,
                         supervisor=Supervisor(
                             SupervisorConfig(enabled=False)))
@@ -39,8 +38,7 @@ class TestRecovery:
         # for the rest of the run; the supervisor must detect it by
         # probe misses alone and rebuild its shard-0 replica on 4.
         runner = fresh_runner(spares=1)
-        kills = ChaosSchedule(node_faults=NodeFaultPlan.of(
-            NodeKill(0, 0.01, 1.0)))
+        kills = ChaosSchedule(kills=(NodeKill(0, 0.01, 1.0),))
         sup = Supervisor(SupervisorConfig())
         run = run_chaos(runner, serve_config(DURATION), kills,
                         supervisor=sup)
@@ -64,8 +62,8 @@ class TestRecovery:
         # Node 1 stays alive but answers 16x slow; its probe round
         # trips blow the timeout, so it is healed like a dead node —
         # the point of probing through the chaos-aware network path.
-        gray = ChaosSchedule(grays=GrayPlan.of(
-            GrayFailure(1, 0.0, DURATION, slowdown=16.0)))
+        gray = ChaosSchedule(grays=(
+            GrayFailure(1, 0.0, DURATION, slowdown=16.0),))
         sup = Supervisor(SupervisorConfig())
         run = run_chaos(fresh_runner(spares=1), serve_config(DURATION),
                         gray, supervisor=sup)
@@ -79,8 +77,7 @@ class TestRecovery:
         # re-replication; the supervisor counts no_spare and moves on
         # instead of thrashing, and the surviving replica keeps all
         # queries flowing.
-        kills = ChaosSchedule(node_faults=NodeFaultPlan.of(
-            NodeKill(0, 0.01, 1.0)))
+        kills = ChaosSchedule(kills=(NodeKill(0, 0.01, 1.0),))
         sup = Supervisor(SupervisorConfig())
         run = run_chaos(fresh_runner(spares=0), serve_config(DURATION),
                         kills, supervisor=sup)

@@ -17,7 +17,7 @@ from repro.cluster import Cluster, ClusterTopology
 from repro.cluster.runner import ClusterBenchRunner
 from repro.engines.engine import IndexSpec
 from repro.errors import ClusterError, DegradedResult, WorkloadError
-from repro.faults.nodes import NodeFaultPlan
+from repro.faults import ChaosSchedule
 from repro.obs import RunTelemetry
 from repro.serve.arrivals import PoissonArrivals
 from repro.serve.server import ServeConfig, Server, TenantLoad
@@ -40,6 +40,13 @@ def _runner(replay_corpus, topology, **kwargs):
                               k=10)
 
 
+def _seeded_kills(n_nodes, duration_s, outage_s):
+    """Four seeded node kills and nothing else."""
+    return ChaosSchedule.seeded(n_nodes, duration_s, seed=1, kills=4,
+                                outage_s=outage_s, partitions=0, grays=0,
+                                device_nodes=0)
+
+
 def test_same_seed_runs_replay_the_same_timeline(replay_corpus):
     topo = ClusterTopology(n_shards=2, replicas=2, seed=3)
     first = _runner(replay_corpus, topo).run(8, duration_s=0.1)
@@ -54,11 +61,9 @@ def test_failover_masks_seeded_node_kills(replay_corpus):
     topo = ClusterTopology(n_shards=2, replicas=2, seed=0)
     runner = _runner(replay_corpus, topo)
     duration = 0.2
-    kills = NodeFaultPlan.seeded(n_nodes=topo.total_nodes,
-                                 duration_s=duration, kills=4,
-                                 outage_s=duration / 8, seed=1)
+    kills = _seeded_kills(topo.total_nodes, duration, duration / 8)
     healthy = runner.run(16, duration_s=duration)
-    wounded = runner.run(16, duration_s=duration, node_faults=kills)
+    wounded = runner.run(16, duration_s=duration, chaos=kills)
     faults = wounded.faults
     assert faults is not None
     assert faults["failovers"] > 0
@@ -70,10 +75,8 @@ def test_failover_masks_seeded_node_kills(replay_corpus):
 def test_single_replica_node_kill_fails_queries_honestly(replay_corpus):
     topo = ClusterTopology(n_shards=2, replicas=1, seed=0)
     runner = _runner(replay_corpus, topo)
-    kills = NodeFaultPlan.seeded(n_nodes=topo.total_nodes,
-                                 duration_s=0.2, kills=4,
-                                 outage_s=0.05, seed=1)
-    result = runner.run(16, duration_s=0.2, node_faults=kills)
+    kills = _seeded_kills(topo.total_nodes, 0.2, 0.05)
+    result = runner.run(16, duration_s=0.2, chaos=kills)
     assert result.faults is not None
     assert result.faults["failed_queries"] > 0
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ServeError
-from repro.serve import BurstyArrivals, ClosedLoopArrivals, PoissonArrivals
+from repro.serve import BurstyArrivals, PoissonArrivals
 
 
 def test_poisson_timeline_is_deterministic():
@@ -46,13 +46,6 @@ def test_bursty_timeline_is_deterministic_and_sorted():
     assert list(times) == sorted(times)
 
 
-def test_closed_loop_has_no_timeline():
-    model = ClosedLoopArrivals(clients=4)
-    assert model.mean_qps is None
-    with pytest.raises(ServeError):
-        model.timeline(1.0)
-
-
 def test_validation_rejects_bad_parameters():
     with pytest.raises(ServeError):
         PoissonArrivals(rate_qps=0.0)
@@ -62,5 +55,3 @@ def test_validation_rejects_bad_parameters():
         BurstyArrivals(base_qps=10.0, burst_qps=-1.0)
     with pytest.raises(ServeError):
         BurstyArrivals(base_qps=10.0, burst_qps=20.0, mean_calm_s=0.0)
-    with pytest.raises(ServeError):
-        ClosedLoopArrivals(clients=0)

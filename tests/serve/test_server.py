@@ -1,22 +1,16 @@
 """Behavioural tests for the serving layer (determinism suite).
 
-The two anchor contracts:
-
-* same config + same seed => an identical :class:`ServeResult`;
-* an inert configuration (one closed-loop tenant, unbounded FIFO, no
-  shedding, no controller) reproduces ``runner.run`` exactly, for the
-  single-node and the cluster runner alike.
+The anchor contract: same config + same seed => an identical
+:class:`ServeResult`.
 """
 
 import numpy as np
 import pytest
 
-from repro.cluster import Cluster, ClusterBenchRunner, ClusterTopology
-from repro.engines import IndexSpec
 from repro.errors import ServeError
 from repro.obs import RunTelemetry
-from repro.serve import (AIMDConfig, ClosedLoopArrivals, PoissonArrivals,
-                         ServeConfig, Server, TenantLoad, serve)
+from repro.serve import (AIMDConfig, PoissonArrivals, ServeConfig, Server,
+                         TenantLoad, serve)
 from repro.workload import BenchRunner
 
 from tests.workload.test_runner import make_engine
@@ -27,17 +21,6 @@ def runner(small_data, small_queries, small_truth):
     engine = make_engine(small_data)
     return BenchRunner(engine, "bench", small_queries,
                        ground_truth=small_truth)
-
-
-@pytest.fixture(scope="module")
-def cluster_runner(small_data, small_queries, small_truth):
-    cluster = Cluster(ClusterTopology(n_shards=2, replicas=2), "milvus")
-    cluster.create("bench", small_data.shape[1], IndexSpec.of(
-        "hnsw", M=8, ef_construction=40))
-    cluster.insert("bench", small_data)
-    cluster.flush("bench")
-    return ClusterBenchRunner(cluster, "bench", small_queries,
-                              ground_truth=small_truth)
 
 
 def open_config(**overrides):
@@ -67,33 +50,6 @@ class TestDeterminism:
         assert plain == instrumented
         assert plain.telemetry is None
         assert instrumented.telemetry is not None
-
-
-class TestClosedLoopBridge:
-    def test_inert_config_reproduces_run_exactly(self, runner,
-                                                 cluster_runner):
-        config = ServeConfig(
-            tenants=(TenantLoad("t", ClosedLoopArrivals(clients=4)),),
-            duration_s=0.3, search_params={"ef_search": 16})
-        for each in (runner, cluster_runner):
-            result = serve(each, config)
-            baseline = each.run(4, {"ef_search": 16}, duration_s=0.3)
-            for field in ("engine", "index_kind", "dataset", "qps",
-                          "p99_latency_s", "p95_latency_s",
-                          "p50_latency_s", "completed", "recall"):
-                assert getattr(result, field) == getattr(baseline, field)
-            assert result.duration_s == baseline.elapsed_s
-            assert result.offered_qps is None
-            assert result.rejected == 0 and result.shed == 0
-
-    def test_closed_loop_queue_time_is_zero(self, runner):
-        config = ServeConfig(
-            tenants=(TenantLoad("t", ClosedLoopArrivals(clients=2)),),
-            duration_s=0.2, search_params={"ef_search": 16})
-        result = serve(runner, config)
-        assert result.mean_queue_s == 0.0
-        assert result.mean_service_s == pytest.approx(
-            result.mean_latency_s)
 
 
 class TestOpenLoopBehaviour:
@@ -178,16 +134,10 @@ class TestConfigValidation:
         return (TenantLoad("t", model),)
 
     def test_rejects_empty_and_mixed_tenants(self):
+        # "mixed" was closed- with open-loop tenants; serving is
+        # open-loop only since 1.13, the id is kept stable.
         with pytest.raises(ServeError):
             ServeConfig(tenants=())
-        with pytest.raises(ServeError):
-            ServeConfig(tenants=(
-                TenantLoad("a", ClosedLoopArrivals()),
-                TenantLoad("b", PoissonArrivals(rate_qps=10.0))))
-        with pytest.raises(ServeError):
-            ServeConfig(tenants=(
-                TenantLoad("a", ClosedLoopArrivals()),
-                TenantLoad("b", ClosedLoopArrivals())))
 
     def test_rejects_bad_knobs(self):
         model = PoissonArrivals(rate_qps=10.0)

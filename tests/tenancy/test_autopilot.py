@@ -8,7 +8,7 @@ import pytest
 from repro.ann.flat import FlatIndex
 from repro.engines import IndexSpec, VectorEngine, get_profile
 from repro.errors import TenancyError
-from repro.serve import ClosedLoopArrivals, Server, TenantLoad
+from repro.serve import Server
 from repro.tenancy import (AutopilotServer, PlacementConfig,
                            SloControllerConfig, TenancyConfig,
                            build_ladder, serve_autopilot)
@@ -102,27 +102,17 @@ class TestAccounting:
 
 class TestValidation:
     def test_rejects_disabled_and_closed_loop_and_mismatch(self, runner):
+        # Closed-loop serve configs no longer exist (1.13); the id is
+        # kept stable.
         reg = two_group_registry()
         tenancy = tenancy_config(reg)
         config = serve_config(tenancy)
         with pytest.raises(TenancyError):
             AutopilotServer(runner, config,
                             tenancy_config(reg, enabled=False))
-        from repro.serve import ServeConfig
-        closed = ServeConfig(tenants=(
-            TenantLoad("all", ClosedLoopArrivals(clients=2)),))
-        with pytest.raises(TenancyError):
-            AutopilotServer(runner, closed, tenancy)
         other = tenancy_config(registry(profile(name="zzz")))
         with pytest.raises(TenancyError):
             AutopilotServer(runner, config, other)
-
-    def test_rejects_cold_level_outside_the_ladder(self, runner):
-        tenancy = tenancy_config(
-            two_group_registry(),
-            placement=PlacementConfig(hot_capacity=1, cold_level=99))
-        with pytest.raises(TenancyError):
-            AutopilotServer(runner, serve_config(tenancy), tenancy)
 
     def test_floor_without_ground_truth_is_rejected(self, runner,
                                                     small_queries):

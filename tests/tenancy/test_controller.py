@@ -134,8 +134,6 @@ class TestSloController:
         with pytest.raises(TenancyError):
             SloControllerConfig(degrade_after=0)
         with pytest.raises(TenancyError):
-            SloControllerConfig(low_water=1.0, high_water=0.5)
-        with pytest.raises(TenancyError):
             SloControllerConfig(min_observations=0)
         with pytest.raises(TenancyError):
             SloController(SloControllerConfig(), max_levels=(1,),

@@ -49,8 +49,6 @@ class TestInit:
             PlacementConfig(hot_capacity=1, interval_s=0.0)
         with pytest.raises(TenancyError):
             PlacementConfig(hot_capacity=1, ewma_alpha=0.0)
-        with pytest.raises(TenancyError):
-            PlacementConfig(hot_capacity=1, quantize_ratio=0)
 
 
 class TestControlLoop:

@@ -3,19 +3,13 @@
 import pytest
 
 from repro.errors import TenancyError
-from repro.serve import ClosedLoopArrivals, Tenant
+from repro.serve import Tenant
 from repro.tenancy import TenantProfile, TenantRegistry
 
 from tests.tenancy.conftest import profile, registry
 
 
 class TestProfileValidation:
-    def test_rejects_closed_loop_arrivals(self):
-        with pytest.raises(TenancyError):
-            TenantProfile(tenant=Tenant("t"),
-                          arrivals=ClosedLoopArrivals(clients=2),
-                          slo_latency_s=0.05)
-
     def test_rejects_bad_slo_floor_quota_priority(self):
         with pytest.raises(TenancyError):
             profile(slo=0.0)

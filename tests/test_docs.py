@@ -43,7 +43,7 @@ DOCTESTED_MODULES = (
     "repro.mutate.simproc",
     "repro.faults.partition",
     "repro.faults.gray",
-    "repro.chaos.schedule",
+    "repro.faults.schedule",
     "repro.chaos.shrink",
     "repro.chaos.oracles",
     "repro.tenancy.registry",

@@ -15,21 +15,25 @@ Covers the three primitives the vectorized path is built from:
   per-query ``adc_table`` + ``adc_distances`` pair,
 * ``top_k_batch`` vs a row-wise ``top_k`` loop,
 
-and the two rewrites that are held to a reference implementation kept
+and the three rewrites that are held to a reference implementation kept
 under ``tests/``: the Vamana build (rows/s, graphs compared edge by
-edge) and CRC-32C (MB/s, digests compared).  Those two sections exit
-non-zero on any *inequality*; no section fails on a speed.
+edge), the DiskANN beam search (queries/s; ids, distance bytes, work
+steps and cache counters compared) and CRC-32C (MB/s, digests
+compared).  Those sections exit non-zero on any *inequality*; no
+section fails on a speed.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import pathlib
 import sys
 import time
 
 import numpy as np
 
+from repro.ann.diskann import DiskANNIndex, DiskLayout
 from repro.ann.distance import make_batch_kernel, top_k, top_k_batch
 from repro.ann.pq import ProductQuantizer
 from repro.ann.vamana import build_vamana
@@ -38,7 +42,7 @@ from repro.durability.record import crc32c
 
 # The reference implementations live with the tests that use them.
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
-from tests.ann import reference_vamana  # noqa: E402
+from tests.ann import reference_diskann, reference_vamana  # noqa: E402
 from tests.durability import reference_crc32c  # noqa: E402
 
 
@@ -119,6 +123,45 @@ def bench_build(n: int, dim: int) -> bool:
     return same
 
 
+def bench_search(n: int, dim: int, n_queries: int) -> bool:
+    """DiskANN queries/s, current vs reference; True iff all is equal.
+
+    Both sides search their own deep copy of one built index, cold then
+    warm, so the dynamic cache evolves on each and is compared too.
+    """
+    data = make_vectors(n, dim, n_clusters=max(16, int(n ** 0.5 / 2)),
+                        seed=6, latent_dim=32)
+    queries = make_vectors(n_queries, dim, n_clusters=8, seed=7,
+                           latent_dim=32)
+    node_bytes = DiskLayout(storage_dim=1536, R=32).node_bytes
+    built = DiskANNIndex(metric="cosine", R=32, storage_dim=1536,
+                         cache_bytes=n // 4 * node_bytes,
+                         lru_bytes=n // 16 * node_bytes).build(data)
+    same = True
+    for search_list in (10, 100):
+        for beam_width in (1, 4):
+            params = {"search_list": search_list, "beam_width": beam_width}
+            current, oracle = copy.deepcopy(built), copy.deepcopy(built)
+            got, search_s = timed(lambda: [
+                current.search(query, 10, **params)
+                for _ in range(2) for query in queries])
+            want, reference_s = timed(lambda: [
+                reference_diskann.search(oracle, query, 10, **params)
+                for _ in range(2) for query in queries])
+            equal = current.cache_stats() == oracle.cache_stats() and all(
+                np.array_equal(mine.ids, theirs.ids)
+                and mine.dists.tobytes() == theirs.dists.tobytes()
+                and mine.work.steps == theirs.work.steps
+                for mine, theirs in zip(got, want))
+            same = same and equal
+            print(f"  search   n={n} L={search_list:<3} W={beam_width}: "
+                  f"reference {len(want) / reference_s:6.0f} q/s  current "
+                  f"{len(got) / search_s:6.0f} q/s "
+                  f"({reference_s / search_s:4.1f}x)  "
+                  f"results {'identical' if equal else 'DIFFER'}")
+    return same
+
+
 def bench_crc(n_bytes: int) -> bool:
     """CRC-32C MB/s, current vs reference; True iff the digests match."""
     data = np.random.default_rng(5).bytes(n_bytes)
@@ -145,6 +188,8 @@ def main() -> int:
     print("rewrites vs their reference implementations (single run):")
     build_sizes = (300, 800) if args.quick else (800, 2_000)
     equal = [bench_build(size, 96) for size in build_sizes]
+    equal.append(bench_search(800 if args.quick else 2_000, 192,
+                              16 if args.quick else 48))
     equal.append(bench_crc(500_000 if args.quick else 5_000_000))
     return 0 if all(equal) else 1
 

@@ -18,6 +18,34 @@ Milvus:
 Searches return the exact block requests they would issue, so the engine
 layer can replay them against the simulated device and the block tracer
 sees the 4 KiB-dominated random-read stream the paper reports (O-15).
+
+How the search is fast without moving a bit
+-------------------------------------------
+Every RQ3 cell is a functional pass through :meth:`DiskANNIndex.search`,
+so each beam round is a handful of array calls, and for every index,
+query and parameter set it returns the ids, distance bits, work steps
+and cache effects of the textbook loop over Python tuples and sets
+(kept in ``tests/ann/reference_diskann.py``;
+``tests/ann/test_diskann_identity.py`` holds the two together).
+
+* **The candidate list is two parallel arrays sorted by (dist, id)** —
+  ``np.lexsort((ids, dists))`` is the order a sort of ``(dist, id)``
+  tuples gives, ties included.  The frontier is the first
+  ``beam_width`` unvisited *positions*.
+* **Membership is two boolean maps local to the call** (visited; in the
+  list or visited).  An id truncated out of the list is unmarked unless
+  visited, so it can re-enter and be re-scored — ``pq_evals`` counts
+  that.  A full list is only merged with the neighbours that tie or
+  beat its worst entry: the others would be truncated straight out.
+* **One ADC gather per round**, reduced over a contiguous ``(rows, m)``
+  block (the shape whose bits ``ProductQuantizer.adc_distances``
+  produces), and **one exact-kernel call per round on that round's
+  rows**: a one-row gather goes through BLAS ``gemv`` and rounds
+  differently from ``gemm``, so rounds are neither batched nor padded.
+* **Nothing is cached on the index.**  Segments are pickled whole into
+  the durable store and the index cache; per-query constants are
+  derived inside the call, and no table proportional to ``n * pq_m``
+  exists beside ``codes``.
 """
 
 from __future__ import annotations
@@ -72,12 +100,13 @@ class DiskLayout:
         Multi-sector nodes are read as separate 4 KiB requests, matching
         the pure-4 KiB streams observed at the block layer (O-15).
         """
-        if self.node_bytes <= self.sector:
-            sector = node // self.nodes_per_sector
-            return ((sector * self.sector, self.sector),)
-        first = node * self.sectors_per_node
-        return tuple((s * self.sector, self.sector)
-                     for s in range(first, first + self.sectors_per_node))
+        sector = self.sector
+        per_node = self.sectors_per_node
+        if per_node == 1:
+            return ((node // self.nodes_per_sector * sector, sector),)
+        first = node * per_node
+        return tuple((s * sector, sector)
+                     for s in range(first, first + per_node))
 
     def total_bytes(self, n: int) -> int:
         if self.node_bytes <= self.sector:
@@ -281,6 +310,8 @@ class DiskANNIndex(VectorIndex):
         bit-identical across all settings.
         """
         self._require_built()
+        if k < 1:
+            raise AnnIndexError(f"k must be >= 1: {k}")
         if search_list < 1 or beam_width < 1:
             raise AnnIndexError(
                 f"bad params: search_list={search_list} "
@@ -296,56 +327,73 @@ class DiskANNIndex(VectorIndex):
                                           self.prefetch_stats)
                       if prefetch_depth > 0 else None)
 
-        table = self.pq.adc_table(query)
-        work.add_cpu(table_builds=1)
-        medoid = self.graph.medoid
-        medoid_dist = float(ProductQuantizer.adc_distances(
-            table, self.codes[medoid:medoid + 1])[0])
-        work.add_cpu(pq_evals=1)
+        # Per-query constants: derived here, never stored on the index.
+        codes = self.codes
+        neighbors = self.graph.neighbors
+        kernel = self.graph.kernel
+        static_cache = self._static_cache
+        node_cache = self._node_cache
+        node_requests = self.layout.node_requests
+        table = self.pq.adc_tables(query[None])[0]
+        flat_table = table.ravel()
+        offsets = np.arange(table.shape[0]) * table.shape[1]
 
-        candidates: list[tuple[float, int]] = [(medoid_dist, medoid)]
-        in_candidates = {medoid}
-        visited: set[int] = set()
-        exact: dict[int, float] = {}
+        def pq_distances(rows: np.ndarray) -> np.ndarray:
+            # One take over a contiguous (rows, m) gather, reduced along
+            # m: the bits ProductQuantizer.adc_distances produces.
+            return flat_table.take(
+                codes.take(rows, axis=0) + offsets).sum(axis=1)
+
+        medoid = self.graph.medoid
+        # The candidate list: parallel arrays sorted by (dist, id).
+        ids = np.array([medoid], dtype=np.int64)
+        dists = pq_distances(ids)
+        work.add_cpu(pq_evals=1, table_builds=1)
+        n = self.graph.n
+        expanded = np.zeros(n, dtype=bool)      # visited
+        known = np.zeros(n, dtype=bool)         # in the list, or visited
+        known[medoid] = True
+        visit_order: list[int] = []
+        visit_dists: list[np.ndarray] = []
 
         while True:
-            unvisited = [nid for _d, nid in candidates
-                         if nid not in visited]
-            frontier = unvisited[:beam_width]
-            if not frontier:
+            unvisited = (~expanded[ids]).nonzero()[0]
+            if not unvisited.size:
                 break
+            frontier_ids = ids[unvisited[:beam_width]]
+            frontier = frontier_ids.tolist()
+            expanded[frontier_ids] = True
             requests: dict[tuple[int, int], None] = {}
             hits = 0
             prefetch_hits = 0
             for nid in frontier:
-                visited.add(nid)
-                if nid in self._static_cache:
+                if nid in static_cache:
                     hits += 1
                     self.static_hits += 1
-                elif nid in self._node_cache:
-                    self._node_cache.touch(nid)
+                elif nid in node_cache:
+                    node_cache.touch(nid)
                     hits += 1
                     self.lru_hits += 1
                 elif prefetcher is not None and prefetcher.consume(nid):
                     # Landed (or landing) speculatively: no demand read,
                     # but the round must join the in-flight speculation.
                     prefetch_hits += 1
-                    self._node_cache.admit(nid)
+                    node_cache.admit(nid)
                 else:
                     self.cache_misses += 1
-                    for request in self.layout.node_requests(nid):
+                    for request in node_requests(nid):
                         requests[request] = None
-                    self._node_cache.admit(nid)
+                    node_cache.admit(nid)
             if prefetch_hits:
                 work.add_prefetch_join()
             if prefetcher is not None:
                 speculated = prefetcher.plan(
-                    unvisited[beam_width:],
-                    lambda nid: (nid in self._static_cache
-                                 or nid in self._node_cache))
+                    ids[unvisited[beam_width:]].tolist(),
+                    lambda nid: (nid in static_cache
+                                 or nid in node_cache))
                 speculative: dict[tuple[int, int], None] = {}
                 for nid in speculated:
-                    for request in self.layout.node_requests(nid):
+                    for request in node_requests(nid):
                         speculative[request] = None
                 work.add_prefetch(list(speculative))
             if requests or hits or prefetch_hits:
@@ -354,32 +402,54 @@ class DiskANNIndex(VectorIndex):
 
             # Full-precision distances of the fetched nodes (their raw
             # vectors arrived with the sectors) — DiskANN's re-ranking.
-            full = self.graph.kernel(
-                query, np.asarray(frontier, dtype=np.int64))
-            work.add_cpu(full_evals=len(frontier))
-            for d, nid in zip(full, frontier):
-                exact[nid] = float(d)
+            # One call per round on that round's rows: a one-row gather
+            # rounds differently from a many-row one (gemv vs gemm), so
+            # rounds are neither batched nor padded.
+            visit_dists.append(kernel(query, frontier_ids))
+            visit_order.extend(frontier)
 
-            fresh: list[int] = []
-            for nid in frontier:
-                for neighbor in self.graph.neighbors[nid]:
-                    neighbor = int(neighbor)
-                    if neighbor not in in_candidates:
-                        in_candidates.add(neighbor)
-                        fresh.append(neighbor)
-            if fresh:
-                pq_dists = ProductQuantizer.adc_distances(
-                    table, self.codes[np.asarray(fresh, dtype=np.int64)])
-                work.add_cpu(pq_evals=len(fresh))
-                candidates.extend(
-                    (float(d), nid) for d, nid in zip(pq_dists, fresh))
-                candidates.sort()
-                del candidates[search_list:]
-                in_candidates = {nid for _d, nid in candidates} | visited
+            adjacent = np.concatenate([neighbors[nid] for nid in frontier])
+            fresh = adjacent[~known[adjacent]]
+            if len(frontier) > 1 and fresh.size > 1:
+                # Two frontier nodes may share a neighbour (one node's
+                # adjacency array never repeats an id).
+                fresh.sort()
+                first = np.empty(fresh.size, dtype=bool)
+                first[0] = True
+                np.not_equal(fresh[1:], fresh[:-1], out=first[1:])
+                fresh = fresh[first]
+            work.add_cpu(full_evals=len(frontier), pq_evals=fresh.size)
+            if not fresh.size:
+                continue
+            fresh_dists = pq_distances(fresh)
+            if ids.size == search_list:
+                # A full list only admits what ties or beats its worst
+                # entry; the rest would be sorted in and truncated
+                # straight out again, unmarked, free to re-enter (and be
+                # re-scored) later.  Most late rounds admit nothing.
+                entering = fresh_dists <= dists[-1]
+                if not entering.any():
+                    continue
+                fresh = fresh[entering]
+                fresh_dists = fresh_dists[entering]
+            known[fresh] = True
+            ids = np.concatenate((ids, fresh))
+            dists = np.concatenate((dists, fresh_dists))
+            order = np.lexsort((ids, dists))
+            if order.size > search_list:
+                # Ids truncated out of the list may re-enter too,
+                # unless they were already visited.
+                dropped = ids[order[search_list:]]
+                known[dropped] = expanded[dropped]
+                order = order[:search_list]
+            ids = ids[order]
+            dists = dists[order]
 
-        best = sorted(exact.items(), key=lambda item: item[1])[:k]
-        ids = np.asarray([nid for nid, _d in best], dtype=np.int64)
-        dists = np.asarray([d for _nid, d in best], dtype=np.float32)
+        full = np.concatenate(visit_dists)
+        # Stable: equal distances keep their visit order.
+        best = np.argsort(full, kind="stable")[:k]
+        ids = np.asarray(visit_order, dtype=np.int64)[best]
+        dists = full[best].astype(np.float32)
         if prefetcher is not None:
             work.prefetch_wasted = prefetcher.finish()
             work.prefetch_issued = (work.prefetch_hits

@@ -229,6 +229,8 @@ class HNSWIndex(VectorIndex):
         """Search the graph; *access_log* optionally collects the ids of
         every node whose vector was read (for paged/mmap storage)."""
         self._require_built()
+        if k < 1:
+            raise AnnIndexError(f"k must be >= 1: {k}")
         if ef_search < 1:
             raise AnnIndexError(f"ef_search must be >= 1: {ef_search}")
         ef = max(ef_search, k)

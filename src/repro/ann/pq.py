@@ -125,6 +125,12 @@ class ProductQuantizer:
         self._require_trained()
         queries = np.asarray(queries, dtype=np.float32).reshape(
             -1, self.dim)
+        if self.dsub == 1:
+            # A one-term sum is the term: skip einsum's length-1 axis
+            # (squared in place — a second table-sized buffer costs
+            # more in page faults than the arithmetic).
+            diffs = self.codebooks[None, :, :, 0] - queries[:, :, None]
+            return np.multiply(diffs, diffs, out=diffs)
         diffs = (self.codebooks[None, :, :, :]
                  - queries.reshape(-1, self.m, 1, self.dsub))
         return np.einsum("bmkd,bmkd->bmk", diffs, diffs)

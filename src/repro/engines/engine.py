@@ -424,6 +424,10 @@ class Collection:
         """
         if k <= 0:
             raise EngineError(f"k must be positive: {k}")
+        query = np.asarray(query, dtype=np.float32)
+        if query.shape != (self.dim,):
+            raise EngineError(
+                f"query must have shape ({self.dim},): got {query.shape}")
         need = k
         if filter_ is not None or self.tombstones:
             # Bound by the *stored* row count: tombstoned rows still come
@@ -465,9 +469,10 @@ class Collection:
         per-query, so those paths simply delegate to :meth:`search`.
         """
         queries = np.asarray(queries, dtype=np.float32)
-        if queries.ndim != 2:
+        if queries.ndim != 2 or queries.shape[1] != self.dim:
             raise EngineError(
-                f"query batch must be 2D (B, dim): {queries.shape}")
+                f"query batch must have shape (B, {self.dim}): "
+                f"got {queries.shape}")
         if k <= 0:
             raise EngineError(f"k must be positive: {k}")
         if filter_ is not None or self.tombstones:
@@ -478,7 +483,6 @@ class Collection:
     def _gather(self, query: np.ndarray, k: int,
                 **params: t.Any) -> SearchResult:
         """One query's gather: row 0 of a one-row :meth:`_gather_batch`."""
-        query = np.asarray(query, dtype=np.float32)
         return self._gather_batch(query[None], k, **params)[0]
 
     def _gather_batch(self, queries: np.ndarray, k: int,

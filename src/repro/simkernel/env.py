@@ -18,9 +18,9 @@ insertion order.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import typing as t
+from heapq import heappop
 
 from repro.errors import SimulationError
 from repro.simkernel.events import AllOf, AnyOf, Event, Race, Timeout
@@ -35,6 +35,8 @@ class Process(Event):
         result = yield env.process(sub_task(env))
     """
 
+    __slots__ = ("_generator",)
+
     def __init__(self, env: "Environment", generator:
                  t.Generator[Event, t.Any, t.Any]) -> None:
         super().__init__(env)
@@ -45,15 +47,19 @@ class Process(Event):
         bootstrap.succeed(None)
 
     def _resume(self, event: Event) -> None:
+        # Only ever called with a processed event, so its value is set.
         try:
-            target = self._generator.send(event.value)
+            target = self._generator.send(event._value)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
         if not isinstance(target, Event):
             raise SimulationError(
                 f"process yielded {target!r}; processes must yield events")
-        target._wait(self._resume)
+        if target.processed:
+            self._resume(target)
+        else:
+            target.callbacks.append(self._resume)
 
 
 class Environment:
@@ -118,17 +124,13 @@ class Environment:
         """An event firing with the index of the first of *events* done."""
         return Race(self, events)
 
-    # -- scheduling and the main loop -----------------------------------
-
-    def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        heapq.heappush(self._heap, (self._now + delay,
-                                    next(self._counter), event))
+    # -- the main loop (events push themselves onto ``_heap``) ----------
 
     def step(self) -> None:
         """Process the single next event on the heap."""
         if not self._heap:
             raise SimulationError("step() called on an empty event heap")
-        when, _tie, event = heapq.heappop(self._heap)
+        when, _tie, event = heappop(self._heap)
         self._now = when
         self.events_processed += 1
         event.processed = True
@@ -143,14 +145,19 @@ class Environment:
         *until* is given the clock is advanced exactly to it, mirroring a
         fixed-duration measurement window.
         """
-        if until is not None and until < self._now:
+        if until is not None and not until >= self._now:   # or NaN
             raise SimulationError(
                 f"cannot run until {until}; clock is already at {self._now}")
-        while self._heap:
-            when = self._heap[0][0]
-            if until is not None and when > until:
-                break
-            self.step()
+        # step(), inlined: one pop and one dispatch per event.
+        heap = self._heap
+        limit = float("inf") if until is None else until
+        while heap and heap[0][0] <= limit:
+            self._now, _tie, event = heappop(heap)
+            self.events_processed += 1
+            event.processed = True
+            callbacks, event.callbacks = event.callbacks, []
+            for callback in callbacks:
+                callback(event)
         if until is not None:
             self._now = max(self._now, until)
         return self._now

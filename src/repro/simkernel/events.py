@@ -11,11 +11,17 @@ Lifecycle of an event:
 * *triggered* — given a value and placed on the environment's event heap
   (via :meth:`Event.succeed`, or at construction for :class:`Timeout`);
 * *processed* — popped off the heap; its callbacks have run.
+
+The event classes carry ``__slots__`` and push themselves onto the
+environment's heap directly: a replay creates and fires millions of
+them, and the firing order — ``(time, insertion counter)`` — is pinned
+by ``tests/simkernel/test_golden_trace.py``.
 """
 
 from __future__ import annotations
 
 import typing as t
+from heapq import heappush
 
 from repro.errors import SimulationError
 
@@ -29,6 +35,8 @@ _PENDING = object()
 
 class Event:
     """A one-shot occurrence in simulated time."""
+
+    __slots__ = ("env", "callbacks", "processed", "_value")
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
@@ -50,10 +58,11 @@ class Event:
 
     def succeed(self, value: t.Any = None) -> "Event":
         """Trigger the event, scheduling its callbacks for *now*."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError("event triggered twice")
         self._value = value
-        self.env._schedule(self)
+        env = self.env
+        heappush(env._heap, (env._now, next(env._counter), self))
         return self
 
     def _wait(self, callback: Callback) -> None:
@@ -67,14 +76,22 @@ class Event:
 class Timeout(Event):
     """An event that fires after a fixed simulated delay."""
 
+    __slots__ = ("delay",)
+
     def __init__(self, env: "Environment", delay: float,
                  value: t.Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
-        super().__init__(env)
-        self.delay = delay
+        # ``not >=`` also rejects NaN, which would put an unordered key
+        # on the heap.
+        if not delay >= 0:
+            raise SimulationError(
+                f"negative or NaN timeout delay: {delay}")
+        # Event.__init__, inlined: born triggered, pushed in one step.
+        self.env = env
+        self.callbacks = []
+        self.processed = False
         self._value = value
-        env._schedule(self, delay=delay)
+        self.delay = delay
+        heappush(env._heap, (env._now + delay, next(env._counter), self))
 
 
 class AllOf(Event):
@@ -83,6 +100,8 @@ class AllOf(Event):
     Its value is the list of the children's values, in the order the
     children were given.
     """
+
+    __slots__ = ("_events", "_remaining")
 
     def __init__(self, env: "Environment", events: t.Sequence[Event]) -> None:
         super().__init__(env)
@@ -102,6 +121,8 @@ class AllOf(Event):
 
 class AnyOf(Event):
     """An event that fires when the first of its children is processed."""
+
+    __slots__ = ()
 
     def __init__(self, env: "Environment", events: t.Sequence[Event]) -> None:
         super().__init__(env)
@@ -126,6 +147,8 @@ class Race(Event):
     duplicate read.  Ties are resolved by scheduling order, so a read
     completing exactly at its deadline still counts as a completion.
     """
+
+    __slots__ = ()
 
     def __init__(self, env: "Environment", events: t.Sequence[Event]) -> None:
         super().__init__(env)

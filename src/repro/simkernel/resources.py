@@ -8,6 +8,7 @@ way the paper reports global CPU usage (Figure 4).
 
 from __future__ import annotations
 
+import collections
 import typing as t
 
 from repro.errors import SimulationError
@@ -34,7 +35,7 @@ class Resource:
         self.name = name or "resource"
         self.telemetry = telemetry
         self._in_use = 0
-        self._queue: list[Event] = []
+        self._queue: collections.deque[Event] = collections.deque()
         self._busy_integral = 0.0
         self._last_change = env.now
 
@@ -59,7 +60,7 @@ class Resource:
             raise SimulationError("release() without a matching request()")
         if self._queue:
             # Hand the slot straight over; occupancy is unchanged.
-            self._queue.pop(0).succeed(None)
+            self._queue.popleft().succeed(None)
         else:
             self._account()
             self._in_use -= 1

@@ -76,6 +76,8 @@ class SimSSD:
         know the difference), but telemetry attributes them separately
         so wasted-read overhead stays visible in run reports.
         """
+        if op not in ("R", "W"):
+            raise StorageError(f"unknown op {op!r}")
         if not requests:
             return self.env.timeout(0.0)
         for offset, size in requests:
@@ -86,13 +88,11 @@ class SimSSD:
             access = self.spec.read_access_s
             self.reads_issued += len(requests)
             self.bytes_read += sum(size for _off, size in requests)
-        elif op == "W":
+        else:
             occupancy_of = self.spec.write_occupancy
             access = self.spec.write_access_s
             self.writes_issued += len(requests)
             self.bytes_written += sum(size for _off, size in requests)
-        else:
-            raise StorageError(f"unknown op {op!r}")
         if self.telemetry is not None:
             self.telemetry.on_device_submit(op, requests,
                                             speculative=speculative)

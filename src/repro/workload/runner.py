@@ -464,6 +464,10 @@ class BenchRunner:
         #: partial-fan-out merges of deadline-degraded queries).
         self._found_cache: dict[tuple, list[tuple[np.ndarray,
                                                   np.ndarray]]] = {}
+        #: One shared ``(offset, size)`` object per distinct device
+        #: extent: plans name the same few sectors thousands of times
+        #: (a third of a DiskANN runner's plan memory otherwise).
+        self._extents: dict[tuple[int, int], tuple[int, int]] = {}
 
     # -- setup ---------------------------------------------------------------
 
@@ -568,21 +572,23 @@ class BenchRunner:
                     cpu = self.cost.prefetch_step_cpu_seconds(step)
                     if cpu > 0:
                         steps.append(("cpu", cpu))
-                    absolute = tuple(
-                        (base + offset, size)
-                        for offset, size in self._split_requests(
-                            step.requests))
-                    steps.append(("pf", absolute))
+                    steps.append(("pf", self._absolute(base, step.requests)))
             elif isinstance(step, IoStep):
                 cpu = self.cost.io_step_cpu_seconds(step)
                 steps.append(("cpu", cpu))
                 if step.requests:
-                    absolute = tuple(
-                        (base + offset, size)
-                        for offset, size in self._split_requests(
-                            step.requests))
-                    steps.append(("io", absolute))
+                    steps.append(("io", self._absolute(base, step.requests)))
         return steps
+
+    def _absolute(self, base: int, requests: t.Sequence[tuple[int, int]],
+                  ) -> tuple[tuple[int, int], ...]:
+        """Block-layer requests at their device offsets."""
+        share = self._extents.setdefault
+        absolute = []
+        for offset, size in self._split_requests(requests):
+            extent = (base + offset, size)
+            absolute.append(share(extent, extent))
+        return tuple(absolute)
 
     def _split_requests(self, requests: t.Sequence[tuple[int, int]],
                         ) -> list[tuple[int, int]]:

@@ -133,6 +133,12 @@ class TestHNSW:
     def test_returns_k_results(self, hnsw, small_data):
         assert len(hnsw.search(small_data[0], 7, ef_search=20).ids) == 7
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_non_positive_k_raises(self, hnsw, small_data, k):
+        """``k=-1`` used to slice ``[:k]`` and return all but one id."""
+        with pytest.raises(AnnIndexError, match="k must be >= 1"):
+            hnsw.search(small_data[0], k, ef_search=20)
+
     def test_degree_bounded_by_two_m(self, hnsw):
         _mean, max_degree = hnsw.graph_degree_stats()
         assert max_degree <= 2 * hnsw.M

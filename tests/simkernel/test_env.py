@@ -211,6 +211,33 @@ def test_yielding_non_event_raises():
         env.run()
 
 
+def test_nan_timeout_raises():
+    """``nan < 0`` is false: a NaN delay used to reach the heap, where
+    it compares unordered with every other key."""
+    env = Environment()
+    with pytest.raises(SimulationError):
+        env.timeout(float("nan"))
+    assert env.run() == 0.0 and env.events_processed == 0
+
+
+def test_run_until_nan_raises():
+    env = Environment()
+    env.timeout(1.0)
+    with pytest.raises(SimulationError):
+        env.run(until=float("nan"))
+
+
+def test_step_processes_one_event_like_run():
+    env = Environment()
+    fired = []
+    env.timeout(1.0).callbacks.append(lambda event: fired.append("a"))
+    env.timeout(2.0).callbacks.append(lambda event: fired.append("b"))
+    env.step()
+    assert (env.now, env.events_processed, fired) == (1.0, 1, ["a"])
+    env.run()
+    assert (env.now, env.events_processed, fired) == (2.0, 2, ["a", "b"])
+
+
 def test_step_on_empty_heap_raises():
     with pytest.raises(SimulationError):
         Environment().step()

@@ -72,6 +72,17 @@ def test_bad_request_geometry_raises(nvme):
         device.read(0, 0)
 
 
+def test_unknown_op_raises_even_without_requests(nvme):
+    """An empty batch used to return its zero timeout before the op was
+    looked at."""
+    env, device = nvme
+    with pytest.raises(StorageError, match="unknown op"):
+        device.submit([], "X")
+    with pytest.raises(StorageError, match="unknown op"):
+        device.submit([(0, 4096)], "X")
+    assert env.events_processed == 0 and not device.tracer.records
+
+
 def test_oversized_request_rejected(nvme):
     env, device = nvme
     with pytest.raises(StorageError):

@@ -56,6 +56,24 @@ def test_insert_rejects_non_finite_vectors(small_data):
         session.insert("docs", vectors, flush=True)
 
 
+@pytest.mark.parametrize("index", ["diskann", "ivf", "flat", "hnsw"])
+def test_wrong_dimension_query_is_an_engine_error(index, small_data):
+    """Every index kind used to leak its own numpy ``ValueError``."""
+    from repro.errors import EngineError
+    session = open_engine("milvus")
+    dim = small_data.shape[1]
+    session.create("docs", dim, index=index, metric="cosine")
+    session.insert("docs", small_data[:128], flush=True)
+    short = np.ones(dim // 3, dtype=np.float32)
+    with pytest.raises(EngineError, match=rf"\({dim},\).*\({dim // 3},\)"):
+        session.search("docs", short, k=5)
+    with pytest.raises(EngineError, match=rf"\(B, {dim}\).*\(2, {dim // 3}\)"):
+        session.search_batch("docs", np.stack([short, short]), k=5)
+    with pytest.raises(EngineError):                 # a batch is not a query
+        session.search("docs", small_data[:2], k=5)
+    assert len(session.search("docs", small_data[0], k=5).ids) == 5
+
+
 def test_create_accepts_ready_spec(small_data):
     session = open_engine("milvus")
     session.create("c", small_data.shape[1],

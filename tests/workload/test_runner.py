@@ -136,6 +136,16 @@ class TestStorageBasedRuns:
         for record in result.tracer.records:
             assert base <= record.offset < base + size
 
+    def test_plans_share_one_object_per_extent(self, diskann_runner):
+        """Plans name the same few sectors thousands of times; every
+        mention of an extent is the same tuple, not a copy."""
+        cold, warm, _recall = diskann_runner._compile({"search_list": 32})
+        extents = [extent for plan in cold + warm
+                   for steps in plan.segments for kind, payload in steps
+                   if kind in ("io", "pf") for extent in payload]
+        assert len(extents) > 4 * len(set(extents))
+        assert len({id(extent) for extent in extents}) == len(set(extents))
+
 
 class TestOomHandling:
     def test_lancedb_oom_reported_not_raised(self, small_data,

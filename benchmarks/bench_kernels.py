@@ -15,12 +15,14 @@ Covers the three primitives the vectorized path is built from:
   per-query ``adc_table`` + ``adc_distances`` pair,
 * ``top_k_batch`` vs a row-wise ``top_k`` loop,
 
-and the three rewrites that are held to a reference implementation kept
+and the rewrites that are held to a reference implementation kept
 under ``tests/``: the Vamana build (rows/s, graphs compared edge by
 edge), the DiskANN beam search (queries/s; ids, distance bytes, work
-steps and cache counters compared) and CRC-32C (MB/s, digests
-compared).  Those sections exit non-zero on any *inequality*; no
-section fails on a speed.
+steps and cache counters compared), CRC-32C (MB/s, digests compared)
+and the replay path — ``Resource.hold`` (events/s of a closed loop;
+firing logs compared) and ``SimSSD.submit`` (us per call; completion
+delays and channel state compared).  Those sections exit non-zero on
+any *inequality*; no section fails on a speed.
 """
 
 from __future__ import annotations
@@ -39,11 +41,15 @@ from repro.ann.pq import ProductQuantizer
 from repro.ann.vamana import build_vamana
 from repro.data.synthetic import make_vectors
 from repro.durability.record import crc32c
+from repro.simkernel import Environment, Resource
+from repro.storage import SimSSD, samsung_990pro_4tb
 
 # The reference implementations live with the tests that use them.
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
 from tests.ann import reference_diskann, reference_vamana  # noqa: E402
 from tests.durability import reference_crc32c  # noqa: E402
+from tests.simkernel import reference_resources  # noqa: E402
+from tests.storage import reference_device  # noqa: E402
 
 
 def best_of(fn, repeats: int = 3) -> float:
@@ -175,6 +181,82 @@ def bench_crc(n_bytes: int) -> bool:
     return same
 
 
+def bench_hold(clients: int, steps: int) -> bool:
+    """Events/s of a closed loop of CPU steps on a core pool, current
+    (``yield pool.hold(d)``) vs reference (``yield from pool.use(d)``);
+    True iff both fire the same log and count the same events."""
+
+    def run(resource_cls, hold: bool):
+        env = Environment()
+        # Fewer slots than clients: grants on the spot and queued ones.
+        pool = resource_cls(env, clients - 2)
+        log = []
+
+        def client(client_id: int):
+            for step in range(steps):
+                duration = 1e-5 * (1 + (client_id + step) % 3)
+                if hold:
+                    yield pool.hold(duration)
+                else:
+                    yield from pool.use(duration)
+                log.append((env.now, client_id))
+
+        for client_id in range(clients):
+            env.process(client(client_id))
+        _, run_s = timed(env.run)
+        return (log, env.events_processed, env.now, pool.busy_time()), run_s
+
+    got, hold_s = run(Resource, True)
+    want, reference_s = run(reference_resources.Resource, False)
+    same = got == want
+    events = want[1]
+    print(f"  hold     clients={clients} steps={steps}: reference "
+          f"{events / reference_s / 1e3:6.0f} kev/s  current "
+          f"{events / hold_s / 1e3:6.0f} kev/s "
+          f"({reference_s / hold_s:4.1f}x)  "
+          f"firing order {'identical' if same else 'DIFFERS'}")
+    return same
+
+
+def bench_submit(n_batches: int) -> bool:
+    """Microseconds per ``SimSSD.submit``, current vs reference, on
+    beams shaped like the replay's (1-4 requests, mostly 4 KiB); True
+    iff every completion delay and the final device state are equal."""
+    rng = np.random.default_rng(8)
+    batches = [[(int(offset) * 4096, 4096 if small else 8192)
+                for offset, small in zip(
+                    rng.integers(0, 1 << 20, size=rng.integers(1, 5)),
+                    rng.random(4) < 0.9)]
+               for _ in range(n_batches)]
+
+    def run(device_cls):
+        env = Environment()
+        device = device_cls(env, samsung_990pro_4tb())
+        submit = device.submit
+
+        def drive():
+            delays = []
+            for i, batch in enumerate(batches):
+                delays.append(submit(batch, "R").delay)
+                if i % 64 == 63:     # let the channels drain a little
+                    env.run(until=env.now + 1e-4)
+            return delays
+
+        delays, submit_s = timed(drive)
+        return (delays, sorted(device._channel_free), device.bytes_read,
+                device.reads_issued, device.utilization(1.0)), submit_s
+
+    got, submit_s = run(SimSSD)
+    want, reference_s = run(reference_device.SimSSD)
+    same = got == want
+    print(f"  submit   batches={n_batches}: reference "
+          f"{reference_s / n_batches * 1e6:5.2f} us  current "
+          f"{submit_s / n_batches * 1e6:5.2f} us "
+          f"({reference_s / submit_s:4.1f}x)  "
+          f"delays {'equal' if same else 'DIFFER'}")
+    return same
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true")
@@ -191,6 +273,9 @@ def main() -> int:
     equal.append(bench_search(800 if args.quick else 2_000, 192,
                               16 if args.quick else 48))
     equal.append(bench_crc(500_000 if args.quick else 5_000_000))
+    print("replay path vs its reference implementations (single run):")
+    equal.append(bench_hold(16, 2_000 if args.quick else 10_000))
+    equal.append(bench_submit(20_000 if args.quick else 100_000))
     return 0 if all(equal) else 1
 
 

@@ -425,7 +425,7 @@ class ClusterReplayer:
         merge_s = _MERGE_CPU_PER_CANDIDATE_S * sum(
             len(plan.shard_found[s][0]) for s in completed)
         if merge_s > 0:
-            yield from self.cores.use(merge_s)
+            yield self.cores.hold(merge_s)
             if span is not None:
                 span.add_stage("merge", merge_s)
         if profile.rpc_s:

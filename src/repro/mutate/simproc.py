@@ -236,7 +236,7 @@ def start_mutation_load(host: "QueryReplayer", runner: "BenchRunner",
             yield env.timeout(load.flush_interval_s)
             requests, position = chunked(base, position, load.flush_bytes,
                                          log_size)
-            yield from cores.use(len(requests) * spec.cpu_per_request_s)
+            yield cores.hold(len(requests) * spec.cpu_per_request_s)
             yield device.submit(requests, "W")
             state.inserted_rows += load.batch_rows
             state.delta_rows += load.batch_rows
@@ -258,7 +258,7 @@ def start_mutation_load(host: "QueryReplayer", runner: "BenchRunner",
             yield env.timeout(interval)
             requests, position = chunked(base, position, flush_bytes,
                                          log_size)
-            yield from cores.use(len(requests) * spec.cpu_per_request_s)
+            yield cores.hold(len(requests) * spec.cpu_per_request_s)
             yield device.submit(requests, "W")
             state.deleted_rows += load.batch_rows
             state.tombstones += load.batch_rows
@@ -304,7 +304,7 @@ def start_mutation_load(host: "QueryReplayer", runner: "BenchRunner",
                 span.read_requests += len(reads)
             cpu = cpu_total * step / read_bytes
             before = env.now
-            yield from cores.use(cpu)
+            yield cores.hold(cpu)
             if span is not None:
                 span.add_stage("cpu", cpu)
                 span.add_stage("cpu_wait",

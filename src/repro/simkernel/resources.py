@@ -9,7 +9,9 @@ way the paper reports global CPU usage (Figure 4).
 from __future__ import annotations
 
 import collections
+import numbers
 import typing as t
+from heapq import heappush
 
 from repro.errors import SimulationError
 from repro.simkernel.env import Environment
@@ -28,8 +30,11 @@ class Resource:
     def __init__(self, env: Environment, capacity: int,
                  name: str | None = None,
                  telemetry: t.Any = None) -> None:
-        if capacity < 1:
-            raise SimulationError(f"resource capacity must be >= 1: {capacity}")
+        # ``bool`` is an ``int``; a pool of ``True`` slots is a mistake.
+        if (not isinstance(capacity, numbers.Integral)
+                or isinstance(capacity, bool) or capacity < 1):
+            raise SimulationError(
+                f"resource capacity must be an integer >= 1: {capacity!r}")
         self.env = env
         self.capacity = capacity
         self.name = name or "resource"
@@ -43,38 +48,88 @@ class Resource:
 
     def request(self) -> Event:
         """Return an event that fires once a slot is granted."""
-        grant = Event(self.env)
+        env = self.env
+        grant = Event(env)
         if self.telemetry is not None:
             self.telemetry.observe_queue_depth(self.name, len(self._queue))
         if self._in_use < self.capacity:
-            self._account()
+            now = env._now
+            self._busy_integral += self._in_use * (now - self._last_change)
+            self._last_change = now
             self._in_use += 1
-            grant.succeed(None)
+            grant._value = None      # grant.succeed(None), inlined
+            heappush(env._heap, (now, next(env._counter), grant))
         else:
             self._queue.append(grant)
         return grant
 
     def release(self) -> None:
         """Free one slot, handing it to the oldest waiter if any."""
+        self._release(None)
+
+    def _release(self, _event: Event | None) -> None:
+        # Also the first callback of every ``hold`` event (hence the
+        # ignored argument): the slot is handed over before anything
+        # waiting on the hold resumes.
         if self._in_use <= 0:
             raise SimulationError("release() without a matching request()")
         if self._queue:
             # Hand the slot straight over; occupancy is unchanged.
             self._queue.popleft().succeed(None)
         else:
-            self._account()
+            now = self.env._now
+            self._busy_integral += self._in_use * (now - self._last_change)
+            self._last_change = now
             self._in_use -= 1
 
-    def use(self, duration: float) -> t.Generator[Event, t.Any, None]:
-        """A process fragment: hold one slot for *duration* seconds.
+    def hold(self, duration: float) -> Event:
+        """Request a slot now and hold it for *duration* seconds.
 
-        Usage: ``yield from resource.use(t)``.
+        The slot is held for *duration* from the moment it is granted;
+        the returned event fires at that point, and the slot is released
+        as it fires — before anything waiting on it resumes.  Usage:
+        ``yield resource.hold(t)``.
+
+        Two heap entries, the two a ``request`` / ``timeout`` /
+        ``release`` sequence makes: the grant, and the returned event,
+        pushed at ``now + duration`` when the grant is processed (where
+        the resumed process would have built its timeout).
         """
-        yield self.request()
-        try:
-            yield self.env.timeout(duration)
-        finally:
-            self.release()
+        if not duration >= 0:                 # also rejects NaN
+            raise SimulationError(
+                f"negative or NaN hold duration: {duration}")
+        env = self.env
+        done = Event(env)
+        done.callbacks.append(self._release)
+
+        def start(_grant: Event) -> None:
+            done._value = None
+            heappush(env._heap,
+                     (env._now + duration, next(env._counter), done))
+
+        # request(), inlined: this is the replay's per-CPU-step path.
+        grant = Event(env)
+        grant.callbacks.append(start)
+        if self.telemetry is not None:
+            self.telemetry.observe_queue_depth(self.name, len(self._queue))
+        if self._in_use < self.capacity:
+            now = env._now
+            self._busy_integral += self._in_use * (now - self._last_change)
+            self._last_change = now
+            self._in_use += 1
+            grant._value = None
+            heappush(env._heap, (now, next(env._counter), grant))
+        else:
+            self._queue.append(grant)
+        return done
+
+    def use(self, duration: float) -> t.Generator[Event, t.Any, None]:
+        """A process fragment: ``yield from resource.use(t)``.
+
+        Kept for callers written as sub-generators; new code yields
+        :meth:`hold` directly and saves the generator.
+        """
+        yield self.hold(duration)
 
     # -- introspection ---------------------------------------------------
 
@@ -88,18 +143,15 @@ class Resource:
         """Number of requests waiting for a slot."""
         return len(self._queue)
 
-    def _account(self) -> None:
-        now = self.env.now
-        self._busy_integral += self._in_use * (now - self._last_change)
-        self._last_change = now
-
     def busy_time(self) -> float:
         """Total slot-seconds consumed so far (integral of occupancy)."""
-        self._account()
+        now = self.env._now
+        self._busy_integral += self._in_use * (now - self._last_change)
+        self._last_change = now
         return self._busy_integral
 
     def utilization(self, duration: float) -> float:
         """Mean fraction of the pool busy over *duration* seconds."""
-        if duration <= 0:
+        if not duration > 0:                  # also rejects NaN
             raise SimulationError(f"non-positive duration: {duration}")
         return self.busy_time() / (self.capacity * duration)

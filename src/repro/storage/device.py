@@ -21,11 +21,12 @@ kernel's ``block_rq_issue`` tracepoint.
 
 from __future__ import annotations
 
-import heapq
+import numbers
 import typing as t
+from heapq import heapify, heapreplace
 
 from repro.errors import StorageError
-from repro.simkernel import Environment, Event
+from repro.simkernel import Environment, Event, Timeout
 from repro.storage.spec import DeviceSpec
 from repro.storage.tracer import BlockTracer
 
@@ -54,8 +55,11 @@ class SimSSD:
         self.telemetry = telemetry
         self.injector = injector
         self._channel_free = [0.0] * spec.channels
-        heapq.heapify(self._channel_free)
+        heapify(self._channel_free)
         self._occupancy_integral = 0.0
+        #: Channel occupancy by request size, per op; filled on first use
+        #: through ``DeviceSpec.read_occupancy`` / ``write_occupancy``.
+        self._occupancy: dict[str, dict[int, float]] = {"R": {}, "W": {}}
         self.reads_issued = 0
         self.writes_issued = 0
         self.bytes_read = 0
@@ -75,45 +79,76 @@ class SimSSD:
         and traced exactly like demand reads (the block layer does not
         know the difference), but telemetry attributes them separately
         so wasted-read overhead stays visible in run reports.
+
+        Every request is validated before any device state changes.
         """
         if op not in ("R", "W"):
             raise StorageError(f"unknown op {op!r}")
-        if not requests:
-            return self.env.timeout(0.0)
-        for offset, size in requests:
-            self._validate(offset, size)
-        now = self.env.now
+        env, spec = self.env, self.spec
+        cap, end = spec.max_request_bytes, spec.capacity_bytes
+        total = 0
+        try:
+            for offset, size in requests:
+                # NaN-safe: every comparison must come out true.
+                if (type(offset) is not int or type(size) is not int
+                        or not (offset >= 0 and 0 < size <= cap
+                                and offset + size <= end)):
+                    self._validate(offset, size)
+                total += size
+            count = len(requests)
+        except (TypeError, ValueError) as exc:
+            raise StorageError(
+                "requests must be a sequence of (offset, size) integer "
+                f"pairs: {requests!r}") from exc
+        if not count:
+            return Timeout(env, 0.0)
+        now = env._now
         if op == "R":
-            occupancy_of = self.spec.read_occupancy
-            access = self.spec.read_access_s
-            self.reads_issued += len(requests)
-            self.bytes_read += sum(size for _off, size in requests)
+            occupancy_of = spec.read_occupancy
+            access = spec.read_access_s
+            inject = (self.injector.on_read if self.injector is not None
+                      else None)
+            self.reads_issued += count
+            self.bytes_read += total
         else:
-            occupancy_of = self.spec.write_occupancy
-            access = self.spec.write_access_s
-            self.writes_issued += len(requests)
-            self.bytes_written += sum(size for _off, size in requests)
+            occupancy_of = spec.write_occupancy
+            access = spec.write_access_s
+            inject = None
+            self.writes_issued += count
+            self.bytes_written += total
         if self.telemetry is not None:
             self.telemetry.on_device_submit(op, requests,
                                             speculative=speculative)
+        record = self.tracer.record if self.tracer.enabled else None
+        occupancies = self._occupancy[op]
+        channels = self._channel_free
+        integral = self._occupancy_integral
         batch_done = now
         for offset, size in requests:
-            occupancy = occupancy_of(size)
+            occupancy = occupancies.get(size)
+            if occupancy is None:
+                occupancy = occupancies[size] = occupancy_of(size)
             extra = 0.0
             fault_kind = None
-            if self.injector is not None and op == "R":
-                effect = self.injector.on_read(now, offset, size)
+            if inject is not None:
+                effect = inject(now, offset, size)
                 if effect is not None:
                     occupancy *= effect.occupancy_multiplier
                     extra = effect.extra_s
                     fault_kind = effect.kind
-            self.tracer.record(now, op, offset, size, fault=fault_kind)
-            free_at = heapq.heappop(self._channel_free)
-            done = max(now, free_at) + occupancy
-            heapq.heappush(self._channel_free, done)
-            self._occupancy_integral += occupancy
-            batch_done = max(batch_done, done + access + extra)
-        return self.env.timeout(batch_done - now)
+            if record is not None:
+                record(now, op, offset, size, fault_kind)
+            # The earliest-free channel takes the request: pop + push of
+            # the old loop, the same multiset of free-at times.
+            free_at = channels[0]
+            done = (free_at if free_at > now else now) + occupancy
+            heapreplace(channels, done)
+            integral += occupancy
+            landed = done + access + extra
+            if landed > batch_done:
+                batch_done = landed
+        self._occupancy_integral = integral
+        return Timeout(env, batch_done - now)
 
     def read(self, offset: int, size: int) -> Event:
         """Submit one read; returns an event firing at completion."""
@@ -130,6 +165,15 @@ class SimSSD:
     # -- validation and introspection ---------------------------------------
 
     def _validate(self, offset: int, size: int) -> None:
+        for value in (offset, size):
+            # numpy integers are Integral; bool is an int but never a size.
+            if (not isinstance(value, numbers.Integral)
+                    or isinstance(value, bool)):
+                raise StorageError(
+                    f"bad request: offset={offset!r} size={size!r} "
+                    f"(integers required)")
+        # Fixed-width numpy integers wrap (or raise) in ``offset + size``.
+        offset, size = int(offset), int(size)
         if offset < 0 or size <= 0:
             raise StorageError(f"bad request: offset={offset} size={size}")
         if size > self.spec.max_request_bytes:
@@ -143,6 +187,6 @@ class SimSSD:
 
     def utilization(self, duration: float) -> float:
         """Mean fraction of channels busy over *duration* seconds."""
-        if duration <= 0:
+        if not duration > 0:                  # also rejects NaN
             raise StorageError(f"non-positive duration: {duration}")
         return self._occupancy_integral / (self.spec.channels * duration)

@@ -92,7 +92,7 @@ def run_fio(spec: DeviceSpec, job: FioJobSpec, seed: int = 0) -> FioResult:
             yield depth.request()
             # Submission + completion handling burns host CPU; this is
             # what caps a single core at ~324 KIOPS.
-            yield from cpu.use(spec.cpu_per_request_s)
+            yield cpu.hold(spec.cpu_per_request_s)
             env.process(one_io(next(offsets), depth))
 
     for job_index in range(job.numjobs):

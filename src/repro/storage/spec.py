@@ -20,6 +20,7 @@ matching "tens of microseconds" NVMe latencies.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 from repro.errors import StorageError
 
@@ -54,7 +55,16 @@ class DeviceSpec:
     max_request_bytes: int = 128 * KiB
 
     def __post_init__(self) -> None:
-        if self.capacity_bytes <= 0 or self.channels <= 0:
+        # ``not >`` rather than ``<=``: NaN fails every comparison, and a
+        # NaN latency would silently read as zero (``max(now, nan)``).
+        positive = (self.capacity_bytes, self.channels,
+                    self.read_seek_s, self.channel_read_bw,
+                    self.write_seek_s, self.channel_write_bw,
+                    self.cpu_per_request_s)
+        non_negative = (self.read_access_s, self.write_access_s)
+        if (not all(0 < value < math.inf for value in positive)
+                or not all(0 <= value < math.inf for value in non_negative)
+                or not self.max_request_bytes >= 1):
             raise StorageError(f"invalid device spec: {self}")
 
     def read_occupancy(self, size: int) -> float:

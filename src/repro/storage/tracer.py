@@ -9,12 +9,10 @@ to build the paper's bandwidth and request-size figures.
 
 from __future__ import annotations
 
-import dataclasses
 import typing as t
 
 
-@dataclasses.dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(t.NamedTuple):
     """One ``block_rq_issue`` event."""
 
     timestamp: float

@@ -105,7 +105,7 @@ def start_write_load(host: "QueryReplayer", runner: "BenchRunner",
                 requests.append((base + position, size))
                 position += size
                 remaining -= size
-            yield from cores.use(len(requests) * spec.cpu_per_request_s)
+            yield cores.hold(len(requests) * spec.cpu_per_request_s)
             yield device.submit(requests, "W")
 
     for _ in range(load.writers):
@@ -280,7 +280,9 @@ class QueryReplayer:
                       prefetch: tuple[int, int] = (0, 0),
                       failed: list | None = None,
                       deadline_at: float | None = None):
-        env, device, cores = self.env, self.device, self.cores
+        env, resilient = self.env, self.resilient_reads
+        # Bound once: a segment is hundreds of CPU and read steps.
+        submit, hold = self.device.submit, self.cores.hold
         timing = span.segment(seg) if span is not None else None
         if timing is not None:
             timing.cache_hits += cache_hits
@@ -290,51 +292,48 @@ class QueryReplayer:
         for kind, payload in steps:
             if kind == "cpu":
                 if timing is None:
-                    yield from cores.use(payload)
+                    yield hold(payload)
                 else:
-                    queued_at = env.now
-                    yield from cores.use(payload)
+                    queued_at = env._now
+                    yield hold(payload)
                     timing.cpu_s += payload
                     timing.cpu_wait_s += max(
-                        0.0, env.now - queued_at - payload)
+                        0.0, env._now - queued_at - payload)
             elif kind == "pf":
                 # Issue speculatively and keep going: the event is
                 # held, not yielded, so the device time overlaps the
                 # demand beam and CPU that follow.
-                outstanding.append(
-                    device.submit(payload, "R", speculative=True))
+                outstanding.append(submit(payload, "R", speculative=True))
                 if timing is not None:
                     timing.prefetch_requests += len(payload)
                     timing.prefetch_bytes += sum(
                         size for _off, size in payload)
             elif kind == "join":
                 if outstanding:
-                    waited_at = env.now
+                    waited_at = env._now
                     yield env.all_of(outstanding)
                     outstanding = []
                     if timing is not None:
-                        timing.prefetch_wait_s += env.now - waited_at
+                        timing.prefetch_wait_s += env._now - waited_at
+            elif resilient:
+                landed = yield from self._resilient_read(
+                    payload, timing, span, deadline_at)
+                if not landed:
+                    # Permanent read failure: abandon this
+                    # segment; the query is counted as failed.
+                    if failed is not None:
+                        failed[0] = True
+                    return
+            elif timing is None:
+                yield submit(payload, "R")
             else:
-                if self.resilient_reads:
-                    landed = yield from self._resilient_read(
-                        payload, timing, span, deadline_at)
-                    if not landed:
-                        # Permanent read failure: abandon this
-                        # segment; the query is counted as failed.
-                        if failed is not None:
-                            failed[0] = True
-                        return
-                elif timing is None:
-                    yield device.submit(payload, "R")
-                else:
-                    submitted_at = env.now
-                    yield device.submit(payload, "R")
-                    timing.device_s += env.now - submitted_at
-                    timing.read_requests += len(payload)
-                    timing.read_bytes += sum(
-                        size for _off, size in payload)
-                    self.telemetry.device_round.observe(
-                        env.now - submitted_at)
+                submitted_at = env._now
+                yield submit(payload, "R")
+                device_s = env._now - submitted_at
+                timing.device_s += device_s
+                timing.read_requests += len(payload)
+                timing.read_bytes += sum(size for _off, size in payload)
+                self.telemetry.device_round.observe(device_s)
         # Speculative reads never joined (the wasted ones) complete
         # in the background; their channel occupancy is already
         # accounted at submission.
@@ -366,7 +365,7 @@ class QueryReplayer:
         try:
             if fixed_cpu > 0:
                 queued_at = env.now
-                yield from self.cores.use(fixed_cpu)
+                yield self.cores.hold(fixed_cpu)
                 if span is not None:
                     span.add_stage("cpu", fixed_cpu)
                     span.add_stage("cpu_wait", max(

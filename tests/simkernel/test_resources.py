@@ -123,3 +123,26 @@ def test_handoff_keeps_busy_integral_continuous():
     env.run(until=2.0)
     # Slot was continuously busy from 0 to 2 through the direct handoff.
     assert res.busy_time() == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("capacity", [1.5, float("nan"), 2.0, True, "2",
+                                      None])
+def test_capacity_must_be_a_positive_integer(capacity):
+    """``nan < 1`` is false: the old ``capacity < 1`` check let NaN and
+    fractional pools through."""
+    env = Environment()
+    with pytest.raises(SimulationError, match="capacity"):
+        Resource(env, capacity=capacity)
+
+
+def test_numpy_integer_capacity_is_accepted():
+    import numpy as np
+    env = Environment()
+    assert Resource(env, capacity=np.int64(3)).capacity == 3
+
+
+def test_utilization_rejects_nan_duration():
+    env = Environment()
+    res = Resource(env, capacity=1)
+    with pytest.raises(SimulationError, match="duration"):   # was: nan
+        res.utilization(float("nan"))

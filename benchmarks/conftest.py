@@ -1,54 +1,16 @@
 """Shared machinery for the benchmark harness.
 
-Each ``test_bench_*`` file regenerates one table or figure of the paper
-(see DESIGN.md's experiment index), prints the reproduced rows, and
-asserts the paper's shape observations via
-:mod:`repro.core.observations`.  Heavy sweeps are shared through the
-in-process caches of :mod:`repro.core.figures`, so running the whole
-directory costs each experiment once.
+``test_bench_paper.py`` is one loop over the paper's artifact registry
+(:data:`repro.core.study.ARTIFACTS`, indexed in DESIGN.md section 4): it
+regenerates each table or figure, prints the reproduced rows, and
+asserts the observation checks attached to it; the ``test_bench_ext_*``
+files do the same for the beyond-the-paper extensions.  Heavy sweeps are
+shared through the in-process caches of :mod:`repro.core.figures`, so
+running the whole directory costs each experiment once.
 
 Run with ``pytest benchmarks/ --benchmark-only``; add ``-s`` to see the
 reproduced tables inline.
 """
-
-import pytest
-
-from repro.core import figures
-
-
-@pytest.fixture(scope="session")
-def fig2():
-    return figures.fig2_throughput()
-
-
-@pytest.fixture(scope="session")
-def fig3():
-    return figures.fig3_latency()
-
-
-@pytest.fixture(scope="session")
-def fig4():
-    return figures.fig4_cpu()
-
-
-@pytest.fixture(scope="session")
-def fig5():
-    return figures.fig5_bandwidth_timeline()
-
-
-@pytest.fixture(scope="session")
-def fig6():
-    return figures.fig6_per_query_io()
-
-
-@pytest.fixture(scope="session")
-def fig7_11():
-    return figures.fig7_to_11_data()
-
-
-@pytest.fixture(scope="session")
-def fig12_15():
-    return figures.fig12_to_15_data()
 
 
 def run_once(benchmark, fn):

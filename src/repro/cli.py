@@ -21,7 +21,9 @@ import typing as t
 
 from repro.api import open_bench
 from repro.core import figures, report
-from repro.core.study import Study, run_study, studies
+from repro.core.study import (Artifact, Study, artifact, figure_artifact,
+                              render_study, run_study, studies,
+                              write_experiments_md)
 from repro.core.tuning import tune_setup
 from repro.data.spec import DATASET_NAMES, current_scale
 from repro.obs import write_prometheus, write_spans_jsonl
@@ -32,14 +34,17 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(","))
 
 
-def cmd_fio(_args: argparse.Namespace) -> int:
-    print(report.render_ssd_baseline(figures.ssd_baseline_data()))
+def _print_artifact(found: Artifact, datasets: t.Sequence[str]) -> int:
+    print(found.render(found.build(datasets)))
     return 0
+
+
+def cmd_fio(_args: argparse.Namespace) -> int:
+    return _print_artifact(artifact("fio"), DATASET_NAMES)
 
 
 def cmd_table2(args: argparse.Namespace) -> int:
-    print(report.render_table2(figures.table2_data(args.datasets)))
-    return 0
+    return _print_artifact(artifact("table2"), args.datasets)
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
@@ -67,32 +72,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    number = args.number
-    datasets = args.datasets
-    if number == 2:
-        print(report.render_series_figure(
-            figures.fig2_throughput(datasets), "QPS", 0))
-    elif number == 3:
-        print(report.render_series_figure(
-            figures.fig3_latency(datasets), "P99us", 0))
-    elif number == 4:
-        print(report.render_series_figure(
-            figures.fig4_cpu(datasets), "CPU%", 0))
-    elif number == 5:
-        print(report.render_fig5(figures.fig5_bandwidth_timeline(datasets)))
-    elif number == 6:
-        print(report.render_fig6(figures.fig6_per_query_io(datasets)))
-    elif number in (7, 8, 9, 10, 11):
-        print(report.render_searchlist_sweep(
-            figures.fig7_to_11_data(datasets)))
-    elif number in (12, 13, 14, 15):
-        print(report.render_beamwidth_sweep(
-            figures.fig12_to_15_data(datasets)))
-    else:
-        print(f"no figure {number} in the paper's evaluation",
+    found = figure_artifact(args.number)
+    if found is None:
+        print(f"no figure {args.number} in the paper's evaluation",
               file=sys.stderr)
         return 2
-    return 0
+    return _print_artifact(found, args.datasets)
 
 
 def cmd_telemetry(args: argparse.Namespace) -> int:
@@ -137,14 +122,14 @@ def cmd_study(args: argparse.Namespace) -> int:
                         progress=lambda m: print(f"[study] {m}",
                                                  file=sys.stderr))
     if args.out and args.out.endswith(".md"):
-        report.write_experiments_md(results, args.out)
+        write_experiments_md(results, args.out)
         print(f"wrote {args.out}", file=sys.stderr)
     elif args.out:
         with open(args.out, "w") as handle:
-            handle.write(report.render_study(results) + "\n")
+            handle.write(render_study(results) + "\n")
         print(f"wrote {args.out}", file=sys.stderr)
     else:
-        print(report.render_study(results))
+        print(render_study(results))
     failed = [c.obs_id for c in results.checks if not c.holds]
     if failed:
         print(f"observations differing from the paper: {failed}",

@@ -8,8 +8,9 @@ from repro.core.figures import (BEAM_WIDTHS, SEARCH_LISTS, THREADS,
                                 table2_data)
 from repro.core.observations import ObservationCheck, key_findings
 from repro.core.report import (format_table, render_observations,
-                               render_study, render_table2)
-from repro.core.study import StudyResults, run_observation_checks, run_study
+                               render_table2)
+from repro.core.study import (StudyResults, render_study,
+                              run_observation_checks, run_study)
 from repro.core.tuning import (RECALL_TARGET, TunedSetup, measure_recall,
                                smallest_passing, tune_setup)
 

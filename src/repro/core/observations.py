@@ -15,6 +15,10 @@ import typing as t
 
 from repro.data.spec import SCALING_PAIRS
 from repro.errors import ReproError
+from repro.storage.spec import samsung_990pro_4tb
+
+#: Read-bandwidth ceiling (MiB/s) of the paper's SSD: O-10 and O-20/21.
+DEVICE_MAX_MIB_S = samsung_990pro_4tb().max_read_bandwidth() / (1 << 20)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -27,13 +31,24 @@ class ObservationCheck:
     holds: bool
 
 
-def _series(fig_data: dict, dataset: str, setup: str) -> list:
-    return fig_data["datasets"][dataset][setup]
+def _point(axis: t.Collection[int], name: str, value: int) -> int:
+    """*value*, once it is known to lie on *axis*: the checkers read the
+    paper's points, which a figure built on other axes may not have."""
+    if value not in axis:
+        raise ReproError(f"the observation reads {name}={value}, which is "
+                         f"not on the figure's axis {list(axis)}")
+    return value
 
 
 def _at(fig_data: dict, dataset: str, setup: str, threads: int):
-    index = fig_data["threads"].index(threads)
-    return _series(fig_data, dataset, setup)[index]
+    axis = fig_data["threads"]
+    index = axis.index(_point(axis, "threads", threads))
+    return fig_data["datasets"][dataset][setup][index]
+
+
+def _search_lists(sweep: dict, *points: int) -> list[dict]:
+    """One Figures 7-11 sweep at the given search_list points."""
+    return [sweep[_point(sweep, "search_list", L)] for L in points]
 
 
 def check_o1_index_matters(fig2: dict) -> ObservationCheck:
@@ -74,9 +89,9 @@ def check_o3_lancedb_slowest_single_thread(fig2: dict) -> ObservationCheck:
     """O-3: LanceDB-HNSW has the lowest 1-thread throughput."""
     ok, parts = True, []
     for dataset, per_setup in fig2["datasets"].items():
-        index = fig2["threads"].index(1)
-        values = {s: v[index] for s, v in per_setup.items()
-                  if v[index] is not None and s != "lancedb-ivfpq"}
+        at_one = {s: _at(fig2, dataset, s, 1) for s in per_setup
+                  if s != "lancedb-ivfpq"}
+        values = {s: v for s, v in at_one.items() if v is not None}
         slowest = min(values, key=values.get)
         ok = ok and slowest == "lancedb-hnsw"
         parts.append(f"{dataset}: slowest={slowest}")
@@ -185,7 +200,8 @@ def check_o8_latency_spread(fig3: dict) -> ObservationCheck:
 
 
 def check_o10_no_saturation(fig5: dict,
-                            device_max_mib_s: float) -> ObservationCheck:
+                            device_max_mib_s: float = DEVICE_MAX_MIB_S,
+                            ) -> ObservationCheck:
     """O-10: DiskANN never saturates the SSD (paper: 8.9% of 7.2 GiB/s)."""
     peak = 0.0
     for dataset, entry in fig5["datasets"].items():
@@ -271,9 +287,8 @@ def check_o16_diminishing_recall(fig7_11: dict) -> ObservationCheck:
     """O-16: search_list's largest recall gain is the 10->20 step."""
     ok, parts = True, []
     for dataset, sweep in fig7_11.items():
-        r10 = sweep[10][1]["recall"]
-        r20 = sweep[20][1]["recall"]
-        r100 = sweep[100][1]["recall"]
+        r10, r20, r100 = (entry[1]["recall"] for entry
+                          in _search_lists(sweep, 10, 20, 100))
         first_step = r20 - r10
         rest = r100 - r20
         parts.append(f"{dataset}: 10->20 +{first_step:.3f}, "
@@ -289,8 +304,9 @@ def check_o17_o18_throughput_cost(fig7_11: dict) -> ObservationCheck:
     more (~51-61%) at 256 threads."""
     ok, parts = True, []
     for dataset, sweep in fig7_11.items():
-        drop1 = 1.0 - sweep[100][1]["qps"] / sweep[10][1]["qps"]
-        drop256 = 1.0 - sweep[100][256]["qps"] / sweep[10][256]["qps"]
+        low, high = _search_lists(sweep, 10, 100)
+        drop1 = 1.0 - high[1]["qps"] / low[1]["qps"]
+        drop256 = 1.0 - high[256]["qps"] / low[256]["qps"]
         parts.append(f"{dataset}: -{drop1:.0%}@1thr, -{drop256:.0%}@256thr")
         ok = ok and 0.15 <= drop1 <= 0.8 and drop256 >= drop1 - 0.05
     return ObservationCheck(
@@ -302,7 +318,8 @@ def check_o19_latency_cost(fig7_11: dict) -> ObservationCheck:
     """O-19: search_list 10->100 raises P99 ~60-103% at one thread."""
     ok, parts = True, []
     for dataset, sweep in fig7_11.items():
-        increase = sweep[100][1]["p99_us"] / sweep[10][1]["p99_us"] - 1.0
+        low, high = _search_lists(sweep, 10, 100)
+        increase = high[1]["p99_us"] / low[1]["p99_us"] - 1.0
         parts.append(f"{dataset}: +{increase:.0%}")
         ok = ok and 0.25 <= increase <= 3.0
     return ObservationCheck(
@@ -311,7 +328,8 @@ def check_o19_latency_cost(fig7_11: dict) -> ObservationCheck:
 
 
 def check_o20_o21_bandwidth_cost(fig7_11: dict,
-                                 device_max_mib_s: float) -> ObservationCheck:
+                                 device_max_mib_s: float = DEVICE_MAX_MIB_S,
+                                 ) -> ObservationCheck:
     """O-20/O-21: search_list 10->100 multiplies bandwidth ~3x (total)
     and ~5-6x (per query) without saturating the device."""
     # Bands are wider than the paper's 3.0-3.3x / 5.1-6.3x: at proxy
@@ -320,10 +338,10 @@ def check_o20_o21_bandwidth_cost(fig7_11: dict,
     ok, parts = True, []
     peak = 0.0
     for dataset, sweep in fig7_11.items():
-        total = sweep[100][1]["read_mib_s"] / max(sweep[10][1]["read_mib_s"],
-                                                  1e-9)
-        per_query = (sweep[100][1]["per_query_kib"]
-                     / max(sweep[10][1]["per_query_kib"], 1e-9))
+        low, high = _search_lists(sweep, 10, 100)
+        total = high[1]["read_mib_s"] / max(low[1]["read_mib_s"], 1e-9)
+        per_query = (high[1]["per_query_kib"]
+                     / max(low[1]["per_query_kib"], 1e-9))
         peak = max(peak, max(entry[256]["read_mib_s"]
                              for entry in sweep.values()))
         parts.append(f"{dataset}: total x{total:.1f}, per-query "

@@ -1,4 +1,8 @@
-"""Text rendering of study results: tables, figures, EXPERIMENTS.md."""
+"""Text rendering of study results: tables, figures, report sections.
+
+Renderers only — what the report *consists of* (which artifacts, which
+studies, in what order) is :func:`repro.core.study.report_sections`.
+"""
 
 from __future__ import annotations
 
@@ -6,10 +10,12 @@ import dataclasses
 import typing as t
 
 from repro.core.observations import ObservationCheck
-from repro.core.study import StudyResults, studies
 from repro.obs import RunTelemetry
 from repro.trace.analysis import (cold_warm_split, per_query_io_histogram,
                                   stage_latency_breakdown)
+
+if t.TYPE_CHECKING:
+    from repro.core.study import StudyResults
 
 
 def format_table(headers: t.Sequence[str],
@@ -218,9 +224,7 @@ def render_telemetry(telemetry: RunTelemetry) -> str:
     return "\n\n".join(sections)
 
 
-
-
-# -- the whole report: one section list, two formatters ------------------
+# -- one report section, two formatters ------------------------------------
 
 @dataclasses.dataclass(frozen=True)
 class Section:
@@ -230,65 +234,6 @@ class Section:
     blurb: str = ""
     body: t.Callable[[StudyResults], str] | None = None
     verdicts: t.Callable[[StudyResults], dict[str, bool]] | None = None
-
-
-def report_sections() -> list[Section]:
-    """The report in order: paper artifacts, studies, observations
-    (the key findings close the observation table).
-
-    Both whole-report writers walk this list, so a section (and every
-    registered study) appears in the text report and in EXPERIMENTS.md
-    by construction.
-    """
-    sections = [
-        Section("Section III-A — raw SSD baseline (fio)",
-                body=lambda r: render_ssd_baseline(r.ssd_baseline)),
-        Section("Table II — tuned parameters and recall@10",
-                "Paper comparison: all Milvus setups reach >= 0.9; DiskANN "
-                "passes at the minimum search_list on the small proxies "
-                "(paper: on all datasets); LanceDB-HNSW needs ef >= "
-                "Milvus's; LanceDB-IVF-PQ misses the target at Milvus's "
-                "nprobe (paper: 0.64-0.73; the parenthesized accuracies).",
-                lambda r: render_table2(r.table2)),
-        Section("Figure 2 — throughput vs client threads",
-                body=lambda r: render_series_figure(r.fig2, "QPS", 0)),
-        Section("Figure 3 — P99 latency (us) vs client threads",
-                body=lambda r: render_series_figure(r.fig3, "P99us", 0)),
-        Section("Figure 4 — global CPU usage (%) on the large datasets",
-                body=lambda r: render_series_figure(r.fig4, "CPU%", 0)),
-        Section("Figure 5 — Milvus-DiskANN read-bandwidth timeline",
-                body=lambda r: render_fig5(r.fig5)),
-        Section("Figure 6 — per-query read volume (+ request sizes, O-15)",
-                body=lambda r: render_fig6(r.fig6)),
-        Section("Figures 7-11 — the effect of search_list",
-                body=lambda r: render_searchlist_sweep(r.fig7_11)),
-        Section("Figures 12-15 — the effect of beam_width",
-                body=lambda r: render_beamwidth_sweep(r.fig12_15)),
-    ]
-    for study in studies():
-        sections.append(Section(
-            study.title, study.blurb,
-            lambda r, s=study: s.render(r.studies[s.name]),
-            lambda r, s=study: r.studies[s.name]["verdicts"]))
-    sections += [
-        Section("Observation verdicts",
-                body=lambda r: render_observations(r.checks,
-                                                   r.key_findings)),
-        Section("Known proxy-scale divergences",
-                "- DiskANN needs search_list 15-21 (not 10) for recall 0.9 "
-                "on the 10x proxies; Figure 9's large-dataset lines start "
-                "at ~0.82-0.85 instead of >= 0.90 (PQ-steered beams miss "
-                "more of the true top-10 at 20k-40k points than at "
-                "millions).\n"
-                "- Absolute throughput is higher than the paper's because "
-                "proxy graphs are shallower; the work-extrapolation factor "
-                "restores cross-family CPU ratios, not absolute "
-                "magnitudes.\n"
-                "- DiskANN-vs-IVF throughput gaps overshoot the paper's "
-                "1.2-3.2x band (the sqrt-vs-log work gap is larger at "
-                "paper scale than the band the paper measured)."),
-    ]
-    return sections
 
 
 def markdown_section(section: Section, results: StudyResults) -> str:
@@ -315,24 +260,3 @@ def text_section(section: Section, results: StudyResults) -> str:
     if section.verdicts is not None:
         parts.append(verdict_table(section.verdicts(results)))
     return "\n\n".join(parts)
-
-
-def write_experiments_md(results: StudyResults, path: str) -> None:
-    """Write EXPERIMENTS.md: paper-vs-measured for every table/figure."""
-    parts = [
-        "# EXPERIMENTS — paper vs. measured",
-        "Generated by `repro study` on the scaled proxy datasets "
-        "(`REPRO_SCALE` governs sizes; see DESIGN.md section 6).  "
-        "Absolute numbers are simulator outputs and differ from the "
-        "paper's testbed; every *shape* claim (orderings, crossovers, "
-        "scaling bands) is checked programmatically below.",
-    ] + [markdown_section(section, results)
-         for section in report_sections()]
-    with open(path, "w") as handle:
-        handle.write("\n\n".join(parts) + "\n")
-
-
-def render_study(results: StudyResults) -> str:
-    """The full study as one readable report."""
-    return "\n\n".join(text_section(section, results)
-                       for section in report_sections())

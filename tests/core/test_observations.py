@@ -7,6 +7,7 @@ violates the claim, confirming the checker can actually fail.
 import pytest
 
 from repro.core import observations as obs
+from repro.errors import ReproError
 
 THREADS = [1, 4, 16, 64, 256]
 
@@ -270,6 +271,29 @@ class TestBeamWidthCheck:
         data = good_fig12_15()
         data["cohere-1m"][32]["qps"] = 10_000.0
         assert not obs.check_o22_beamwidth_no_trend(data).holds
+
+
+class TestCustomAxes:
+    """The checkers read the paper's axis points; a figure built on
+    other axes is refused by name, not with a bare lookup error."""
+
+    def test_missing_thread_point_is_a_repro_error(self):
+        data = good_fig2()
+        data["threads"] = [1, 4, 16]
+        for series in data["datasets"]["cohere-1m"].values():
+            del series[3:]
+        with pytest.raises(ReproError, match="threads=256"):
+            obs.check_o1_index_matters(data)
+
+    @pytest.mark.parametrize("check", [
+        obs.check_o16_diminishing_recall, obs.check_o17_o18_throughput_cost,
+        obs.check_o19_latency_cost, obs.check_o20_o21_bandwidth_cost])
+    def test_missing_search_list_point_is_a_repro_error(self, check):
+        data = good_fig7_11()
+        for sweep in data.values():
+            del sweep[100]
+        with pytest.raises(ReproError, match="search_list=100"):
+            check(data)
 
 
 class TestKeyFindings:

@@ -43,7 +43,7 @@ from repro.serve import ServeConfig, ServeResult, Tenant, TenantLoad
 from repro.tenancy import TenancyConfig, TenantProfile, TenantRegistry
 from repro.workload.setup import make_runner
 
-__version__ = "1.16.0"
+__version__ = "1.17.0"
 
 __all__ = [
     "ChaosRunResult",

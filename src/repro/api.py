@@ -15,7 +15,9 @@ insert, search, benchmark:
 >>> len(hits.ids)
 3
 
-A :class:`Session` wraps one :class:`~repro.engines.VectorEngine`; the
+The verbs are implemented once, on :class:`Deployment`; a
+:class:`Session` wraps one :class:`~repro.engines.VectorEngine` and a
+:class:`ClusterSession` one :class:`~repro.cluster.Cluster`.  The
 underlying layers (``session.engine``, collection objects,
 :class:`~repro.workload.runner.BenchRunner`) stay reachable for
 anything the facade does not cover.
@@ -33,58 +35,17 @@ from repro.engines.payload import Filter, Payload
 from repro.engines.profiles import EngineProfile
 from repro.obs import RunTelemetry
 from repro.workload.metrics import RunResult
-from repro.workload.runner import BenchRunner, WriteLoad
+from repro.workload.runner import BenchRunner
 
 if t.TYPE_CHECKING:
     from repro.ann.workprofile import SearchResult
     from repro.chaos import ChaosRunResult, Supervisor
     from repro.cluster import Cluster, ClusterBenchRunner, ClusterTopology
     from repro.cluster.cluster import ShardedCollection
-    from repro.faults import ChaosSchedule, FaultPlan, ResiliencePolicy
+    from repro.faults import ChaosSchedule, ResiliencePolicy
     from repro.mutate import MutationLoad
     from repro.serve import ServeConfig, ServeResult
     from repro.tenancy import TenancyConfig
-
-
-@t.runtime_checkable
-class Deployment(t.Protocol):
-    """What every deployment shape serves, single-node or cluster.
-
-    The deployment-agnostic facade contract: :class:`Session` (one
-    engine) and :class:`ClusterSession` (an N-node cluster) both
-    implement it, so code written against these verbs runs unchanged on
-    either — ``open_engine`` and ``open_cluster`` are interchangeable
-    constructors.  Checkable at runtime::
-
-        >>> isinstance(open_engine(), Deployment)
-        True
-    """
-
-    def create(self, name: str, dim: int, index, metric: str,
-               storage_dim: int | None, **index_params: t.Any): ...
-
-    def drop(self, name: str) -> None: ...
-
-    def collections(self) -> list[str]: ...
-
-    def insert(self, name: str, vectors: np.ndarray,
-               payloads, flush: bool) -> np.ndarray: ...
-
-    def flush(self, name: str) -> None: ...
-
-    def delete(self, name: str, row_ids: t.Iterable[int]) -> int: ...
-
-    def compact(self, name: str) -> None: ...
-
-    def search(self, name: str, query: t.Any, k: int, **params): ...
-
-    def search_batch(self, name: str, queries: np.ndarray,
-                     k: int, **params): ...
-
-    def save(self, path: str) -> None: ...
-
-    def serve(self, name: str, queries: np.ndarray, config,
-              tenancy=None, **options): ...
 
 
 def open_engine(profile: EngineProfile | str = "milvus",
@@ -104,11 +65,12 @@ def open_engine(profile: EngineProfile | str = "milvus",
 def open_saved(path: str) -> "Session":
     """A :class:`Session` over an engine recovered from *path*.
 
-    *path* is a store written by :meth:`Session.save` (or
-    :meth:`~repro.engines.engine.VectorEngine.save`): every record
-    checksum is verified and WAL entries past the last checkpoint are
-    replayed, so the session answers queries exactly as the saved one
-    did.  (The engine's seed is part of its committed state.)
+    *path* is a store written by :meth:`Deployment.save` on a
+    :class:`Session` (or :meth:`~repro.engines.engine.VectorEngine.save`):
+    every record checksum is verified and WAL entries past the last
+    checkpoint are replayed, so the session answers queries exactly as
+    the saved one did.  (The engine's seed is part of its committed
+    state.)
     """
     return Session(VectorEngine.load(path))
 
@@ -135,9 +97,10 @@ def open_cluster(topology: "ClusterTopology",
 def open_saved_cluster(path: str) -> "ClusterSession":
     """A :class:`ClusterSession` recovered from a cluster store.
 
-    *path* is a store written by :meth:`ClusterSession.save`: one
-    crash-consistent durable store per node plus the cluster manifest
-    (topology, routing, and the global id maps).
+    *path* is a store written by :meth:`Deployment.save` on a
+    :class:`ClusterSession`: one crash-consistent durable store per
+    node plus the cluster manifest (topology, routing, and the global
+    id maps).
     """
     from repro.cluster import Cluster
     return ClusterSession(Cluster.load(path))
@@ -156,33 +119,43 @@ def open_bench(setup: str, dataset: str,
     return make_runner(setup, dataset, scale)
 
 
-class Session:
-    """All common operations of one engine, in facade form.
+class Deployment:
+    """What every deployment shape serves, single-node or cluster.
 
-    >>> session = open_engine("milvus")
-    >>> _ = session.create("docs", dim=8, index="hnsw", M=8)
-    >>> session.collections()
-    ['docs']
+    Each verb is implemented once, here, against the store the
+    subclass wraps: a :class:`~repro.engines.VectorEngine` for
+    :class:`Session`, a :class:`~repro.cluster.Cluster` for
+    :class:`ClusterSession`.  Both stores answer the same calls and
+    both runners take the same arguments, so code written against these
+    verbs runs unchanged on either — ``open_engine`` and
+    ``open_cluster`` are interchangeable constructors::
+
+        >>> isinstance(open_engine(), Deployment)
+        True
     """
 
-    def __init__(self, engine: VectorEngine) -> None:
-        self.engine = engine
+    def __init__(self, store: "VectorEngine | Cluster",
+                 runner: "type[BenchRunner | ClusterBenchRunner]") -> None:
+        self._store = store
+        self._runner = runner
 
     @property
     def profile(self) -> EngineProfile:
-        """The engine's behaviour profile (costs, caches, parallelism)."""
-        return self.engine.profile
+        """The engine profile every node runs (costs, caches,
+        parallelism)."""
+        return self._store.profile
 
     # -- collection lifecycle ---------------------------------------------
 
     def create(self, name: str, dim: int, index: str | IndexSpec = "hnsw",
                metric: str = "cosine", storage_dim: int | None = None,
-               **index_params: t.Any) -> Collection:
+               **index_params: t.Any) -> "Collection | ShardedCollection":
         """Create a collection; index params are validated eagerly.
 
         *index* is an index kind (``"hnsw"``, ``"diskann"``, ...) plus
         keyword parameters, or a ready :class:`~repro.engines.IndexSpec`
-        (in which case *metric*/params must be left at defaults).
+        (in which case *metric*/params must be left at defaults).  A
+        cluster creates it on every replica of every shard.
 
         >>> col = open_engine().create("d", dim=16, index="diskann", R=16)
         >>> col.index_spec.kind
@@ -192,20 +165,27 @@ class Session:
             spec = index
         else:
             spec = IndexSpec.of(index, metric, **index_params)
-        return self.engine.create_collection(name, dim, spec,
+        return self._store.create_collection(name, dim, spec,
                                              storage_dim=storage_dim)
 
     def drop(self, name: str) -> None:
-        """Drop a collection and everything in it."""
-        self.engine.drop_collection(name)
+        """Drop a collection and everything in it, from every node."""
+        self._store.drop_collection(name)
 
-    def collection(self, name: str) -> Collection:
-        """The named :class:`~repro.engines.Collection` object."""
-        return self.engine.collection(name)
+    def collection(self, name: str) -> "Collection | ShardedCollection":
+        """The named :class:`~repro.engines.Collection` (on a cluster,
+        its :class:`~repro.cluster.ShardedCollection` metadata)."""
+        return self._store.collection(name)
 
     def collections(self) -> list[str]:
-        """Names of all collections, in creation order."""
-        return self.engine.list_collections()
+        """Names of all collections, sorted.
+
+        >>> session = open_engine("milvus")
+        >>> _ = session.create("docs", dim=8, index="hnsw", M=8)
+        >>> session.collections()
+        ['docs']
+        """
+        return self._store.list_collections()
 
     # -- data plane -------------------------------------------------------
 
@@ -214,7 +194,8 @@ class Session:
                flush: bool = False) -> np.ndarray:
         """Append vectors; ``flush=True`` seals and indexes right away.
 
-        Returns the assigned row ids:
+        Returns the assigned row ids — on a cluster the *global* ids,
+        the same dense sequence a single engine would assign:
 
         >>> import numpy as np
         >>> session = open_engine()
@@ -222,9 +203,9 @@ class Session:
         >>> session.insert("d", np.eye(4, dtype=np.float32)).tolist()
         [0, 1, 2, 3]
         """
-        ids = self.engine.insert(name, vectors, payloads)
+        ids = self._store.insert(name, vectors, payloads)
         if flush:
-            self.engine.flush(name)
+            self._store.flush(name)
         return ids
 
     def flush(self, name: str) -> None:
@@ -245,7 +226,7 @@ class Session:
         >>> len(session.collection("d").growing)
         0
         """
-        self.engine.flush(name)
+        self._store.flush(name)
 
     def delete(self, name: str, row_ids: t.Iterable[int]) -> int:
         """Tombstone rows by id; returns how many were newly deleted.
@@ -265,7 +246,7 @@ class Session:
         ...                k=2).ids.tolist()
         [1, 3]
         """
-        return self.engine.delete(name, row_ids)
+        return self._store.delete(name, row_ids)
 
     def compact(self, name: str) -> None:
         """Merge the delta into a fresh snapshot, dropping tombstones.
@@ -274,7 +255,9 @@ class Session:
         (base minus tombstones, plus the delta buffer) with the same
         segmentation plan and seeds a fresh build would use, then
         truncates the checkpointed WAL.  Search results are unchanged
-        — merged search was already bit-identical to a fresh build:
+        — merged search was already bit-identical to a fresh build.  A
+        cluster applies it through the op log on every replica of each
+        shard, so replicas stay bit-identical:
 
         >>> import numpy as np
         >>> session = open_engine()
@@ -292,18 +275,20 @@ class Session:
         Policy-gated, telemetry-counted compaction lives in
         :func:`repro.mutate.compact_engine`.
         """
-        self.engine.compact(name)
+        self._store.compact(name)
 
     # -- persistence ------------------------------------------------------
 
     def save(self, path: str) -> None:
-        """Persist the engine as a crash-consistent store at *path*.
+        """Persist the deployment as a crash-consistent store at *path*.
 
         Checksummed record files under a versioned manifest, each
-        written via temp file + fsync + atomic rename; reopen with
-        :func:`open_saved`.  See ``docs/DURABILITY.md``.
+        written via temp file + fsync + atomic rename (a cluster writes
+        one such store per node plus its manifest); reopen with
+        :func:`open_saved` / :func:`open_saved_cluster`.  See
+        ``docs/DURABILITY.md``.
         """
-        self.engine.save(path)
+        self._store.save(path)
 
     # -- search -----------------------------------------------------------
 
@@ -314,7 +299,9 @@ class Session:
         :class:`~repro.ann.workprofile.SearchResult`.
 
         *query* may also be a :class:`~repro.engines.SearchRequest`
-        (then *k*/params must be left at defaults):
+        (then *k*/params must be left at defaults).  A cluster
+        scatter-gathers with global ids; its ``shard=`` hint (a search
+        parameter, or a routed request's field) narrows the scatter:
 
         >>> import numpy as np
         >>> from repro.engines import SearchRequest
@@ -327,8 +314,8 @@ class Session:
         [0, 1]
         """
         if isinstance(query, SearchRequest):
-            return self.engine.execute(name, query)
-        return self.engine.search(name, query, k, filter_=filter, **params)
+            return self._store.execute(name, query)
+        return self._store.search(name, query, k, filter_=filter, **params)
 
     def search_batch(self, name: str, queries: np.ndarray, k: int = 10, *,
                      filter: Filter | None = None,
@@ -349,28 +336,39 @@ class Session:
         >>> [hit.ids.tolist() for hit in hits]
         [[0], [1]]
         """
-        return self.engine.search_batch(name, queries, k,
+        return self._store.search_batch(name, queries, k,
                                         filter_=filter, **params)
 
     # -- benchmarking -----------------------------------------------------
 
+    def bench_runner(self, name: str, queries: np.ndarray, *,
+                     ground_truth: np.ndarray | None = None, k: int = 10,
+                     paper_n: int | None = None,
+                     ) -> "BenchRunner | ClusterBenchRunner":
+        """A reusable runner over one collection (plans are cached): a
+        :class:`~repro.workload.runner.BenchRunner` over an engine, a
+        :class:`~repro.cluster.ClusterBenchRunner` over a cluster."""
+        return self._runner(self._store, name, queries,
+                            ground_truth=ground_truth, k=k, paper_n=paper_n)
+
     def run_bench(self, name: str, queries: np.ndarray, *,
                   ground_truth: np.ndarray | None = None,
                   concurrency: int = 1, k: int = 10,
-                  search_params: dict[str, t.Any] | None = None,
-                  duration_s: float = 4.0,
-                  telemetry: RunTelemetry | bool | None = None,
-                  write_load: WriteLoad | None = None,
-                  fault_plan: "FaultPlan | None" = None,
-                  resilience: "ResiliencePolicy | None" = None,
-                  paper_n: int | None = None) -> RunResult:
+                  paper_n: int | None = None,
+                  **options: t.Any) -> RunResult:
         """One measured closed-loop run over a collection.
 
-        Thin wrapper over :class:`~repro.workload.runner.BenchRunner`;
-        build the runner directly for sweeps that should reuse its
-        compiled plans across concurrency levels.  ``fault_plan`` /
-        ``resilience`` attach fault injection and host-side defences
-        (see :mod:`repro.faults`).
+        Thin wrapper over :meth:`bench_runner`; *options*
+        (``search_params``, ``duration_s``, ``telemetry``, ...) go to
+        the runner's ``run`` unchanged, which owns them and their
+        defaults.  An engine's
+        :meth:`~repro.workload.runner.BenchRunner.run` also takes
+        ``write_load`` / ``fault_plan`` / ``resilience`` (see
+        :mod:`repro.faults`), a cluster's
+        :meth:`~repro.cluster.ClusterBenchRunner.run` ``chaos`` /
+        ``consistency`` / ``hedge_after_s`` / ``deadline_s``.  Build the
+        runner directly for sweeps that should reuse its compiled plans
+        across concurrency levels.
 
         >>> import numpy as np
         >>> session = open_engine()
@@ -388,18 +386,7 @@ class Session:
         runner = self.bench_runner(name, queries,
                                    ground_truth=ground_truth, k=k,
                                    paper_n=paper_n)
-        return runner.run(concurrency, search_params=search_params,
-                          duration_s=duration_s, telemetry=telemetry,
-                          write_load=write_load, fault_plan=fault_plan,
-                          resilience=resilience)
-
-    def bench_runner(self, name: str, queries: np.ndarray, *,
-                     ground_truth: np.ndarray | None = None, k: int = 10,
-                     paper_n: int | None = None) -> BenchRunner:
-        """A reusable runner over one collection (plans are cached)."""
-        return BenchRunner(self.engine, name, queries,
-                           ground_truth=ground_truth, k=k,
-                           paper_n=paper_n)
+        return runner.run(concurrency, **options)
 
     # -- serving ----------------------------------------------------------
 
@@ -418,8 +405,9 @@ class Session:
         models, the admission-queue policy and bound, batching,
         shedding, and the concurrency limit; the returned
         :class:`~repro.serve.ServeResult` reports goodput, drops, and
-        the queue/service latency decomposition.  See
-        ``docs/SERVING.md``.
+        the queue/service latency decomposition.  On a cluster the
+        coordinator sits behind the admission queue and each dispatched
+        query fans out across the shards.  See ``docs/SERVING.md``.
 
         >>> import numpy as np
         >>> from repro.serve import PoissonArrivals, ServeConfig, TenantLoad
@@ -441,7 +429,8 @@ class Session:
         the run is served by the multi-tenant SLO autopilot —
         cost-priced admission, the closed quality loop, and tiered
         placement (see ``docs/TENANCY.md``); ``tenancy.enabled=False``
-        is bit-identical to passing ``None``.
+        is bit-identical to passing ``None``.  Tiered placement stays
+        single-node: on a cluster it must be left unset.
         """
         from repro.serve import Server
         runner = self.bench_runner(name, queries,
@@ -454,7 +443,20 @@ class Session:
         return Server(runner, config, telemetry=telemetry).serve()
 
 
-class ClusterSession:
+class Session(Deployment):
+    """The :class:`Deployment` facade over one engine.
+
+    >>> session = open_engine("milvus")
+    >>> session.engine.profile.name
+    'milvus'
+    """
+
+    def __init__(self, engine: VectorEngine) -> None:
+        super().__init__(engine, BenchRunner)
+        self.engine = engine
+
+
+class ClusterSession(Deployment):
     """The :class:`Deployment` facade over a simulated cluster.
 
     Same verbs, same semantics as :class:`Session` — callers see global
@@ -479,166 +481,14 @@ class ClusterSession:
     """
 
     def __init__(self, cluster: "Cluster") -> None:
+        from repro.cluster import ClusterBenchRunner
+        super().__init__(cluster, ClusterBenchRunner)
         self.cluster = cluster
-
-    @property
-    def profile(self) -> EngineProfile:
-        """The engine profile every node runs."""
-        return self.cluster.profile
 
     @property
     def topology(self) -> "ClusterTopology":
         """The cluster's shape: shards, replicas, interconnect."""
         return self.cluster.topology
-
-    # -- collection lifecycle ---------------------------------------------
-
-    def create(self, name: str, dim: int, index: str | IndexSpec = "hnsw",
-               metric: str = "cosine", storage_dim: int | None = None,
-               **index_params: t.Any) -> "ShardedCollection":
-        """Create a collection on every replica of every shard."""
-        if isinstance(index, IndexSpec):
-            spec = index
-        else:
-            spec = IndexSpec.of(index, metric, **index_params)
-        return self.cluster.create(name, dim, spec,
-                                   storage_dim=storage_dim)
-
-    def drop(self, name: str) -> None:
-        """Drop a collection from every node."""
-        self.cluster.drop(name)
-
-    def collections(self) -> list[str]:
-        """Names of all cluster collections, sorted."""
-        return self.cluster.collections()
-
-    # -- data plane -------------------------------------------------------
-
-    def insert(self, name: str, vectors: np.ndarray,
-               payloads: t.Sequence[Payload | None] | None = None,
-               flush: bool = False) -> np.ndarray:
-        """Append rows; returns their *global* ids (dense, in order)."""
-        ids = self.cluster.insert(name, vectors, payloads)
-        if flush:
-            self.cluster.flush(name)
-        return ids
-
-    def flush(self, name: str) -> None:
-        """Seal growing rows into indexed segments, cluster-wide."""
-        self.cluster.flush(name)
-
-    def delete(self, name: str, row_ids: t.Iterable[int]) -> int:
-        """Tombstone rows by global id; returns how many existed."""
-        return self.cluster.delete(name, row_ids)
-
-    def compact(self, name: str) -> None:
-        """Merge every shard's delta into fresh snapshots.
-
-        Applied through the op log on all replicas of each shard;
-        compaction is deterministic, so replicas stay bit-identical.
-        """
-        self.cluster.compact(name)
-
-    # -- persistence ------------------------------------------------------
-
-    def save(self, path: str) -> None:
-        """Persist every node plus the cluster manifest at *path*.
-
-        Reopen with :func:`open_saved_cluster`.
-        """
-        self.cluster.save(path)
-
-    # -- search -----------------------------------------------------------
-
-    def search(self, name: str, query: t.Any, k: int = 10, *,
-               filter: Filter | None = None, shard: int | None = None,
-               **params: t.Any) -> "SearchResult":
-        """Scatter-gather top-k; result ids are global.
-
-        *query* may be a routed :class:`~repro.engines.SearchRequest`
-        (then *k*/params must be left at defaults) — its ``shard``
-        hint narrows the scatter, and its ``consistency`` /
-        ``deadline_s`` shape replay timing.
-        """
-        if isinstance(query, SearchRequest):
-            return self.cluster.execute(name, query)
-        return self.cluster.search(name, query, k, filter_=filter,
-                                   shard=shard, **params)
-
-    def search_batch(self, name: str, queries: np.ndarray, k: int = 10, *,
-                     filter: Filter | None = None,
-                     shard: int | None = None,
-                     **params: t.Any) -> "list[SearchResult]":
-        """Batched scatter-gather; one merged result per query row."""
-        return self.cluster.search_batch(name, queries, k,
-                                         filter_=filter, shard=shard,
-                                         **params)
-
-    # -- benchmarking -----------------------------------------------------
-
-    def run_bench(self, name: str, queries: np.ndarray, *,
-                  ground_truth: np.ndarray | None = None,
-                  concurrency: int = 1, k: int = 10,
-                  search_params: dict[str, t.Any] | None = None,
-                  duration_s: float = 4.0,
-                  telemetry: RunTelemetry | bool | None = None,
-                  chaos: "ChaosSchedule | None" = None,
-                  consistency: str = "one",
-                  hedge_after_s: float | None = None,
-                  deadline_s: float | None = None,
-                  paper_n: int | None = None) -> RunResult:
-        """One measured closed-loop run against the whole cluster.
-
-        The cluster counterpart of :meth:`Session.run_bench`; the extra
-        knobs attach the fault schedule, the consistency level, hedged
-        cross-node requests, and the partial-result deadline (see
-        :meth:`repro.cluster.ClusterBenchRunner.run`).
-        """
-        runner = self.bench_runner(name, queries,
-                                   ground_truth=ground_truth, k=k,
-                                   paper_n=paper_n)
-        return runner.run(concurrency, search_params=search_params,
-                          duration_s=duration_s, telemetry=telemetry,
-                          chaos=chaos, consistency=consistency,
-                          hedge_after_s=hedge_after_s,
-                          deadline_s=deadline_s)
-
-    def bench_runner(self, name: str, queries: np.ndarray, *,
-                     ground_truth: np.ndarray | None = None, k: int = 10,
-                     paper_n: int | None = None) -> "ClusterBenchRunner":
-        """A reusable cluster runner (per-shard plans are cached)."""
-        from repro.cluster import ClusterBenchRunner
-        return ClusterBenchRunner(self.cluster, name, queries,
-                                  ground_truth=ground_truth, k=k,
-                                  paper_n=paper_n)
-
-    # -- serving ----------------------------------------------------------
-
-    def serve(self, name: str, queries: np.ndarray,
-              config: "ServeConfig",
-              tenancy: "TenancyConfig | None" = None, *,
-              ground_truth: np.ndarray | None = None, k: int = 10,
-              telemetry: RunTelemetry | bool | None = None,
-              paper_n: int | None = None) -> "ServeResult":
-        """One serving run with the coordinator behind the admission
-        queue: arrivals, batching, and shedding come from
-        :mod:`repro.serve` unchanged, each dispatched query fans out
-        across the shards.  See :meth:`Session.serve`.  With *tenancy*
-        set, the autopilot's quota and quality loops run over the
-        coordinator (tiered placement stays single-node and must be
-        left unset here).
-        """
-        from repro.serve import Server
-        runner = self.bench_runner(name, queries,
-                                   ground_truth=ground_truth, k=k,
-                                   paper_n=paper_n)
-        if tenancy is not None:
-            from repro.tenancy import serve_autopilot
-            return serve_autopilot(runner, config, tenancy,
-                                   telemetry=telemetry)
-        return Server(runner, config, telemetry=telemetry).serve()
-
-    # -- chaos ------------------------------------------------------------
 
     def chaos(self, name: str, queries: np.ndarray,
               config: "ServeConfig",

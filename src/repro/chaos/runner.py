@@ -48,8 +48,7 @@ if t.TYPE_CHECKING:
     from repro.cluster.runner import (ClusterBenchRunner,
                                       ClusterReplaySession)
     from repro.faults.resilience import ResiliencePolicy
-    from repro.mutate.load import MutationLoad
-    from repro.mutate.simproc import MutationState
+    from repro.mutate.simproc import MutationLoad, MutationState
     from repro.serve import ServeConfig, ServeResult
 
 

@@ -309,7 +309,7 @@ def chaos_study(dataset: str = "cohere-1m", index: str = "diskann",
     def violates(sub: ChaosSchedule) -> bool:
         cluster = Cluster(ClusterTopology(n_shards=1, seed=seed),
                           "milvus", seed=seed)
-        cluster.create("mini", 16, IndexSpec.of("flat", "l2"))
+        cluster.create_collection("mini", 16, IndexSpec.of("flat", "l2"))
         cluster.insert("mini", mini_x)
         cluster.flush("mini")
         mini = ClusterBenchRunner(cluster, "mini", mini_queries, k=5)

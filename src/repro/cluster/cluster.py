@@ -38,7 +38,7 @@ from repro.cluster.topology import ClusterTopology
 from repro.engines.engine import (IndexSpec, SearchRequest, VectorEngine,
                                   merge_works)
 from repro.engines.profiles import EngineProfile, get_profile
-from repro.errors import ClusterError
+from repro.errors import ClusterError, CollectionNotFoundError, EngineError
 
 if t.TYPE_CHECKING:
     from repro.engines.payload import Filter, Payload
@@ -80,9 +80,12 @@ class ClusterNode:
 class Cluster:
     """A simulated N-shard, R-replica cluster of vector engines.
 
-    The coordinator-facing verbs mirror a single
-    :class:`~repro.engines.engine.VectorEngine`: ``create`` / ``insert``
-    / ``flush`` / ``delete`` / ``search`` / ``search_batch`` / ``save``,
+    The coordinator-facing verbs carry a single
+    :class:`~repro.engines.engine.VectorEngine`'s names and errors —
+    ``create_collection`` / ``drop_collection`` / ``collection`` /
+    ``list_collections`` / ``insert`` / ``flush`` / ``delete`` /
+    ``compact`` / ``search`` / ``search_batch`` / ``execute`` /
+    ``save`` — so :class:`repro.api.Deployment` drives either store,
     plus :meth:`move_replica` for shard rebalancing.  All searches
     scatter to one replica per shard and gather through
     :func:`~repro.cluster.merge.merge_topk`.
@@ -114,16 +117,13 @@ class Cluster:
 
     # -- collection lifecycle ---------------------------------------------
 
-    def create(self, name: str, dim: int, index_spec: IndexSpec,
-               storage_dim: int | None = None) -> ShardedCollection:
+    def create_collection(self, name: str, dim: int, index_spec: IndexSpec,
+                          storage_dim: int | None = None,
+                          ) -> ShardedCollection:
         """Create *name* on every replica of every shard."""
         if name in self._collections:
-            raise ClusterError(f"collection {name!r} already exists")
-        for shard in range(self.topology.n_shards):
-            op = ("create", name, dim, index_spec, storage_dim)
-            self._oplog[shard].append(op)
-            for node in self.routing[shard]:
-                self._apply(node, op)
+            raise EngineError(f"collection {name!r} already exists")
+        self._broadcast(("create", name, dim, index_spec, storage_dim))
         meta = ShardedCollection(
             name, dim, index_spec, storage_dim,
             local_to_global=[np.empty(0, dtype=np.int64)
@@ -132,21 +132,20 @@ class Cluster:
         self._collections[name] = meta
         return meta
 
-    def drop(self, name: str) -> None:
-        self._meta(name)
-        for shard in range(self.topology.n_shards):
-            op = ("drop", name)
-            self._oplog[shard].append(op)
-            for node in self.routing[shard]:
-                self._apply(node, op)
+    def drop_collection(self, name: str) -> None:
+        """Drop *name* from every node."""
+        self.collection(name)
+        self._broadcast(("drop", name))
         del self._collections[name]
 
-    def collections(self) -> list[str]:
-        return sorted(self._collections)
-
-    def collection_meta(self, name: str) -> ShardedCollection:
+    def collection(self, name: str) -> ShardedCollection:
         """The cluster-side metadata of collection *name*."""
-        return self._meta(name)
+        if name not in self._collections:
+            raise CollectionNotFoundError(name)
+        return self._collections[name]
+
+    def list_collections(self) -> list[str]:
+        return sorted(self._collections)
 
     # -- writes -----------------------------------------------------------
 
@@ -158,7 +157,7 @@ class Cluster:
         Returns the rows' new *global* ids — the same dense sequence a
         single engine fed the same inserts would have assigned.
         """
-        meta = self._meta(name)
+        meta = self.collection(name)
         vectors = np.asarray(vectors, dtype=np.float32)
         if vectors.ndim == 1:
             vectors = vectors.reshape(1, -1)
@@ -175,11 +174,8 @@ class Cluster:
                 continue
             sub_payloads = ([payloads[i] for i in rows]
                             if payloads is not None else None)
-            op = ("insert", name, vectors[rows], sub_payloads)
-            self._oplog[shard].append(op)
-            local_ids = None
-            for node in self.routing[shard]:
-                local_ids = self._apply(node, op)
+            local_ids = self._broadcast(
+                ("insert", name, vectors[rows], sub_payloads), [shard])
             sub_globals = global_ids[rows]
             for local, g in zip(local_ids, sub_globals):
                 meta.global_to_local[int(g)] = (shard, int(local))
@@ -189,12 +185,8 @@ class Cluster:
 
     def flush(self, name: str) -> None:
         """Seal growing rows into indexed segments on every replica."""
-        self._meta(name)
-        for shard in range(self.topology.n_shards):
-            op = ("flush", name)
-            self._oplog[shard].append(op)
-            for node in self.routing[shard]:
-                self._apply(node, op)
+        self.collection(name)
+        self._broadcast(("flush", name))
 
     def compact(self, name: str) -> None:
         """Merge each shard's delta into a fresh snapshot, all replicas.
@@ -205,16 +197,12 @@ class Cluster:
         bit-identical — the same argument that keeps the op log
         convergent for ``flush``.
         """
-        self._meta(name)
-        for shard in range(self.topology.n_shards):
-            op = ("compact", name)
-            self._oplog[shard].append(op)
-            for node in self.routing[shard]:
-                self._apply(node, op)
+        self.collection(name)
+        self._broadcast(("compact", name))
 
     def delete(self, name: str, row_ids: t.Iterable[int]) -> int:
         """Tombstone rows by global id; returns how many existed."""
-        meta = self._meta(name)
+        meta = self.collection(name)
         by_shard: dict[int, list[int]] = {}
         deleted = 0
         for g in row_ids:
@@ -224,10 +212,7 @@ class Cluster:
             deleted += 1
             by_shard.setdefault(home[0], []).append(home[1])
         for shard, locals_ in sorted(by_shard.items()):
-            op = ("delete", name, tuple(locals_))
-            self._oplog[shard].append(op)
-            for node in self.routing[shard]:
-                self._apply(node, op)
+            self._broadcast(("delete", name, tuple(locals_)), [shard])
         return deleted
 
     # -- reads ------------------------------------------------------------
@@ -265,7 +250,7 @@ class Cluster:
                      shard: int | None = None,
                      **params: t.Any) -> list[SearchResult]:
         """Batched scatter-gather; one merged result per query."""
-        meta = self._meta(name)
+        meta = self.collection(name)
         if shard is not None:
             self.topology._check_shard(shard)
             shards = [shard]
@@ -304,7 +289,7 @@ class Cluster:
 
     def shard_bytes(self, name: str, shard: int) -> int:
         """Stored bytes of one shard of a collection (migration size)."""
-        meta = self._meta(name)
+        meta = self.collection(name)
         rows = len(meta.local_to_global[shard])
         dim = (meta.storage_dim if meta.storage_dim is not None
                else meta.dim)
@@ -436,10 +421,18 @@ class Cluster:
 
     # -- internals --------------------------------------------------------
 
-    def _meta(self, name: str) -> ShardedCollection:
-        if name not in self._collections:
-            raise ClusterError(f"no such cluster collection: {name!r}")
-        return self._collections[name]
+    def _broadcast(self, op: tuple[t.Any, ...],
+                   shards: t.Iterable[int] | None = None) -> t.Any:
+        """Append *op* to each shard's log (default: every shard) and
+        apply it on every replica in routing; returns the last
+        replica's result (replicas are identical)."""
+        result = None
+        for shard in (range(self.topology.n_shards) if shards is None
+                      else shards):
+            self._oplog[shard].append(op)
+            for node in self.routing[shard]:
+                result = self._apply(node, op)
+        return result
 
     def _apply(self, node_id: int, op: tuple[t.Any, ...]) -> t.Any:
         """Apply one op-log entry to one node's engine."""

@@ -511,7 +511,7 @@ class ClusterBenchRunner:
                  paper_n: int | None = None) -> None:
         self.cluster = cluster
         self.topology = cluster.topology
-        self.collection: "ShardedCollection" = cluster.collection_meta(
+        self.collection: "ShardedCollection" = cluster.collection(
             collection_name)
         self.queries = np.asarray(queries, dtype=np.float32)
         self.ground_truth = ground_truth

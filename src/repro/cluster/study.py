@@ -98,8 +98,9 @@ def build_cluster(dataset_name: str, topology: ClusterTopology,
     dataset = load_dataset(dataset_name)
     spec = dataset.spec
     cluster = Cluster(topology, profile, seed=spec.seed)
-    cluster.create(spec.name, spec.dim, IndexSpec.of(index, spec.metric),
-                   storage_dim=spec.storage_dim)
+    cluster.create_collection(spec.name, spec.dim,
+                              IndexSpec.of(index, spec.metric),
+                              storage_dim=spec.storage_dim)
     cluster.insert(spec.name, dataset.vectors)
     cluster.flush(spec.name)
     return cluster, dataset
@@ -184,7 +185,8 @@ def cluster_study(dataset: str = "cohere-1m", index: str = "diskann",
         progress(f"scaling: {n} shard(s), {concurrency} clients")
         cluster = Cluster(ClusterTopology(n_shards=n, seed=seed),
                           "milvus", seed=seed)
-        cluster.create("scaling", sX.shape[1], IndexSpec.of("flat", "l2"))
+        cluster.create_collection("scaling", sX.shape[1],
+                                  IndexSpec.of("flat", "l2"))
         cluster.insert("scaling", sX)
         cluster.flush("scaling")
         runner = ClusterBenchRunner(cluster, "scaling", s_queries,
@@ -217,9 +219,9 @@ def cluster_study(dataset: str = "cohere-1m", index: str = "diskann",
                                     k=k, seed=seed + 17)
         topo = ClusterTopology(n_shards=n, seed=seed, network=tail_net)
         cluster = Cluster(topo, "milvus", seed=seed)
-        cluster.create("tail", X.shape[1],
-                       IndexSpec.of("diskann", "l2", R=16, L_build=32,
-                                    alpha=1.2))
+        cluster.create_collection("tail", X.shape[1],
+                                  IndexSpec.of("diskann", "l2", R=16,
+                                               L_build=32, alpha=1.2))
         cluster.insert("tail", X)
         cluster.flush("tail")
         runner = ClusterBenchRunner(cluster, "tail", queries,

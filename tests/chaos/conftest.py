@@ -35,7 +35,8 @@ def fresh_runner(chaos_corpus):
         topo = ClusterTopology(n_shards=n_shards, replicas=replicas,
                                spares=spares, seed=seed)
         cluster = Cluster(topo, "milvus", seed=seed)
-        cluster.create("c", X.shape[1], IndexSpec.of("flat", "l2"))
+        cluster.create_collection("c", X.shape[1],
+                                  IndexSpec.of("flat", "l2"))
         cluster.insert("c", X)
         cluster.flush("c")
         return ClusterBenchRunner(cluster, "c", queries,

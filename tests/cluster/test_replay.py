@@ -27,7 +27,8 @@ from repro.simkernel.network import NetworkSpec
 def _cluster(replay_corpus, topology, index="flat", **build):
     X, _queries, _truth = replay_corpus
     cluster = Cluster(topology, "milvus", seed=0)
-    cluster.create("c", X.shape[1], IndexSpec.of(index, "l2", **build))
+    cluster.create_collection("c", X.shape[1],
+                              IndexSpec.of(index, "l2", **build))
     cluster.insert("c", X)
     cluster.flush("c")
     return cluster

@@ -59,7 +59,7 @@ def test_cross_shard_topk_matches_single_node(tied_data, tied_queries,
 
     cluster = Cluster(ClusterTopology(n_shards=3, seed=0), _profile(),
                       seed=0)
-    cluster.create("c", tied_data.shape[1], spec)
+    cluster.create_collection("c", tied_data.shape[1], spec)
     cluster.insert("c", tied_data)
     cluster.flush("c")
     merged = cluster.search_batch("c", tied_queries, k, **search)
@@ -88,7 +88,7 @@ def test_both_sharding_kinds_preserve_flat_answers(tied_data,
     topo = ClusterTopology(n_shards=3, sharding=sharding, seed=0,
                            **kwargs)
     cluster = Cluster(topo, "milvus", seed=0)
-    cluster.create("c", tied_data.shape[1], spec)
+    cluster.create_collection("c", tied_data.shape[1], spec)
     cluster.insert("c", tied_data)
     cluster.flush("c")
     merged = cluster.search_batch("c", tied_queries, 10)
@@ -102,7 +102,8 @@ def test_duplicates_tie_break_by_ascending_id(tied_data):
     copies usually live on different shards."""
     cluster = Cluster(ClusterTopology(n_shards=3, seed=0), "milvus",
                       seed=0)
-    cluster.create("c", tied_data.shape[1], IndexSpec.of("flat", "l2"))
+    cluster.create_collection("c", tied_data.shape[1],
+                              IndexSpec.of("flat", "l2"))
     cluster.insert("c", tied_data)
     cluster.flush("c")
     for dup in range(10):

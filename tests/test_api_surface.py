@@ -39,14 +39,11 @@ def render_surface() -> str:
         if not name.startswith("_") and inspect.isfunction(member):
             lines.append(f"repro.api: {name}"
                          f"{inspect.signature(member)}")
-    for cls in (Session, ClusterSession):
+    for cls in (Session, ClusterSession, Deployment):
         for name, member in sorted(vars(cls).items()):
             if not name.startswith("_") and callable(member):
                 lines.append(f"repro.api.{cls.__name__}.{name}"
                              f"{inspect.signature(member)}")
-    members = sorted(name for name, member in vars(Deployment).items()
-                     if not name.startswith("_") and callable(member))
-    lines.append(f"repro.api.Deployment: {', '.join(members)}")
     for cls in (IndexSpec, SearchRequest, SearchResult):
         fields = sorted(getattr(cls, "__dataclass_fields__", {}))
         lines.append(f"{cls.__module__}.{cls.__name__}: "

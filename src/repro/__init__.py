@@ -39,11 +39,11 @@ from repro.ann.workprofile import SearchResult
 from repro.engines.engine import IndexSpec, SearchRequest, VectorEngine
 from repro.engines.payload import Filter
 from repro.faults import FaultPlan, ResiliencePolicy
-from repro.serve import ServeConfig, ServeResult, Tenant, TenantLoad
+from repro.serve import ServeConfig, ServeResult, TenantLoad
 from repro.tenancy import TenancyConfig, TenantProfile, TenantRegistry
 from repro.workload.setup import make_runner
 
-__version__ = "1.17.0"
+__version__ = "1.18.0"
 
 __all__ = [
     "ChaosRunResult",
@@ -63,7 +63,6 @@ __all__ = [
     "Supervisor",
     "SupervisorConfig",
     "TenancyConfig",
-    "Tenant",
     "TenantLoad",
     "TenantProfile",
     "TenantRegistry",

@@ -39,11 +39,10 @@ from repro.workload.runner import BenchRunner
 
 if t.TYPE_CHECKING:
     from repro.ann.workprofile import SearchResult
-    from repro.chaos import ChaosRunResult, Supervisor
+    from repro.chaos import ChaosRunResult
     from repro.cluster import Cluster, ClusterBenchRunner, ClusterTopology
     from repro.cluster.cluster import ShardedCollection
-    from repro.faults import ChaosSchedule, ResiliencePolicy
-    from repro.mutate import MutationLoad
+    from repro.faults import ChaosSchedule
     from repro.serve import ServeConfig, ServeResult
     from repro.tenancy import TenancyConfig
 
@@ -407,7 +406,9 @@ class Deployment:
         :class:`~repro.serve.ServeResult` reports goodput, drops, and
         the queue/service latency decomposition.  On a cluster the
         coordinator sits behind the admission queue and each dispatched
-        query fans out across the shards.  See ``docs/SERVING.md``.
+        query fans out across the shards, and ``config.mutation`` runs
+        one write stream per shard primary (``ServeResult.mutation``
+        sums them).  See ``docs/SERVING.md``.
 
         >>> import numpy as np
         >>> from repro.serve import PoissonArrivals, ServeConfig, TenantLoad
@@ -493,21 +494,20 @@ class ClusterSession(Deployment):
     def chaos(self, name: str, queries: np.ndarray,
               config: "ServeConfig",
               schedule: "ChaosSchedule | None" = None, *,
-              supervisor: "Supervisor | None" = None,
-              mutation: "MutationLoad | None" = None,
               ground_truth: np.ndarray | None = None, k: int = 10,
-              telemetry: RunTelemetry | bool | None = None,
-              resilience: "ResiliencePolicy | None" = None,
-              healthy_recall: float | None = None,
-              paper_n: int | None = None) -> "ChaosRunResult":
+              paper_n: int | None = None,
+              **options: t.Any) -> "ChaosRunResult":
         """One chaos run: *schedule* injected while *config* serves.
 
         The facade over :func:`repro.chaos.run_chaos`: every plane of
         the composed :class:`~repro.chaos.ChaosSchedule` is armed
-        against this cluster, the optional
-        :class:`~repro.chaos.Supervisor` self-heals it, and the
-        returned :class:`~repro.chaos.ChaosRunResult` carries the
-        serving result plus the invariant-oracle battery's verdicts.
+        against this cluster and the returned
+        :class:`~repro.chaos.ChaosRunResult` carries the serving result
+        plus the invariant-oracle battery's verdicts.  *options* go to
+        ``run_chaos`` unchanged (``supervisor``, ``telemetry``,
+        ``healthy_recall``, ...) and through it to the replay session
+        (``consistency``, ``hedge_after_s``, ``deadline_s``,
+        ``resilience``); write streams ride on ``config.mutation``.
         A chaos run consumes the session's cluster (the supervisor
         edits routing; mutation grows allocators) — open a fresh one
         per run.  See ``docs/CHAOS.md``.
@@ -516,7 +516,4 @@ class ClusterSession(Deployment):
         runner = self.bench_runner(name, queries,
                                    ground_truth=ground_truth, k=k,
                                    paper_n=paper_n)
-        return run_chaos(runner, config, schedule,
-                         supervisor=supervisor, mutation=mutation,
-                         telemetry=telemetry, resilience=resilience,
-                         healthy_recall=healthy_recall)
+        return run_chaos(runner, config, schedule, **options)

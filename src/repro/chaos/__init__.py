@@ -32,8 +32,7 @@ from repro.chaos.oracles import (OracleReport, check_attribution,
                                  check_replica_consistency,
                                  cluster_fingerprint,
                                  engine_fingerprint, summarize)
-from repro.chaos.runner import (ChaosRunResult, run_chaos,
-                                start_cluster_mutation)
+from repro.chaos.runner import ChaosRunResult, run_chaos
 from repro.chaos.shrink import shrink_elements, shrink_schedule
 from repro.chaos.supervisor import (RecoveryEvent, Supervisor,
                                     SupervisorConfig)
@@ -58,6 +57,5 @@ __all__ = [
     "run_chaos",
     "shrink_elements",
     "shrink_schedule",
-    "start_cluster_mutation",
     "summarize",
 ]

@@ -45,6 +45,7 @@ the oracles hold either way.
 
 from __future__ import annotations
 
+import dataclasses
 import tempfile
 import typing as t
 
@@ -64,13 +65,9 @@ from repro.core.study import Study, silent
 from repro.durability import load_engine, repair, save_engine, scrub
 from repro.engines.engine import IndexSpec
 from repro.errors import FaultError, InjectedCrash
-from repro.faults.crash import CrashInjector, CrashPlan
-from repro.faults.gray import GrayFailure
-from repro.faults.nodes import NodeKill
-from repro.faults.partition import PartitionWindow
-from repro.faults.plan import LatencySpike, ReadError
-from repro.faults.resilience import ResiliencePolicy
-from repro.faults.schedule import ChaosSchedule
+from repro.faults import (ChaosSchedule, CrashInjector, CrashPlan,
+                          GrayFailure, LatencySpike, NodeKill,
+                          PartitionWindow, ReadError, ResiliencePolicy)
 from repro.mutate import MutationLoad
 from repro.serve.arrivals import PoissonArrivals
 from repro.serve.server import ServeConfig, Server, TenantLoad
@@ -167,7 +164,6 @@ def chaos_study(dataset: str = "cohere-1m", index: str = "diskann",
     schedule = _demo_schedule(duration_s)
     resilience = ResiliencePolicy(read_timeout_s=0.002, max_retries=2,
                                   seed=seed)
-    load = MutationLoad()
     data: dict[str, t.Any] = {
         "dataset": dataset, "index": index, "duration_s": duration_s,
         "params": params, "schedule": schedule.describe(),
@@ -191,6 +187,7 @@ def chaos_study(dataset: str = "cohere-1m", index: str = "diskann",
         max_inflight=16, search_params=params,
         tenants=(TenantLoad("all", PoissonArrivals(
             rate_qps=0.6 * calibrate.qps)),))
+    mutating = dataclasses.replace(config, mutation=MutationLoad())
     healthy = run_chaos(runner, config, ChaosSchedule(),
                         telemetry=True, resilience=resilience)
     data["healthy"] = _row(healthy)
@@ -213,8 +210,8 @@ def chaos_study(dataset: str = "cohere-1m", index: str = "diskann",
     progress("chaos: composed schedule, no supervisor")
     un_runner, _ = fresh_runner()
     unsupervised = run_chaos(
-        un_runner, config, schedule, telemetry=True,
-        resilience=resilience, mutation=load)
+        un_runner, mutating, schedule, telemetry=True,
+        resilience=resilience)
     data["unsupervised"] = _row(unsupervised)
     verdicts["unsupervised_availability_degrades"] = bool(
         unsupervised.result.failed > 0)
@@ -231,9 +228,9 @@ def chaos_study(dataset: str = "cohere-1m", index: str = "diskann",
         progress(f"chaos: supervised run {attempt}")
         sup_runner, _ = fresh_runner()
         supervised_runs.append(run_chaos(
-            sup_runner, config, schedule,
+            sup_runner, mutating, schedule,
             supervisor=Supervisor(SupervisorConfig()),
-            telemetry=True, resilience=resilience, mutation=load,
+            telemetry=True, resilience=resilience,
             healthy_recall=healthy.recall, recall_floor=RECALL_FLOOR))
     supervised = supervised_runs[0]
     data["supervised"] = _row(supervised)

@@ -280,10 +280,6 @@ class Cluster:
         """The shard's current primary replica node."""
         return self.routing[shard][0]
 
-    def replica_nodes(self, shard: int) -> list[int]:
-        """The shard's current replica nodes, primary first."""
-        return list(self.routing[shard])
-
     def engine_for(self, node_id: int) -> VectorEngine:
         return self.nodes[node_id].engine
 

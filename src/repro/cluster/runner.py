@@ -615,6 +615,13 @@ class ClusterBenchRunner:
             device_spec=self.device_spec,
             collection_name=self.collection.name)
 
+    def write_targets(self, session: ClusterReplaySession,
+                      ) -> list[tuple[QueryReplayer, BenchRunner]]:
+        """Where write streams run: per shard, the shard primary's host
+        (routing slot 0) with that shard's runner."""
+        return [(session.hosts[session.routing[shard][0]], runner)
+                for shard, runner in enumerate(self.shard_runners)]
+
     def run(self, concurrency: int, search_params: dict | None = None,
             duration_s: float = 4.0, max_queries: int = 25_000,
             phase: int = 0,

@@ -37,16 +37,14 @@ full fault model are documented in ``docs/ARCHITECTURE.md``,
 
 from repro.faults.crash import (Corruption, CorruptionPlan, CrashInjector,
                                 CrashPlan)
-from repro.faults.gray import GrayFailure
 from repro.faults.injector import FaultInjector
-from repro.faults.nodes import NodeKill
-from repro.faults.partition import PartitionWindow
 from repro.faults.plan import (FAULT_KINDS, FaultEffect, FaultPlan,
                                FaultWindow, LatencySpike, ReadError,
                                TailAmplification, Throttle)
 from repro.faults.resilience import (PressureTracker, ResiliencePolicy,
                                      degraded_search_params)
-from repro.faults.schedule import ChaosSchedule
+from repro.faults.schedule import (ChaosSchedule, GrayFailure, NodeKill,
+                                   PartitionWindow)
 
 __all__ = [
     "FAULT_KINDS",

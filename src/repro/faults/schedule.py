@@ -1,8 +1,9 @@
 """The cluster fault model: every fault plane on one seeded timeline.
 
 A :class:`ChaosSchedule` is the one fault-model value of the cluster
-replay stack: flat tuples of :class:`~repro.faults.NodeKill`,
-:class:`~repro.faults.PartitionWindow`, :class:`~repro.faults.GrayFailure`
+replay stack: flat tuples of :class:`NodeKill` windows (whole nodes
+dead), :class:`PartitionWindow` cuts (messages across a node-group
+boundary dropped), :class:`GrayFailure` windows (alive but slow nodes)
 and per-node SSD :class:`~repro.faults.FaultWindow` entries, an optional
 write-path :class:`~repro.faults.CrashPlan`, and one seed.  It is
 immutable pure data and answers the replayer's questions itself
@@ -51,14 +52,116 @@ import typing as t
 
 from repro.errors import WorkloadError
 from repro.faults.crash import CrashPlan
-from repro.faults.gray import GrayFailure
-from repro.faults.nodes import NodeKill
-from repro.faults.partition import PartitionWindow
 from repro.faults.plan import (FaultPlan, FaultWindow, LatencySpike,
-                               ReadError, Throttle, _unit)
+                               ReadError, Throttle, TimeWindow, _unit)
 
 #: One atomic fault in a flattened schedule: (plane tag, payload).
 ChaosElement = t.Tuple[str, t.Any]
+
+
+@dataclasses.dataclass(frozen=True)
+class NodeKill(TimeWindow):
+    """One node is dead during ``[start_s, end_s)``.
+
+    Where a :class:`~repro.faults.FaultPlan` misbehaves a *device*, a
+    kill takes down a whole *node*.  Death is total: the node answers
+    nothing while the window is open, and work in flight on it when the
+    window opens is lost — which is what drives replica failover in
+    :mod:`repro.cluster`.  The node comes back at ``end_s`` with its
+    data intact (replicas are identical by construction, so recovery
+    needs no catch-up in this model).
+
+    >>> kill = NodeKill(node=1, start_s=0.5, end_s=2.0)
+    >>> kill.active(1.0), kill.active(2.0)
+    (True, False)
+    >>> NodeKill(node=1, start_s=2.0, end_s=0.5)
+    Traceback (most recent call last):
+        ...
+    repro.errors.WorkloadError: bad kill window [2.0, 0.5)
+    """
+
+    node: int
+    start_s: float
+    end_s: float
+
+    def __post_init__(self) -> None:
+        if self.node < 0:
+            raise WorkloadError(f"bad node id: {self.node}")
+        self._check_span("kill")
+
+
+@dataclasses.dataclass(frozen=True)
+class PartitionWindow(TimeWindow):
+    """One timed partition: ``nodes`` cut off from everyone else.
+
+    Every message crossing the group boundary — in either direction,
+    coordinator hops included — is dropped with ``drop_fraction``
+    probability (1.0 = a clean partition; lower values model a flaky
+    link that loses some packets but not all).  Messages inside the
+    group, or entirely outside it, are untouched: the isolated nodes
+    stay alive and rejoin silently when the window closes.
+
+    >>> window = PartitionWindow((1,), 0.0, 1.0)
+    >>> window.severs(src=0, dst=1)        # crosses the cut
+    True
+    >>> window.severs(src=0, dst=2)        # outside the group
+    False
+    >>> window.active(2.0)                 # window closed
+    False
+    """
+
+    nodes: tuple[int, ...]
+    start_s: float
+    end_s: float
+    drop_fraction: float = 1.0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "nodes", tuple(self.nodes))
+        if not self.nodes:
+            raise WorkloadError("partition window isolates no nodes")
+        self._check_span("partition")
+        if not 0.0 < self.drop_fraction <= 1.0:
+            raise WorkloadError(
+                f"bad drop_fraction: {self.drop_fraction}")
+
+    def severs(self, src: int, dst: int) -> bool:
+        """Whether a src->dst message crosses this partition's cut."""
+        return (src in self.nodes) != (dst in self.nodes)
+
+
+@dataclasses.dataclass(frozen=True)
+class GrayFailure(TimeWindow):
+    """One node running ``slowdown``x slow between start_s and end_s.
+
+    A gray-failed node answers health probes *eventually*, never trips
+    the dead-node check, and yet drags every query routed through it
+    into the latency tail.  While active, every network hop touching
+    the node is stretched by ``slowdown``x, and the schedule compiles
+    the window into a device :class:`~repro.faults.plan.Throttle` so
+    the node's SSD slows down in sympathy (the usual root cause: a
+    dying disk or a thermally-throttled device).
+
+    >>> gray = GrayFailure(2, 0.0, 1.0, slowdown=8.0)
+    >>> gray.active(0.5), gray.active(1.5)
+    (True, False)
+    >>> GrayFailure(2, 0.0, 1.0, slowdown=1.0)
+    Traceback (most recent call last):
+        ...
+    repro.errors.WorkloadError: gray slowdown must exceed 1.0: 1.0
+    """
+
+    node: int
+    start_s: float
+    end_s: float
+    slowdown: float = 8.0
+
+    def __post_init__(self) -> None:
+        if self.node < 0:
+            raise WorkloadError(f"bad gray-failure node: {self.node}")
+        self._check_span("gray")
+        if self.slowdown <= 1.0:
+            raise WorkloadError(
+                f"gray slowdown must exceed 1.0: {self.slowdown}")
 
 #: The timed planes: (element tag, schedule field, element type).
 _PLANES = (("kill", "kills", NodeKill),

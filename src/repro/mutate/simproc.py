@@ -40,7 +40,9 @@ from repro.errors import WorkloadError
 from repro.mutate.policy import CompactionPolicy
 
 if t.TYPE_CHECKING:
+    from repro.cluster.runner import ClusterBenchRunner
     from repro.obs import RunTelemetry
+    from repro.workload.replay import ReplaySession
     from repro.workload.runner import BenchRunner, QueryReplayer
 
 #: Serialized size of one tombstone WAL record (frame + row id).
@@ -123,7 +125,8 @@ class MutationStats:
     """Immutable roll-up of one run's mutation traffic.
 
     Attached to :class:`~repro.serve.ServeResult` as ``mutation`` when
-    the serving config carried a :class:`MutationLoad`.
+    the serving config carried a :class:`MutationLoad` (on a cluster,
+    summed over the shards by :func:`mutation_stats`).
     """
 
     inserted_rows: int
@@ -170,18 +173,6 @@ class MutationState:
         """Rows the policy sees: base plus unsealed delta."""
         return self.base_rows + self.delta_rows
 
-    def stats(self) -> MutationStats:
-        """Freeze the current accounting into a result-ready record."""
-        return MutationStats(
-            inserted_rows=self.inserted_rows,
-            deleted_rows=self.deleted_rows,
-            wal_flushes=self.wal_flushes,
-            wal_bytes=self.wal_bytes,
-            compactions=len(self.compaction_windows),
-            compaction_windows=tuple(self.compaction_windows),
-            compaction_read_bytes=self.compaction_read_bytes,
-            compaction_write_bytes=self.compaction_write_bytes)
-
 
 def snapshot_bytes(collection: t.Any) -> int:
     """The sealed footprint of *collection*: vectors + index files."""
@@ -189,17 +180,47 @@ def snapshot_bytes(collection: t.Any) -> int:
                for segment in collection.segments)
 
 
-def start_mutation_load(host: "QueryReplayer", runner: "BenchRunner",
+def mutation_stats(states: t.Sequence[MutationState]) -> MutationStats:
+    """One run's mutation accounting: the field-wise sum of *states*
+    (one per write target), compaction windows in start order."""
+    windows = tuple(sorted(w for state in states
+                           for w in state.compaction_windows))
+    return MutationStats(
+        inserted_rows=sum(s.inserted_rows for s in states),
+        deleted_rows=sum(s.deleted_rows for s in states),
+        wal_flushes=sum(s.wal_flushes for s in states),
+        wal_bytes=sum(s.wal_bytes for s in states),
+        compactions=len(windows),
+        compaction_windows=windows,
+        compaction_read_bytes=sum(s.compaction_read_bytes
+                                  for s in states),
+        compaction_write_bytes=sum(s.compaction_write_bytes
+                                   for s in states))
+
+
+def start_mutation_load(session: "ReplaySession",
+                        runner: "BenchRunner | ClusterBenchRunner",
                         load: MutationLoad, duration_s: float,
                         telemetry: "RunTelemetry | None" = None,
-                        ) -> MutationState:
-    """Spawn the mutation processes on one simulated *host*.
+                        ) -> tuple[MutationState, ...]:
+    """Spawn one mutation stream per write target of *runner*.
 
-    Returns the live :class:`MutationState`; it is complete once
-    ``host.env.run()`` has drained.  The processes share the host's
-    device and core pool with whatever query processes the caller
+    ``runner.write_targets(session)`` names the targets: the one host
+    of a single engine, or each shard's primary host (routing slot 0
+    at start time; a later routing cutover does not chase the load)
+    with that shard's runner.  Returns the live states, complete once
+    ``session.env.run()`` has drained.  The processes share each
+    host's device and core pool with the query processes the caller
     spawns — that contention is the point.
     """
+    return tuple(_start_stream(host, target, load, duration_s, telemetry)
+                 for host, target in runner.write_targets(session))
+
+
+def _start_stream(host: "QueryReplayer", runner: "BenchRunner",
+                  load: MutationLoad, duration_s: float,
+                  telemetry: "RunTelemetry | None") -> MutationState:
+    """Spawn the mutation processes on one simulated *host*."""
     env, device, cores = host.env, host.device, host.cores
     spec = runner.device_spec
     state = MutationState(base_rows=runner.collection.total_rows,

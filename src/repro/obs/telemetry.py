@@ -208,14 +208,6 @@ class RunTelemetry:
         read = self.counters.get("device_read_bytes", Counter("")).value
         return wasted_bytes / read if read else 0.0
 
-    @property
-    def degraded_query_ratio(self) -> float:
-        """Fraction of spans replayed with degraded search parameters."""
-        if not self.spans:
-            return 0.0
-        return (sum(1 for span in self.spans if span.degraded)
-                / len(self.spans))
-
     def cache_hit_rate(self, cache: str) -> float:
         """Hit fraction of one named cache (0.0 when never accessed)."""
         hits = self.counters.get(f"cache_{cache}_hits", Counter("")).value

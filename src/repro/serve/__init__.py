@@ -18,8 +18,7 @@ from repro.serve.queueing import (POLICIES, AdmissionQueue, EdfQueue,
                                   FifoQueue, QueuedQuery,
                                   WeightedFairQueue, make_queue)
 from repro.serve.result import ServeResult, TenantStats
-from repro.serve.server import ServeConfig, Server, TenantLoad, serve
-from repro.serve.tenant import Tenant
+from repro.serve.server import ServeConfig, Server, TenantLoad
 
 __all__ = [
     "AIMDConfig",
@@ -36,10 +35,8 @@ __all__ = [
     "ServeConfig",
     "ServeResult",
     "Server",
-    "Tenant",
     "TenantLoad",
     "TenantStats",
     "WeightedFairQueue",
     "make_queue",
-    "serve",
 ]

@@ -24,7 +24,6 @@ import dataclasses
 import typing as t
 
 from repro.obs import RunTelemetry
-from repro.serve.tenant import Tenant
 
 if t.TYPE_CHECKING:
     from repro.mutate.simproc import MutationStats
@@ -59,11 +58,6 @@ class TenantStats:
     #: Completion-weighted recall of this tenant's answers; ``None``
     #: when the run had no ground truth or no autopilot.
     recall: float | None = None
-
-    @property
-    def identity(self) -> Tenant:
-        """The shared :class:`~repro.serve.Tenant` identity value."""
-        return Tenant(self.name, self.weight)
 
     @property
     def slo_misses(self) -> int:

@@ -35,24 +35,28 @@ import typing as t
 import numpy as np
 
 from repro.errors import ServeError
+from repro.mutate.simproc import (MutationLoad, MutationState,
+                                  mutation_stats, start_mutation_load)
 from repro.obs import RunTelemetry
 from repro.serve.arrivals import ArrivalModel
 from repro.serve.controller import AIMDConfig, ConcurrencyController
 from repro.serve.queueing import POLICIES, QueuedQuery, make_queue
 from repro.serve.result import ServeResult, TenantStats
-from repro.serve.tenant import Tenant
 from repro.workload.metrics import percentile
 from repro.workload.replay import ReplaySession
 
 if t.TYPE_CHECKING:
-    from repro.mutate.simproc import MutationLoad, MutationState
-    from repro.tenancy.autopilot import TenancyStats
     from repro.workload.runner import BenchRunner, CompiledQuery
 
 
 @dataclasses.dataclass(frozen=True)
 class TenantLoad:
-    """One tenant's offered load and SLO."""
+    """One tenant: its name, offered load, dispatch weight and SLO.
+
+    The one tenant value of a serving run; the tenancy control plane's
+    :class:`~repro.tenancy.TenantProfile` is a subclass adding only
+    control-plane fields, so a roster of profiles serves as is.
+    """
 
     name: str
     arrivals: ArrivalModel
@@ -62,16 +66,13 @@ class TenantLoad:
     slo_deadline_s: float | None = None
 
     def __post_init__(self) -> None:
+        if not self.name:
+            raise ServeError("tenant name must be non-empty")
         if self.weight <= 0:
             raise ServeError(f"tenant weight must be > 0: {self.weight}")
         if self.slo_deadline_s is not None and self.slo_deadline_s <= 0:
             raise ServeError(
                 f"SLO deadline must be > 0: {self.slo_deadline_s}")
-
-    @property
-    def identity(self) -> Tenant:
-        """The shared :class:`~repro.serve.Tenant` identity value."""
-        return Tenant(self.name, self.weight)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -102,8 +103,9 @@ class ServeConfig:
         default_factory=dict)
     #: Concurrent insert/delete stream plus threshold-triggered
     #: background compaction sharing the device and cores with queries
-    #: (see :class:`repro.mutate.MutationLoad`); ``None`` = read-only.
-    mutation: "MutationLoad | None" = None
+    #: (see :class:`repro.mutate.MutationLoad`); on a cluster one
+    #: stream per shard, on its primary.  ``None`` = read-only.
+    mutation: MutationLoad | None = None
 
     def __post_init__(self) -> None:
         if not self.tenants:
@@ -179,7 +181,7 @@ class Server:
         self.config = config
         self.telemetry = (RunTelemetry() if telemetry is True
                           else (telemetry or None))
-        self._mutation: "MutationState | None" = None
+        self._mutation: tuple[MutationState, ...] = ()
 
     # -- helpers ----------------------------------------------------------
 
@@ -190,7 +192,8 @@ class Server:
     # -- control-plane hook points ----------------------------------------
     #
     # All no-ops here; the :class:`repro.tenancy.AutopilotServer`
-    # subclass overrides them.  Keeping the plain server's behavior in
+    # subclass overrides them (and folds its accounting into
+    # :meth:`_result`).  Keeping the plain server's behavior in
     # the base methods is what makes "autopilot disabled" trivially
     # bit-identical to PR 5 serving — there is no second code path to
     # drift.
@@ -213,18 +216,6 @@ class Server:
 
     def _start_background(self, session: ReplaySession) -> None:
         """Spawn control-plane simprocs before arrivals are scheduled."""
-
-    def _recall(self, session: ReplaySession) -> float | None:
-        """Run-level recall (completion-weighted under the autopilot)."""
-        return session.recall
-
-    def _stats_extra(self, tenant: int, tally: _Tally) -> dict[str, t.Any]:
-        """Extra :class:`TenantStats` fields (per-tenant recall etc.)."""
-        return {}
-
-    def _tenancy_stats(self) -> "TenancyStats | None":
-        """Autopilot accounting attached to the result; ``None`` here."""
-        return None
 
     def _result(self, session: ReplaySession, tallies: list[_Tally],
                 batches: int, max_depth: int,
@@ -270,7 +261,6 @@ class Server:
                               if mine else nan),
                 mean_service_s=(float(np.mean([r.service_s for r in mine]))
                                 if mine else nan),
-                **self._stats_extra(tenant, tally),
             )
 
         tenants = tuple(stats(i, tally) for i, tally in enumerate(tallies))
@@ -308,10 +298,9 @@ class Server:
             controller_history=(tuple(controller.history)
                                 if controller is not None else ()),
             final_limit=final_limit,
-            recall=self._recall(session),
-            mutation=(self._mutation.stats()
-                      if self._mutation is not None else None),
-            tenancy=self._tenancy_stats(),
+            recall=session.recall,
+            mutation=(mutation_stats(self._mutation)
+                      if self._mutation else None),
             telemetry=self.telemetry,
         )
 
@@ -461,15 +450,8 @@ class Server:
         (:func:`repro.chaos.run_chaos`); a session serves once.
         """
         if self.config.mutation is not None:
-            from repro.mutate.simproc import start_mutation_load
             self._mutation = start_mutation_load(
-                session.hosts[0], self.runner, self.config.mutation,
+                session, self.runner, self.config.mutation,
                 self.config.duration_s, telemetry=self.telemetry)
         self._start_background(session)
         return self._serve_open(session)
-
-
-def serve(runner: "BenchRunner", config: ServeConfig,
-          telemetry: RunTelemetry | bool | None = None) -> ServeResult:
-    """Serve *runner*'s query set under *config* (convenience wrapper)."""
-    return Server(runner, config, telemetry=telemetry).serve()

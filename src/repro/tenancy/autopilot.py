@@ -2,10 +2,11 @@
 
 :class:`AutopilotServer` subclasses the serving layer's
 :class:`~repro.serve.Server` and overrides its control-plane hook
-points — nothing else.  The data plane (arrival schedules, queueing,
-batching, shedding, the AIMD concurrency controller) is untouched,
-which is why an autopilot with ``enabled=False`` is *trivially*
-bit-identical to plain serving: it simply never constructs this class.
+points and result assembly — nothing else.  The data plane (arrival
+schedules, queueing, batching, shedding, the AIMD concurrency
+controller) is untouched, which is why an autopilot with
+``enabled=False`` is *trivially* bit-identical to plain serving: it
+simply never constructs this class.
 
 Per query, the control plane makes three decisions:
 
@@ -37,7 +38,7 @@ from repro.errors import TenancyError
 from repro.obs import RunTelemetry
 from repro.serve.queueing import QueuedQuery
 from repro.serve.result import ServeResult
-from repro.serve.server import ServeConfig, Server, _QueryRecord, _Tally
+from repro.serve.server import ServeConfig, Server, _QueryRecord
 from repro.tenancy.controller import (DegradationLadder,
                                       IntervalObservation, SloController,
                                       SloControllerConfig, build_ladder)
@@ -71,10 +72,9 @@ class TenancyConfig:
     max_levels: int = 3
 
     def serve_config(self, **overrides: t.Any) -> ServeConfig:
-        """A :class:`ServeConfig` whose tenants mirror the registry."""
+        """A :class:`ServeConfig` whose tenants are the registry's."""
         overrides.setdefault("policy", "wfq")
-        return ServeConfig(tenants=self.registry.serve_tenants(),
-                           **overrides)
+        return ServeConfig(tenants=self.registry.profiles, **overrides)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -109,7 +109,7 @@ class AutopilotServer(Server):
                 "AutopilotServer needs enabled=True; use serve_autopilot "
                 "(or the plain Server) for disabled configs")
         registry = tenancy.registry
-        if tuple(config.tenants) != registry.serve_tenants():
+        if tuple(config.tenants) != registry.profiles:
             raise TenancyError(
                 "serve-config tenants must mirror the registry "
                 "(build the config with TenancyConfig.serve_config)")
@@ -259,7 +259,7 @@ class AutopilotServer(Server):
                                        if window else 0.0),
                         backlog=backlog)
                     delta = self.controller.observe(tenant, obs,
-                                                    prof.slo_latency_s)
+                                                    prof.slo_deadline_s)
                     if delta > 0:
                         self._counts["degrades"] += 1
                         self._tnote("degrades")
@@ -330,15 +330,7 @@ class AutopilotServer(Server):
             weighted += recall * count
         return weighted / total
 
-    def _stats_extra(self, tenant: int,
-                     tally: _Tally) -> dict[str, t.Any]:
-        levels = self._level_done[tenant]
-        degraded = sum(count for key, count in levels.items()
-                       if key != ("hot", 0))
-        return {"degraded": degraded,
-                "recall": self._tenant_recall(tenant)}
-
-    def _recall(self, session: "ReplaySession") -> float | None:
+    def _run_recall(self, session: "ReplaySession") -> float | None:
         """Completion-weighted recall across all tenants and levels."""
         weighted, total = 0.0, 0
         for tenant in range(len(self.registry)):
@@ -353,11 +345,23 @@ class AutopilotServer(Server):
             total += count
         return weighted / total if total else session.recall
 
-    def _tenancy_stats(self) -> TenancyStats:
+    def _result(self, session: "ReplaySession", *args: t.Any,
+                **kwargs: t.Any) -> ServeResult:
+        """The plain result with the control plane's accounting folded
+        in: per-tenant ``degraded`` and ``recall``, the
+        completion-weighted run ``recall``, and ``tenancy``."""
+        result = super()._result(session, *args, **kwargs)
+        tenants = tuple(
+            dataclasses.replace(
+                stats, recall=self._tenant_recall(tenant),
+                degraded=sum(count for key, count
+                             in self._level_done[tenant].items()
+                             if key != ("hot", 0)))
+            for tenant, stats in enumerate(result.tenants))
         hot, cold = ((self._placement.counts())
                      if self._placement is not None
                      else (len(self.registry.groups), 0))
-        return TenancyStats(
+        tenancy = TenancyStats(
             intervals=self._counts["intervals"],
             degrades=self._counts["degrades"],
             restores=self._counts["restores"],
@@ -374,6 +378,9 @@ class AutopilotServer(Server):
             levels=tuple(
                 (prof.name, self.controller.level(i))
                 for i, prof in enumerate(self.registry.profiles)))
+        return dataclasses.replace(result, tenants=tenants,
+                                   recall=self._run_recall(session),
+                                   tenancy=tenancy)
 
 
 def serve_autopilot(runner: "BenchRunner", config: ServeConfig,

@@ -1,23 +1,24 @@
 """Tenant profiles: who is served, at what SLO, under which quota.
 
-A :class:`TenantProfile` extends the shared
-:class:`~repro.serve.Tenant` identity with everything the control
-plane needs that the data plane does not: the latency SLO and recall
-floor the :class:`~repro.tenancy.SloController` defends, the
-cost-denominated quota the admission buckets enforce, the priority
-class that orders who degrades first, and the placement group the
+A :class:`TenantProfile` *is* a :class:`~repro.serve.TenantLoad` (name,
+arrivals, weight, and a required SLO deadline) plus everything the
+control plane needs that the data plane does not: the recall floor the
+:class:`~repro.tenancy.SloController` defends, the cost-denominated
+quota the admission buckets enforce, the priority class that orders
+who degrades first, and the placement group the
 :class:`~repro.tenancy.PlacementManager` migrates as a unit.
 
 The :class:`TenantRegistry` is the immutable roster of one serving
-run.  ``serve_tenants()`` bridges it onto the plain serving layer —
-the registry is the single source of truth for names, weights, and
-SLO deadlines, so the two layers cannot drift.
+run.  Its ``profiles`` are the serving config's tenants as they stand
+— the plain serving layer reads only the inherited fields — so the two
+layers cannot drift.
 
->>> prof = TenantProfile(tenant=Tenant("acme", weight=2.0),
-...                      arrivals=PoissonArrivals(rate_qps=50.0),
-...                      slo_latency_s=0.05, recall_floor=0.8)
+>>> from repro.serve import PoissonArrivals
+>>> prof = TenantProfile("acme", PoissonArrivals(rate_qps=50.0),
+...                      weight=2.0, slo_deadline_s=0.05,
+...                      recall_floor=0.8)
 >>> reg = TenantRegistry((prof,))
->>> reg.serve_tenants()[0].name, reg.serve_tenants()[0].weight
+>>> reg.profiles[0].name, reg.profiles[0].weight
 ('acme', 2.0)
 >>> reg.profile("acme").recall_floor
 0.8
@@ -30,9 +31,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.errors import TenancyError
-from repro.serve.arrivals import ArrivalModel, PoissonArrivals
 from repro.serve.server import TenantLoad
-from repro.serve.tenant import Tenant
 
 #: Priority classes, ordered from most to least latency-sensitive.
 #: Under pressure the controller degrades ``batch`` tenants first and
@@ -42,13 +41,13 @@ PRIORITIES = ("interactive", "standard", "batch")
 
 
 @dataclasses.dataclass(frozen=True)
-class TenantProfile:
-    """One tenant's control-plane contract."""
+class TenantProfile(TenantLoad):
+    """One tenant's control-plane contract.
 
-    tenant: Tenant
-    arrivals: ArrivalModel
-    #: Latency SLO (arrival -> completion) the controller defends.
-    slo_latency_s: float
+    ``slo_deadline_s`` (arrival -> completion) is required: it is the
+    latency SLO the controller defends.
+    """
+
     #: Hard floor on completion-weighted recall; the controller will
     #: never move this tenant to a ladder level compiled below it.
     recall_floor: float = 0.0
@@ -64,9 +63,9 @@ class TenantProfile:
     group: str | None = None
 
     def __post_init__(self) -> None:
-        if self.slo_latency_s <= 0:
+        if self.slo_deadline_s is None or self.slo_deadline_s <= 0:
             raise TenancyError(
-                f"SLO latency must be > 0: {self.slo_latency_s}")
+                f"SLO deadline must be > 0: {self.slo_deadline_s}")
         if not 0.0 <= self.recall_floor <= 1.0:
             raise TenancyError(
                 f"recall floor must be in [0, 1]: {self.recall_floor}")
@@ -80,15 +79,12 @@ class TenantProfile:
             raise TenancyError(
                 f"unknown priority {self.priority!r}; expected one of "
                 f"{PRIORITIES}")
-
-    @property
-    def name(self) -> str:
-        return self.tenant.name
+        super().__post_init__()
 
     @property
     def group_name(self) -> str:
         """The effective placement group (own name when ungrouped)."""
-        return self.group if self.group is not None else self.tenant.name
+        return self.group if self.group is not None else self.name
 
 
 @dataclasses.dataclass(frozen=True)
@@ -122,19 +118,6 @@ class TenantRegistry:
             if prof.name == name:
                 return i
         raise TenancyError(f"unknown tenant {name!r}")
-
-    def serve_tenants(self) -> tuple[TenantLoad, ...]:
-        """The roster as data-plane :class:`~repro.serve.TenantLoad`s.
-
-        Identity (name, weight) and the SLO deadline transfer; the
-        control-plane-only fields (quota, floor, priority, group) stay
-        behind — the plain serving layer never sees them.
-        """
-        return tuple(
-            TenantLoad(name=p.tenant.name, arrivals=p.arrivals,
-                       weight=p.tenant.weight,
-                       slo_deadline_s=p.slo_latency_s)
-            for p in self.profiles)
 
     @property
     def groups(self) -> tuple[str, ...]:

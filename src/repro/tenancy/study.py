@@ -30,6 +30,7 @@ asserted by the CLI and CI.
 
 from __future__ import annotations
 
+import dataclasses
 import typing as t
 
 from repro.core.report import fmt, format_table
@@ -39,7 +40,6 @@ from repro.serve.result import ServeResult
 from repro.serve.server import ServeConfig, Server
 from repro.serve.study import (SEARCH_PARAMS, saturation_probe, serve_row,
                                serve_runner)
-from repro.serve.tenant import Tenant
 from repro.tenancy.autopilot import (AutopilotServer, TenancyConfig,
                                      serve_autopilot)
 from repro.tenancy.controller import (DegradationLadder,
@@ -130,9 +130,8 @@ def build_fleet(ladder: DegradationLadder, total_qps: float,
                 base_qps=0.625 * rate, burst_qps=2.5 * rate,
                 mean_calm_s=0.08, mean_burst_s=0.02)
         profiles.append(TenantProfile(
-            tenant=Tenant(f"t{i:03d}", weight=max(rate, 1e-6)),
-            arrivals=arrivals,
-            slo_latency_s=slo_mult * knee_p99_s,
+            f"t{i:03d}", arrivals, weight=max(rate, 1e-6),
+            slo_deadline_s=slo_mult * knee_p99_s,
             recall_floor=_floor_for(ladder, cap),
             quota_cost_per_s=None,       # buckets priced in below
             priority=priority,
@@ -196,12 +195,10 @@ def tenancy_study(dataset: str = "cohere-1m", n_tenants: int = 100,
     registry = build_fleet(ladder, total_qps, knee_p99, n_tenants,
                            duration_s)
     registry = TenantRegistry(tuple(
-        TenantProfile(
-            tenant=p.tenant, arrivals=p.arrivals,
-            slo_latency_s=p.slo_latency_s, recall_floor=p.recall_floor,
-            quota_cost_per_s=QUOTA_HEADROOM
+        dataclasses.replace(
+            p, quota_cost_per_s=QUOTA_HEADROOM
             * p.arrivals.mean_qps * priors[0],
-            quota_burst_s=0.2, priority=p.priority, group=p.group)
+            quota_burst_s=0.2)
         for p in registry.profiles))
 
     tenancy = TenancyConfig(

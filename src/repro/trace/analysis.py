@@ -38,10 +38,6 @@ class BandwidthSeries:
         """Bytes/second per bucket."""
         return self.read_bytes / self.interval_s
 
-    @property
-    def write_bandwidth(self) -> np.ndarray:
-        return self.write_bytes / self.interval_s
-
     def peak_read_bandwidth(self) -> float:
         return float(self.read_bandwidth.max()) if len(self.starts) else 0.0
 

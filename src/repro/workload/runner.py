@@ -625,6 +625,11 @@ class BenchRunner:
                              cold=cold, warm=warm, recall=recall,
                              telemetry=telemetry)
 
+    def write_targets(self, session: ReplaySession,
+                      ) -> list[tuple[QueryReplayer, "BenchRunner"]]:
+        """Where a write stream runs: the one host, with this runner."""
+        return [(session.hosts[0], self)]
+
     def run(self, concurrency: int, search_params: dict | None = None,
             duration_s: float = 4.0, max_queries: int = 25_000,
             trace: bool = False, phase: int = 0,

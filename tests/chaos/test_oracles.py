@@ -10,7 +10,7 @@ from repro.chaos import (ChaosSchedule, check_attribution,
                          check_replica_consistency, run_chaos,
                          summarize)
 from repro.chaos.oracles import OracleReport
-from repro.faults.nodes import NodeKill
+from repro.faults import NodeKill
 
 DURATION = 0.08
 

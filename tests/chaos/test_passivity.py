@@ -12,13 +12,9 @@ from the empty schedule.
 
 import dataclasses
 
-import pytest
-
 from repro.chaos import ChaosSchedule, Supervisor, SupervisorConfig, \
     run_chaos
-from repro.errors import WorkloadError
-from repro.faults.gray import GrayFailure
-from repro.faults.nodes import NodeKill
+from repro.faults import GrayFailure, NodeKill
 from repro.mutate import MutationLoad
 from repro.serve.server import Server
 
@@ -87,19 +83,26 @@ def test_closed_loop_run_cannot_tell_none_from_the_empty_schedule(
 
 def test_same_seed_chaos_runs_are_bit_identical(fresh_runner,
                                                 serve_config):
-    config = serve_config(duration_s=DURATION)
-    load = MutationLoad(insert_qps=2000.0, delete_qps=200.0)
+    config = dataclasses.replace(
+        serve_config(duration_s=DURATION),
+        mutation=MutationLoad(insert_qps=2000.0, delete_qps=200.0))
     runs = [run_chaos(fresh_runner(), config, schedule(),
                       supervisor=Supervisor(SupervisorConfig()),
-                      mutation=load, telemetry=True)
+                      telemetry=True)
             for _ in range(2)]
     assert chaos_fingerprint(runs[0]) == chaos_fingerprint(runs[1])
+    assert runs[0].result.mutation == runs[1].result.mutation
 
 
-def test_config_mutation_must_go_through_the_chaos_keyword(
-        fresh_runner, serve_config):
-    import dataclasses
-    config = dataclasses.replace(serve_config(),
+def test_config_mutation_writes_wal_on_every_shard(fresh_runner,
+                                                   serve_config):
+    config = dataclasses.replace(serve_config(duration_s=DURATION),
                                  mutation=MutationLoad())
-    with pytest.raises(WorkloadError):
-        run_chaos(fresh_runner(), config, ChaosSchedule())
+    run = run_chaos(fresh_runner(), config, ChaosSchedule())
+    mutation = run.result.mutation
+    assert mutation.wal_flushes > 0
+    # One stream per shard primary: every primary's device took writes.
+    primaries = {nodes[0] for nodes in run.session.routing.values()}
+    assert len(primaries) == 2
+    assert all(run.session.hosts[node].device.bytes_written > 0
+               for node in primaries)

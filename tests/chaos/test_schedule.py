@@ -8,11 +8,8 @@ import pytest
 
 from repro.chaos import ChaosSchedule
 from repro.errors import WorkloadError
-from repro.faults.crash import CrashPlan
-from repro.faults.gray import GrayFailure
-from repro.faults.nodes import NodeKill
-from repro.faults.partition import PartitionWindow
-from repro.faults.plan import LatencySpike, ReadError
+from repro.faults import (CrashPlan, GrayFailure, LatencySpike, NodeKill,
+                          PartitionWindow, ReadError)
 
 
 def composed():

@@ -4,7 +4,7 @@ import pytest
 
 from repro.chaos import ChaosSchedule, shrink_elements, shrink_schedule
 from repro.errors import WorkloadError
-from repro.faults.nodes import NodeKill
+from repro.faults import NodeKill
 
 
 def elements(n):

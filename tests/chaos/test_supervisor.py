@@ -5,8 +5,7 @@ import pytest
 from repro.chaos import ChaosSchedule, Supervisor, SupervisorConfig, \
     run_chaos
 from repro.errors import WorkloadError
-from repro.faults.gray import GrayFailure
-from repro.faults.nodes import NodeKill
+from repro.faults import GrayFailure, NodeKill
 
 DURATION = 0.08
 

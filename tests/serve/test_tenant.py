@@ -1,30 +1,31 @@
-"""The shared tenant-identity type and its serve-layer bridges."""
+"""The tenant value of a serving run and its per-tenant accounting."""
 
 import pytest
 
 from repro.errors import ServeError
-from repro.serve import PoissonArrivals, Tenant, TenantLoad
+from repro.serve import PoissonArrivals, TenantLoad
 from repro.serve.result import TenantStats
+
+ARRIVALS = PoissonArrivals(rate_qps=10.0)
 
 
 def test_identity_value_semantics():
-    assert Tenant("acme", 2.0) == Tenant("acme", 2.0)
-    assert Tenant("acme") != Tenant("acme", 2.0)
-    assert hash(Tenant("a")) == hash(Tenant("a"))
+    assert (TenantLoad("acme", ARRIVALS, 2.0)
+            == TenantLoad("acme", ARRIVALS, 2.0))
+    assert TenantLoad("acme", ARRIVALS) != TenantLoad("acme", ARRIVALS, 2.0)
+    assert (hash(TenantLoad("a", ARRIVALS))
+            == hash(TenantLoad("a", ARRIVALS)))
 
 
 def test_identity_validation():
     with pytest.raises(ServeError):
-        Tenant("")
+        TenantLoad("", ARRIVALS)
     with pytest.raises(ServeError):
-        Tenant("acme", weight=0.0)
+        TenantLoad("acme", ARRIVALS, weight=0.0)
     with pytest.raises(ServeError):
-        Tenant("acme", weight=-1.0)
-
-
-def test_tenant_load_exposes_the_identity():
-    load = TenantLoad("acme", PoissonArrivals(rate_qps=10.0), weight=3.0)
-    assert load.identity == Tenant("acme", 3.0)
+        TenantLoad("acme", ARRIVALS, weight=-1.0)
+    with pytest.raises(ServeError):
+        TenantLoad("acme", ARRIVALS, slo_deadline_s=0.0)
 
 
 def _stats(**overrides):
@@ -36,10 +37,6 @@ def _stats(**overrides):
                 mean_service_s=0.009)
     base.update(overrides)
     return TenantStats(**base)
-
-
-def test_tenant_stats_exposes_the_identity():
-    assert _stats(weight=3.0).identity == Tenant("acme", 3.0)
 
 
 def test_slo_attainment_counts_rejections_against():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.serve import PoissonArrivals, Tenant
+from repro.serve import PoissonArrivals
 from repro.tenancy import TenantProfile, TenantRegistry
 from repro.workload import BenchRunner
 
@@ -19,9 +19,8 @@ def runner(small_data, small_queries, small_truth):
 def profile(name="t0", rate=500.0, slo=0.05, floor=0.0, quota=None,
             priority="standard", group=None, weight=1.0, burst=0.25):
     return TenantProfile(
-        tenant=Tenant(name, weight=weight),
-        arrivals=PoissonArrivals(rate_qps=rate),
-        slo_latency_s=slo, recall_floor=floor,
+        name, PoissonArrivals(rate_qps=rate), weight=weight,
+        slo_deadline_s=slo, recall_floor=floor,
         quota_cost_per_s=quota, quota_burst_s=burst,
         priority=priority, group=group)
 

@@ -1,10 +1,12 @@
 """TenantProfile/TenantRegistry: the control-plane roster."""
 
+import dataclasses
+
 import pytest
 
-from repro.errors import TenancyError
-from repro.serve import Tenant
-from repro.tenancy import TenantProfile, TenantRegistry
+from repro.errors import ServeError, TenancyError
+from repro.serve import TenantLoad
+from repro.tenancy import TenancyConfig, TenantProfile, TenantRegistry
 
 from tests.tenancy.conftest import profile, registry
 
@@ -21,6 +23,17 @@ class TestProfileValidation:
             profile(burst=0.0)
         with pytest.raises(TenancyError):
             profile(priority="platinum")
+
+    def test_a_profile_is_a_tenant_load_with_a_required_slo(self):
+        assert issubclass(TenantProfile, TenantLoad)
+        own = {f.name for f in dataclasses.fields(TenantProfile)} - {
+            f.name for f in dataclasses.fields(TenantLoad)}
+        assert own == {"recall_floor", "quota_cost_per_s",
+                       "quota_burst_s", "priority", "group"}
+        with pytest.raises(TenancyError):
+            TenantProfile("t", profile().arrivals)
+        with pytest.raises(ServeError):
+            profile(weight=0.0)
 
     def test_group_name_falls_back_to_tenant_name(self):
         assert profile(name="solo").group_name == "solo"
@@ -45,11 +58,12 @@ class TestRegistry:
             reg.index("zzz")
 
     def test_serve_tenants_bridges_identity_and_slo(self):
+        # The serve config's tenants are the registry's profiles, as is.
         reg = registry(profile(name="a", weight=2.0, slo=0.07))
-        (load,) = reg.serve_tenants()
+        (load,) = TenancyConfig(reg).serve_config().tenants
+        assert load is reg.profiles[0]
         assert (load.name, load.weight) == ("a", 2.0)
         assert load.slo_deadline_s == 0.07
-        assert load.identity == Tenant("a", 2.0)
 
     def test_groups_in_first_appearance_order(self):
         reg = registry(profile(name="a", group="g1"),

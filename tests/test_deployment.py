@@ -16,6 +16,7 @@ from repro.api import (ClusterSession, Deployment, Session, open_cluster,
                        open_engine, open_saved_cluster)
 from repro.cluster import ClusterBenchRunner, ClusterTopology
 from repro.errors import CollectionNotFoundError, EngineError
+from repro.mutate import MutationLoad
 from repro.serve import PoissonArrivals, ServeConfig, TenantLoad
 from repro.workload.runner import BenchRunner
 
@@ -156,6 +157,39 @@ def test_cluster_serve(two_shards, small_queries):
         duration_s=0.05)
     result = two_shards.serve("docs", small_queries, config)
     assert result.completed > 0 and result.rejected == 0
+
+
+def _loaded(make, data):
+    deployment = make()
+    deployment.create("docs", data.shape[1], index="flat")
+    deployment.insert("docs", data, flush=True)
+    return deployment
+
+
+@pytest.mark.parametrize("make", DEPLOYMENTS.values(), ids=DEPLOYMENTS)
+def test_serve_runs_the_config_mutation_stream(make, small_data,
+                                               small_queries):
+    config = ServeConfig(
+        tenants=(TenantLoad("t", PoissonArrivals(rate_qps=400.0)),),
+        duration_s=0.05, mutation=MutationLoad())
+    result = _loaded(make, small_data).serve("docs", small_queries, config)
+    assert result.completed > 0
+    assert result.mutation.wal_flushes > 0
+    windows = result.mutation.compaction_windows
+    assert list(windows) == sorted(windows)
+
+
+def test_cluster_chaos_forwards_replay_options(small_data, small_queries):
+    session = _loaded(
+        lambda: open_cluster(ClusterTopology(n_shards=2, replicas=2)),
+        small_data)
+    config = ServeConfig(
+        tenants=(TenantLoad("t", PoissonArrivals(rate_qps=400.0)),),
+        duration_s=0.05)
+    run = session.chaos("docs", small_queries, config,
+                        consistency="quorum")
+    assert run.result.completed > 0
+    assert run.session.replayer.ccounts["quorum_waits"] > 0
 
 
 def test_shard_hint_narrows_the_scatter(two_shards, small_queries):

@@ -34,15 +34,12 @@ DOCTESTED_MODULES = (
     "repro.cluster.topology",
     "repro.cluster.merge",
     "repro.simkernel.network",
-    "repro.faults.nodes",
     "repro.ann.scoring",
     "repro.mutate.tombstones",
     "repro.mutate.policy",
     "repro.mutate.delta",
     "repro.mutate.compactor",
     "repro.mutate.simproc",
-    "repro.faults.partition",
-    "repro.faults.gray",
     "repro.faults.schedule",
     "repro.chaos.shrink",
     "repro.chaos.oracles",

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import abc
+import contextlib
+import typing as t
 
 import numpy as np
 
@@ -58,6 +60,17 @@ class VectorIndex(abc.ABC):
             raise AnnIndexError(
                 f"query batch must be 2D (B, dim): {queries.shape}")
         return [self.search(query, k, **params) for query in queries]
+
+    def reuse_traversals(self) -> t.ContextManager[None]:
+        """A scope in which a repeated search may reuse its traversal.
+
+        A plan compile searches the query set twice (cold, then warm);
+        indexes whose traversal does not depend on their cache state
+        (DiskANN) override this to search each query once and replay
+        only the cache accounting the second time.  The default does
+        nothing.
+        """
+        return contextlib.nullcontext()
 
     @abc.abstractmethod
     def memory_bytes(self) -> int:

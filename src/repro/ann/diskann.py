@@ -42,16 +42,27 @@ and cache effects of the textbook loop over Python tuples and sets
   produces), and **one exact-kernel call per round on that round's
   rows**: a one-row gather goes through BLAS ``gemv`` and rounds
   differently from ``gemm``, so rounds are neither batched nor padded.
-* **Nothing is cached on the index.**  Segments are pickled whole into
-  the durable store and the index cache; per-query constants are
-  derived inside the call, and no table proportional to ``n * pq_m``
-  exists beside ``codes``.
+* **Traversal, then accounting.**  The path through the graph (ids,
+  distance bits, ``pq_evals``, ``full_evals``) depends on no cache, so
+  :meth:`DiskANNIndex._traverse` records it per round and
+  :meth:`DiskANNIndex._account` walks it through the static/dynamic
+  node caches and the prefetcher afterwards, steps in the seed's order.
+* **Nothing is cached on the index outside a compile.**  Segments are
+  pickled whole into the durable store and the index cache; per-query
+  constants are derived inside the call, and no table proportional to
+  ``n * pq_m`` exists beside ``codes``.  Only inside
+  :meth:`DiskANNIndex.reuse_traversals` — a plan compile's cold and
+  warm passes — does the index hold traversals, and the scope deletes
+  them on exit.
 """
 
 from __future__ import annotations
 
 import collections
+import contextlib
 import dataclasses
+import numbers
+import typing as t
 
 import numpy as np
 
@@ -64,6 +75,38 @@ from repro.errors import AnnIndexError
 from repro.prefetch import (CachePolicy, LookaheadPrefetcher, PrefetchStats,
                             make_policy)
 from repro.storage.spec import PAGE_SIZE
+
+
+def _count(name: str, value: t.Any, minimum: int) -> int:
+    """*value* as an int >= *minimum*; bools, floats and None refused."""
+    if type(value) is not int:          # the common case skips the ABC
+        if isinstance(value, bool) or not isinstance(value,
+                                                     numbers.Integral):
+            raise AnnIndexError(
+                f"{name} must be >= {minimum}, an integer: {value!r}")
+        value = int(value)
+    if value < minimum:
+        raise AnnIndexError(
+            f"{name} must be >= {minimum}, an integer: {value}")
+    return value
+
+
+class Traversal(t.NamedTuple):
+    """One beam search's path, independent of every cache.
+
+    Round ``r`` expanded the next ``widths[r]`` entries of ``visits``
+    and PQ-scored ``scored[r]`` fresh neighbours; ``tails`` holds, per
+    round, the ``tail_widths[r]`` unvisited list entries ranked beyond
+    the beam (the look-ahead prefetcher's candidates), recorded only
+    for searches that prefetch.
+    """
+
+    visits: np.ndarray                  # int64, in visit order
+    dists: np.ndarray                   # exact distances, parallel
+    widths: list[int]                   # per round
+    scored: list[int]                   # per round
+    tails: np.ndarray | None            # int64, rounds concatenated
+    tail_widths: list[int] | None       # per round
 
 
 @dataclasses.dataclass(frozen=True)
@@ -119,6 +162,9 @@ class DiskANNIndex(VectorIndex):
 
     kind = "diskann"
     storage_based = True
+    #: Traversals awaiting their second use; an instance attribute only
+    #: inside :meth:`reuse_traversals`.
+    _traversals: dict[tuple, Traversal] | None = None
 
     def __init__(self, metric: str = "l2", R: int = 32, L_build: int = 96,
                  alpha: float = 1.3, pq_m: int | None = None,
@@ -308,32 +354,66 @@ class DiskANNIndex(VectorIndex):
         cache ("lru" or "hotness") before searching.  Neither parameter
         changes the traversal: returned ids and distances are
         bit-identical across all settings.
+
+        The search is a cache-independent traversal
+        (:meth:`_traverse`) followed by the stateful accounting walk
+        over its rounds (:meth:`_account`); inside
+        :meth:`reuse_traversals` a traversal is searched once and its
+        second use only walks the accounting.
         """
         self._require_built()
-        if k < 1:
-            raise AnnIndexError(f"k must be >= 1: {k}")
-        if search_list < 1 or beam_width < 1:
-            raise AnnIndexError(
-                f"bad params: search_list={search_list} "
-                f"beam_width={beam_width}")
-        if prefetch_depth < 0:
-            raise AnnIndexError(f"bad prefetch_depth: {prefetch_depth}")
+        k = _count("k", k, 1)
+        search_list = _count("search_list", search_list, 1)
+        beam_width = _count("beam_width", beam_width, 1)
+        prefetch_depth = _count("prefetch_depth", prefetch_depth, 0)
         if cache_policy is not None:
             self.set_cache_policy(cache_policy)
         search_list = max(search_list, k)
         query = prepare_query(query, self.metric)
-        work = WorkProfile()
-        prefetcher = (LookaheadPrefetcher(prefetch_depth,
-                                          self.prefetch_stats)
-                      if prefetch_depth > 0 else None)
+        record_tails = prefetch_depth > 0
+        memo = self._traversals
+        if memo is None:
+            path = self._traverse(query, search_list, beam_width,
+                                  record_tails)
+        else:
+            key = (query.tobytes(), search_list, beam_width, record_tails)
+            path = memo.pop(key, None)
+            if path is None:
+                path = memo[key] = self._traverse(query, search_list,
+                                                  beam_width, record_tails)
+        work = self._account(path, prefetch_depth)
+        # Stable: equal distances keep their visit order.
+        best = np.argsort(path.dists, kind="stable")[:k]
+        return SearchResult(ids=path.visits[best], work=work,
+                            dists=path.dists[best].astype(np.float32))
 
+    @contextlib.contextmanager
+    def reuse_traversals(self) -> t.Iterator[None]:
+        """Search each (query, search_list, beam_width) once in here.
+
+        The first search of a key stores its traversal, the next one
+        takes it back and runs only the cache/prefetch accounting and
+        the top-k cut — what a compile's warm pass needs, since its
+        traversals are the cold pass's.  The memo is deleted on exit,
+        so nothing outlives the scope (or reaches a pickle); a nested
+        scope shares the outer one.
+        """
+        if self._traversals is not None:
+            yield
+            return
+        self._traversals = {}
+        try:
+            yield
+        finally:
+            del self._traversals
+
+    def _traverse(self, query: np.ndarray, search_list: int,
+                  beam_width: int, record_tails: bool) -> Traversal:
+        """The beam search's path, which no cache state can change."""
         # Per-query constants: derived here, never stored on the index.
         codes = self.codes
         neighbors = self.graph.neighbors
         kernel = self.graph.kernel
-        static_cache = self._static_cache
-        node_cache = self._node_cache
-        node_requests = self.layout.node_requests
         table = self.pq.adc_tables(query[None])[0]
         flat_table = table.ravel()
         offsets = np.arange(table.shape[0]) * table.shape[1]
@@ -348,13 +428,15 @@ class DiskANNIndex(VectorIndex):
         # The candidate list: parallel arrays sorted by (dist, id).
         ids = np.array([medoid], dtype=np.int64)
         dists = pq_distances(ids)
-        work.add_cpu(pq_evals=1, table_builds=1)
         n = self.graph.n
         expanded = np.zeros(n, dtype=bool)      # visited
         known = np.zeros(n, dtype=bool)         # in the list, or visited
         known[medoid] = True
         visit_order: list[int] = []
         visit_dists: list[np.ndarray] = []
+        widths: list[int] = []
+        scored: list[int] = []
+        ranked: list[np.ndarray] = []
 
         while True:
             unvisited = (~expanded[ids]).nonzero()[0]
@@ -363,42 +445,8 @@ class DiskANNIndex(VectorIndex):
             frontier_ids = ids[unvisited[:beam_width]]
             frontier = frontier_ids.tolist()
             expanded[frontier_ids] = True
-            requests: dict[tuple[int, int], None] = {}
-            hits = 0
-            prefetch_hits = 0
-            for nid in frontier:
-                if nid in static_cache:
-                    hits += 1
-                    self.static_hits += 1
-                elif nid in node_cache:
-                    node_cache.touch(nid)
-                    hits += 1
-                    self.lru_hits += 1
-                elif prefetcher is not None and prefetcher.consume(nid):
-                    # Landed (or landing) speculatively: no demand read,
-                    # but the round must join the in-flight speculation.
-                    prefetch_hits += 1
-                    node_cache.admit(nid)
-                else:
-                    self.cache_misses += 1
-                    for request in node_requests(nid):
-                        requests[request] = None
-                    node_cache.admit(nid)
-            if prefetch_hits:
-                work.add_prefetch_join()
-            if prefetcher is not None:
-                speculated = prefetcher.plan(
-                    ids[unvisited[beam_width:]].tolist(),
-                    lambda nid: (nid in static_cache
-                                 or nid in node_cache))
-                speculative: dict[tuple[int, int], None] = {}
-                for nid in speculated:
-                    for request in node_requests(nid):
-                        speculative[request] = None
-                work.add_prefetch(list(speculative))
-            if requests or hits or prefetch_hits:
-                work.add_io(list(requests), cache_hits=hits,
-                            prefetch_hits=prefetch_hits)
+            if record_tails:
+                ranked.append(ids[unvisited[beam_width:]])
 
             # Full-precision distances of the fetched nodes (their raw
             # vectors arrived with the sectors) — DiskANN's re-ranking.
@@ -418,7 +466,8 @@ class DiskANNIndex(VectorIndex):
                 first[0] = True
                 np.not_equal(fresh[1:], fresh[:-1], out=first[1:])
                 fresh = fresh[first]
-            work.add_cpu(full_evals=len(frontier), pq_evals=fresh.size)
+            widths.append(len(frontier))
+            scored.append(fresh.size)
             if not fresh.size:
                 continue
             fresh_dists = pq_distances(fresh)
@@ -445,16 +494,85 @@ class DiskANNIndex(VectorIndex):
             ids = ids[order]
             dists = dists[order]
 
-        full = np.concatenate(visit_dists)
-        # Stable: equal distances keep their visit order.
-        best = np.argsort(full, kind="stable")[:k]
-        ids = np.asarray(visit_order, dtype=np.int64)[best]
-        dists = full[best].astype(np.float32)
+        return Traversal(
+            visits=np.asarray(visit_order, dtype=np.int64),
+            dists=np.concatenate(visit_dists), widths=widths, scored=scored,
+            tails=np.concatenate(ranked) if record_tails else None,
+            tail_widths=([tail.size for tail in ranked] if record_tails
+                         else None))
+
+    def _account(self, path: Traversal, prefetch_depth: int) -> WorkProfile:
+        """Walk *path*'s rounds through the caches and the prefetcher.
+
+        Hits, admissions, speculation and the ``WorkProfile`` steps in
+        round order, frontier order, on Python ints — everything about a
+        search that depends on what earlier searches left cached.
+        """
+        work = WorkProfile()
+        work.add_cpu(pq_evals=1, table_builds=1)
+        static_cache = self._static_cache
+        node_cache = self._node_cache
+        node_requests = self.layout.node_requests
+        prefetcher = None
+        if prefetch_depth > 0:
+            prefetcher = LookaheadPrefetcher(prefetch_depth,
+                                             self.prefetch_stats)
+            tails = path.tails.tolist()
+            tail_widths = path.tail_widths
+
+            def resident(nid: int) -> bool:
+                return nid in static_cache or nid in node_cache
+        visits = path.visits.tolist()
+        static_hits = lru_hits = misses = 0
+        start = tail_start = 0
+        for round_, (width, scored) in enumerate(zip(path.widths,
+                                                     path.scored)):
+            requests: dict[tuple[int, int], None] = {}
+            hits = 0
+            prefetch_hits = 0
+            for nid in visits[start:start + width]:
+                if nid in static_cache:
+                    hits += 1
+                    static_hits += 1
+                elif nid in node_cache:
+                    node_cache.touch(nid)
+                    hits += 1
+                    lru_hits += 1
+                elif prefetcher is not None and prefetcher.consume(nid):
+                    # Landed (or landing) speculatively: no demand read,
+                    # but the round must join the in-flight speculation.
+                    prefetch_hits += 1
+                    node_cache.admit(nid)
+                else:
+                    misses += 1
+                    for request in node_requests(nid):
+                        requests[request] = None
+                    node_cache.admit(nid)
+            start += width
+            if prefetch_hits:
+                work.add_prefetch_join()
+            if prefetcher is not None:
+                tail_end = tail_start + tail_widths[round_]
+                speculated = prefetcher.plan(tails[tail_start:tail_end],
+                                             resident)
+                tail_start = tail_end
+                speculative: dict[tuple[int, int], None] = {}
+                for nid in speculated:
+                    for request in node_requests(nid):
+                        speculative[request] = None
+                work.add_prefetch(list(speculative))
+            if requests or hits or prefetch_hits:
+                work.add_io(list(requests), cache_hits=hits,
+                            prefetch_hits=prefetch_hits)
+            work.add_cpu(full_evals=width, pq_evals=scored)
+        self.static_hits += static_hits
+        self.lru_hits += lru_hits
+        self.cache_misses += misses
         if prefetcher is not None:
             work.prefetch_wasted = prefetcher.finish()
             work.prefetch_issued = (work.prefetch_hits
                                     + work.prefetch_wasted)
-        return SearchResult(ids=ids, work=work, dists=dists)
+        return work
 
     # -- footprints --------------------------------------------------------
 

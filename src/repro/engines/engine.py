@@ -428,6 +428,8 @@ class Collection:
         if query.shape != (self.dim,):
             raise EngineError(
                 f"query must have shape ({self.dim},): got {query.shape}")
+        if not np.isfinite(query).all():
+            raise EngineError("query has a NaN or infinite component")
         need = k
         if filter_ is not None or self.tombstones:
             # Bound by the *stored* row count: tombstoned rows still come
@@ -475,6 +477,10 @@ class Collection:
                 f"got {queries.shape}")
         if k <= 0:
             raise EngineError(f"k must be positive: {k}")
+        if not np.isfinite(queries).all():
+            bad = int(np.isfinite(queries).all(axis=1).argmin())
+            raise EngineError(
+                f"query {bad} has a NaN or infinite component")
         if filter_ is not None or self.tombstones:
             return [self.search(query, k, filter_=filter_, **params)
                     for query in queries]

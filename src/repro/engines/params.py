@@ -15,6 +15,8 @@ All classes are immutable and hashable, so an
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 import typing as t
 
 from repro.errors import EngineError
@@ -38,11 +40,26 @@ class IndexParams:
         return dataclasses.asdict(self)
 
     def _require_positive(self, **fields: t.Any) -> None:
+        """Integer fields (None = the kind's default) must be >= 1."""
         for name, value in fields.items():
-            if value is not None and value <= 0:
-                raise EngineError(
-                    f"{type(self).__name__}.{name} must be positive: "
-                    f"{value}")
+            if value is not None:
+                self._require_int(name, value, 1, "positive")
+
+    def _require_int(self, name: str, value: t.Any, minimum: int,
+                     what: str) -> None:
+        if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                or value < minimum):
+            raise EngineError(
+                f"{type(self).__name__}.{name} must be {what}: {value!r}")
+
+    def _require_finite(self, name: str, value: t.Any, minimum: float,
+                        ) -> None:
+        """Float fields must be finite numbers >= *minimum*."""
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not math.isfinite(value) or value < minimum):
+            raise EngineError(
+                f"{type(self).__name__}.{name} must be a finite number "
+                f">= {minimum}: {value!r}")
 
     def _require_policy(self, name: str, value: str) -> None:
         if value not in POLICY_NAMES:
@@ -107,10 +124,7 @@ class HNSWMmapParams(HNSWParams):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.cache_bytes < 0:
-            raise EngineError(
-                f"HNSWMmapParams.cache_bytes must be >= 0: "
-                f"{self.cache_bytes}")
+        self._require_int("cache_bytes", self.cache_bytes, 0, ">= 0")
         self._require_policy("cache_policy", self.cache_policy)
 
 
@@ -125,9 +139,7 @@ class DiskANNParams(IndexParams):
 
     def __post_init__(self) -> None:
         self._require_positive(R=self.R, L_build=self.L_build)
-        if self.alpha < 1.0:
-            raise EngineError(
-                f"DiskANNParams.alpha must be >= 1.0: {self.alpha}")
+        self._require_finite("alpha", self.alpha, 1.0)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -143,14 +155,9 @@ class SPANNParams(IndexParams):
     def __post_init__(self) -> None:
         self._require_positive(n_postings=self.n_postings,
                                max_replicas=self.max_replicas)
-        if self.closure_eps < 0:
-            raise EngineError(
-                f"SPANNParams.closure_eps must be >= 0: "
-                f"{self.closure_eps}")
-        if self.list_cache_bytes < 0:
-            raise EngineError(
-                f"SPANNParams.list_cache_bytes must be >= 0: "
-                f"{self.list_cache_bytes}")
+        self._require_finite("closure_eps", self.closure_eps, 0.0)
+        self._require_int("list_cache_bytes", self.list_cache_bytes, 0,
+                          ">= 0")
         self._require_policy("cache_policy", self.cache_policy)
 
 

@@ -12,6 +12,9 @@ Execution happens in two phases.  The *functional* phase runs every
 query once through the real engine (algorithms, recall, work profiles);
 profiles are captured twice — a cold pass after cache reset and a warm
 pass — so the replay can model cache warm-up across the run.  The
+query set is searched once: the warm pass walks the cold pass's
+traversals through the warmed caches
+(:meth:`~repro.ann.base.VectorIndex.reuse_traversals`).  The
 *timing* phase replays compiled plans on the discrete-event simulator:
 20 CPU cores, the calibrated NVMe device, RPC and batching overheads
 from the engine profile.
@@ -29,6 +32,7 @@ cluster runner and the server live in :mod:`repro.workload.replay`.
 from __future__ import annotations
 
 import collections
+import contextlib
 import dataclasses
 import math
 import typing as t
@@ -506,8 +510,13 @@ class BenchRunner:
         if key in self._plan_cache:
             return self._plan_cache[key]
         self._drop_caches()
-        cold, found = self._functional_pass(params)
-        warm, _found = self._functional_pass(params)
+        with contextlib.ExitStack() as scope:
+            # The warm pass walks the cold pass's traversals through the
+            # (now warm) caches instead of searching again.
+            for segment in self.collection.segments:
+                scope.enter_context(segment.index.reuse_traversals())
+            cold, found = self._functional_pass(params)
+            warm, _found = self._functional_pass(params)
         recall = None
         if self.ground_truth is not None:
             recall = recall_at_k(self.ground_truth[:, :self.k],

@@ -11,13 +11,16 @@ prefetch statistics and the dynamic cache's contents.
 """
 
 import copy
+import dataclasses
 import pickle
 
 import numpy as np
 import pytest
 
 from repro.ann import DiskANNIndex
+from repro.api import open_engine
 from repro.data.synthetic import make_vectors
+from repro.engines import get_profile
 from repro.errors import AnnIndexError
 from repro.prefetch import PrefetchStats
 from tests.ann import reference_diskann as reference
@@ -163,6 +166,11 @@ def test_tiny_indexes_match():
                              search_list=2, beam_width=2)
 
 
+def reset_counters(index: DiskANNIndex) -> None:
+    index.static_hits = index.lru_hits = index.cache_misses = 0
+    index.prefetch_stats = PrefetchStats()
+
+
 def test_searching_leaves_the_pickled_index_unchanged():
     """Nothing cached on the index, its quantizer or its graph.
 
@@ -180,9 +188,52 @@ def test_searching_leaves_the_pickled_index_unchanged():
     assert [set(vars(part)) for part in parts] == attributes
     # The counters are the one thing a search may change (budgets are
     # zero here, so the dynamic cache stays empty).
-    index.static_hits = index.lru_hits = index.cache_misses = 0
-    index.prefetch_stats = PrefetchStats()
+    reset_counters(index)
     assert len(pickle.dumps(index)) == size
+
+
+def test_a_compile_leaves_no_trace():
+    """A plan compile reuses traversals only inside its own scope.
+
+    After ``compiled_results`` the index pickles to the same bytes, no
+    memo attribute remains, and a ``Session.search`` — the benchmark's
+    host-latency probe — calls the exact kernel as often as it did
+    before the compile: it measures a real search.
+    """
+    data = make_data(400, False)
+    queries = make_queries(data)
+    session = open_engine(dataclasses.replace(
+        get_profile("milvus"), diskann_cache_bytes=0, diskann_lru_bytes=0))
+    session.create("c", dim=DIM, index="diskann", metric="cosine",
+                   storage_dim=768, R=12, L_build=24)
+    session.insert("c", data, flush=True)
+    index = session.engine.collection("c").segments[0].index
+    kernel_calls = []
+    kernel = index.graph.kernel
+
+    def counting_kernel(*args):
+        kernel_calls.append(1)
+        return kernel(*args)
+
+    index.graph.kernel = counting_kernel
+    params = {"search_list": 50, "beam_width": 4, "prefetch_depth": 2}
+
+    def probe() -> int:
+        before = len(kernel_calls)
+        session.search("c", queries[0], 10, **params)
+        return len(kernel_calls) - before
+
+    reset_counters(index)
+    attributes = set(vars(index))
+    pickled = pickle.dumps(index)
+    probed = probe()
+    assert probed > 0
+    session.bench_runner("c", queries, k=10).compiled_results(params)
+    assert probe() == probed
+    assert "_traversals" not in vars(index)
+    assert set(vars(index)) == attributes
+    reset_counters(index)
+    assert pickle.dumps(index) == pickled
 
 
 def test_no_resident_table_beyond_the_codes():
@@ -201,3 +252,43 @@ def test_non_positive_k_is_rejected(k):
     index = built_index(400, "cosine", DIM, False)
     with pytest.raises(AnnIndexError, match="k must be >= 1"):
         index.search(np.ones(DIM, dtype=np.float32), k)
+
+
+@pytest.mark.parametrize("params", [
+    {"search_list": 10.5}, {"search_list": float("nan")},
+    {"search_list": True}, {"search_list": None}, {"search_list": 0},
+    {"beam_width": 2.0}, {"beam_width": None}, {"beam_width": False},
+    {"beam_width": 0}, {"prefetch_depth": 1.5}, {"prefetch_depth": -1},
+    {"prefetch_depth": True}, {"k": 2.5}, {"k": np.float64(3)},
+    {"k": True},
+])
+def test_malformed_search_parameters_raise_typed_errors(params):
+    index = built_index(400, "cosine", DIM, False)
+    params = dict(params)
+    k = params.pop("k", 10)
+    with pytest.raises(AnnIndexError, match="an integer"):
+        index.search(np.ones(DIM, dtype=np.float32), k, **params)
+
+
+def test_malformed_search_parameters_raise_through_a_session():
+    session = open_engine("milvus")
+    session.create("c", dim=DIM, index="diskann", metric="cosine",
+                   R=8, L_build=16)
+    session.insert("c", make_data(200, False), flush=True)
+    query = np.ones(DIM, dtype=np.float32)
+    for params in ({"search_list": float("nan")}, {"prefetch_depth": 1.5},
+                   {"search_list": True}):
+        with pytest.raises(AnnIndexError, match="an integer"):
+            session.search("c", query, 10, **params)
+
+
+def test_numpy_integer_parameters_are_accepted():
+    index = built_index(400, "cosine", DIM, False)
+    query = make_queries(make_data(400, False))[0]
+    plain = index.search(query, 10, search_list=30, beam_width=4,
+                         prefetch_depth=2)
+    typed = index.search(query, np.int64(10), search_list=np.int32(30),
+                         beam_width=np.int64(4), prefetch_depth=np.int8(2))
+    assert np.array_equal(plain.ids, typed.ids)
+    assert plain.dists.tobytes() == typed.dists.tobytes()
+    assert plain.work.steps == typed.work.steps

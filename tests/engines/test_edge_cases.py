@@ -67,6 +67,24 @@ def test_non_finite_insert_is_rejected_naming_the_row(flat_engine,
     assert flat_engine.collection("e").num_rows == 0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_query_is_rejected(flat_engine, small_data, bad):
+    flat_engine.insert("e", small_data[:50])
+    flat_engine.flush("e")
+    flat_engine.insert("e", small_data[50:60])      # a growing tier too
+    query = small_data[0].copy()
+    query[2] = bad
+    with pytest.raises(EngineError, match="NaN or infinite"):
+        flat_engine.search("e", query, 5)
+    queries = small_data[:4].copy()
+    queries[2] = query
+    with pytest.raises(EngineError, match="query 2 has a NaN"):
+        flat_engine.search_batch("e", queries, 5)
+    flat_engine.delete("e", [3])                    # the escalation path
+    with pytest.raises(EngineError, match="query 2 has a NaN"):
+        flat_engine.search_batch("e", queries, 5)
+
+
 def test_collection_seed_isolation(small_data):
     """Two engines building the same data produce identical indexes."""
     results = []

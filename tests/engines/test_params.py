@@ -34,6 +34,31 @@ class TestTypedParams:
         with pytest.raises(EngineError, match="cache_policy"):
             make_params("spann", cache_policy="mru")
 
+    @pytest.mark.parametrize("kind, params", [
+        ("diskann", {"R": float("nan")}), ("diskann", {"R": 8.5}),
+        ("diskann", {"R": True}), ("diskann", {"L_build": float("inf")}),
+        ("diskann", {"L_build": "96"}), ("diskann", {"alpha": float("nan")}),
+        ("diskann", {"alpha": float("inf")}), ("diskann", {"alpha": True}),
+        ("diskann", {"alpha": "1.3"}), ("hnsw", {"M": 16.0}),
+        ("hnsw", {"ef_construction": False}), ("ivf", {"nlist": 4.5}),
+        ("ivf-pq", {"pq_m": float("nan")}),
+        ("hnsw-mmap", {"cache_bytes": 1.5}),
+        ("hnsw-mmap", {"cache_bytes": True}),
+        ("spann", {"closure_eps": float("nan")}),
+        ("spann", {"closure_eps": -0.1}),
+        ("spann", {"list_cache_bytes": float("inf")}),
+        ("spann", {"max_replicas": 2.0}),
+    ])
+    def test_non_integral_and_non_finite_values_are_refused(self, kind,
+                                                            params):
+        with pytest.raises(EngineError):
+            make_params(kind, **params)
+
+    def test_numpy_integers_and_integral_alpha_are_accepted(self):
+        params = make_params("diskann", R=np.int64(16),
+                             L_build=np.int32(40), alpha=1)
+        assert (params.R, params.L_build, params.alpha) == (16, 40, 1)
+
     def test_params_hashable_and_frozen(self):
         params = HNSWParams(M=8)
         assert hash(params) == hash(HNSWParams(M=8))

@@ -34,11 +34,26 @@ of (model, duration, seed) — replaying it is bit-identical.
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 import typing as t
 
 import numpy as np
 
 from repro.errors import ServeError
+
+
+def check_positive(what: str, value: float) -> None:
+    """Raise :class:`ServeError` unless *value* is finite and > 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise ServeError(f"{what} must be finite and > 0: {value}")
+
+
+def check_count(what: str, value: int) -> None:
+    """Raise :class:`ServeError` unless *value* is an integer >= 1."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < 1):
+        raise ServeError(f"{what} must be an integer >= 1: {value!r}")
 
 
 def _rng(seed: int, *stream: int) -> np.random.Generator:
@@ -57,8 +72,7 @@ class PoissonArrivals:
     rate_qps: float
 
     def __post_init__(self) -> None:
-        if self.rate_qps <= 0:
-            raise ServeError(f"arrival rate must be > 0: {self.rate_qps}")
+        check_positive("arrival rate", self.rate_qps)
 
     @property
     def mean_qps(self) -> float:
@@ -68,8 +82,7 @@ class PoissonArrivals:
     def timeline(self, duration_s: float, seed: int = 0,
                  stream: int = 0) -> tuple[float, ...]:
         """Arrival times in ``[0, duration_s)``, sorted ascending."""
-        if duration_s <= 0:
-            raise ServeError(f"duration must be > 0: {duration_s}")
+        check_positive("duration", duration_s)
         rng = _rng(seed, stream)
         # Draw in chunks: the count over the window is ~Poisson(rate*T).
         times: list[float] = []
@@ -102,10 +115,10 @@ class BurstyArrivals:
     mean_burst_s: float = 0.05
 
     def __post_init__(self) -> None:
-        if min(self.base_qps, self.burst_qps) <= 0:
-            raise ServeError(f"arrival rates must be > 0: {self}")
-        if min(self.mean_calm_s, self.mean_burst_s) <= 0:
-            raise ServeError(f"state holding times must be > 0: {self}")
+        check_positive("calm arrival rate", self.base_qps)
+        check_positive("burst arrival rate", self.burst_qps)
+        check_positive("calm holding time", self.mean_calm_s)
+        check_positive("burst holding time", self.mean_burst_s)
 
     @property
     def mean_qps(self) -> float:
@@ -117,8 +130,7 @@ class BurstyArrivals:
     def timeline(self, duration_s: float, seed: int = 0,
                  stream: int = 0) -> tuple[float, ...]:
         """Arrival times in ``[0, duration_s)``, sorted ascending."""
-        if duration_s <= 0:
-            raise ServeError(f"duration must be > 0: {duration_s}")
+        check_positive("duration", duration_s)
         rng = _rng(seed, stream)
         times: list[float] = []
         now = 0.0
@@ -171,12 +183,15 @@ class DiurnalArrivals:
     phase: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.trough_qps <= 0 or self.peak_qps < self.trough_qps:
+        check_positive("trough arrival rate", self.trough_qps)
+        check_positive("peak arrival rate", self.peak_qps)
+        if self.peak_qps < self.trough_qps:
             raise ServeError(
                 f"need peak >= trough > 0: {self.peak_qps}, "
                 f"{self.trough_qps}")
-        if self.period_s <= 0:
-            raise ServeError(f"period must be > 0: {self.period_s}")
+        check_positive("period", self.period_s)
+        if not math.isfinite(self.phase):
+            raise ServeError(f"phase must be finite: {self.phase}")
 
     @property
     def mean_qps(self) -> float:
@@ -192,8 +207,7 @@ class DiurnalArrivals:
     def timeline(self, duration_s: float, seed: int = 0,
                  stream: int = 0) -> tuple[float, ...]:
         """Arrival times in ``[0, duration_s)``, sorted ascending."""
-        if duration_s <= 0:
-            raise ServeError(f"duration must be > 0: {duration_s}")
+        check_positive("duration", duration_s)
         rng = _rng(seed, stream)
         times: list[float] = []
         now = 0.0

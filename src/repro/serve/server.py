@@ -5,8 +5,9 @@ The :class:`Server` turns a :class:`~repro.workload.runner.BenchRunner`
 simulated hardware — into a *service* facing offered load:
 
 1. each tenant's :mod:`arrival model <repro.serve.arrivals>` produces a
-   deterministic arrival timeline; arrivals are spawned into the
-   simulation with :meth:`~repro.simkernel.Environment.process_at`;
+   deterministic arrival timeline; the merged schedule is fed to the
+   simulation with :meth:`~repro.simkernel.Environment.timeline`, one
+   pending timer at a time, and each arrival runs as a plain callback;
 2. an arrival is **admitted** into the bounded
    :mod:`admission queue <repro.serve.queueing>` or **rejected** when
    the queue is at its bound (admission control);
@@ -14,7 +15,9 @@ simulated hardware — into a *service* facing offered load:
    queries in policy order and launches them as a **batch** (up to
    ``batch_cap``), amortizing the engine's fixed per-query CPU cost
    over the dispatched batch — the open-loop analogue of the closed
-   loop's static ``min(concurrency, batch_cap)`` amortization;
+   loop's static ``min(concurrency, batch_cap)`` amortization; each
+   query's service is started with
+   :meth:`~repro.simkernel.Environment.spawn`, since nothing joins it;
 4. with shedding enabled, a popped query whose SLO deadline has
    already passed is **shed** instead of dispatched — its service
    time would be pure waste, and dropping it is what keeps goodput
@@ -30,6 +33,7 @@ Serving is open-loop only; the closed loop is :meth:`BenchRunner.run
 from __future__ import annotations
 
 import dataclasses
+import numbers
 import typing as t
 
 import numpy as np
@@ -38,11 +42,11 @@ from repro.errors import ServeError
 from repro.mutate.simproc import (MutationLoad, MutationState,
                                   mutation_stats, start_mutation_load)
 from repro.obs import RunTelemetry
-from repro.serve.arrivals import ArrivalModel
+from repro.serve.arrivals import ArrivalModel, check_count, check_positive
 from repro.serve.controller import AIMDConfig, ConcurrencyController
 from repro.serve.queueing import POLICIES, QueuedQuery, make_queue
 from repro.serve.result import ServeResult, TenantStats
-from repro.workload.metrics import percentile
+from repro.workload.metrics import percentiles
 from repro.workload.replay import ReplaySession
 
 if t.TYPE_CHECKING:
@@ -68,11 +72,9 @@ class TenantLoad:
     def __post_init__(self) -> None:
         if not self.name:
             raise ServeError("tenant name must be non-empty")
-        if self.weight <= 0:
-            raise ServeError(f"tenant weight must be > 0: {self.weight}")
-        if self.slo_deadline_s is not None and self.slo_deadline_s <= 0:
-            raise ServeError(
-                f"SLO deadline must be > 0: {self.slo_deadline_s}")
+        check_positive("tenant weight", self.weight)
+        if self.slo_deadline_s is not None:
+            check_positive("SLO deadline", self.slo_deadline_s)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -113,16 +115,16 @@ class ServeConfig:
         if self.policy not in POLICIES:
             raise ServeError(f"unknown queue policy {self.policy!r}; "
                              f"expected one of {POLICIES}")
-        if self.duration_s <= 0:
-            raise ServeError(f"duration must be > 0: {self.duration_s}")
-        if self.batch_cap is not None and self.batch_cap < 1:
-            raise ServeError(f"batch cap must be >= 1: {self.batch_cap}")
-        if self.max_inflight is not None and self.max_inflight < 1:
-            raise ServeError(
-                f"max_inflight must be >= 1: {self.max_inflight}")
-        if self.slo_deadline_s is not None and self.slo_deadline_s <= 0:
-            raise ServeError(
-                f"SLO deadline must be > 0: {self.slo_deadline_s}")
+        check_positive("duration", self.duration_s)
+        for what in ("queue_bound", "batch_cap", "max_inflight"):
+            value = getattr(self, what)
+            if value is not None:
+                check_count(what, value)
+        if self.slo_deadline_s is not None:
+            check_positive("SLO deadline", self.slo_deadline_s)
+        if (isinstance(self.seed, bool)
+                or not isinstance(self.seed, numbers.Integral)):
+            raise ServeError(f"seed must be an integer: {self.seed!r}")
         if self.shed_late and self.deadline_for(0) is None:
             raise ServeError("shedding needs an SLO deadline")
 
@@ -240,6 +242,8 @@ class Server:
             lat = [r.latency_s for r in mine]
             slo_ok = sum(1 for r in mine if met_slo(r))
             nan = float("nan")
+            p50, p95, p99 = (percentiles(lat, (50, 95, 99)) if lat
+                             else (nan, nan, nan))
             return TenantStats(
                 name=config.tenants[tenant].name,
                 weight=config.tenants[tenant].weight,
@@ -254,9 +258,9 @@ class Server:
                 slo_completions=slo_ok,
                 goodput_qps=slo_ok / elapsed,
                 mean_latency_s=float(np.mean(lat)) if lat else nan,
-                p50_latency_s=percentile(lat, 50) if lat else nan,
-                p95_latency_s=percentile(lat, 95) if lat else nan,
-                p99_latency_s=percentile(lat, 99) if lat else nan,
+                p50_latency_s=p50,
+                p95_latency_s=p95,
+                p99_latency_s=p99,
                 mean_queue_s=(float(np.mean([r.queue_s for r in mine]))
                               if mine else nan),
                 mean_service_s=(float(np.mean([r.service_s for r in mine]))
@@ -265,6 +269,7 @@ class Server:
 
         tenants = tuple(stats(i, tally) for i, tally in enumerate(tallies))
         latencies = [r.latency_s for r in completed]
+        p50, p95, p99 = percentiles(latencies, (50, 95, 99))
         slo_total = sum(s.slo_completions for s in tenants)
         self._note("completed", len(completed))
         self._note("slo_completions", slo_total)
@@ -287,9 +292,9 @@ class Server:
             qps=len(completed) / elapsed,
             goodput_qps=slo_total / elapsed,
             mean_latency_s=float(np.mean(latencies)),
-            p50_latency_s=percentile(latencies, 50),
-            p95_latency_s=percentile(latencies, 95),
-            p99_latency_s=percentile(latencies, 99),
+            p50_latency_s=p50,
+            p95_latency_s=p95,
+            p99_latency_s=p99,
             mean_queue_s=float(np.mean([r.queue_s for r in completed])),
             mean_service_s=float(np.mean([r.service_s
                                           for r in completed])),
@@ -396,9 +401,10 @@ class Server:
                                           dispatch_s=env.now)
                     tallies[query.tenant].records.append(record)
                     state["inflight"] += 1
-                    env.process(service(query, record, fixed_cpu))
+                    env.spawn(service(query, record, fixed_cpu))
 
-        def arrival(seq: int, tenant: int, when: float):
+        def arrival(seq: int) -> None:
+            when, tenant = schedule[seq]
             tally = tallies[tenant]
             tally.arrivals += 1
             self._note("arrivals")
@@ -425,11 +431,8 @@ class Server:
             else:
                 tally.rejected += 1
                 self._note("rejected")
-            return
-            yield  # makes this a generator for process_at
 
-        for seq, (when, tenant) in enumerate(schedule):
-            env.process_at(when, arrival(seq, tenant, when))
+        env.timeline([when for when, _tenant in schedule], arrival)
         env.run()
         final = limit()
         return self._result(session, tallies, batches=state["batches"],

@@ -19,8 +19,9 @@ insertion order.
 from __future__ import annotations
 
 import itertools
+import math
 import typing as t
-from heapq import heappop
+from heapq import heappop, heappush
 
 from repro.errors import SimulationError
 from repro.simkernel.events import AllOf, AnyOf, Event, Race, Timeout
@@ -62,6 +63,58 @@ class Process(Event):
             target.callbacks.append(self._resume)
 
 
+class _Spawned(Process):
+    """A process nobody holds: returning schedules no completion event."""
+
+    __slots__ = ()
+
+    def succeed(self, value: t.Any = None) -> "Event":
+        return self
+
+
+class _Timeline:
+    """The one pending timer of :meth:`Environment.timeline`.
+
+    Entry ``i``'s timer carries the tie key ``base + i`` reserved when
+    the timeline was scheduled, so pushing it only when timer ``i - 1``
+    pops gives the heap order of pushing every timer up front: a timer
+    never pops before its nondecreasing predecessor, and nothing pushed
+    later can hold a smaller key.
+    """
+
+    __slots__ = ("env", "start", "delays", "base", "callback")
+
+    def __init__(self, env: "Environment", delays: t.Sequence[float],
+                 callback: t.Callable[[int], None]) -> None:
+        self.env = env
+        self.start = env._now
+        self.delays = delays
+        self.callback = callback
+        self.base = next(env._counter)
+        env._counter = itertools.count(self.base + len(delays))
+        self._arm(0)
+
+    def _arm(self, i: int) -> None:
+        timer = Event(self.env)
+        timer._value = i
+        timer.callbacks.append(self._fire)
+        heappush(self.env._heap,
+                 (self.start + self.delays[i], self.base + i, timer))
+
+    def _fire(self, timer: Event) -> None:
+        i = timer._value
+        if i + 1 < len(self.delays):
+            self._arm(i + 1)
+        # Where ``process_at`` bootstraps the entry's process: a fresh
+        # key at the timer's pop.
+        run = Event(self.env)
+        run.callbacks.append(self._run)
+        run.succeed(i)
+
+    def _run(self, run: Event) -> None:
+        self.callback(run._value)
+
+
 class Environment:
     """Owns the simulated clock, the event heap, and the main loop."""
 
@@ -99,8 +152,9 @@ class Environment:
         Arrival-timed process spawning: the generator is not touched (and
         consumes no heap slot beyond one timer) until the simulated clock
         reaches ``now + delay``.  The returned event fires with the
-        generator's return value, exactly like :meth:`process` — open-loop
-        workloads schedule their whole arrival timeline this way.
+        generator's return value, exactly like :meth:`process`.  A
+        schedule of many start times whose bodies nobody joins is
+        cheaper as one :meth:`timeline`.
         """
         done = Event(self)
 
@@ -111,6 +165,37 @@ class Environment:
         timer = self.timeout(delay)
         timer.callbacks.append(launch)
         return done
+
+    def spawn(self, generator: t.Generator[Event, t.Any, t.Any]) -> None:
+        """Start *generator* as a process nobody can wait on.
+
+        Fires the events of :meth:`process` in the same order, except
+        that returning schedules nothing: there is no handle to wait
+        on, so the completion event would be a no-op pop.
+        """
+        _Spawned(self, generator)
+
+    def timeline(self, delays: t.Sequence[float],
+                 callback: t.Callable[[int], None]) -> None:
+        """Call ``callback(i)`` at ``now + delays[i]`` for every entry.
+
+        Each call runs exactly where ``process_at(delays[i], gen)``
+        would have run the body of a *gen* calling ``callback(i)`` —
+        same time, same tie order against every other event — but an
+        entry costs two events (its timer and its start) instead of
+        four, and the heap holds one pending timer instead of the whole
+        schedule.  *delays* must be finite, ``>= 0`` and nondecreasing;
+        an empty timeline schedules nothing.
+        """
+        previous = 0.0
+        for delay in delays:
+            if not previous <= delay < math.inf:       # or NaN
+                raise SimulationError(
+                    f"timeline delays must be finite, >= 0 and "
+                    f"nondecreasing: {delay} after {previous}")
+            previous = delay
+        if len(delays):
+            _Timeline(self, delays, callback)
 
     def all_of(self, events: t.Sequence[Event]) -> AllOf:
         """Create an event that fires when all of *events* have fired."""

@@ -33,7 +33,7 @@ import numpy as np
 from repro.errors import FaultError, WorkloadError
 from repro.obs import RunTelemetry
 from repro.simkernel import Environment, Resource
-from repro.workload.metrics import RunResult, percentile
+from repro.workload.metrics import RunResult, percentiles
 
 if t.TYPE_CHECKING:
     from repro.workload.runner import BenchRunner, QueryReplayer
@@ -190,6 +190,7 @@ def run_result(runner: "BenchRunner", session: ReplaySession,
     byte counts sums over its devices.
     """
     latencies = tally.latencies
+    p50, p95, p99 = percentiles(latencies, (50, 95, 99))
     elapsed = max(tally.last_completion, 1e-9)
     devices = [host.device for host in session.hosts]
     return RunResult(
@@ -201,9 +202,9 @@ def run_result(runner: "BenchRunner", session: ReplaySession,
         elapsed_s=elapsed,
         qps=len(latencies) / elapsed,
         mean_latency_s=float(np.mean(latencies)),
-        p99_latency_s=percentile(latencies, 99),
-        p50_latency_s=percentile(latencies, 50),
-        p95_latency_s=percentile(latencies, 95),
+        p99_latency_s=p99,
+        p50_latency_s=p50,
+        p95_latency_s=p95,
         cpu_utilization=float(np.mean(
             [cores.utilization(elapsed) for cores in session.core_pools])),
         device_utilization=float(np.mean(

@@ -2,11 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
 from repro.workload.metrics import (RunResult, geometric_mean, percentile,
-                                    summarize)
+                                    percentiles, summarize)
 
 
 def make_result(qps=100.0, p99=0.01, read_bytes=0, completed=100,
@@ -45,6 +46,23 @@ def test_percentile_validation():
         percentile([], 50)
     with pytest.raises(WorkloadError):
         percentile([1.0], 101)
+
+
+@pytest.mark.parametrize("n", [*range(1, 60), 100, 999, 1000, 12345])
+def test_percentiles_are_bit_identical_to_single_calls(n):
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        values = list(rng.lognormal(-6.0, 1.0, size=n))
+        single = tuple(percentile(values, q) for q in (50, 95, 99))
+        assert percentiles(values, (50, 95, 99)) == single
+
+
+def test_percentiles_validation():
+    with pytest.raises(WorkloadError):
+        percentiles([], (50,))
+    with pytest.raises(WorkloadError):
+        percentiles([1.0], (50, 101))
+    assert percentiles([1.0, 2.0, 3.0], ()) == ()
 
 
 def test_summarize_means_and_stds():

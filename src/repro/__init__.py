@@ -13,8 +13,9 @@ Subpackages
 - ``repro.serve``    — open-loop serving: admission control, batching,
   load shedding, SLO/goodput accounting (beyond the paper);
 - ``repro.trace``    — block-trace analysis (bandwidth, request sizes);
-- ``repro.faults``   — fault injection + resilience, and the cluster
-  fault model :class:`ChaosSchedule` (beyond the paper);
+- ``repro.faults``   — fault injection + resilience, and the one fault
+  model :class:`ChaosSchedule` of engines and clusters (beyond the
+  paper);
 - ``repro.cluster``  — sharding, replication, scatter-gather top-k over
   simulated nodes, behind the same :class:`Deployment` facade;
 - ``repro.mutate``   — streaming mutability: snapshot + delta log +
@@ -38,12 +39,12 @@ from repro.data.registry import load_dataset
 from repro.ann.workprofile import SearchResult
 from repro.engines.engine import IndexSpec, SearchRequest, VectorEngine
 from repro.engines.payload import Filter
-from repro.faults import FaultPlan, ResiliencePolicy
+from repro.faults import ResiliencePolicy
 from repro.serve import ServeConfig, ServeResult, TenantLoad
 from repro.tenancy import TenancyConfig, TenantProfile, TenantRegistry
 from repro.workload.setup import make_runner
 
-__version__ = "1.20.0"
+__version__ = "1.21.0"
 
 __all__ = [
     "ChaosRunResult",
@@ -51,7 +52,6 @@ __all__ = [
     "ClusterSession",
     "ClusterTopology",
     "Deployment",
-    "FaultPlan",
     "Filter",
     "IndexSpec",
     "ResiliencePolicy",

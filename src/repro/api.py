@@ -360,14 +360,16 @@ class Deployment:
         Thin wrapper over :meth:`bench_runner`; *options*
         (``search_params``, ``duration_s``, ``telemetry``, ...) go to
         the runner's ``run`` unchanged, which owns them and their
-        defaults.  An engine's
+        defaults.  Faults and defences are the same arguments on both
+        shapes: ``chaos`` (a :class:`~repro.faults.ChaosSchedule`; an
+        engine is node 0 and takes only its device faults) and
+        ``resilience`` (see :mod:`repro.faults`).  An engine's
         :meth:`~repro.workload.runner.BenchRunner.run` also takes
-        ``write_load`` / ``fault_plan`` / ``resilience`` (see
-        :mod:`repro.faults`), a cluster's
-        :meth:`~repro.cluster.ClusterBenchRunner.run` ``chaos`` /
-        ``consistency`` / ``hedge_after_s`` / ``deadline_s``.  Build the
-        runner directly for sweeps that should reuse its compiled plans
-        across concurrency levels.
+        ``trace`` / ``write_load``, a cluster's
+        :meth:`~repro.cluster.ClusterBenchRunner.run` ``consistency`` /
+        ``hedge_after_s`` / ``deadline_s``.  Build the runner directly
+        for sweeps that should reuse its compiled plans across
+        concurrency levels.
 
         >>> import numpy as np
         >>> session = open_engine()

@@ -293,14 +293,13 @@ class ClusterReplayer:
         order (shared across this query's slots so quorum reads hit
         distinct replicas).  Each attempt may hedge a backup copy after
         ``hedge_after_s``; a killed node triggers failover to the next
-        replica.  Ends without recording a success when every replica
-        is dead or already claimed.
+        replica, counted only when one is actually claimed.  Ends
+        without recording a success when every replica is dead or
+        already claimed.
         """
         env = self.env
-        while True:
-            node = claim()
-            if node is None:
-                return
+        node = claim()
+        while node is not None:
             outcome = [False]
             nq = env.process(self._node_query(node, splan, view,
                                               fixed_cpu, outcome, causes))
@@ -338,7 +337,9 @@ class ClusterReplayer:
                         return
                     # A copy resolved without answering: its node died.
                     pending = [p for p in pending if not p.processed]
-            self._note("failovers")
+            node = claim()
+            if node is not None:
+                self._note("failovers")
 
     def _shard_proc(self, shard: int, splan: CompiledQuery, view,
                     fixed_cpu: float, ordinal: int, successes,
@@ -583,20 +584,21 @@ class ClusterBenchRunner:
 
         *chaos* is the whole fault model: its kills, partitions and
         gray failures shape the coordinator<->node hops, its per-node
-        device plans (:meth:`~repro.faults.ChaosSchedule.device_plans`)
-        attach to the nodes' SSDs, and ``resilience`` arms every node
-        replayer's read-path defences against them.  ``None`` and the
-        empty schedule are the same, guaranteed-passive, run.
+        device windows arm the nodes' SSDs (:func:`~repro.workload.
+        runner.open_host`, as on a single engine), and ``resilience``
+        arms every node replayer's read-path defences against them
+        (``degrade=True`` raises: a cluster cannot degrade queries).
+        ``None`` and the empty schedule are the same, guaranteed-passive,
+        run.
         """
         cold, warm, recall = self._compile(dict(search_params or {}))
         topo = self.topology
         env = Environment()
         network = Network(env, topo.network, seed=self.cluster.seed)
-        device_plans = chaos.device_plans() if chaos is not None else {}
         hosts = [
             open_host(self, env, (f"node{node}_cores", f"node{node}_pool"),
                       telemetry=telemetry, resilience=resilience,
-                      fault_plan=device_plans.get(node))
+                      chaos=chaos, node=node)
             for node in range(topo.total_nodes)]
         coordinator_cores = Resource(env, self.cores,
                                      name="coordinator_cores",

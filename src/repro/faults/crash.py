@@ -1,9 +1,9 @@
 """Write-path fault injection: crash plans and corruption plans.
 
-PR 3 made the *read* path resilient to injected device faults; this
-module attacks the *write/persist* path.  Two plans, both pure data and
-fully deterministic under their seed, mirror the
-:class:`~repro.faults.plan.FaultPlan` /
+The *read* path is made resilient to injected device faults elsewhere
+in this package; this module attacks the *write/persist* path.  Two
+plans, both pure data and fully deterministic under their seed, mirror
+the device :class:`~repro.faults.plan.FaultWindow` /
 :class:`~repro.faults.injector.FaultInjector` split:
 
 * :class:`CrashPlan` + :class:`CrashInjector` — "kill" the process at a

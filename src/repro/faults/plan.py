@@ -1,14 +1,18 @@
-"""Deterministic, seedable fault plans for the simulated device.
+"""Device fault windows: timed misbehaviour of the simulated SSD.
 
-A :class:`FaultPlan` is a *schedule* of device misbehaviour laid out on
-the run's simulated timeline: windows during which read requests suffer
-latency spikes, tail amplification, transient errors, or bandwidth
-throttling.  The plan is pure data — it never mutates — and every
-probabilistic decision it makes is a deterministic function of
-``(plan.seed, window position, request ordinal)``, so replaying the same
-plan against the same request stream reproduces the *exact* same fault
-timeline, byte for byte.  See ``docs/FAULT_MODEL.md`` for the full fault
-model and its calibration rationale.
+A :class:`FaultWindow` is one ``[start_s, end_s)`` span of device
+misbehaviour on the run's simulated timeline, during which read
+requests suffer latency spikes, tail amplification, transient errors,
+or bandwidth throttling.  Windows are pure data — they never mutate —
+and a caller never arms them one by one: they ride in a
+:class:`~repro.faults.ChaosSchedule` as ``(node, window)`` device
+faults, and the device's :class:`~repro.faults.FaultInjector` draws
+every probabilistic decision as a deterministic function of
+``(schedule seed, window position on the node, request ordinal)``
+(:func:`_unit`), so replaying the same schedule against the same
+request stream reproduces the *exact* same fault timeline, byte for
+byte.  See ``docs/FAULT_MODEL.md`` for the full fault model and its
+calibration rationale.
 
 Fault windows model the device pathologies behind the paper's tail
 behaviour:
@@ -28,26 +32,22 @@ behaviour:
 
 Example::
 
-    >>> plan = FaultPlan.of(ReadError(0.5, 1.5, probability=0.5), seed=7)
-    >>> plan.empty
-    False
-    >>> effects = plan.effects(now=1.0, ordinal=3)
-    >>> [e.kind for e in effects] in ([], ["read_error"])
+    >>> window = ReadError(0.5, 1.5, probability=0.5)
+    >>> window.active(1.0), window.active(2.0)
+    (True, False)
+    >>> window.effect(unit=0.25).kind      # the draw fell under p
+    'read_error'
+    >>> window.effect(unit=0.75) is None   # it did not
     True
-    >>> plan.effects(now=1.0, ordinal=3) == effects   # deterministic
-    True
-    >>> plan.effects(now=2.0, ordinal=3)              # outside the window
-    []
 """
 
 from __future__ import annotations
 
 import dataclasses
-import typing as t
 
 from repro.errors import WorkloadError
 
-#: All fault kinds a plan can schedule (the ``kind`` of each effect).
+#: All device fault kinds a window can inject (the ``kind`` of each effect).
 FAULT_KINDS = ("latency_spike", "tail_amplification", "read_error",
                "throttle")
 
@@ -57,7 +57,8 @@ def _unit(seed: int, window: int, ordinal: int) -> float:
 
     A splitmix64 finalizer over the packed inputs: stateless, so fault
     sampling never depends on Python hash randomization or on any RNG
-    stream position — only on the plan seed and the request's identity.
+    stream position — only on the schedule seed and the request's
+    identity.
     """
     x = (seed * 0x9E3779B97F4A7C15 + window * 0xBF58476D1CE4E5B9
          + ordinal + 1) & 0xFFFFFFFFFFFFFFFF
@@ -213,61 +214,3 @@ class Throttle(FaultWindow):
     def effect(self, unit: float) -> FaultEffect | None:
         return FaultEffect(
             self.kind, occupancy_multiplier=1.0 / self.bandwidth_fraction)
-
-
-@dataclasses.dataclass(frozen=True)
-class FaultPlan:
-    """A seedable schedule of fault windows on the run timeline.
-
-    The plan is replayed from ``seed``: every sampling decision is a
-    pure function of (seed, window position, read ordinal), so two runs
-    with the same plan and the same request stream inject the *same*
-    faults at the same requests.  An empty plan (no windows) is
-    guaranteed to leave the simulation bit-identical to running with no
-    plan at all — the regression tests assert it.
-    """
-
-    windows: tuple[FaultWindow, ...] = ()
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "windows", tuple(self.windows))
-        for window in self.windows:
-            if not isinstance(window, FaultWindow):
-                raise WorkloadError(
-                    f"fault plan holds a non-window: {window!r}")
-
-    @classmethod
-    def of(cls, *windows: FaultWindow, seed: int = 0) -> "FaultPlan":
-        """Build a plan from windows given positionally."""
-        return cls(tuple(windows), seed)
-
-    @property
-    def empty(self) -> bool:
-        """True when the plan schedules no fault windows."""
-        return not self.windows
-
-    @property
-    def end_s(self) -> float:
-        """When the last window closes (0.0 for an empty plan)."""
-        return max((w.end_s for w in self.windows), default=0.0)
-
-    def effects(self, now: float, ordinal: int) -> list[FaultEffect]:
-        """All fault effects hitting read *ordinal* at time *now*.
-
-        Deterministic: same (plan, now, ordinal) always returns the
-        same effects, in window order.
-        """
-        out = []
-        for position, window in enumerate(self.windows):
-            if window.active(now):
-                effect = window.effect(
-                    _unit(self.seed, position, ordinal))
-                if effect is not None:
-                    out.append(effect)
-        return out
-
-    def describe(self) -> list[dict[str, t.Any]]:
-        """The plan as plain dicts (reports, serialization)."""
-        return [dict(kind=w.kind, **dataclasses.asdict(w))
-                for w in self.windows]

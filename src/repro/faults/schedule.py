@@ -1,15 +1,17 @@
-"""The cluster fault model: every fault plane on one seeded timeline.
+"""The fault model: every fault plane on one seeded timeline.
 
-A :class:`ChaosSchedule` is the one fault-model value of the cluster
-replay stack: flat tuples of :class:`NodeKill` windows (whole nodes
-dead), :class:`PartitionWindow` cuts (messages across a node-group
-boundary dropped), :class:`GrayFailure` windows (alive but slow nodes)
-and per-node SSD :class:`~repro.faults.FaultWindow` entries, an optional
-write-path :class:`~repro.faults.CrashPlan`, and one seed.  It is
-immutable pure data and answers the replayer's questions itself
-(``dead``, ``next_death_after``, ``slowdown``, ``dropped``,
-``device_plans``), each a pure function of the schedule: same schedule
-+ same workload = bit-identical run, and the empty schedule is passive.
+A :class:`ChaosSchedule` is the one fault-model value of the replay
+stack, on a cluster and on a single engine (node 0, which models only
+its own device faults): flat tuples of :class:`NodeKill` windows
+(whole nodes dead), :class:`PartitionWindow` cuts (messages across a
+node-group boundary dropped), :class:`GrayFailure` windows (alive but
+slow nodes) and per-node SSD :class:`~repro.faults.FaultWindow`
+entries, an optional write-path :class:`~repro.faults.CrashPlan`, and
+one seed.  It is immutable pure data and answers the replayer's
+questions itself (``dead``, ``next_death_after``, ``slowdown``,
+``dropped``, ``device_windows``), each a pure function of the
+schedule: same schedule + same workload = bit-identical run, and the
+empty schedule is passive.
 
 The schedule is also the unit the delta-debugging shrinker
 (:mod:`repro.chaos.shrink`) operates on: :meth:`elements` tags its
@@ -33,7 +35,7 @@ Example::
     False
     >>> sched.slowdown(3, now=0.5), sched.slowdown(3, now=1.5)
     (8.0, 1.0)
-    >>> [w.kind for w in sched.device_plans()[3].windows]
+    >>> [w.kind for w in sched.device_windows(3)]
     ['throttle']
     >>> sub = sched.with_elements(sched.elements()[:1])
     >>> [tag for tag, _fault in sub.elements()]
@@ -52,8 +54,8 @@ import typing as t
 
 from repro.errors import WorkloadError
 from repro.faults.crash import CrashPlan
-from repro.faults.plan import (FaultPlan, FaultWindow, LatencySpike,
-                               ReadError, Throttle, TimeWindow, _unit)
+from repro.faults.plan import (FaultWindow, LatencySpike, ReadError,
+                               Throttle, TimeWindow, _unit)
 
 #: One atomic fault in a flattened schedule: (plane tag, payload).
 ChaosElement = t.Tuple[str, t.Any]
@@ -63,9 +65,9 @@ ChaosElement = t.Tuple[str, t.Any]
 class NodeKill(TimeWindow):
     """One node is dead during ``[start_s, end_s)``.
 
-    Where a :class:`~repro.faults.FaultPlan` misbehaves a *device*, a
-    kill takes down a whole *node*.  Death is total: the node answers
-    nothing while the window is open, and work in flight on it when the
+    Where a device fault window misbehaves a *device*, a kill takes
+    down a whole *node*.  Death is total: the node answers nothing
+    while the window is open, and work in flight on it when the
     window opens is lost — which is what drives replica failover in
     :mod:`repro.cluster`.  The node comes back at ``end_s`` with its
     data intact (replicas are identical by construction, so recovery
@@ -172,12 +174,12 @@ _PLANES = (("kill", "kills", NodeKill),
 
 @dataclasses.dataclass(frozen=True)
 class ChaosSchedule:
-    """Every fault plane of one cluster run, as flat pure data.
+    """Every fault plane of one run, as flat pure data.
 
     ``device_faults`` holds ``(node id, fault window)`` pairs.  The one
     ``seed`` keys every sampled decision the schedule makes at replay
     time: partial-partition message drops and the per-node device
-    plans' fault draws.
+    windows' fault draws.
     """
 
     kills: tuple[NodeKill, ...] = ()
@@ -324,22 +326,19 @@ class ChaosSchedule:
             return True
         return _unit(self.seed, src * 0x10001 + dst, ordinal) < fraction
 
-    def device_plans(self) -> dict[int, FaultPlan]:
-        """Per-node SSD fault plans: explicit windows + gray throttles.
+    def device_windows(self, node: int) -> tuple[FaultWindow, ...]:
+        """Node *node*'s SSD fault windows: explicit, then gray throttles.
 
         The SSD-side half of a gray failure is a bandwidth throttle to
         ``1/slowdown`` of nominal over the gray window, appended after
-        the node's explicit windows.
+        the node's explicit windows.  A window's position in this tuple
+        keys its sampling draws (:class:`~repro.faults.FaultInjector`).
         """
-        windows: dict[int, list[FaultWindow]] = {}
-        for node, window in self.device_faults:
-            windows.setdefault(node, []).append(window)
-        for gray in self.grays:
-            windows.setdefault(gray.node, []).append(Throttle(
-                gray.start_s, gray.end_s,
-                bandwidth_fraction=1.0 / gray.slowdown))
-        return {node: FaultPlan(tuple(windows[node]), self.seed)
-                for node in sorted(windows)}
+        return (*(window for owner, window in self.device_faults
+                  if owner == node),
+                *(Throttle(gray.start_s, gray.end_s,
+                           bandwidth_fraction=1.0 / gray.slowdown)
+                  for gray in self.grays if gray.node == node))
 
     # -- the shrinker's view ----------------------------------------------
 

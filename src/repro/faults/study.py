@@ -8,32 +8,34 @@ import typing as t
 from repro.core.figures import get_runner
 from repro.core.report import fmt, format_table
 from repro.core.study import Study, silent
-from repro.faults.plan import (FaultPlan, LatencySpike, ReadError,
-                               TailAmplification, Throttle)
+from repro.faults.plan import (LatencySpike, ReadError, TailAmplification,
+                               Throttle)
 from repro.faults.resilience import ResiliencePolicy
+from repro.faults.schedule import ChaosSchedule
 from repro.workload.metrics import RunResult
 
 #: The three configurations the resilience study compares.
 FAULT_STUDY_CONFIGS = ("healthy", "faults", "faults+resilience")
 
 
-def default_fault_plan(duration_s: float = 4.0,
-                       seed: int = 42) -> FaultPlan:
+def default_fault_schedule(duration_s: float = 4.0,
+                           seed: int = 42) -> ChaosSchedule:
     """The study's reference fault timeline, scaled to the run length.
 
-    A compressed "bad day" for the device: background tail
-    amplification all run long, a housekeeping latency spike early on,
-    a transient-read-error storm through the middle, and a thermal
+    A compressed "bad day" for the engine's device (node 0): background
+    tail amplification all run long, a housekeeping latency spike early
+    on, a transient-read-error storm through the middle, and a thermal
     throttle over the second half — overlapping enough that every
     resilience mechanism gets exercised.
     """
     d = duration_s
-    return FaultPlan.of(
+    windows = (
         TailAmplification(0.0, d, multiplier=8.0, probability=0.05),
         LatencySpike(0.10 * d, 0.35 * d, extra_s=0.002),
         ReadError(0.20 * d, 0.80 * d, probability=0.02, stall_s=0.02),
-        Throttle(0.55 * d, 0.85 * d, bandwidth_fraction=0.25),
-        seed=seed)
+        Throttle(0.55 * d, 0.85 * d, bandwidth_fraction=0.25))
+    return ChaosSchedule(device_faults=tuple((0, w) for w in windows),
+                         seed=seed)
 
 
 def _fault_reconciliation(result: RunResult) -> dict[str, t.Any]:
@@ -74,13 +76,13 @@ def resilience_comparison(dataset: str, search_list: int = 50,
     """Healthy vs faulted vs faulted-with-defences on Milvus-DiskANN.
 
     Three runs over the same query set and the same
-    :func:`default_fault_plan` timeline:
+    :func:`default_fault_schedule` timeline:
 
-    - ``healthy``           — no plan (the baseline, and the source of
+    - ``healthy``           — no faults (the baseline, and the source of
       the device-round P99 that calibrates the hedge delay);
-    - ``faults``            — the plan injected, no defences: the tail
-      collapses (stalled reads serialize the beam);
-    - ``faults+resilience`` — the same plan, with per-read timeouts +
+    - ``faults``            — the schedule injected, no defences: the
+      tail collapses (stalled reads serialize the beam);
+    - ``faults+resilience`` — the same schedule, with per-read timeouts +
       retries, hedged reads after ~3x the healthy round P99, and
       graceful degradation under sustained pressure.
 
@@ -99,9 +101,9 @@ def resilience_comparison(dataset: str, search_list: int = 50,
     progress("healthy baseline")
     healthy = runner.run(concurrency, params, **common)
     round_p99 = healthy.telemetry.device_round.quantile(0.99)
-    plan = default_fault_plan(duration_s, seed)
+    schedule = default_fault_schedule(duration_s, seed)
     progress("fault plan, no defences")
-    faulted = runner.run(concurrency, params, fault_plan=plan, **common)
+    faulted = runner.run(concurrency, params, chaos=schedule, **common)
     policy = ResiliencePolicy(
         read_timeout_s=max(12.0 * round_p99, 1e-4),
         max_retries=6,
@@ -111,7 +113,7 @@ def resilience_comparison(dataset: str, search_list: int = 50,
         degrade_after=4, recover_after=8, degrade_factor=0.7,
         seed=seed)
     progress("fault plan with timeouts, hedging and degradation")
-    resilient = runner.run(concurrency, params, fault_plan=plan,
+    resilient = runner.run(concurrency, params, chaos=schedule,
                            resilience=policy, **common)
 
     def row(result: RunResult) -> dict[str, t.Any]:
@@ -142,7 +144,7 @@ def resilience_comparison(dataset: str, search_list: int = 50,
             "faults": row(faulted),
             "faults+resilience": row(resilient),
         },
-        "plan": plan.describe(),
+        "plan": schedule.describe()["device_faults"],
         "policy": {
             "read_timeout_s": policy.read_timeout_s,
             "hedge_after_s": policy.hedge_after_s,
@@ -192,7 +194,7 @@ def render_resilience_comparison(data: dict) -> str:
     plan_lines = [
         f"  [{w['start_s']:.2f}s, {w['end_s']:.2f}s) {w['kind']}: "
         + ", ".join(f"{key}={value}" for key, value in w.items()
-                    if key not in ("kind", "start_s", "end_s"))
+                    if key not in ("node", "kind", "start_s", "end_s"))
         for w in data["plan"]]
     recon = data["reconciliation"]["faults+resilience"]
     return "\n".join([

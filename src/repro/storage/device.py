@@ -46,7 +46,7 @@ class SimSSD:
         :class:`~repro.faults.injector.FaultInjector`: each *read*
         request is passed through it at submission, and any returned
         effect stretches that request's occupancy and/or completion
-        latency.  An injector with an empty plan never returns effects,
+        latency.  An injector with no windows never returns effects,
         leaving timing bit-identical to running without one.
         """
         self.env = env

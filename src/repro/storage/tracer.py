@@ -22,7 +22,7 @@ class TraceRecord(t.NamedTuple):
     #: Fault kind(s) injected into this request ("+"-joined when several
     #: windows overlap), or None for a healthy request.  This is the
     #: per-request attribution that lets a trace reconcile against the
-    #: fault plan's injection counters.
+    #: injector's per-kind counters.
     fault: str | None = None
 
 

@@ -44,8 +44,8 @@ class RunResult:
     tracer: BlockTracer | None = None
     telemetry: RunTelemetry | None = None
     error: str | None = None        # e.g. "out-of-memory"
-    #: Fault-injection/resilience accounting of the run, present when a
-    #: fault plan or resilience policy was attached: injected counts per
+    #: Fault-injection/resilience accounting of the run, present when
+    #: device faults or a resilience policy were armed: injected counts per
     #: kind, timeout/retry/hedge counters, failed queries, and — when
     #: degradation engaged — a ``degraded`` entry holding the
     #: :class:`~repro.errors.DegradedResult` (substituted parameters and

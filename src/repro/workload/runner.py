@@ -45,7 +45,7 @@ from repro.engines.costmodel import CostModel
 from repro.engines.engine import Collection, VectorEngine
 from repro.engines.profiles import PAPER_CPU_CORES
 from repro.errors import DegradedResult, OutOfMemoryError, WorkloadError
-from repro.faults import (FaultInjector, FaultPlan, PressureTracker,
+from repro.faults import (ChaosSchedule, FaultInjector, PressureTracker,
                           ResiliencePolicy, degraded_search_params)
 from repro.obs import RunTelemetry
 from repro.simkernel import Environment, Resource
@@ -404,18 +404,29 @@ class QueryReplayer:
 def open_host(runner: "BenchRunner", env: Environment,
               names: tuple[str, str] = ("cores", "diskann_pool"), *,
               telemetry: RunTelemetry | None = None, trace: bool = False,
-              fault_plan: FaultPlan | None = None,
+              chaos: ChaosSchedule | None = None, node: int = 0,
               resilience: ResiliencePolicy | None = None) -> QueryReplayer:
     """One fresh simulated machine on *env*, as its replayer.
 
-    Builds the calibrated device (with optional tracer and fault
-    injector), the core pool, and — for DiskANN collections on profiles
-    that have one — the admission pool, sized from *runner*.  *names*
-    are the core- and admission-pool resource names (they key the
-    telemetry queue-depth histograms).
+    Builds the calibrated device (with optional tracer), the core pool,
+    and — for DiskANN collections on profiles that have one — the
+    admission pool, sized from *runner*.  *names* are the core- and
+    admission-pool resource names (they key the telemetry queue-depth
+    histograms).  The device gets a fault injector when *chaos* has
+    device windows for *node* (:meth:`~repro.faults.ChaosSchedule.
+    device_windows`); without any it runs exactly as an unfaulted one.
+
+    A host replays the plans it is handed, so ``resilience.degrade``
+    (swapping plans under pressure) raises :class:`~repro.errors.
+    WorkloadError` here; only :meth:`BenchRunner.run` degrades.
     """
-    injector = (FaultInjector(fault_plan, telemetry=telemetry)
-                if fault_plan is not None else None)
+    if resilience is not None and resilience.degrade:
+        raise WorkloadError(
+            "ResiliencePolicy(degrade=True) is honoured only by "
+            "BenchRunner.run; a replay session cannot degrade queries")
+    windows = chaos.device_windows(node) if chaos is not None else ()
+    injector = (FaultInjector(windows, chaos.seed, telemetry)
+                if windows else None)
     device = SimSSD(env, runner.device_spec, BlockTracer(enabled=trace),
                     telemetry=telemetry, injector=injector)
     cores = Resource(env, runner.cores, name=names[0], telemetry=telemetry)
@@ -616,7 +627,7 @@ class BenchRunner:
     def open_replay(self, search_params: dict | None = None, *,
                     telemetry: RunTelemetry | None = None,
                     trace: bool = False,
-                    fault_plan: FaultPlan | None = None,
+                    chaos: ChaosSchedule | None = None,
                     resilience: ResiliencePolicy | None = None,
                     ) -> ReplaySession:
         """A fresh simulated host ready to replay this runner's queries.
@@ -625,11 +636,24 @@ class BenchRunner:
         binds them to one new host (:func:`open_host`) — what :meth:`run`
         drives with the closed loop, packaged for callers that drive
         their own schedule (the open-loop :class:`repro.serve.Server`).
+
+        The engine is node 0 of *chaos*: its device windows arm the
+        host's SSD.  Every plane a single engine cannot model — kills,
+        partitions, gray failures, a crash plan, a device fault on any
+        other node — raises :class:`~repro.errors.WorkloadError`.
         """
+        unsupported = sorted({
+            tag for tag, fault in (chaos.elements() if chaos is not None
+                                   else ())
+            if tag != "device" or fault[0] != 0})
+        if unsupported:
+            raise WorkloadError(
+                f"a single engine is node 0 and models only its device "
+                f"faults; the chaos schedule also holds {unsupported}")
         cold, warm, recall = self._compile(dict(search_params or {}))
         env = Environment()
         host = open_host(self, env, telemetry=telemetry, trace=trace,
-                         fault_plan=fault_plan, resilience=resilience)
+                         chaos=chaos, resilience=resilience)
         return ReplaySession(env=env, hosts=[host], replayer=host,
                              cold=cold, warm=warm, recall=recall,
                              telemetry=telemetry)
@@ -644,7 +668,7 @@ class BenchRunner:
             trace: bool = False, phase: int = 0,
             write_load: WriteLoad | None = None,
             telemetry: RunTelemetry | bool | None = None,
-            fault_plan: FaultPlan | None = None,
+            chaos: ChaosSchedule | None = None,
             resilience: ResiliencePolicy | None = None) -> RunResult:
         """One measured run at one concurrency level.
 
@@ -659,10 +683,12 @@ class BenchRunner:
         default) or on, the simulated schedule and every reported number
         are identical.
 
-        ``fault_plan`` attaches a :class:`~repro.faults.FaultPlan` to the
-        device's read path; its windows are positioned on this run's
-        simulated timeline (t=0 is run start).  An empty plan — or none —
-        leaves every number bit-identical to an unfaulted run.
+        ``chaos`` is the fault model, as on a cluster: a
+        :class:`~repro.faults.ChaosSchedule` whose node-0 device windows
+        fault the device's read path, positioned on this run's
+        simulated timeline (t=0 is run start); any other plane raises
+        (:meth:`open_replay`).  An empty schedule — or none — leaves
+        every number bit-identical to an unfaulted run.
 
         ``resilience`` deploys host-side defences on the demand-read
         path (timeout+retry, hedged reads, graceful degradation; see
@@ -684,8 +710,12 @@ class BenchRunner:
             return oom_result(self, concurrency, params)
 
         cache_base = self._cache_counters() if telem is not None else {}
+        # The host runs the policy's read-path defences; degradation is
+        # this loop's (it swaps plans, below).
+        host_resil = (dataclasses.replace(resil, degrade=False)
+                      if resil is not None else None)
         session = self.open_replay(params, telemetry=telem, trace=trace,
-                                   fault_plan=fault_plan, resilience=resil)
+                                   chaos=chaos, resilience=host_resil)
         host = session.replayer
         pick = record = tracker = None
         degraded_completions = 0

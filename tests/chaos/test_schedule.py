@@ -1,4 +1,5 @@
-"""ChaosSchedule: composition, queries, flattening, seeding, device plans."""
+"""ChaosSchedule: composition, queries, flattening, seeding, device
+windows."""
 
 import dataclasses
 import hashlib
@@ -9,7 +10,7 @@ import pytest
 from repro.chaos import ChaosSchedule
 from repro.errors import WorkloadError
 from repro.faults import (CrashPlan, GrayFailure, LatencySpike, NodeKill,
-                          PartitionWindow, ReadError)
+                          PartitionWindow, ReadError, Throttle)
 
 
 def composed():
@@ -29,7 +30,7 @@ class TestComposition:
         assert sched.empty
         assert sched.elements() == []
         assert sched.end_s == 0.0
-        assert sched.device_plans() == {}
+        assert all(sched.device_windows(node) == () for node in range(4))
 
     def test_composed_schedule_flattens_every_plane(self):
         sched = composed()
@@ -41,14 +42,23 @@ class TestComposition:
     def test_end_s_is_the_last_window_close(self):
         assert composed().end_s == 0.5
 
-    def test_device_plans_fold_in_the_gray_throttle(self):
-        plans = composed().device_plans()
+    def test_device_windows_fold_in_the_gray_throttle(self):
+        sched = composed()
+        windows = {node: sched.device_windows(node) for node in range(4)}
         # Node 2 has the explicit windows; node 1 gets the SSD-side
         # half of its gray failure (a throttle over the gray window).
-        assert set(plans) == {1, 2}
-        assert [w.kind for w in plans[2].windows] \
+        assert {node for node, ws in windows.items() if ws} == {1, 2}
+        assert [w.kind for w in windows[2]] \
             == ["latency_spike", "read_error"]
-        assert [w.kind for w in plans[1].windows] == ["throttle"]
+        assert windows[1] == (Throttle(0.0, 0.2, bandwidth_fraction=0.125),)
+
+    def test_gray_throttles_follow_the_explicit_windows(self):
+        spike = LatencySpike(0.3, 0.4, extra_s=0.001)
+        sched = ChaosSchedule(
+            grays=(GrayFailure(0, 0.0, 0.2, slowdown=4.0),),
+            device_faults=((1, ReadError(0.0, 0.1)), (0, spike)))
+        assert sched.device_windows(0) == (
+            spike, Throttle(0.0, 0.2, bandwidth_fraction=0.25))
 
     def test_bad_device_entry_is_rejected(self):
         with pytest.raises(WorkloadError):

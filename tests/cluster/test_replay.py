@@ -13,20 +13,23 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.chaos import run_chaos
 from repro.cluster import Cluster, ClusterTopology
 from repro.cluster.runner import ClusterBenchRunner
+from repro.engines import get_profile
 from repro.engines.engine import IndexSpec
 from repro.errors import ClusterError, DegradedResult, WorkloadError
-from repro.faults import ChaosSchedule
+from repro.faults import ChaosSchedule, ReadError, ResiliencePolicy
 from repro.obs import RunTelemetry
 from repro.serve.arrivals import PoissonArrivals
 from repro.serve.server import ServeConfig, Server, TenantLoad
 from repro.simkernel.network import NetworkSpec
 
 
-def _cluster(replay_corpus, topology, index="flat", **build):
+def _cluster(replay_corpus, topology, index="flat", profile="milvus",
+             **build):
     X, _queries, _truth = replay_corpus
-    cluster = Cluster(topology, "milvus", seed=0)
+    cluster = Cluster(topology, profile, seed=0)
     cluster.create_collection("c", X.shape[1],
                               IndexSpec.of(index, "l2", **build))
     cluster.insert("c", X)
@@ -80,6 +83,46 @@ def test_single_replica_node_kill_fails_queries_honestly(replay_corpus):
     result = runner.run(16, duration_s=0.2, chaos=kills)
     assert result.faults is not None
     assert result.faults["failed_queries"] > 0
+
+
+@pytest.mark.parametrize("replicas", [1, 2])
+def test_failover_is_counted_only_when_a_replica_is_claimed(replay_corpus,
+                                                            replicas):
+    # Caches off, and every read on node 0 stalls past its one timeout:
+    # node 0 answers every sub-query with an error.
+    profile = dataclasses.replace(get_profile("milvus"),
+                                  diskann_cache_bytes=0,
+                                  diskann_lru_bytes=0)
+    topo = ClusterTopology(n_shards=2, replicas=replicas, seed=0)
+    runner = _runner(replay_corpus, topo, index="diskann",
+                     profile=profile, R=8, L_build=16)
+    chaos = ChaosSchedule(device_faults=(
+        (0, ReadError(0.0, 10.0, probability=1.0, stall_s=0.01)),))
+    result = runner.run(4, duration_s=0.05, chaos=chaos,
+                        resilience=ResiliencePolicy(read_timeout_s=5e-4,
+                                                    max_retries=0))
+    faults = result.faults
+    assert faults["replica_errors"] > 0
+    # One replica leaves nowhere to fail over to; with two, every
+    # error fails over to the healthy copy.
+    expected = 0 if replicas == 1 else faults["replica_errors"]
+    assert faults["failovers"] == expected
+
+
+def test_cluster_entry_points_refuse_degradation(replay_corpus):
+    # A cluster replays one plan per query: it cannot degrade, so it
+    # says so instead of ignoring the flag.
+    topo = ClusterTopology(n_shards=2, seed=0)
+    runner = _runner(replay_corpus, topo)
+    policy = ResiliencePolicy(degrade=True, latency_budget_s=1e-6)
+    config = ServeConfig(duration_s=0.05, tenants=(
+        TenantLoad("all", PoissonArrivals(rate_qps=400.0)),))
+    with pytest.raises(WorkloadError, match="degrade"):
+        runner.run(4, duration_s=0.05, resilience=policy)
+    with pytest.raises(WorkloadError, match="degrade"):
+        runner.open_replay(resilience=policy)
+    with pytest.raises(WorkloadError, match="degrade"):
+        run_chaos(runner, config, resilience=policy)
 
 
 def test_quorum_reads_wait_on_replica_majorities(replay_corpus):

@@ -4,7 +4,7 @@
 aware: a retry whose backoff alone would start at-or-after the query's
 absolute deadline is abandoned (``deadline_abandons``) instead of
 burning device time on an already-lost query.  The regression contract:
-under a fault plan harsh enough to force retries, a tight deadline
+under device faults harsh enough to force retries, a tight deadline
 produces abandons while the retry accounting still balances (every
 timeout becomes a retry or a read failure); without a deadline the
 counter stays zero and results are deterministic.
@@ -16,7 +16,7 @@ import pytest
 
 from repro.engines import IndexSpec, VectorEngine, get_profile
 from repro.errors import WorkloadError
-from repro.faults import FaultPlan, ReadError, ResiliencePolicy
+from repro.faults import ChaosSchedule, ReadError, ResiliencePolicy
 from repro.workload import BenchRunner
 
 DURATION = 0.3
@@ -40,8 +40,8 @@ def runner(small_data, small_queries, small_truth):
 
 
 def stall_plan():
-    return FaultPlan.of(ReadError(0.0, DURATION, probability=0.2,
-                                  stall_s=0.004), seed=3)
+    return ChaosSchedule(device_faults=((0, ReadError(
+        0.0, DURATION, probability=0.2, stall_s=0.004)),), seed=3)
 
 
 def policy(**overrides):
@@ -64,9 +64,9 @@ def test_validation_rejects_non_positive_deadline():
 
 def test_tight_deadline_abandons_hopeless_retries(runner):
     blind = runner.run(2, PARAMS, duration_s=DURATION,
-                       fault_plan=stall_plan(), resilience=policy())
+                       chaos=stall_plan(), resilience=policy())
     aware = runner.run(2, PARAMS, duration_s=DURATION,
-                       fault_plan=stall_plan(),
+                       chaos=stall_plan(),
                        resilience=policy(query_deadline_s=0.006))
     assert blind.faults["deadline_abandons"] == 0
     assert aware.faults["deadline_abandons"] > 0
@@ -82,9 +82,9 @@ def test_tight_deadline_abandons_hopeless_retries(runner):
 
 def test_no_deadline_is_bit_identical_to_the_blind_policy(runner):
     first = runner.run(2, PARAMS, duration_s=DURATION,
-                       fault_plan=stall_plan(), resilience=policy())
+                       chaos=stall_plan(), resilience=policy())
     second = runner.run(2, PARAMS, duration_s=DURATION,
-                        fault_plan=stall_plan(), resilience=policy())
+                        chaos=stall_plan(), resilience=policy())
     assert first.qps == second.qps
     assert first.p99_latency_s == second.p99_latency_s
     assert {k: v for k, v in first.faults.items() if k != "injected"} \

@@ -1,12 +1,23 @@
-"""Fault plans: window semantics, determinism, injector accounting."""
+"""Device fault windows: semantics, determinism, injector accounting."""
 
 import pytest
 
 from repro.errors import WorkloadError
-from repro.faults import (FAULT_KINDS, FaultInjector, FaultPlan,
+from repro.faults import (FAULT_KINDS, ChaosSchedule, FaultInjector,
                           LatencySpike, ReadError, TailAmplification,
                           Throttle)
 from repro.faults.plan import _unit
+
+
+def on_node0(*windows, seed=0):
+    return ChaosSchedule(device_faults=tuple((0, w) for w in windows),
+                         seed=seed)
+
+
+def effects(sched, reads, now=0.5):
+    """The fault effect (or None) on each of *reads* node-0 reads."""
+    injector = FaultInjector(sched.device_windows(0), sched.seed)
+    return [injector.on_read(now, 0, 4096) for _ in range(reads)]
 
 
 class TestWindows:
@@ -73,70 +84,83 @@ class TestUnitSampling:
 
 
 class TestPlan:
+    """One node's device windows, as a schedule arms them."""
+
     def test_empty_plan(self):
-        plan = FaultPlan()
-        assert plan.empty
-        assert plan.end_s == 0.0
-        assert plan.effects(0.5, 0) == []
-        assert plan.describe() == []
+        sched = ChaosSchedule()
+        assert sched.empty
+        assert sched.end_s == 0.0
+        assert sched.device_windows(0) == ()
+        assert sched.describe()["device_faults"] == []
+        assert FaultInjector(()).on_read(0.5, 0, 4096) is None
 
     def test_rejects_non_windows(self):
         with pytest.raises(WorkloadError):
-            FaultPlan.of("not a window")
+            ChaosSchedule(device_faults=((0, "not a window"),))
 
     def test_end_s_is_last_window_close(self):
-        plan = FaultPlan.of(LatencySpike(0.0, 1.0), Throttle(2.0, 3.5))
-        assert plan.end_s == 3.5
+        sched = on_node0(LatencySpike(0.0, 1.0), Throttle(2.0, 3.5))
+        assert sched.end_s == 3.5
 
     def test_effects_are_deterministic_per_request(self):
-        plan = FaultPlan.of(ReadError(0.0, 1.0, probability=0.5),
-                            seed=11)
-        timeline = [plan.effects(0.5, o) for o in range(256)]
-        assert timeline == [plan.effects(0.5, o) for o in range(256)]
+        sched = on_node0(ReadError(0.0, 1.0, probability=0.5), seed=11)
+        timeline = effects(sched, 256)
+        assert timeline == effects(sched, 256)
         fired = sum(1 for e in timeline if e)
         assert 64 < fired < 192        # ~50% of 256
 
+    def test_draws_are_keyed_by_window_position_on_the_node(self):
+        # The read error is the node's second window: every draw is
+        # _unit(seed, 1, ordinal), whatever other nodes hold.
+        error = ReadError(0.0, 1.0, probability=0.5)
+        sched = ChaosSchedule(
+            device_faults=((1, Throttle(0.0, 1.0)),
+                           (0, LatencySpike(5.0, 6.0)), (0, error)),
+            seed=11)
+        assert sched.device_windows(0) == (LatencySpike(5.0, 6.0), error)
+        assert [e is not None for e in effects(sched, 256)] \
+            == [_unit(11, 1, o) < 0.5 for o in range(256)]
+
     def test_seed_changes_the_sampling(self):
         def fires(seed):
-            plan = FaultPlan.of(ReadError(0.0, 1.0, probability=0.5),
-                                seed=seed)
-            return [bool(plan.effects(0.5, o)) for o in range(256)]
+            return [e is not None for e in effects(on_node0(
+                ReadError(0.0, 1.0, probability=0.5), seed=seed), 256)]
         assert fires(1) != fires(2)
 
     def test_inactive_window_contributes_nothing(self):
-        plan = FaultPlan.of(LatencySpike(1.0, 2.0))
-        assert plan.effects(0.5, 0) == []
-        assert plan.effects(1.5, 0) != []
+        injector = FaultInjector(on_node0(
+            LatencySpike(1.0, 2.0)).device_windows(0))
+        assert injector.on_read(0.5, 0, 4096) is None
+        assert injector.on_read(1.5, 0, 4096) is not None
 
     def test_describe_round_trips_parameters(self):
-        plan = FaultPlan.of(Throttle(1.0, 2.0, bandwidth_fraction=0.5))
-        assert plan.describe() == [dict(
-            kind="throttle", start_s=1.0, end_s=2.0,
+        sched = on_node0(Throttle(1.0, 2.0, bandwidth_fraction=0.5))
+        assert sched.describe()["device_faults"] == [dict(
+            node=0, kind="throttle", start_s=1.0, end_s=2.0,
             bandwidth_fraction=0.5)]
 
 
 class TestInjector:
     def test_ordinal_advances_even_without_faults(self):
-        injector = FaultInjector(FaultPlan())
+        injector = FaultInjector(())
         for _ in range(5):
             assert injector.on_read(0.0, 0, 4096) is None
         assert injector.ordinal == 5
         assert injector.summary() == {"reads_sampled": 5}
 
     def test_overlapping_effects_compose(self):
-        plan = FaultPlan.of(
+        windows = (
             LatencySpike(0.0, 1.0, extra_s=0.002),
             Throttle(0.0, 1.0, bandwidth_fraction=0.5),
             TailAmplification(0.0, 1.0, multiplier=4.0, probability=1.0))
-        effect = FaultInjector(plan).on_read(0.5, 0, 4096)
+        effect = FaultInjector(windows).on_read(0.5, 0, 4096)
         assert effect.kind == "latency_spike+throttle+tail_amplification"
         assert effect.extra_s == pytest.approx(0.002)
         assert effect.occupancy_multiplier == pytest.approx(2.0 * 4.0)
 
     def test_injected_counts_attribute_per_kind(self):
-        plan = FaultPlan.of(LatencySpike(0.0, 1.0),
-                            ReadError(0.0, 1.0, probability=0.5))
-        injector = FaultInjector(plan)
+        injector = FaultInjector((LatencySpike(0.0, 1.0),
+                                  ReadError(0.0, 1.0, probability=0.5)))
         for ordinal in range(100):
             injector.on_read(0.5, ordinal * 4096, 4096)
         summary = injector.summary()
@@ -147,7 +171,7 @@ class TestInjector:
     def test_injector_feeds_telemetry(self):
         from repro.obs import RunTelemetry
         telem = RunTelemetry()
-        plan = FaultPlan.of(LatencySpike(0.0, 1.0))
-        injector = FaultInjector(plan, telemetry=telem)
+        injector = FaultInjector((LatencySpike(0.0, 1.0),),
+                                 telemetry=telem)
         injector.on_read(0.5, 0, 4096)
         assert telem.counter("fault_injected_latency_spike").value == 1

@@ -19,8 +19,9 @@ from hypothesis import strategies as st
 
 from repro.errors import StorageError
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import (FaultPlan, LatencySpike, ReadError,
-                               TailAmplification, Throttle)
+from repro.faults.plan import (LatencySpike, ReadError, TailAmplification,
+                               Throttle)
+from repro.faults.schedule import ChaosSchedule
 from repro.obs import RunTelemetry
 from repro.simkernel import Environment
 from repro.storage import (BlockTracer, SimSSD, samsung_990pro_4tb,
@@ -31,15 +32,15 @@ SIZES = (512, 4096, 4096, 8192, 12288, 65536, 131072)
 #: Simulated seconds between batches; zero keeps the channels backed up.
 GAPS = (0.0, 0.0, 1e-6, 20e-6, 300e-6)
 
+#: Device fault schedules; the device is node 0.
 PLANS = {
     "none": None,
-    "empty": FaultPlan(),
-    "faulty": FaultPlan.of(
+    "empty": ChaosSchedule(),
+    "faulty": ChaosSchedule(device_faults=tuple((0, window) for window in (
         LatencySpike(0.0, 0.002, extra_s=0.0005),
         ReadError(0.0005, 0.01, probability=0.3, stall_s=0.004),
         TailAmplification(0.0, 0.01, multiplier=6.0, probability=0.25),
-        Throttle(0.001, 0.003, bandwidth_fraction=0.5),
-        seed=5),
+        Throttle(0.001, 0.003, bandwidth_fraction=0.5))), seed=5),
 }
 
 batches_strategy = st.lists(
@@ -56,7 +57,7 @@ def drive(device_cls, spec, plan, trace, with_telemetry, batches):
     after each."""
     env = Environment()
     telemetry = RunTelemetry() if with_telemetry else None
-    injector = (FaultInjector(plan, telemetry=telemetry)
+    injector = (FaultInjector(plan.device_windows(0), plan.seed, telemetry)
                 if plan is not None else None)
     device = device_cls(env, spec, BlockTracer(enabled=trace),
                         telemetry=telemetry, injector=injector)

@@ -8,14 +8,18 @@ must return bit-identical ids and distances, and both shapes must raise
 the same typed errors.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro import ChaosSchedule, Filter, SearchRequest
+from repro import ChaosSchedule, Filter, ResiliencePolicy, SearchRequest
 from repro.api import (ClusterSession, Deployment, Session, open_cluster,
                        open_engine, open_saved_cluster)
 from repro.cluster import ClusterBenchRunner, ClusterTopology
+from repro.engines import get_profile
 from repro.errors import CollectionNotFoundError, EngineError
+from repro.faults import LatencySpike
 from repro.mutate import MutationLoad
 from repro.serve import PoissonArrivals, ServeConfig, TenantLoad
 from repro.workload.runner import BenchRunner
@@ -148,7 +152,31 @@ def test_cluster_run_bench_forwards_cluster_options(two_shards,
     assert run.recall == pytest.approx(1.0)
     assert run.faults["quorum_waits"] > 0
     with pytest.raises(TypeError):              # an engine-only option
-        two_shards.run_bench("docs", small_queries, fault_plan=None)
+        two_shards.run_bench("docs", small_queries, trace=True)
+
+
+@pytest.mark.parametrize("shape", ["engine", "cluster"])
+def test_run_bench_takes_the_same_fault_arguments(shape, small_data,
+                                                  small_queries):
+    # Caches off so reads reach node 0's device: the engine itself, or
+    # the cluster's first data node.
+    profile = dataclasses.replace(get_profile("milvus"),
+                                  diskann_cache_bytes=0,
+                                  diskann_lru_bytes=0)
+    deployment = (open_engine(profile) if shape == "engine" else
+                  open_cluster(ClusterTopology(n_shards=2), profile))
+    deployment.create("docs", small_data.shape[1], index="diskann")
+    deployment.insert("docs", small_data, flush=True)
+    chaos = ChaosSchedule(device_faults=(
+        (0, LatencySpike(0.0, 1.0, extra_s=0.001)),))
+    options = dict(concurrency=2, duration_s=0.05, telemetry=True,
+                   resilience=ResiliencePolicy())
+    healthy = deployment.run_bench("docs", small_queries, **options)
+    faulted = deployment.run_bench("docs", small_queries, chaos=chaos,
+                                   **options)
+    spikes = faulted.telemetry.counter("fault_injected_latency_spike")
+    assert spikes.value > 0
+    assert faulted.p99_latency_s > healthy.p99_latency_s
 
 
 def test_cluster_serve(two_shards, small_queries):

@@ -8,9 +8,19 @@ block trace should now contain writes alongside the 4 KiB reads.
 from conftest import run_once
 from repro.core.figures import get_runner, tuned_params
 from repro.core.report import format_table
-from repro.workload.runner import WriteLoad
+from repro.mutate import CompactionPolicy, MutationLoad
+from repro.mutate.simproc import ROW_BYTES
 
 DATASET = "cohere-10m"
+
+
+def wal_stream(bytes_per_flush: int, interval_s: float) -> MutationLoad:
+    """Insert-only WAL traffic: *bytes_per_flush* every *interval_s*
+    seconds into a circular log, with compaction out of reach."""
+    rows = bytes_per_flush // ROW_BYTES
+    return MutationLoad(insert_qps=rows / interval_s, delete_qps=0,
+                        batch_rows=rows,
+                        policy=CompactionPolicy(delta_rows=2**62))
 
 
 def run_pair():
@@ -18,9 +28,7 @@ def run_pair():
     params = tuned_params("milvus-diskann", DATASET)
     read_only = runner.run(16, params, duration_s=2.0)
     hybrid = runner.run(16, params, duration_s=2.0,
-                        write_load=WriteLoad(writers=4,
-                                             bytes_per_flush=512 * 1024,
-                                             interval_s=0.001))
+                        mutation=wal_stream(4 * 512 * 1024, 0.001))
     return read_only, hybrid
 
 
@@ -47,7 +55,7 @@ def test_bench_hybrid_trace_contains_writes():
     runner = get_runner("milvus-diskann", DATASET)
     params = tuned_params("milvus-diskann", DATASET)
     result = runner.run(8, params, duration_s=1.0, trace=True,
-                        write_load=WriteLoad(writers=2))
+                        mutation=wal_stream(2 * 64 * 1024, 0.002))
     ops = {record.op for record in result.tracer.records}
     assert ops == {"R", "W"}
     # Reads stay pure 4 KiB even with the write stream interleaved.

@@ -365,7 +365,7 @@ class Deployment:
         engine is node 0 and takes only its device faults) and
         ``resilience`` (see :mod:`repro.faults`).  An engine's
         :meth:`~repro.workload.runner.BenchRunner.run` also takes
-        ``trace`` / ``write_load``, a cluster's
+        ``trace`` / ``mutation``, a cluster's
         :meth:`~repro.cluster.ClusterBenchRunner.run` ``consistency`` /
         ``hedge_after_s`` / ``deadline_s``.  Build the runner directly
         for sweeps that should reuse its compiled plans across

@@ -35,10 +35,12 @@ import numpy as np
 from repro.ann.workprofile import SearchResult, WorkProfile
 from repro.cluster.merge import merge_topk
 from repro.cluster.topology import ClusterTopology
+from repro.durability.atomic import atomic_write_bytes
 from repro.engines.engine import (IndexSpec, SearchRequest, VectorEngine,
                                   merge_works)
 from repro.engines.profiles import EngineProfile, get_profile
-from repro.errors import ClusterError, CollectionNotFoundError, EngineError
+from repro.errors import (ClusterError, CollectionNotFoundError,
+                          CorruptionError, EngineError)
 
 if t.TYPE_CHECKING:
     from repro.engines.payload import Filter, Payload
@@ -368,7 +370,9 @@ class Cluster:
                                     for l2g in meta.local_to_global],
             } for meta in self._collections.values()],
         }
-        (root / _MANIFEST).write_text(json.dumps(manifest, indent=1))
+        atomic_write_bytes(root / _MANIFEST,
+                           json.dumps(manifest, indent=1).encode(),
+                           label="cluster-manifest")
 
     @classmethod
     def load(cls, path: str | Path) -> "Cluster":
@@ -382,13 +386,34 @@ class Cluster:
         manifest_path = root / _MANIFEST
         if not manifest_path.is_file():
             raise ClusterError(f"no cluster manifest at {root}")
-        manifest = json.loads(manifest_path.read_text())
-        topo_d = dict(manifest["topology"])
-        topo_d["network"] = NetworkSpec(**topo_d["network"])
-        topology = ClusterTopology(**topo_d)
+        try:
+            manifest = json.loads(manifest_path.read_text())
+            topo_d = dict(manifest["topology"])
+            topo_d["network"] = NetworkSpec(**topo_d["network"])
+            seed = manifest["seed"]
+            routing = {int(s): list(nodes)
+                       for s, nodes in manifest["routing"].items()}
+            topology = ClusterTopology(**topo_d)
+            sharded = {}
+            for entry in manifest["collections"]:
+                spec = IndexSpec.of(entry["index_kind"], entry["metric"],
+                                    **entry["index_params"])
+                l2g = [np.asarray(part, dtype=np.int64)
+                       for part in entry["local_to_global"]]
+                g2l = {int(g): (shard, local)
+                       for shard, part in enumerate(l2g)
+                       for local, g in enumerate(part)}
+                sharded[entry["name"]] = ShardedCollection(
+                    entry["name"], entry["dim"], spec, entry["storage_dim"],
+                    local_to_global=l2g, global_to_local=g2l,
+                    next_global=entry["next_global"])
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise CorruptionError(
+                f"unreadable cluster manifest {manifest_path}: {exc!r}",
+                file=_MANIFEST) from exc
         cluster = cls.__new__(cls)
         cluster.topology = topology
-        cluster.seed = manifest["seed"]
+        cluster.seed = seed
         cluster.nodes = []
         for node_id in range(topology.total_nodes):
             engine = VectorEngine.load(root / f"node-{node_id}")
@@ -396,23 +421,10 @@ class Cluster:
             node.node_id, node.engine = node_id, engine
             cluster.nodes.append(node)
         cluster.profile = cluster.nodes[0].engine.profile
-        cluster.routing = {int(s): list(nodes) for s, nodes
-                           in manifest["routing"].items()}
-        cluster._collections = {}
+        cluster.routing = routing
+        cluster._collections = sharded
         cluster._oplog = {s: [] for s in range(topology.n_shards)}
         cluster.applied = collections.Counter()
-        for entry in manifest["collections"]:
-            spec = IndexSpec.of(entry["index_kind"], entry["metric"],
-                                **entry["index_params"])
-            l2g = [np.asarray(part, dtype=np.int64)
-                   for part in entry["local_to_global"]]
-            g2l = {int(g): (shard, local)
-                   for shard, part in enumerate(l2g)
-                   for local, g in enumerate(part)}
-            cluster._collections[entry["name"]] = ShardedCollection(
-                entry["name"], entry["dim"], spec, entry["storage_dim"],
-                local_to_global=l2g, global_to_local=g2l,
-                next_global=entry["next_global"])
         return cluster
 
     # -- internals --------------------------------------------------------

@@ -1,4 +1,4 @@
-"""A write-ahead log for durability and write-traffic modeling.
+"""A write-ahead log for durability and log-size accounting.
 
 Two roles:
 
@@ -7,9 +7,14 @@ Two roles:
   replaying the log, and the log persists to a checksummed,
   record-framed file (:mod:`repro.durability.walio`) whose recovery
   truncates torn tails;
-* **I/O modeling** — each entry knows its serialized size, so the
-  hybrid read/write workload benchmark (paper Section VIII future work)
-  can issue correspondingly sized writes to the simulated device.
+* **size accounting** — each entry estimates its serialized size
+  (:meth:`WalEntry.entry_bytes`), summed by
+  :meth:`WriteAheadLog.total_bytes` and by :attr:`DeltaLog.nbytes
+  <repro.mutate.DeltaLog.nbytes>` (the bytes a recovery would replay).
+  No simulated device write is sized from it: the timing layer's WAL
+  flushes are sized by :class:`~repro.mutate.MutationLoad`
+  (``ROW_BYTES`` per inserted row, ``TOMBSTONE_BYTES`` per delete; see
+  :mod:`repro.mutate.simproc`).
 
 Checkpointing and truncation are *separate* operations.
 ``checkpoint()`` records that everything logged so far is durable in

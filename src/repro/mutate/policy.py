@@ -11,6 +11,7 @@ and same-seed runs compact at identical simulated times.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 
 from repro.errors import EngineError
 
@@ -45,9 +46,11 @@ class CompactionPolicy:
     tombstone_fraction: float = 0.2
 
     def __post_init__(self) -> None:
-        if self.delta_rows < 1:
-            raise EngineError(
-                f"delta_rows threshold must be >= 1: {self.delta_rows}")
+        if (isinstance(self.delta_rows, bool)
+                or not isinstance(self.delta_rows, numbers.Integral)
+                or self.delta_rows < 1):
+            raise EngineError(f"delta_rows threshold must be an integer "
+                              f">= 1: {self.delta_rows!r}")
         if not 0.0 < self.tombstone_fraction <= 1.0:
             raise EngineError(f"tombstone_fraction must be in (0, 1]: "
                               f"{self.tombstone_fraction}")

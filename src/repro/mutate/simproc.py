@@ -8,14 +8,17 @@ background compactions on the same simulated SSD and core pool that
 serve queries, so write interference and the compaction window show up
 in query latencies, spans, and device counters.
 
-Three simulated processes per serving run:
+Three simulated processes per run, on a closed loop
+(:meth:`BenchRunner.run <repro.workload.runner.BenchRunner.run>`) or a
+serving run alike:
 
-* an **ingest** process appends insert batches to a circular WAL
+* an **ingest** stream appends insert batches to a circular WAL
   region (record-framed rows, ``device.submit(..., "W")`` plus
   submission CPU), growing the delta accounted by
   :class:`MutationState`;
-* a **delete** process appends tombstone records the same way (tiny
-  frames — a delete never touches the snapshot);
+* a **delete** stream appends tombstone records through the same
+  circular-log writer (tiny frames — a delete never touches the
+  snapshot);
 * when the :class:`~repro.mutate.policy.CompactionPolicy` threshold is
   crossed, a **compaction** process reads the whole base snapshot plus
   the delta, spends rebuild CPU, writes the merged snapshot, and
@@ -34,6 +37,8 @@ the schedule.
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 import typing as t
 
 from repro.errors import WorkloadError
@@ -80,7 +85,7 @@ class MutationLoad:
     >>> MutationLoad(insert_qps=-1)
     Traceback (most recent call last):
         ...
-    repro.errors.WorkloadError: insert_qps must be >= 0: -1
+    repro.errors.WorkloadError: insert_qps must be finite and >= 0: -1
     """
 
     #: Mean sustained insert rate, rows per simulated second.
@@ -98,16 +103,20 @@ class MutationLoad:
     write_amplification: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.insert_qps < 0:
-            raise WorkloadError(
-                f"insert_qps must be >= 0: {self.insert_qps}")
-        if self.delete_qps < 0:
-            raise WorkloadError(
-                f"delete_qps must be >= 0: {self.delete_qps}")
-        if self.batch_rows < 1:
-            raise WorkloadError(f"bad mutation batch shape: {self}")
-        if self.rebuild_cpu_per_row_s < 0 or self.write_amplification <= 0:
-            raise WorkloadError(f"bad compaction cost model: {self}")
+        for name in ("insert_qps", "delete_qps", "rebuild_cpu_per_row_s"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise WorkloadError(
+                    f"{name} must be finite and >= 0: {value!r}")
+        if (isinstance(self.batch_rows, bool)
+                or not isinstance(self.batch_rows, numbers.Integral)
+                or self.batch_rows < 1):
+            raise WorkloadError(f"batch_rows must be an integer >= 1: "
+                                f"{self.batch_rows!r}")
+        if not (math.isfinite(self.write_amplification)
+                and self.write_amplification > 0):
+            raise WorkloadError(f"write_amplification must be finite and "
+                                f"> 0: {self.write_amplification!r}")
 
     @property
     def flush_interval_s(self) -> float:
@@ -124,9 +133,11 @@ class MutationLoad:
 class MutationStats:
     """Immutable roll-up of one run's mutation traffic.
 
-    Attached to :class:`~repro.serve.ServeResult` as ``mutation`` when
-    the serving config carried a :class:`MutationLoad` (on a cluster,
-    summed over the shards by :func:`mutation_stats`).
+    Attached as ``mutation`` to a :class:`~repro.serve.ServeResult`
+    whose config carried a :class:`MutationLoad` (on a cluster, summed
+    over the shards by :func:`mutation_stats`) and to the
+    :class:`~repro.workload.metrics.RunResult` of a closed loop run
+    with one.
     """
 
     inserted_rows: int
@@ -249,44 +260,30 @@ def _start_stream(host: "QueryReplayer", runner: "BenchRunner",
             state.compacting = True
             env.process(compaction())
 
-    def ingest():
-        log_size = 256 * load.flush_bytes
-        base = runner._allocator.allocate(log_size)
-        position = 0
-        while env.now < duration_s:
-            yield env.timeout(load.flush_interval_s)
-            requests, position = chunked(base, position, load.flush_bytes,
-                                         log_size)
-            yield cores.hold(len(requests) * spec.cpu_per_request_s)
-            yield device.submit(requests, "W")
-            state.inserted_rows += load.batch_rows
-            state.delta_rows += load.batch_rows
-            state.wal_flushes += 1
-            state.wal_bytes += load.flush_bytes
-            if telemetry is not None:
-                telemetry.on_event("mutate", "insert_rows", load.batch_rows)
-                telemetry.on_event("mutate", "wal_flushes")
-                telemetry.on_event("mutate", "wal_bytes", load.flush_bytes)
-            maybe_compact()
-
-    def deleter():
-        flush_bytes = load.batch_rows * TOMBSTONE_BYTES
+    def wal_appender(kind: str, flush_bytes: int, interval_s: float):
+        """Append one ``kind`` ("insert" or "delete") batch of
+        ``load.batch_rows`` rows to a circular WAL region every
+        *interval_s* seconds."""
         log_size = 256 * flush_bytes
         base = runner._allocator.allocate(log_size)
         position = 0
-        interval = load.batch_rows / load.delete_qps
+        rows = load.batch_rows
         while env.now < duration_s:
-            yield env.timeout(interval)
+            yield env.timeout(interval_s)
             requests, position = chunked(base, position, flush_bytes,
                                          log_size)
             yield cores.hold(len(requests) * spec.cpu_per_request_s)
             yield device.submit(requests, "W")
-            state.deleted_rows += load.batch_rows
-            state.tombstones += load.batch_rows
+            if kind == "insert":
+                state.inserted_rows += rows
+                state.delta_rows += rows
+            else:
+                state.deleted_rows += rows
+                state.tombstones += rows
             state.wal_flushes += 1
             state.wal_bytes += flush_bytes
             if telemetry is not None:
-                telemetry.on_event("mutate", "delete_rows", load.batch_rows)
+                telemetry.on_event("mutate", f"{kind}_rows", rows)
                 telemetry.on_event("mutate", "wal_flushes")
                 telemetry.on_event("mutate", "wal_bytes", flush_bytes)
             maybe_compact()
@@ -360,7 +357,10 @@ def _start_stream(host: "QueryReplayer", runner: "BenchRunner",
         maybe_compact()
 
     if load.insert_qps > 0:
-        env.process(ingest())
+        env.process(wal_appender("insert", load.flush_bytes,
+                                 load.flush_interval_s))
     if load.delete_qps > 0:
-        env.process(deleter())
+        env.process(wal_appender("delete",
+                                 load.batch_rows * TOMBSTONE_BYTES,
+                                 load.batch_rows / load.delete_qps))
     return state

@@ -2,7 +2,7 @@
 
 from repro.workload.metrics import (RunResult, Summary, geometric_mean,
                                     percentile, summarize)
-from repro.workload.runner import (BenchRunner, CompiledQuery, WriteLoad,
+from repro.workload.runner import (BenchRunner, CompiledQuery,
                                    work_extrapolation)
 from repro.workload.setup import (SETUPS, SetupSpec, make_runner,
                                   prepare_collection, setup_names)
@@ -14,7 +14,6 @@ __all__ = [
     "SETUPS",
     "SetupSpec",
     "Summary",
-    "WriteLoad",
     "geometric_mean",
     "make_runner",
     "percentile",

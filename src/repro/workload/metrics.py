@@ -19,6 +19,9 @@ from repro.errors import WorkloadError
 from repro.obs import RunTelemetry
 from repro.storage.tracer import BlockTracer
 
+if t.TYPE_CHECKING:
+    from repro.mutate.simproc import MutationStats
+
 
 @dataclasses.dataclass
 class RunResult:
@@ -51,6 +54,9 @@ class RunResult:
     #: :class:`~repro.errors.DegradedResult` (substituted parameters and
     #: degraded-query ratio).
     faults: dict[str, t.Any] | None = None
+    #: WAL-flush and compaction accounting when the run carried a
+    #: :class:`repro.mutate.MutationLoad`; ``None`` on read-only runs.
+    mutation: "MutationStats | None" = None
 
     @property
     def failed(self) -> bool:

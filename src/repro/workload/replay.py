@@ -36,6 +36,7 @@ from repro.simkernel import Environment, Resource
 from repro.workload.metrics import RunResult, percentiles
 
 if t.TYPE_CHECKING:
+    from repro.mutate.simproc import MutationStats
     from repro.workload.runner import BenchRunner, QueryReplayer
 
 
@@ -183,7 +184,8 @@ def run_result(runner: "BenchRunner", session: ReplaySession,
                tally: LoopTally, concurrency: int,
                params: dict[str, t.Any], recall: float | None,
                faults: dict[str, t.Any] | None,
-               trace: bool = False) -> RunResult:
+               trace: bool = False,
+               mutation: "MutationStats | None" = None) -> RunResult:
     """Assemble the :class:`RunResult` of a drained closed loop.
 
     Utilisations are means over the session's core pools and devices,
@@ -216,4 +218,5 @@ def run_result(runner: "BenchRunner", session: ReplaySession,
         tracer=devices[0].tracer if trace else None,
         telemetry=session.telemetry,
         faults=faults,
+        mutation=mutation,
     )

@@ -47,6 +47,8 @@ from repro.engines.profiles import PAPER_CPU_CORES
 from repro.errors import DegradedResult, OutOfMemoryError, WorkloadError
 from repro.faults import (ChaosSchedule, FaultInjector, PressureTracker,
                           ResiliencePolicy, degraded_search_params)
+from repro.mutate.simproc import (MutationLoad, mutation_stats,
+                                  start_mutation_load)
 from repro.obs import RunTelemetry
 from repro.simkernel import Environment, Resource
 from repro.storage.blockfile import ExtentAllocator
@@ -61,59 +63,6 @@ from repro.workload.replay import (ReplaySession, closed_loop, oom_result,
 #: demand round — ('pf', requests) — a non-blocking speculative issue —
 #: or ('join', None) — a barrier on all in-flight speculative reads.
 CompiledStep = tuple[str, t.Any]
-
-
-@dataclasses.dataclass(frozen=True)
-class WriteLoad:
-    """A concurrent write stream (the paper's Section VIII extension).
-
-    Models WAL/segment-flush traffic running alongside searches:
-    ``writers`` background threads each issue a ``bytes_per_flush``
-    write every ``interval_s`` seconds into a circular log region.  NAND
-    read/write interference then emerges from channel contention in the
-    device model.
-    """
-
-    writers: int = 1
-    bytes_per_flush: int = 64 * 1024
-    interval_s: float = 0.002
-
-    def __post_init__(self) -> None:
-        if self.writers < 1 or self.bytes_per_flush < 1:
-            raise WorkloadError(f"bad write load: {self}")
-
-
-def start_write_load(host: "QueryReplayer", runner: "BenchRunner",
-                     load: WriteLoad, duration_s: float) -> None:
-    """Spawn *load*'s writer processes on *host*.
-
-    Each writer flushes into its own circular log region, sharing the
-    host's device and core pool with whatever query processes the
-    caller spawns next.
-    """
-    env, device, cores = host.env, host.device, host.cores
-    spec = runner.device_spec
-    log_size = 256 * load.bytes_per_flush
-
-    def writer():
-        base = runner._allocator.allocate(log_size)
-        position = 0
-        while env.now < duration_s:
-            yield env.timeout(load.interval_s)
-            remaining = load.bytes_per_flush
-            requests = []
-            while remaining > 0:
-                size = min(remaining, spec.max_request_bytes)
-                if position + size > log_size:
-                    position = 0  # circular log wrap
-                requests.append((base + position, size))
-                position += size
-                remaining -= size
-            yield cores.hold(len(requests) * spec.cpu_per_request_s)
-            yield device.submit(requests, "W")
-
-    for _ in range(load.writers):
-        env.process(writer())
 
 
 def work_extrapolation(index_kind: str, n: int,
@@ -666,7 +615,7 @@ class BenchRunner:
     def run(self, concurrency: int, search_params: dict | None = None,
             duration_s: float = 4.0, max_queries: int = 25_000,
             trace: bool = False, phase: int = 0,
-            write_load: WriteLoad | None = None,
+            mutation: MutationLoad | None = None,
             telemetry: RunTelemetry | bool | None = None,
             chaos: ChaosSchedule | None = None,
             resilience: ResiliencePolicy | None = None) -> RunResult:
@@ -699,6 +648,13 @@ class BenchRunner:
         :class:`~repro.errors.FaultError`.  With degradation enabled,
         the reported recall is the completion-weighted mix of the full
         and degraded plans' compile-time recalls.
+
+        ``mutation`` runs a write stream beside the clients — the same
+        :class:`~repro.mutate.MutationLoad` a serving run takes in
+        :attr:`ServeConfig.mutation <repro.serve.ServeConfig.mutation>`:
+        WAL flushes and threshold-triggered compactions on this host's
+        device and cores.  ``result.mutation`` then holds its
+        :class:`~repro.mutate.MutationStats`.
         """
         telem = RunTelemetry() if telemetry is True else (telemetry or None)
         params = dict(search_params or {})
@@ -742,8 +698,9 @@ class BenchRunner:
                 if degraded and span is not None:
                     span.degraded = True
 
-        if write_load is not None:
-            start_write_load(host, self, write_load, duration_s)
+        states = (start_mutation_load(session, self, mutation, duration_s,
+                                      telemetry=telem)
+                  if mutation is not None else ())
         tally = closed_loop(session, self, concurrency, duration_s,
                             max_queries, phase, pick, record)
         tally.require_completions(
@@ -781,7 +738,8 @@ class BenchRunner:
                 if delta:
                     telem.counter(name).inc(delta)
         return run_result(self, session, tally, concurrency, params,
-                          recall, faults, trace)
+                          recall, faults, trace,
+                          mutation_stats(states) if states else None)
 
     #: Counter names that predate the generic per-kind scheme; kept so
     #: existing dashboards/tests keep their series.

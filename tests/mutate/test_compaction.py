@@ -88,7 +88,8 @@ class TestPolicy:
 
     @pytest.mark.parametrize("kwargs", [
         {"delta_rows": 0}, {"tombstone_fraction": 0.0},
-        {"tombstone_fraction": 1.5}])
+        {"tombstone_fraction": 1.5}, {"delta_rows": 2.5},
+        {"delta_rows": True}])
     def test_validation(self, kwargs):
         with pytest.raises(EngineError):
             CompactionPolicy(**kwargs)

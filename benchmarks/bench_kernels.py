@@ -20,8 +20,10 @@ under ``tests/``: the Vamana build (rows/s, graphs compared edge by
 edge), the DiskANN beam search (queries/s; ids, distance bytes, work
 steps and cache counters compared), CRC-32C (MB/s, digests compared)
 and the replay path — ``Resource.hold`` (events/s of a closed loop;
-firing logs compared) and ``SimSSD.submit`` (us per call; completion
-delays and channel state compared).  Those sections exit non-zero on
+firing logs compared), ``SimSSD.submit`` (us per call; completion
+delays and channel state compared) and the closed-loop replay itself
+(passes/s of a DiskANN concurrency sweep; simulated numbers and event
+counts compared).  Those sections exit non-zero on
 any *inequality*; no section fails on a speed.
 """
 
@@ -50,6 +52,7 @@ from tests.ann import reference_diskann, reference_vamana  # noqa: E402
 from tests.durability import reference_crc32c  # noqa: E402
 from tests.simkernel import reference_resources  # noqa: E402
 from tests.storage import reference_device  # noqa: E402
+from tests.workload import reference_replay  # noqa: E402
 
 
 def best_of(fn, repeats: int = 3) -> float:
@@ -257,6 +260,67 @@ def bench_submit(n_batches: int) -> bool:
     return same
 
 
+def bench_replay(n: int, passes: int) -> bool:
+    """Closed-loop replay passes/s shaped like ``kf1-replay``: one
+    DiskANN runner at 1, 16 and 256 clients, the shipped callback
+    cursor vs the generator replay of ``tests/workload/
+    reference_replay.py``.  True iff every level's simulated numbers
+    are equal and the reference spends exactly one event per client
+    more (the clients' completion events)."""
+    from repro.engines import IndexSpec, VectorEngine
+    from repro.workload import BenchRunner
+
+    data = make_vectors(n, 96, n_clusters=16, seed=9, latent_dim=32)
+    queries = make_vectors(64, 96, n_clusters=8, seed=10, latent_dim=32)
+    engine = VectorEngine("milvus")
+    engine.create_collection("replay", 96, IndexSpec.of(
+        "diskann", R=16, L_build=32), storage_dim=768)
+    engine.insert("replay", data)
+    engine.flush("replay")
+    runner = BenchRunner(engine, "replay", queries)
+    params = {"search_list": 50}
+    runner.compiled_results(params)
+    levels = (1, 16, 256)
+    envs = []
+    opener = BenchRunner.open_replay
+
+    def open_replay(self, *args, **kwargs):
+        session = opener(self, *args, **kwargs)
+        envs.append(session.env)
+        return session
+
+    def one_pass():
+        out = []
+        for clients in levels:
+            result = runner.run(clients, params, duration_s=float("inf"),
+                                max_queries=max(100, 4 * clients))
+            out.append((result.completed, result.qps, result.p99_latency_s,
+                        result.read_bytes, result.cpu_utilization,
+                        envs[-1].events_processed))
+        return out
+
+    BenchRunner.open_replay = open_replay
+    try:
+        one_pass()                                 # warm-up, untimed
+        got, cursor_s = timed(lambda: [one_pass() for _ in range(passes)])
+        with reference_replay.installed():
+            want, reference_s = timed(
+                lambda: [one_pass() for _ in range(passes)])
+    finally:
+        BenchRunner.open_replay = opener
+    same = all(
+        mine[:-1] == theirs[:-1] and theirs[-1] - mine[-1] == clients
+        for run_got, run_want in zip(got, want)
+        for clients, mine, theirs in zip(levels, run_got, run_want))
+    events = sum(level[-1] for level in got[0])
+    print(f"  replay   n={n} c={'/'.join(map(str, levels))}: reference "
+          f"{passes / reference_s:5.2f} passes/s  current "
+          f"{passes / cursor_s:5.2f} passes/s "
+          f"({reference_s / cursor_s:4.2f}x)  {events} events/pass  "
+          f"results {'identical' if same else 'DIFFER'}")
+    return same
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true")
@@ -276,6 +340,8 @@ def main() -> int:
     print("replay path vs its reference implementations (single run):")
     equal.append(bench_hold(16, 2_000 if args.quick else 10_000))
     equal.append(bench_submit(20_000 if args.quick else 100_000))
+    equal.append(bench_replay(400 if args.quick else 1_000,
+                              2 if args.quick else 5))
     return 0 if all(equal) else 1
 
 

@@ -60,8 +60,8 @@ from repro.obs import RunTelemetry
 from repro.simkernel import Environment, Network, Resource
 from repro.storage.spec import DeviceSpec, samsung_990pro_4tb
 from repro.workload.metrics import RunResult
-from repro.workload.replay import (ReplaySession, closed_loop, oom_result,
-                                   run_result)
+from repro.workload.replay import (ReplaySession, check_loop, closed_loop,
+                                   oom_result, run_result)
 from repro.workload.runner import (BenchRunner, CompiledQuery, QueryReplayer,
                                    open_host)
 
@@ -151,7 +151,7 @@ class _QueryOutcome:
 class ClusterReplayer:
     """The coordinator: fans queries out over the cluster and merges.
 
-    Shares :meth:`query_proc`'s signature with the per-node
+    Shares :meth:`start` and :meth:`query_proc` with the per-node
     :class:`~repro.workload.runner.QueryReplayer`, so the closed-loop
     driver and the serving layer dispatch onto either one unchanged.
     One instance drives one :class:`ClusterReplaySession`'s timeline.
@@ -372,6 +372,12 @@ class ClusterReplayer:
             for _ in range(need)])
 
     # -- the coordinator query ---------------------------------------------
+
+    def start(self, plan: ClusterPlan, span, fixed_cpu: float,
+              then: t.Callable[[bool], None]) -> None:
+        """:meth:`query_proc` for callback callers (the closed loop, the
+        server): run inline, with ``then(failed)`` at its return."""
+        self.env.drive(self.query_proc(plan, span, fixed_cpu), then)
 
     def query_proc(self, plan: ClusterPlan, span=None,
                    fixed_cpu: float = 0.0):
@@ -646,6 +652,7 @@ class ClusterBenchRunner:
         their completed-shard merge) and ``result.faults["degraded"]``
         carries the :class:`~repro.errors.DegradedResult`.
         """
+        check_loop(concurrency, duration_s, max_queries, phase)
         telem = RunTelemetry() if telemetry is True else (telemetry or None)
         params = dict(search_params or {})
         try:

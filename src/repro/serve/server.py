@@ -16,8 +16,9 @@ simulated hardware — into a *service* facing offered load:
    ``batch_cap``), amortizing the engine's fixed per-query CPU cost
    over the dispatched batch — the open-loop analogue of the closed
    loop's static ``min(concurrency, batch_cap)`` amortization; each
-   query's service is started with
-   :meth:`~repro.simkernel.Environment.spawn`, since nothing joins it;
+   query's service starts on its own zero-delay event and replays
+   through the replayer's ``start``, whose completion callback
+   dispatches again;
 4. with shedding enabled, a popped query whose SLO deadline has
    already passed is **shed** instead of dispatched — its service
    time would be pure waste, and dropping it is what keeps goodput
@@ -33,6 +34,7 @@ Serving is open-loop only; the closed loop is :meth:`BenchRunner.run
 from __future__ import annotations
 
 import dataclasses
+import functools
 import numbers
 import typing as t
 
@@ -339,14 +341,18 @@ class Server:
             return config.max_inflight
 
         def service(query: QueuedQuery, record: _QueryRecord,
-                    fixed_cpu: float):
+                    fixed_cpu: float, _boot: t.Any) -> None:
             plan, cold = self._plan_for(session, query)
             span = (telem.begin_query(query.seq, query.index, query.tenant,
                                       cold, record.arrival_s)
                     if telem is not None else None)
             if span is not None and record.queue_s > 0:
                 span.add_stage("queue", record.queue_s)
-            failed = yield from replayer.query_proc(plan, span, fixed_cpu)
+            replayer.start(plan, span, fixed_cpu, functools.partial(
+                completion, query, record, span))
+
+        def completion(query: QueuedQuery, record: _QueryRecord,
+                       span: t.Any, failed: bool) -> None:
             record.end_s = env.now
             record.failed = bool(failed)
             if span is not None:
@@ -401,7 +407,8 @@ class Server:
                                           dispatch_s=env.now)
                     tallies[query.tenant].records.append(record)
                     state["inflight"] += 1
-                    env.spawn(service(query, record, fixed_cpu))
+                    env.timeout(0.0).callbacks.append(functools.partial(
+                        service, query, record, fixed_cpu))
 
         def arrival(seq: int) -> None:
             when, tenant = schedule[seq]
@@ -434,6 +441,10 @@ class Server:
 
         env.timeline([when for when, _tenant in schedule], arrival)
         env.run()
+        # ``dispatch``, ``service`` and ``completion`` refer to each
+        # other: unlink them, or the server, its records and the
+        # session outlive the run until the next full collection.
+        dispatch = service = completion = None  # noqa: F841
         final = limit()
         return self._result(session, tallies, batches=state["batches"],
                             max_depth=state["max_depth"],

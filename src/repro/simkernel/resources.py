@@ -15,7 +15,7 @@ from heapq import heappush
 
 from repro.errors import SimulationError
 from repro.simkernel.env import Environment
-from repro.simkernel.events import Event
+from repro.simkernel.events import _PENDING, Event
 
 
 class Resource:
@@ -48,8 +48,13 @@ class Resource:
 
     def request(self) -> Event:
         """Return an event that fires once a slot is granted."""
+        grant = Event(self.env)
+        self._acquire(grant)
+        return grant
+
+    def _acquire(self, grant: Event) -> None:
+        # Push *grant* now if a slot is free, else queue it for release.
         env = self.env
-        grant = Event(env)
         if self.telemetry is not None:
             self.telemetry.observe_queue_depth(self.name, len(self._queue))
         if self._in_use < self.capacity:
@@ -61,7 +66,6 @@ class Resource:
             heappush(env._heap, (now, next(env._counter), grant))
         else:
             self._queue.append(grant)
-        return grant
 
     def release(self) -> None:
         """Free one slot, handing it to the oldest waiter if any."""
@@ -107,9 +111,34 @@ class Resource:
             heappush(env._heap,
                      (env._now + duration, next(env._counter), done))
 
-        # request(), inlined: this is the replay's per-CPU-step path.
         grant = Event(env)
         grant.callbacks.append(start)
+        self._acquire(grant)
+        return done
+
+    def hold_then(self, duration: float,
+                  then: t.Callable[[Event], None]) -> None:
+        """:meth:`hold`, calling ``then(event)`` where the event fires.
+
+        The continuation form for callers that are callbacks, not
+        processes: the same two heap entries with the same tie keys,
+        but the grant itself is re-armed as the hold's end at ``now +
+        duration`` (callbacks ``[release, then]``), so a CPU step costs
+        one event object and no closure.
+        """
+        if not duration >= 0:                 # also rejects NaN
+            raise SimulationError(
+                f"negative or NaN hold duration: {duration}")
+        env = self.env
+        # Event.__init__ and _acquire(), inlined: the replay's per-CPU-
+        # step path.
+        grant = _Hold.__new__(_Hold)
+        grant.env = env
+        grant.callbacks = [_rearm]
+        grant.processed = False
+        grant.resource = self
+        grant.duration = duration
+        grant.then = then
         if self.telemetry is not None:
             self.telemetry.observe_queue_depth(self.name, len(self._queue))
         if self._in_use < self.capacity:
@@ -120,8 +149,8 @@ class Resource:
             grant._value = None
             heappush(env._heap, (now, next(env._counter), grant))
         else:
+            grant._value = _PENDING
             self._queue.append(grant)
-        return done
 
     def use(self, duration: float) -> t.Generator[Event, t.Any, None]:
         """A process fragment: ``yield from resource.use(t)``.
@@ -155,3 +184,37 @@ class Resource:
         if not duration > 0:                  # also rejects NaN
             raise SimulationError(f"non-positive duration: {duration}")
         return self.busy_time() / (self.capacity * duration)
+
+
+class _Hold(Event):
+    """A :meth:`Resource.hold_then` grant that becomes the hold's end.
+
+    The duration has its own slot: a queued grant is pushed by
+    :meth:`Resource.release` through ``succeed(None)``, which needs
+    ``_value`` pending.
+    """
+
+    __slots__ = ("resource", "duration", "then")
+
+
+def _rearm(grant: _Hold) -> None:
+    # Where ``hold`` pushes its done event: at the grant's pop.
+    grant.processed = False
+    grant.callbacks = [_end]
+    env = grant.env
+    heappush(env._heap,
+             (env._now + grant.duration, next(env._counter), grant))
+
+
+def _end(grant: _Hold) -> None:
+    # ``hold``'s done callbacks: release first, then the continuation.
+    resource = grant.resource
+    if resource._queue:       # Resource._release, inlined
+        resource._queue.popleft().succeed(None)
+    else:
+        now = grant.env._now
+        resource._busy_integral += resource._in_use * (
+            now - resource._last_change)
+        resource._last_change = now
+        resource._in_use -= 1
+    grant.then(grant)

@@ -12,7 +12,8 @@ This module is that protocol, once:
 * a :class:`ReplaySession` binds compiled cold/warm plans to one fresh
   timeline: its hosts, the top-level ``replayer`` queries are issued
   to, and the only cold/warm tracker (:meth:`ReplaySession.plan_for`);
-* :func:`closed_loop` is the only client generator;
+* :func:`closed_loop` is the only closed-loop client (callbacks over
+  the replayer's ``start``);
 * :func:`run_result` / :func:`oom_result` assemble the
   :class:`~repro.workload.metrics.RunResult`.
 
@@ -26,6 +27,8 @@ session they open, the plan they pick and what they record.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import numbers
 import typing as t
 
 import numpy as np
@@ -48,14 +51,15 @@ class ReplaySession:
     host, which is also its ``replayer``; a cluster session
     (:class:`repro.cluster.runner.ClusterReplaySession`) has one host
     per node and the coordinator as ``replayer``.  Callers drive it
-    with :func:`closed_loop`, or spawn
-    ``session.replayer.query_proc(plan, ...)`` processes on their own
-    schedule and run ``session.env``.
+    with :func:`closed_loop`, or issue
+    ``session.replayer.start(plan, span, fixed_cpu, then)`` on their
+    own schedule and run ``session.env``.
     """
 
     env: Environment
     hosts: list["QueryReplayer"]
-    #: Where queries are issued: ``query_proc(plan, span, fixed_cpu)``.
+    #: Where queries are issued: ``start(plan, span, fixed_cpu, then)``
+    #: (or its process face ``query_proc(plan, span, fixed_cpu)``).
     replayer: t.Any
     cold: list
     warm: list
@@ -103,6 +107,32 @@ class LoopTally:
         raise WorkloadError("run completed no queries; duration too short?")
 
 
+def check_loop(clients: t.Any, duration_s: t.Any, max_queries: t.Any,
+               phase: t.Any) -> None:
+    """Raise :class:`~repro.errors.WorkloadError` for a closed loop's
+    bad inputs.
+
+    ``clients`` and ``max_queries`` are integers >= 1 and ``phase`` an
+    integer (never a ``bool``); ``duration_s`` is a number > 0 —
+    ``inf`` included, since ``max_queries`` bounds the run.  The
+    runners call this before compiling any plan.
+    """
+    for name, value, least in (("concurrency", clients, 1),
+                               ("max_queries", max_queries, 1),
+                               ("phase", phase, None)):
+        if (not isinstance(value, numbers.Integral)
+                or isinstance(value, bool)
+                or (least is not None and value < least)):
+            bound = f" >= {least}" if least is not None else ""
+            raise WorkloadError(
+                f"{name} must be an integer{bound}: {value!r}")
+    if (not isinstance(duration_s, numbers.Real)
+            or isinstance(duration_s, bool) or not duration_s > 0):
+        raise WorkloadError(
+            f"duration_s must be a number > 0 (inf allowed): "
+            f"{duration_s!r}")
+
+
 def closed_loop(session: ReplaySession, runner: "BenchRunner",
                 clients: int, duration_s: float,
                 max_queries: int = 25_000, phase: int = 0,
@@ -122,9 +152,12 @@ def closed_loop(session: ReplaySession, runner: "BenchRunner",
     (default: :meth:`ReplaySession.plan_for`, no tag);
     ``record(tag, start_s, failed, span)`` runs at each completion,
     before the span closes.
+
+    A client is two callbacks, not a process: one boot event per client
+    issues its first query through ``replayer.start``, and each
+    completion issues the next.
     """
-    if clients < 1:
-        raise WorkloadError(f"concurrency must be >= 1: {clients}")
+    check_loop(clients, duration_s, max_queries, phase)
     env, replayer, telem = session.env, session.replayer, session.telemetry
     plan_for = session.plan_for
     profile = runner.engine.profile
@@ -133,9 +166,13 @@ def closed_loop(session: ReplaySession, runner: "BenchRunner",
     tally = LoopTally()
     latencies = tally.latencies
     issued = 0
+    # True while ``issue`` is inside ``replayer.start``: a query that
+    # completes there (a plan with nothing to wait on) lets ``issue``
+    # loop instead of recursing into it.
+    issuing = False
 
-    def client(client_id: int):
-        nonlocal issued
+    def issue(client_id: int, _boot: t.Any = None) -> None:
+        nonlocal issued, issuing
         while env.now < duration_s and issued < max_queries:
             ordinal = issued
             issued += 1
@@ -148,21 +185,38 @@ def closed_loop(session: ReplaySession, runner: "BenchRunner",
             span = (telem.begin_query(ordinal, index, client_id, cold,
                                       env.now)
                     if telem is not None else None)
-            start = env.now
-            failed = yield from replayer.query_proc(plan, span, fixed_cpu)
-            if failed:
-                tally.failures += 1
-            else:
-                latencies.append(env.now - start)
-                tally.last_completion = env.now
-            if record is not None:
-                record(tag, start, bool(failed), span)
-            if span is not None:
-                telem.end_query(span, env.now)
+            issuing = True
+            replayer.start(plan, span, fixed_cpu, functools.partial(
+                complete, client_id, tag, env.now, span))
+            if issuing:             # in flight: ``complete`` issues next
+                issuing = False
+                return
+
+    def complete(client_id: int, tag: t.Any, start: float, span: t.Any,
+                 failed: bool) -> None:
+        nonlocal issuing
+        if failed:
+            tally.failures += 1
+        else:
+            latencies.append(env.now - start)
+            tally.last_completion = env.now
+        if record is not None:
+            record(tag, start, bool(failed), span)
+        if span is not None:
+            telem.end_query(span, env.now)
+        if issuing:
+            issuing = False
+        else:
+            issue(client_id)
 
     for client_id in range(clients):
-        env.process(client(client_id))
+        env.timeout(0.0).callbacks.append(functools.partial(issue,
+                                                            client_id))
     env.run()
+    # ``issue`` and ``complete`` refer to each other: unlink them, or
+    # the session (its block trace can be megabytes) outlives the run
+    # until the next full collection.
+    issue = complete = None  # noqa: F841
     return tally
 
 

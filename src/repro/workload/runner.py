@@ -50,14 +50,14 @@ from repro.faults import (ChaosSchedule, FaultInjector, PressureTracker,
 from repro.mutate.simproc import (MutationLoad, mutation_stats,
                                   start_mutation_load)
 from repro.obs import RunTelemetry
-from repro.simkernel import Environment, Resource
+from repro.simkernel import AllOf, Environment, Event, Race, Resource, Timeout
 from repro.storage.blockfile import ExtentAllocator
 from repro.storage.device import SimSSD
 from repro.storage.spec import DeviceSpec, samsung_990pro_4tb
 from repro.storage.tracer import BlockTracer
 from repro.workload.metrics import RunResult
-from repro.workload.replay import (ReplaySession, closed_loop, oom_result,
-                                   run_result)
+from repro.workload.replay import (ReplaySession, check_loop, closed_loop,
+                                   oom_result, run_result)
 
 #: ('cpu', seconds), ('io', ((abs_offset, size), ...)) — a blocking
 #: demand round — ('pf', requests) — a non-blocking speculative issue —
@@ -111,11 +111,12 @@ class QueryReplayer:
     pool, and (optionally) the DiskANN admission pool, plus the engine
     profile and the resilience policy — which makes it the *host*
     record of the replay core too (``env`` / ``device`` / ``cores`` /
-    ``pool``; see :func:`open_host`).  :meth:`query_proc` is the
-    process generator that replays one :class:`CompiledQuery` end to
-    end — RPC halves, admission pool, amortized fixed CPU, and every
-    per-segment CPU/IO/prefetch step, with the resilience defences
-    (timeout + retry, hedged reads) on the demand-read path.
+    ``pool``; see :func:`open_host`).  :meth:`start` replays one
+    :class:`CompiledQuery` end to end — RPC halves, admission pool,
+    amortized fixed CPU, and every per-segment CPU/IO/prefetch step,
+    with the resilience defences (timeout + retry, hedged reads) on the
+    demand-read path — as callbacks, and :meth:`query_proc` is the same
+    replay as a process generator.
 
     Both execution modes dispatch onto it: the closed-loop
     :meth:`BenchRunner.run` (N clients, one in-flight query each) and
@@ -149,205 +150,388 @@ class QueryReplayer:
         if self.telemetry is not None:
             self.telemetry.on_event("resilience", event)
 
-    def _read_attempt(self, payload, timing):
-        """One submission of a demand round, raced against the
-        policy's hedge delay and deadline.  Returns True when the
-        data landed (from either copy), False on timeout."""
-        env, device, resil = self.env, self.device, self.resilience
-        done = device.submit(payload, "R")
-        if timing is not None:
-            timing.read_requests += len(payload)
-            timing.read_bytes += sum(size for _off, size in payload)
-        races = [done]
-        deadline = resil.read_timeout_s
-        if (resil.hedge_after_s is not None
-                and (deadline is None
-                     or resil.hedge_after_s < deadline)):
-            winner = yield env.race(
-                [done, env.timeout(resil.hedge_after_s)])
-            if winner == 0:
-                return True
-            hedged = device.submit(payload, "R")
-            if timing is not None:
-                timing.read_requests += len(payload)
-                timing.read_bytes += sum(
-                    size for _off, size in payload)
-            self.note("hedges")
-            races = [done, hedged]
-            if deadline is not None:
-                deadline -= resil.hedge_after_s
-        if deadline is None:
-            winner = yield env.race(races)
+    def start(self, plan: CompiledQuery, span, fixed_cpu: float,
+              then: t.Callable[[bool], None]) -> None:
+        """Replay one compiled query; calls ``then(failed)`` when done.
+
+        ``fixed_cpu`` is this query's share of the profile's fixed
+        per-query CPU cost — the caller decides the amortization
+        (closed loop: over ``min(concurrency, batch_cap)``; the serving
+        layer: over the dispatched batch).  The replay is a
+        :class:`_QueryCursor` whose methods are the callbacks of the
+        events it waits on; ``then`` runs inside the callback of the
+        query's last event.
+        """
+        _QueryCursor(self, plan, span, fixed_cpu, then)
+
+    def query_proc(self, plan: CompiledQuery, span=None,
+                   fixed_cpu: float = 0.0):
+        """:meth:`start` as a process generator; returns True if the
+        query failed.
+
+        The hand-off is synchronous: the query's last callback resumes
+        the waiting process in place, as a returning ``yield from``
+        would, so the face adds no event.
+        """
+        done = Event(self.env)
+
+        def hand_off(failed: bool) -> None:
+            done._value = failed
+            done.processed = True
+            for callback in done.callbacks:
+                callback(done)
+
+        self.start(plan, span, fixed_cpu, hand_off)
+        return (yield done)
+
+
+class _QueryCursor:
+    """One in-flight query of :meth:`QueryReplayer.start`.
+
+    Each method runs one stretch between two waits — RPC halves,
+    admission pool, amortized fixed CPU, the segments, the pool
+    release — and hands the next stretch to the event it waits on.
+    Serial segments run one :class:`_SegmentCursor` after another;
+    intra-query-parallel ones each boot on their own event, finish on
+    their own done event, and join on an ``AllOf``, which are the
+    events their processes used to fire.
+    """
+
+    __slots__ = ("host", "plan", "span", "fixed_cpu", "then", "failed",
+                 "deadline_at", "mark", "seg")
+
+    def __init__(self, host: QueryReplayer, plan: CompiledQuery, span,
+                 fixed_cpu: float, then: t.Callable[[bool], None]) -> None:
+        self.host = host
+        self.plan = plan
+        self.span = span
+        self.fixed_cpu = fixed_cpu
+        self.then = then
+        self.failed = False
+        self.seg = 0
+        env, resil = host.env, host.resilience
+        self.deadline_at = (env._now + resil.query_deadline_s
+                            if resil is not None
+                            and resil.query_deadline_s is not None
+                            else None)
+        rpc_s = host.profile.rpc_s
+        if rpc_s:
+            Timeout(env, rpc_s / 2).callbacks.append(self._arrived)
         else:
-            winner = yield env.race(races + [env.timeout(deadline)])
-            if winner == len(races):
-                return False
-        if winner == 1 and len(races) > 1:
-            self.note("hedge_wins")
-        return True
+            self._admit()
 
-    def _resilient_read(self, payload, timing, span, deadline_at=None):
-        """A demand round under the resilience policy: retry with
-        exponential backoff after each timeout.  Returns False when
-        the original plus ``max_retries`` resubmissions all timed
-        out (the round failed permanently).
+    def _arrived(self, _event: Event) -> None:
+        if self.span is not None:
+            self.span.add_stage("rpc", self.host.profile.rpc_s / 2)
+        self._admit()
 
-        ``deadline_at`` is the query's absolute completion deadline
-        (sim time) when the policy sets ``query_deadline_s``: a retry
-        whose backoff alone would start it at-or-after the deadline
-        provably cannot complete in time, so the round is abandoned
-        (``deadline_abandons``) instead of burning the budget of an
-        already-lost query."""
-        env, resil = self.env, self.resilience
-        attempt = 0
-        while True:
-            started = env.now
-            landed = yield from self._read_attempt(payload, timing)
-            if landed:
-                if timing is not None:
-                    timing.device_s += env.now - started
-                if self.telemetry is not None:
-                    self.telemetry.device_round.observe(env.now - started)
-                return True
-            self.note("timeouts")
-            if span is not None:
-                span.add_stage("fault", env.now - started)
-            if attempt >= resil.max_retries:
-                self.note("read_failures")
-                return False
-            attempt += 1
-            backoff = resil.backoff_s(attempt, self._retry_token)
-            self._retry_token += 1
-            if deadline_at is not None and env.now + backoff >= deadline_at:
-                self.note("deadline_abandons")
-                self.note("read_failures")
-                return False
-            self.note("retries")
-            if backoff > 0:
-                yield env.timeout(backoff)
-                if span is not None:
-                    span.add_stage("fault", backoff)
+    def _admit(self) -> None:
+        pool = self.host.pool
+        if pool is None:
+            self._fixed()
+            return
+        self.mark = self.host.env._now
+        pool.request().callbacks.append(self._admitted)
 
-    def _segment_proc(self, steps: list[CompiledStep], span=None,
-                      seg: int = 0, cache_hits: int = 0,
-                      prefetch: tuple[int, int] = (0, 0),
-                      failed: list | None = None,
-                      deadline_at: float | None = None):
-        env, resilient = self.env, self.resilient_reads
-        # Bound once: a segment is hundreds of CPU and read steps.
-        submit, hold = self.device.submit, self.cores.hold
-        timing = span.segment(seg) if span is not None else None
-        if timing is not None:
-            timing.cache_hits += cache_hits
+    def _admitted(self, _event: Event) -> None:
+        if self.span is not None:
+            self.span.add_stage("pool_wait",
+                                self.host.env._now - self.mark)
+        self._fixed()
+
+    def _fixed(self) -> None:
+        if self.fixed_cpu > 0:
+            self.mark = self.host.env._now
+            self.host.cores.hold_then(self.fixed_cpu, self._fixed_done)
+        else:
+            self._segments()
+
+    def _fixed_done(self, _event: Event) -> None:
+        span = self.span
+        if span is not None:
+            fixed_cpu = self.fixed_cpu
+            span.add_stage("cpu", fixed_cpu)
+            span.add_stage("cpu_wait", max(
+                0.0, self.host.env._now - self.mark - fixed_cpu))
+        self._segments()
+
+    def _segments(self) -> None:
+        host, plan = self.host, self.plan
+        if host.profile.intra_query_parallelism and len(plan.segments) > 1:
+            env = host.env
+            done = []
+            for seg in range(len(plan.segments)):
+                finished = Event(env)
+                segment = _SegmentCursor(self, seg, finished.succeed)
+                Timeout(env, 0.0).callbacks.append(segment.advance)
+                done.append(finished)
+            AllOf(env, done).callbacks.append(self._finish)
+        else:
+            self._next_segment()
+
+    def _next_segment(self) -> None:
+        seg = self.seg
+        if seg < len(self.plan.segments) and not self.failed:
+            self.seg = seg + 1
+            _SegmentCursor(self, seg, self._next_segment).advance(None)
+        else:
+            self._finish(None)
+
+    def _finish(self, _event: Event | None) -> None:
+        host = self.host
+        if host.pool is not None:
+            host.pool.release()
+        rpc_s = host.profile.rpc_s
+        if rpc_s:
+            Timeout(host.env, rpc_s / 2).callbacks.append(self._replied)
+        else:
+            self.then(self.failed)
+
+    def _replied(self, _event: Event) -> None:
+        if self.span is not None:
+            self.span.add_stage("rpc", self.host.profile.rpc_s / 2)
+        self.then(self.failed)
+
+
+class _SegmentCursor:
+    """One segment's step list, one :meth:`advance` per awaited step.
+
+    ``advance`` (bound once) is the continuation of every CPU hold,
+    demand read and prefetch join; it accounts the step it waited on
+    into the span's segment timing (when telemetry is on), then issues
+    steps up to the next wait.  ``then()`` runs when the steps run out
+    or a resilient read fails for good.
+    """
+
+    __slots__ = ("query", "seg", "then", "steps", "timing",
+                 "outstanding", "advance", "hold", "submit", "waiting",
+                 "mark", "payload")
+
+    def __init__(self, query: _QueryCursor, seg: int,
+                 then: t.Callable[[], t.Any]) -> None:
+        host = query.host
+        self.query = query
+        self.seg = seg
+        self.then = then
+        self.steps = iter(query.plan.segments[seg])
+        self.timing = None
+        self.outstanding: list[Event] = []   # in-flight speculative reads
+        self.hold = host.cores.hold_then
+        self.submit = host.device.submit
+        self.waiting: str | None = None
+        self.advance = self._start
+
+    def _start(self, _event: Event | None) -> None:
+        # The segment's first step: where its process would have begun.
+        query, seg = self.query, self.seg
+        if query.span is not None:
+            timing = self.timing = query.span.segment(seg)
+            timing.cache_hits += query.plan.cache_hits[seg]
+            prefetch = query.plan.prefetch[seg]
             timing.prefetch_useful += prefetch[0]
             timing.prefetch_wasted += prefetch[1]
-        outstanding: list = []   # in-flight speculative reads
-        for kind, payload in steps:
+        advance = self.advance = self._advance
+        advance(None)
+
+    def _advance(self, _event: Event | None) -> None:
+        timing = self.timing
+        if timing is not None and self.waiting is not None:
+            self._account(timing)
+        for kind, payload in self.steps:       # resumes where it stopped
             if kind == "cpu":
-                if timing is None:
-                    yield hold(payload)
-                else:
-                    queued_at = env._now
-                    yield hold(payload)
-                    timing.cpu_s += payload
-                    timing.cpu_wait_s += max(
-                        0.0, env._now - queued_at - payload)
-            elif kind == "pf":
+                if timing is not None:
+                    self._wait("cpu", payload)
+                self.hold(payload, self.advance)
+                return
+            if kind == "pf":
                 # Issue speculatively and keep going: the event is
-                # held, not yielded, so the device time overlaps the
+                # held, not waited on, so the device time overlaps the
                 # demand beam and CPU that follow.
-                outstanding.append(submit(payload, "R", speculative=True))
+                self.outstanding.append(
+                    self.submit(payload, "R", speculative=True))
                 if timing is not None:
                     timing.prefetch_requests += len(payload)
                     timing.prefetch_bytes += sum(
                         size for _off, size in payload)
             elif kind == "join":
+                outstanding = self.outstanding
                 if outstanding:
-                    waited_at = env._now
-                    yield env.all_of(outstanding)
-                    outstanding = []
                     if timing is not None:
-                        timing.prefetch_wait_s += env._now - waited_at
-            elif resilient:
-                landed = yield from self._resilient_read(
-                    payload, timing, span, deadline_at)
-                if not landed:
-                    # Permanent read failure: abandon this
-                    # segment; the query is counted as failed.
-                    if failed is not None:
-                        failed[0] = True
+                        self._wait("join", payload)
+                    joined = AllOf(self.query.host.env, outstanding)
+                    self.outstanding = []
+                    joined.callbacks.append(self.advance)
                     return
-            elif timing is None:
-                yield submit(payload, "R")
+            elif self.query.host.resilient_reads:
+                query = self.query
+                _ResilientRead(query.host, payload, timing, query.span,
+                               query.deadline_at, self._read)
+                return
             else:
-                submitted_at = env._now
-                yield submit(payload, "R")
-                device_s = env._now - submitted_at
-                timing.device_s += device_s
-                timing.read_requests += len(payload)
-                timing.read_bytes += sum(size for _off, size in payload)
-                self.telemetry.device_round.observe(device_s)
-        # Speculative reads never joined (the wasted ones) complete
-        # in the background; their channel occupancy is already
-        # accounted at submission.
+                if timing is not None:
+                    self._wait("io", payload)
+                self.submit(payload, "R").callbacks.append(self.advance)
+                return
+        # Speculative reads never joined (the wasted ones) complete in
+        # the background; their channel occupancy is already accounted
+        # at submission.
+        self._end()
 
-    def query_proc(self, plan: CompiledQuery, span=None,
-                   fixed_cpu: float = 0.0):
-        """Replay one compiled query; returns True if it failed.
+    def _end(self) -> None:
+        # Drop the bound ``advance``: it is a reference cycle, and a
+        # finished cursor should go with its last reference, not wait
+        # for the cyclic collector.
+        self.advance = None
+        self.then()
 
-        ``fixed_cpu`` is this query's share of the profile's fixed
-        per-query CPU cost — the caller decides the amortization
-        (closed loop: over ``min(concurrency, batch_cap)``; the serving
-        layer: over the dispatched batch).
-        """
-        env, profile, pool = self.env, self.profile, self.pool
-        failed = [False]
-        resil = self.resilience
-        deadline_at = (env.now + resil.query_deadline_s
-                       if resil is not None
-                       and resil.query_deadline_s is not None else None)
-        if profile.rpc_s:
-            yield env.timeout(profile.rpc_s / 2)
-            if span is not None:
-                span.add_stage("rpc", profile.rpc_s / 2)
-        if pool is not None:
-            queued_at = env.now
-            yield pool.request()
-            if span is not None:
-                span.add_stage("pool_wait", env.now - queued_at)
-        try:
-            if fixed_cpu > 0:
-                queued_at = env.now
-                yield self.cores.hold(fixed_cpu)
-                if span is not None:
-                    span.add_stage("cpu", fixed_cpu)
-                    span.add_stage("cpu_wait", max(
-                        0.0, env.now - queued_at - fixed_cpu))
-            parallel = (profile.intra_query_parallelism
-                        and len(plan.segments) > 1)
-            if parallel:
-                yield env.all_of([
-                    env.process(self._segment_proc(steps, span, seg, hits,
-                                                   pf, failed, deadline_at))
-                    for seg, (steps, hits, pf) in enumerate(
-                        zip(plan.segments, plan.cache_hits,
-                            plan.prefetch))])
-            else:
-                for seg, (steps, hits, pf) in enumerate(
-                        zip(plan.segments, plan.cache_hits,
-                            plan.prefetch)):
-                    yield from self._segment_proc(steps, span, seg, hits,
-                                                  pf, failed, deadline_at)
-                    if failed[0]:
-                        break
-        finally:
-            if pool is not None:
-                pool.release()
-        if profile.rpc_s:
-            yield env.timeout(profile.rpc_s / 2)
-            if span is not None:
-                span.add_stage("rpc", profile.rpc_s / 2)
-        return failed[0]
+    def _wait(self, kind: str, payload) -> None:
+        self.waiting = kind
+        self.payload = payload
+        self.mark = self.query.host.env._now
+
+    def _account(self, timing) -> None:
+        """Span timing of the step just waited on."""
+        host = self.query.host
+        waiting, payload = self.waiting, self.payload
+        self.waiting = None
+        now = host.env._now
+        if waiting == "cpu":
+            timing.cpu_s += payload
+            timing.cpu_wait_s += max(0.0, now - self.mark - payload)
+        elif waiting == "join":
+            timing.prefetch_wait_s += now - self.mark
+        else:
+            device_s = now - self.mark
+            timing.device_s += device_s
+            timing.read_requests += len(payload)
+            timing.read_bytes += sum(size for _off, size in payload)
+            host.telemetry.device_round.observe(device_s)
+
+    def _read(self, landed: bool) -> None:
+        if landed:
+            self.advance(None)
+        else:
+            # Permanent read failure: abandon this segment; the query
+            # is counted as failed.
+            self.query.failed = True
+            self._end()
+
+
+class _ResilientRead:
+    """A demand round under the resilience policy; ``then(landed)``.
+
+    Each attempt submits the round and races it against the policy's
+    hedge delay (then a duplicate submission) and read deadline; a
+    timed-out attempt is retried with exponential backoff until
+    ``max_retries`` resubmissions have timed out, or until a backoff
+    alone would start the retry at or after the query's deadline
+    (``deadline_abandons``: the query is already lost).
+    """
+
+    __slots__ = ("host", "payload", "timing", "span", "deadline_at",
+                 "then", "attempt", "started", "done", "racing", "backoff")
+
+    def __init__(self, host: QueryReplayer, payload, timing, span,
+                 deadline_at: float | None,
+                 then: t.Callable[[bool], None]) -> None:
+        self.host = host
+        self.payload = payload
+        self.timing = timing
+        self.span = span
+        self.deadline_at = deadline_at
+        self.then = then
+        self.attempt = 0
+        self._attempt()
+
+    def _issue(self) -> Event:
+        done = self.host.device.submit(self.payload, "R")
+        timing = self.timing
+        if timing is not None:
+            timing.read_requests += len(self.payload)
+            timing.read_bytes += sum(size for _off, size in self.payload)
+        return done
+
+    def _attempt(self) -> None:
+        host = self.host
+        env, resil = host.env, host.resilience
+        self.started = env._now
+        done = self.done = self._issue()
+        deadline = resil.read_timeout_s
+        hedge_after = resil.hedge_after_s
+        if (hedge_after is not None
+                and (deadline is None or hedge_after < deadline)):
+            Race(env, [done, Timeout(env, hedge_after)]).callbacks.append(
+                self._hedge)
+        else:
+            self._race([done], deadline)
+
+    def _hedge(self, race: Event) -> None:
+        if race._value == 0:
+            self._landed()
+            return
+        resil = self.host.resilience
+        hedged = self._issue()
+        self.host.note("hedges")
+        deadline = resil.read_timeout_s
+        if deadline is not None:
+            deadline -= resil.hedge_after_s
+        self._race([self.done, hedged], deadline)
+
+    def _race(self, races: list[Event], deadline: float | None) -> None:
+        env = self.host.env
+        self.racing = len(races)
+        if deadline is not None:
+            races = races + [Timeout(env, deadline)]
+        Race(env, races).callbacks.append(self._raced)
+
+    def _raced(self, race: Event) -> None:
+        winner = race._value
+        if winner == self.racing:          # the deadline won
+            self._timed_out()
+            return
+        if winner == 1 and self.racing > 1:
+            self.host.note("hedge_wins")
+        self._landed()
+
+    def _landed(self) -> None:
+        host = self.host
+        elapsed = host.env._now - self.started
+        if self.timing is not None:
+            self.timing.device_s += elapsed
+        if host.telemetry is not None:
+            host.telemetry.device_round.observe(elapsed)
+        self.then(True)
+
+    def _timed_out(self) -> None:
+        host = self.host
+        env, resil = host.env, host.resilience
+        host.note("timeouts")
+        if self.span is not None:
+            self.span.add_stage("fault", env._now - self.started)
+        if self.attempt >= resil.max_retries:
+            host.note("read_failures")
+            self.then(False)
+            return
+        self.attempt += 1
+        backoff = self.backoff = resil.backoff_s(self.attempt,
+                                                 host._retry_token)
+        host._retry_token += 1
+        if (self.deadline_at is not None
+                and env._now + backoff >= self.deadline_at):
+            host.note("deadline_abandons")
+            host.note("read_failures")
+            self.then(False)
+            return
+        host.note("retries")
+        if backoff > 0:
+            Timeout(env, backoff).callbacks.append(self._backed_off)
+        else:
+            self._attempt()
+
+    def _backed_off(self, _event: Event) -> None:
+        if self.span is not None:
+            self.span.add_stage("fault", self.backoff)
+        self._attempt()
 
 
 def open_host(runner: "BenchRunner", env: Environment,
@@ -656,6 +840,7 @@ class BenchRunner:
         device and cores.  ``result.mutation`` then holds its
         :class:`~repro.mutate.MutationStats`.
         """
+        check_loop(concurrency, duration_s, max_queries, phase)
         telem = RunTelemetry() if telemetry is True else (telemetry or None)
         params = dict(search_params or {})
         resil = (resilience

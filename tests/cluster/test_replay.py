@@ -269,3 +269,20 @@ def test_telemetry_is_passive_through_the_shared_driver(replay_corpus):
     assert plain.telemetry is None and traced.telemetry.spans
     assert (dataclasses.replace(traced, telemetry=None)
             == dataclasses.replace(plain, telemetry=None))
+
+
+@pytest.mark.parametrize("args, kwargs, match", [
+    ((2.0,), {}, "concurrency"),
+    ((True,), {}, "concurrency"),
+    ((2,), {"phase": 1.5}, "phase"),
+    ((2,), {"duration_s": float("nan")}, "duration_s"),
+    ((2,), {"duration_s": -1.0}, "duration_s"),
+    ((2,), {"max_queries": 2.5}, "max_queries"),
+], ids=["float-concurrency", "bool-concurrency", "float-phase",
+        "nan-duration", "negative-duration", "float-max-queries"])
+def test_closed_loop_inputs_fail_typed_before_compiling(replay_corpus, args,
+                                                         kwargs, match):
+    runner = _runner(replay_corpus, ClusterTopology(n_shards=2, seed=0))
+    with pytest.raises(WorkloadError, match=match):
+        runner.run(*args, **kwargs)
+    assert not runner._plan_cache

@@ -1,10 +1,10 @@
 """The open-loop server's contract: the old arrival path's run, exactly.
 
 :meth:`Server._serve_open` feeds its arrival schedule to the event heap
-through :meth:`~repro.simkernel.Environment.timeline` and starts
-services with :meth:`~repro.simkernel.Environment.spawn`.  Only no-op
-events may go — two per arrival (the arrival process's completion and
-``process_at``'s relay) and one per dispatched query (its service's
+through :meth:`~repro.simkernel.Environment.timeline` and starts each
+service on one boot event that calls the replayer's ``start``.  Only
+no-op events may go — two per arrival (the arrival process's completion
+and ``process_at``'s relay) and one per dispatched query (its service's
 completion) — so on every configuration below the shipped server and
 ``tests/serve/reference_server.py`` (the ``process_at`` body, verbatim)
 must return the same ``repr(ServeResult)``, the same telemetry spans and

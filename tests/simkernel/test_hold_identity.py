@@ -1,8 +1,10 @@
 """``Resource.hold``'s contract: the seed's events, in the seed's order.
 
 ``Resource.hold`` replaces the ``use`` sub-generator (request, resume,
-timeout, resume, release) with one event the process yields once.  The
-rewrite may save resumes, never an event: on every scenario below the
+timeout, resume, release) with one event the process yields once, and
+``Resource.hold_then`` with a continuation called where that event
+fires (the ``then`` workers below are callbacks, not processes).  The
+rewrites may save resumes, never an event: on every scenario below the
 shipped :class:`~repro.simkernel.Resource` and the seed's
 (``tests/simkernel/reference_resources.py``, where ``hold`` steps run
 as ``yield from use(d)``) must log the same ``(time, label)`` sequence,
@@ -64,8 +66,33 @@ def run_scenario(resource_cls, capacity, workers, stops):
             mark(f"{name}.{step}:done")
         return name
 
+    def chain(name, start, durations):
+        """The ``then`` mode: the worker as callbacks over ``hold_then``,
+        pushing the two events its process would have pushed besides
+        the holds — the bootstrap and the completion."""
+        step = 0
+
+        def arrive(_event):
+            if step == len(durations):
+                env.event().succeed()          # where the process returns
+                return
+            mark(f"{name}.{step}:arrive")
+            pool.hold_then(durations[step], done)
+
+        def done(_event):
+            nonlocal step
+            mark(f"{name}.{step}:done")
+            step += 1
+            arrive(_event)
+
+        env.timeout(0.0).callbacks.append(
+            lambda _boot: env.timeout(start).callbacks.append(arrive))
+
     for i, (start, mode, durations) in enumerate(workers):
-        env.process(worker(f"w{i}", start, mode, durations))
+        if mode == "then" and resource_cls is Resource:
+            chain(f"w{i}", start, durations)
+        else:
+            env.process(worker(f"w{i}", start, mode, durations))
     observed = []
     for until in (*stops, None):
         clock = env.run(until=until)
@@ -76,7 +103,7 @@ def run_scenario(resource_cls, capacity, workers, stops):
 
 workers_strategy = st.lists(
     st.tuples(st.sampled_from(STARTS),
-              st.sampled_from(("use", "hold", "pair")),
+              st.sampled_from(("use", "hold", "pair", "then")),
               st.lists(st.sampled_from(DURATIONS), min_size=1, max_size=4)),
     min_size=1, max_size=12)
 stops_strategy = st.lists(
@@ -99,7 +126,7 @@ def test_hold_fires_the_reference_events_in_the_reference_order(
 def test_contended_pool_of_holds_matches_reference():
     """A fixed scenario with every mode queued behind every other."""
     workers = [(0.0, mode, [0.5, 0.0, 0.25])
-               for mode in ("hold", "use", "pair") * 3]
+               for mode in ("hold", "use", "pair", "then") * 3]
     stops = [0.0, 0.6, 1.1]
     assert (run_scenario(Resource, 2, workers, stops)
             == run_scenario(ReferenceResource, 2, workers, stops))
@@ -140,6 +167,18 @@ def test_hold_validates_duration_before_taking_a_slot(duration):
     assert env.run() == 0.0 and env.events_processed == 0
 
 
+@pytest.mark.parametrize("duration", [-1.0, math.nan, -math.inf])
+def test_hold_then_validates_duration_before_taking_a_slot(duration):
+    env = Environment()
+    telemetry = DepthRecorder()
+    pool = Resource(env, 1, name="pool", telemetry=telemetry)
+    with pytest.raises(SimulationError):
+        pool.hold_then(duration, lambda _event: None)
+    assert pool.in_use == 0 and pool.queue_length == 0
+    assert telemetry.calls == []
+    assert env.run() == 0.0 and env.events_processed == 0
+
+
 def test_hold_spends_two_events_and_one_resume():
     env = Environment()
     pool = Resource(env, 1)
@@ -156,3 +195,21 @@ def test_hold_spends_two_events_and_one_resume():
     # bootstrap, grant, hold, the process's own completion
     assert env.events_processed == 4
     assert pool.busy_time() == 2.0 and pool.in_use == 0
+
+
+def test_hold_then_spends_two_events_and_no_process():
+    """Grant and end are one re-armed event: two pops per hold."""
+    env = Environment()
+    pool = Resource(env, 1)
+    fired = []
+
+    def then(event):
+        fired.append((env.now, event.processed, pool.in_use))
+
+    pool.hold_then(2.0, then)
+    pool.hold_then(1.0, then)       # queued behind the first
+    env.run()
+    # The first hold's release hands the slot over before ``then``.
+    assert fired == [(2.0, True, 1), (3.0, True, 0)]
+    assert env.events_processed == 4
+    assert pool.busy_time() == 3.0 and pool.in_use == 0

@@ -147,6 +147,44 @@ class TestStorageBasedRuns:
         assert len({id(extent) for extent in extents}) == len(set(extents))
 
 
+class TestLoopInputs:
+    """Closed-loop inputs fail typed, before any plan compiles."""
+
+    #: Never compiled elsewhere: a rejected run must leave no plans.
+    PARAMS = {"search_list": 17}
+
+    def rejects(self, runner, match, *args, **kwargs):
+        key = tuple(sorted(self.PARAMS.items()))
+        with pytest.raises(WorkloadError, match=match):
+            runner.run(*args, **kwargs)
+        assert key not in runner._plan_cache
+
+    def test_float_concurrency(self, diskann_runner):
+        self.rejects(diskann_runner, "concurrency", 2.0, self.PARAMS)
+
+    def test_bool_concurrency(self, diskann_runner):
+        self.rejects(diskann_runner, "concurrency", True, self.PARAMS)
+
+    def test_float_phase(self, diskann_runner):
+        self.rejects(diskann_runner, "phase", 2, self.PARAMS, phase=1.5)
+
+    @pytest.mark.parametrize("duration", [float("nan"), -1.0, 0.0, True])
+    def test_bad_duration(self, diskann_runner, duration):
+        self.rejects(diskann_runner, "duration_s", 2, self.PARAMS,
+                     duration_s=duration)
+
+    @pytest.mark.parametrize("max_queries", [2.5, 0, False])
+    def test_bad_max_queries(self, diskann_runner, max_queries):
+        self.rejects(diskann_runner, "max_queries", 2, self.PARAMS,
+                     max_queries=max_queries)
+
+    def test_unbounded_duration_is_bounded_by_max_queries(self,
+                                                          diskann_runner):
+        result = diskann_runner.run(2, {"search_list": 16},
+                                    duration_s=float("inf"), max_queries=5)
+        assert result.completed == 5
+
+
 class TestOomHandling:
     def test_lancedb_oom_reported_not_raised(self, small_data,
                                              small_queries):

@@ -23,8 +23,11 @@ and the replay path — ``Resource.hold`` (events/s of a closed loop;
 firing logs compared), ``SimSSD.submit`` (us per call; completion
 delays and channel state compared) and the closed-loop replay itself
 (passes/s of a DiskANN concurrency sweep; simulated numbers and event
-counts compared).  Those sections exit non-zero on
-any *inequality*; no section fails on a speed.
+counts compared), plus the cluster coordinator's scatter-gather
+(passes/s of a hedged closed loop; simulated numbers and event counts
+compared against ``tests/cluster/reference_cluster_replay.py``).
+Those sections exit non-zero on any *inequality*; no section fails on
+a speed.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from repro.storage import SimSSD, samsung_990pro_4tb
 # The reference implementations live with the tests that use them.
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
 from tests.ann import reference_diskann, reference_vamana  # noqa: E402
+from tests.cluster import reference_cluster_replay  # noqa: E402
 from tests.durability import reference_crc32c  # noqa: E402
 from tests.simkernel import reference_resources  # noqa: E402
 from tests.storage import reference_device  # noqa: E402
@@ -321,6 +325,66 @@ def bench_replay(n: int, passes: int) -> bool:
     return same
 
 
+def bench_cluster_replay(n: int, passes: int) -> bool:
+    """Cluster closed-loop passes/s shaped like ``serve-cluster``'s
+    cluster cells: a 4-shard x 2-replica IVF cluster, hedged after
+    2 ms, at 16 and 64 clients; the shipped coordinator cursors vs the
+    generator coordinator of ``tests/cluster/
+    reference_cluster_replay.py``.  True iff every level's simulated
+    numbers, gather counters and event count are equal (the cursors
+    keep every push)."""
+    from repro.cluster import Cluster, ClusterBenchRunner, ClusterTopology
+    from repro.engines import IndexSpec
+
+    data = make_vectors(n, 96, n_clusters=16, seed=9, latent_dim=32)
+    queries = make_vectors(64, 96, n_clusters=8, seed=10, latent_dim=32)
+    cluster = Cluster(ClusterTopology(n_shards=4, replicas=2), "milvus")
+    cluster.create_collection("replay", 96, IndexSpec.of("ivf"),
+                              storage_dim=768)
+    cluster.insert("replay", data)
+    cluster.flush("replay")
+    runner = ClusterBenchRunner(cluster, "replay", queries)
+    params = {"nprobe": 8}
+    levels = {16: 400, 64: 600}         # clients: queries replayed
+    envs = []
+    opener = ClusterBenchRunner.open_replay
+
+    def open_replay(self, *args, **kwargs):
+        session = opener(self, *args, **kwargs)
+        envs.append(session)
+        return session
+
+    def one_pass():
+        out = []
+        for clients, queries in levels.items():
+            result = runner.run(clients, params, duration_s=float("inf"),
+                                max_queries=queries, hedge_after_s=0.002)
+            replayer = envs[-1].replayer
+            out.append((result.completed, result.qps, result.p99_latency_s,
+                        result.cpu_utilization, repr(result.faults),
+                        sorted(replayer.ccounts.items()),
+                        envs[-1].env.events_processed))
+        return out
+
+    ClusterBenchRunner.open_replay = open_replay
+    try:
+        one_pass()                                 # warm-up, untimed
+        got, cursor_s = timed(lambda: [one_pass() for _ in range(passes)])
+        with reference_cluster_replay.installed():
+            want, reference_s = timed(
+                lambda: [one_pass() for _ in range(passes)])
+    finally:
+        ClusterBenchRunner.open_replay = opener
+    same = got == want
+    events = sum(level[-1] for level in got[0])
+    print(f"  cluster  n={n} c={'/'.join(map(str, levels))}: reference "
+          f"{passes / reference_s:5.2f} passes/s  current "
+          f"{passes / cursor_s:5.2f} passes/s "
+          f"({reference_s / cursor_s:4.2f}x)  {events} events/pass  "
+          f"results {'identical' if same else 'DIFFER'}")
+    return same
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true")
@@ -342,6 +406,8 @@ def main() -> int:
     equal.append(bench_submit(20_000 if args.quick else 100_000))
     equal.append(bench_replay(400 if args.quick else 1_000,
                               2 if args.quick else 5))
+    equal.append(bench_cluster_replay(2_000 if args.quick else 4_000,
+                                      2 if args.quick else 5))
     return 0 if all(equal) else 1
 
 

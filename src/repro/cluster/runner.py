@@ -3,8 +3,8 @@
 The functional data plane (:mod:`repro.cluster.cluster`) decides *what*
 every query answers; this module decides *when*.  Every data node gets
 its own simulated NVMe device and core pool, all advanced by one shared
-:class:`~repro.simkernel.Environment`, and a coordinator process fans
-each query out across the shards and merges the replies:
+:class:`~repro.simkernel.Environment`, and the coordinator fans each
+query out across the shards and merges the replies:
 
 * per-shard sub-queries replay the shard runner's compiled plans through
   the node's own :class:`~repro.workload.runner.QueryReplayer` — the
@@ -15,8 +15,8 @@ each query out across the shards and merges the replies:
 * consistency levels shape how many replicas per shard must answer
   (``one`` / ``quorum`` / ``all`` — replicas are identical, so levels
   change timing, never results);
-* hedged requests race a slow replica against a backup copy on the
-  kernel's :class:`~repro.simkernel.events.Race` primitive;
+* hedged requests race a slow replica against a backup copy, and the
+  first copy to answer wins;
 * one :class:`~repro.faults.ChaosSchedule` is the whole fault model:
   its kill windows abandon in-flight sub-queries, driving failover to
   the next live replica; its partition windows drop messages crossing
@@ -44,7 +44,11 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import functools
+import math
+import numbers
 import typing as t
+from heapq import heappush
 
 import numpy as np
 
@@ -57,7 +61,8 @@ from repro.errors import ClusterError, DegradedResult, OutOfMemoryError
 from repro.faults.resilience import ResiliencePolicy
 from repro.faults.schedule import ChaosSchedule
 from repro.obs import RunTelemetry
-from repro.simkernel import Environment, Network, Resource
+from repro.simkernel import Environment, Event, Network, Resource, Timeout
+from repro.simkernel.events import hand_off
 from repro.storage.spec import DeviceSpec, samsung_990pro_4tb
 from repro.workload.metrics import RunResult
 from repro.workload.replay import (ReplaySession, check_loop, closed_loop,
@@ -86,6 +91,30 @@ _MERGE_CPU_PER_CANDIDATE_S = 25e-9
 #: deterministic).
 FAILURE_CAUSES = ("node_kill", "partition", "device", "gray",
                   "deadline", "unknown")
+
+
+def check_knobs(consistency: t.Any, hedge_after_s: t.Any,
+                deadline_s: t.Any) -> None:
+    """Raise :class:`~repro.errors.ClusterError` for bad cluster knobs.
+
+    ``consistency`` is one of :data:`~repro.engines.engine.
+    CONSISTENCY_LEVELS`; ``hedge_after_s`` and ``deadline_s`` are
+    ``None`` (off) or a finite number > 0, never a ``bool`` — "never" is
+    spelled ``None``.  :meth:`ClusterBenchRunner.open_replay` calls
+    this before compiling any plan.
+    """
+    if consistency not in CONSISTENCY_LEVELS:
+        raise ClusterError(
+            f"unknown consistency {consistency!r}; expected one of "
+            f"{CONSISTENCY_LEVELS}")
+    for name, value in (("hedge_after_s", hedge_after_s),
+                        ("deadline_s", deadline_s)):
+        if value is not None and (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not 0 < value < math.inf):          # or NaN
+            raise ClusterError(
+                f"{name} must be None or a finite number > 0: {value!r}")
 
 
 @dataclasses.dataclass
@@ -165,14 +194,7 @@ class ClusterReplayer:
                  hedge_after_s: float | None = None,
                  deadline_s: float | None = None,
                  telemetry: RunTelemetry | None = None) -> None:
-        if consistency not in CONSISTENCY_LEVELS:
-            raise ClusterError(
-                f"unknown consistency {consistency!r}; expected one of "
-                f"{CONSISTENCY_LEVELS}")
-        if hedge_after_s is not None and hedge_after_s <= 0:
-            raise ClusterError(f"hedge_after_s must be > 0: {hedge_after_s}")
-        if deadline_s is not None and deadline_s <= 0:
-            raise ClusterError(f"deadline_s must be > 0: {deadline_s}")
+        check_knobs(consistency, hedge_after_s, deadline_s)
         self.env = env
         self.topology = topology
         self.routing = routing
@@ -210,239 +232,524 @@ class ClusterReplayer:
             return min(replicas, self.topology.quorum())
         return replicas
 
-    # -- per-node sub-query ------------------------------------------------
-
-    def hop(self, src: int, dst: int, causes: set | None = None):
-        """One chaos-aware one-way hop; returns True when delivered.
-
-        The message always pays the interconnect latency.  A gray
-        endpoint then stretches the transit by its slowdown factor; a
-        partition severing the hop drops the message *after* it paid
-        the wire (the bytes left, nobody received them) and the hop
-        returns False.  With no partitions or gray failures scheduled
-        this is event-for-event identical to a bare
-        ``network.transfer`` — the passivity tests assert it.
-        """
-        env, chaos = self.env, self.chaos
-        sent = env.now
-        ordinal = self.network.messages
-        yield self.network.transfer(src, dst)
-        slow = max(chaos.slowdown(src, sent), chaos.slowdown(dst, sent))
-        if slow > 1.0:
-            yield env.timeout((slow - 1.0) * (env.now - sent))
-            self._note("gray_delays")
-            if causes is not None:
-                causes.add("gray")
-        if chaos.dropped(src, dst, sent, ordinal):
-            self._note("partition_drops")
-            if causes is not None:
-                causes.add("partition")
-            return False
-        return True
-
-    def _node_query(self, node: int, splan: CompiledQuery, view,
-                    fixed_cpu: float, outcome: list, causes: set):
-        """One request/reply round trip to one replica node.
-
-        Sets ``outcome[0]`` when the reply makes it back; a node that is
-        dead on arrival — or dies before the sub-query finishes — never
-        answers, and the process just ends (the RPC is lost, exactly
-        like a crashed server).  A partition can eat either direction of
-        the round trip; a replica whose own read path failed permanently
-        (device faults beat its resilience policy) answers an error,
-        which the coordinator treats as no answer.  Every way the round
-        trip can die records its fault kind in *causes*.
-        """
-        env, coord = self.env, self.topology.coordinator
-        hop = env.now
-        delivered = yield from self.hop(coord, node, causes)
-        if view is not None:
-            view.add_stage("network", env.now - hop)
-        if not delivered:
-            return
-        if self.chaos.dead(node, env.now):
-            causes.add("node_kill")
-            return
-        sub = env.process(self.node_replayers[node].query_proc(
-            splan, view, fixed_cpu))
-        death_at = self.chaos.next_death_after(node, env.now)
-        if death_at is None:
-            yield sub
-        else:
-            winner = yield env.race([sub, env.timeout(death_at - env.now)])
-            if winner == 1:
-                causes.add("node_kill")
-                return
-        if sub.value:
-            self._note("replica_errors")
-            causes.add("device")
-            return
-        hop = env.now
-        delivered = yield from self.hop(node, coord, causes)
-        if view is not None:
-            view.add_stage("network", env.now - hop)
-        if not delivered:
-            return
-        outcome[0] = True
-
-    def _slot_proc(self, shard: int, splan: CompiledQuery, view,
-                   fixed_cpu: float, claim, successes, causes: set):
-        """Get one replica answer for *shard*, failing over on death.
-
-        *claim* hands out the next live, unclaimed replica in rotation
-        order (shared across this query's slots so quorum reads hit
-        distinct replicas).  Each attempt may hedge a backup copy after
-        ``hedge_after_s``; a killed node triggers failover to the next
-        replica, counted only when one is actually claimed.  Ends
-        without recording a success when every replica is dead or
-        already claimed.
-        """
-        env = self.env
-        node = claim()
-        while node is not None:
-            outcome = [False]
-            nq = env.process(self._node_query(node, splan, view,
-                                              fixed_cpu, outcome, causes))
-            hedge: tuple | None = None
-            if self.hedge_after_s is not None:
-                winner = yield env.race(
-                    [nq, env.timeout(self.hedge_after_s)])
-                if winner == 1:
-                    backup = claim()
-                    if backup is not None:
-                        self._note("hedges")
-                        hout = [False]
-                        hedge = (env.process(self._node_query(
-                            backup, splan, view, fixed_cpu, hout,
-                            causes)), hout)
-            if hedge is None:
-                yield nq
-                if outcome[0]:
-                    successes[shard] += 1
-                    return
-            else:
-                hq, hout = hedge
-                pending = [nq, hq]
-                while pending:
-                    if len(pending) > 1:
-                        yield env.race(pending)
-                    else:
-                        yield pending[0]
-                    if outcome[0]:
-                        successes[shard] += 1
-                        return
-                    if hout[0]:
-                        self._note("hedge_wins")
-                        successes[shard] += 1
-                        return
-                    # A copy resolved without answering: its node died.
-                    pending = [p for p in pending if not p.processed]
-            node = claim()
-            if node is not None:
-                self._note("failovers")
-
-    def _shard_proc(self, shard: int, splan: CompiledQuery, view,
-                    fixed_cpu: float, ordinal: int, successes,
-                    causes: set):
-        """Gather this shard's answers at the session's consistency."""
-        env = self.env
-        replicas = self.routing[shard]
-        n = len(replicas)
-        # Per-query replica rotation spreads load across the group.
-        rotation = [replicas[(ordinal + i) % n] for i in range(n)]
-        taken: list[int] = []
-
-        def claim() -> int | None:
-            for node in rotation:
-                if node in taken:
-                    continue
-                if self.chaos.dead(node, env.now):
-                    causes.add("node_kill")
-                    continue
-                taken.append(node)
-                return node
-            return None
-
-        need = self._need(shard)
-        if need > 1:
-            self._note("quorum_waits")
-        yield env.all_of([
-            env.process(self._slot_proc(shard, splan, view, fixed_cpu,
-                                        claim, successes, causes))
-            for _ in range(need)])
-
     # -- the coordinator query ---------------------------------------------
 
     def start(self, plan: ClusterPlan, span, fixed_cpu: float,
               then: t.Callable[[bool], None]) -> None:
-        """:meth:`query_proc` for callback callers (the closed loop, the
-        server): run inline, with ``then(failed)`` at its return."""
-        self.env.drive(self.query_proc(plan, span, fixed_cpu), then)
-
-    def query_proc(self, plan: ClusterPlan, span=None,
-                   fixed_cpu: float = 0.0):
-        """Replay one query across the cluster; returns True on failure.
+        """Replay one query across the cluster; ``then(failed)`` at its
+        end.
 
         Scatter to every shard, gather under the consistency level and
         the optional deadline, then merge on the coordinator's cores.
         A query fails only when *no* shard completed; a partial gather
         (deadline hit with some shards in) completes degraded and is
-        recorded in :attr:`outcomes`.
+        recorded in :attr:`outcomes`.  The replay is a
+        :class:`_CoordinatorQuery` over :class:`_ShardGather` latches,
+        :class:`_ReplicaSlot` and :class:`_NodeLeg` cursors and
+        :class:`_Hop` hops, whose methods are the callbacks of the
+        events they wait on; each node leg replays its sub-query
+        through the node's :meth:`QueryReplayer.start
+        <repro.workload.runner.QueryReplayer.start>`.
         """
-        env, profile = self.env, self.profile
-        ordinal = self._issue
-        self._issue += 1
-        causes: set[str] = set()
-        if profile.rpc_s:
-            yield env.timeout(profile.rpc_s / 2)
-            if span is not None:
-                span.add_stage("rpc", profile.rpc_s / 2)
-        n_shards = self.topology.n_shards
-        successes: collections.Counter[int] = collections.Counter()
-        procs = []
+        _CoordinatorQuery(self, plan, span, fixed_cpu, then)
+
+    def query_proc(self, plan: ClusterPlan, span=None,
+                   fixed_cpu: float = 0.0):
+        """:meth:`start` as a process generator; returns True if the
+        query failed.  Hands off in place, adding no event."""
+        done = Event(self.env)
+        self.start(plan, span, fixed_cpu, functools.partial(hand_off, done))
+        return (yield done)
+
+    def hop(self, src: int, dst: int, causes: set | None = None):
+        """One chaos-aware one-way hop; returns True when delivered.
+
+        The process face of :class:`_Hop` (the health probes' round
+        trips): the same events, handing off in place.
+        """
+        done = Event(self.env)
+        _Hop(self, src, dst, causes, functools.partial(hand_off, done))
+        return (yield done)
+
+
+class _Now(Event):
+    """An event pushed at ``now`` with one callback.
+
+    The cursors push one wherever the generator coordinator of
+    ``tests/cluster/reference_cluster_replay.py`` pushes a process's
+    bootstrap or completion, an ``AllOf``'s or a ``Race``'s firing, at
+    the same time with the same tie key.  None can go: foreign events
+    of the same instant (resource hand-offs, other clients' timers,
+    hops drawing jitter ordinals) interleave between them.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, env: Environment, callback: t.Callable[[Event], None],
+                 value: t.Any = None) -> None:
+        # Event.__init__ and succeed(), inlined: a query pushes dozens.
+        self.env = env
+        self.callbacks = [callback]
+        self.processed = False
+        self._value = value
+        heappush(env._heap, (env._now, next(env._counter), self))
+
+
+class _Hop:
+    """One chaos-aware one-way hop; ``then(delivered)``.
+
+    The message always pays the interconnect latency (and takes the
+    network's next message ordinal, which keys its jitter).  A gray
+    endpoint then stretches the transit by its slowdown factor; a
+    partition severing the hop drops the message *after* it paid the
+    wire (the bytes left, nobody received them).  With no partitions or
+    gray failures scheduled this is event-for-event identical to a bare
+    ``network.transfer`` — the passivity tests assert it.
+    """
+
+    __slots__ = ("coord", "src", "dst", "sent", "ordinal", "causes",
+                 "then")
+
+    def __init__(self, coord: ClusterReplayer, src: int, dst: int,
+                 causes: set | None,
+                 then: t.Callable[[bool], None]) -> None:
+        self.coord = coord
+        self.src = src
+        self.dst = dst
+        self.causes = causes
+        self.then = then
+        self.sent = coord.env._now
+        network = coord.network
+        self.ordinal = network.messages
+        network.transfer(src, dst).callbacks.append(self._arrived)
+
+    def _arrived(self, _event: Event) -> None:
+        chaos, sent = self.coord.chaos, self.sent
+        slow = max(chaos.slowdown(self.src, sent),
+                   chaos.slowdown(self.dst, sent))
+        if slow > 1.0:
+            env = self.coord.env
+            Timeout(env, (slow - 1.0) * (env._now - sent)).callbacks.append(
+                self._stretched)
+        else:
+            self._delivered()
+
+    def _stretched(self, _event: Event) -> None:
+        self.coord._note("gray_delays")
+        if self.causes is not None:
+            self.causes.add("gray")
+        self._delivered()
+
+    def _delivered(self) -> None:
+        coord = self.coord
+        if coord.chaos.dropped(self.src, self.dst, self.sent, self.ordinal):
+            coord._note("partition_drops")
+            if self.causes is not None:
+                self.causes.add("partition")
+            self.then(False)
+        else:
+            self.then(True)
+
+
+class _CoordinatorQuery:
+    """One in-flight query of :meth:`ClusterReplayer.start`.
+
+    The rpc halves, the scatter (one :class:`_ShardGather` per shard),
+    the gather — a countdown over the shards, raced against the
+    partial-result deadline when one is set — the merge hold on the
+    coordinator's cores, and the failure attribution.
+    """
+
+    __slots__ = ("coord", "plan", "span", "fixed_cpu", "then", "ordinal",
+                 "causes", "successes", "remaining", "raced", "completed",
+                 "missed", "merge_s")
+
+    def __init__(self, coord: ClusterReplayer, plan: ClusterPlan, span,
+                 fixed_cpu: float, then: t.Callable[[bool], None]) -> None:
+        self.coord = coord
+        self.plan = plan
+        self.span = span
+        self.fixed_cpu = fixed_cpu
+        self.then = then
+        self.ordinal = coord._issue
+        coord._issue += 1
+        self.causes: set[str] = set()
+        rpc_s = coord.profile.rpc_s
+        if rpc_s:
+            Timeout(coord.env, rpc_s / 2).callbacks.append(self._arrived)
+        else:
+            self._scatter()
+
+    def _arrived(self, _event: Event) -> None:
+        if self.span is not None:
+            self.span.add_stage("rpc", self.coord.profile.rpc_s / 2)
+        self._scatter()
+
+    def _scatter(self) -> None:
+        coord, span = self.coord, self.span
+        n_shards = coord.topology.n_shards
+        self.successes = [0] * n_shards
+        self.remaining = n_shards
+        self.raced = False
         for shard in range(n_shards):
             view = _ShardSpanView(span, shard) if span is not None else None
-            procs.append(env.process(self._shard_proc(
-                shard, plan.shard_plans[shard], view, fixed_cpu, ordinal,
-                successes, causes)))
-        self._note("fanout", n_shards)
-        gather = env.all_of(procs)
-        if self.deadline_s is None:
-            yield gather
-        else:
-            winner = yield env.race([gather, env.timeout(self.deadline_s)])
-            if winner == 1:
-                self._note("partial_results")
-                causes.add("deadline")
-        completed = tuple(s for s in range(n_shards)
-                          if successes[s] >= self._need(s))
-        missed = n_shards - len(completed)
+            _ShardGather(self, shard, view)
+        coord._note("fanout", n_shards)
+        if coord.deadline_s is not None:
+            Timeout(coord.env, coord.deadline_s).callbacks.append(
+                self._deadline)
+
+    def _shard_done(self, _gather: Event) -> None:
+        self.remaining -= 1
+        if self.remaining == 0:          # the gather's AllOf fires
+            _Now(self.coord.env, self._all_in)
+
+    def _all_in(self, _event: Event) -> None:
+        if self.coord.deadline_s is None:
+            self._gathered()
+        elif not self.raced:
+            self.raced = True
+            _Now(self.coord.env, self._raced, 0)
+
+    def _deadline(self, _event: Event) -> None:
+        if not self.raced:
+            self.raced = True
+            _Now(self.coord.env, self._raced, 1)
+
+    def _raced(self, race: Event) -> None:
+        if race._value == 1:
+            self.coord._note("partial_results")
+            self.causes.add("deadline")
+        self._gathered()
+
+    def _gathered(self) -> None:
+        coord, plan, causes = self.coord, self.plan, self.causes
+        n_shards = coord.topology.n_shards
+        successes = self.successes
+        completed = self.completed = tuple(
+            s for s in range(n_shards) if successes[s] >= coord._need(s))
+        missed = self.missed = n_shards - len(completed)
         if missed:
-            self._note("shards_missed", missed)
+            coord._note("shards_missed", missed)
         if not completed:
             cause = next((c for c in FAILURE_CAUSES if c in causes),
                          "unknown")
-            self.failure_causes[cause] += 1
-            self._note(f"failed_{cause}")
+            coord.failure_causes[cause] += 1
+            coord._note(f"failed_{cause}")
             ordered = (cause,) + tuple(
                 c for c in FAILURE_CAUSES if c in causes and c != cause)
-            self.outcomes.append(_QueryOutcome(plan.index, (), True,
-                                               ordered))
-            return True
-        merge_s = _MERGE_CPU_PER_CANDIDATE_S * sum(
+            coord.outcomes.append(_QueryOutcome(plan.index, (), True,
+                                                ordered))
+            self.then(True)
+            return
+        merge_s = self.merge_s = _MERGE_CPU_PER_CANDIDATE_S * sum(
             len(plan.shard_found[s][0]) for s in completed)
         if merge_s > 0:
-            yield self.cores.hold(merge_s)
-            if span is not None:
-                span.add_stage("merge", merge_s)
-        if profile.rpc_s:
-            yield env.timeout(profile.rpc_s / 2)
-            if span is not None:
-                span.add_stage("rpc", profile.rpc_s / 2)
-        self.outcomes.append(_QueryOutcome(
-            plan.index, completed, missed > 0,
+            coord.cores.hold_then(merge_s, self._merged)
+        else:
+            self._reply()
+
+    def _merged(self, _event: Event) -> None:
+        if self.span is not None:
+            self.span.add_stage("merge", self.merge_s)
+        self._reply()
+
+    def _reply(self) -> None:
+        rpc_s = self.coord.profile.rpc_s
+        if rpc_s:
+            Timeout(self.coord.env, rpc_s / 2).callbacks.append(
+                self._replied)
+        else:
+            self._done()
+
+    def _replied(self, _event: Event) -> None:
+        if self.span is not None:
+            self.span.add_stage("rpc", self.coord.profile.rpc_s / 2)
+        self._done()
+
+    def _done(self) -> None:
+        causes = self.causes
+        self.coord.outcomes.append(_QueryOutcome(
+            self.plan.index, self.completed, self.missed > 0,
             tuple(c for c in FAILURE_CAUSES if c in causes)))
-        return False
+        self.then(False)
+
+
+class _ShardGather(Event):
+    """One shard's gather at the session's consistency level.
+
+    Booted by its own push, it starts one :class:`_ReplicaSlot` per
+    replica answer the level needs, counts them down, and fires as an
+    event (the coordinator's gather callback) once every slot has
+    ended.  :meth:`claim` hands out the shard's replicas.
+    """
+
+    __slots__ = ("query", "shard", "view", "rotation", "taken",
+                 "remaining")
+
+    def __init__(self, query: _CoordinatorQuery, shard: int,
+                 view: _ShardSpanView | None) -> None:
+        env = query.coord.env
+        Event.__init__(self, env)
+        self.callbacks.append(query._shard_done)
+        self.query = query
+        self.shard = shard
+        self.view = view
+        _Now(env, self._boot)
+
+    def _boot(self, _event: Event) -> None:
+        coord, shard = self.query.coord, self.shard
+        replicas = coord.routing[shard]
+        n = len(replicas)
+        ordinal = self.query.ordinal
+        # Per-query replica rotation spreads load across the group.
+        self.rotation = [replicas[(ordinal + i) % n] for i in range(n)]
+        self.taken: list[int] = []
+        need = self.remaining = coord._need(shard)
+        if need > 1:
+            coord._note("quorum_waits")
+        for _ in range(need):
+            _ReplicaSlot(self)
+
+    def claim(self) -> int | None:
+        """The next live, unclaimed replica in rotation order.
+
+        Shared by this gather's slots, so quorum reads hit distinct
+        replicas; a dead replica skipped records ``node_kill``.
+        """
+        query = self.query
+        chaos, now = query.coord.chaos, query.coord.env._now
+        for node in self.rotation:
+            if node in self.taken:
+                continue
+            if chaos.dead(node, now):
+                query.causes.add("node_kill")
+                continue
+            self.taken.append(node)
+            return node
+        return None
+
+    def _slot_done(self, _slot: Event) -> None:
+        self.remaining -= 1
+        if self.remaining == 0:          # the slots' AllOf fires
+            _Now(self.env, self._slots_done)
+
+    def _slots_done(self, _event: Event) -> None:
+        self.succeed(None)
+
+
+class _ReplicaSlot(Event):
+    """Get one replica answer for a shard, failing over on death.
+
+    Each attempt sends a :class:`_NodeLeg` to the claimed replica and,
+    when the session hedges, races it against the hedge delay; a lost
+    race sends a backup leg to the next replica and waits for the
+    first copy to answer.  A copy that resolves without answering
+    (its node died, a partition ate it, its device failed) leaves the
+    other; when no copy answered, the slot fails over to the next
+    replica, counted only when one is actually claimed.  Fires
+    without recording a success when every replica is dead or
+    already claimed.
+
+    ``racing`` holds the events of a race not yet won (its winner
+    pushes the race's event, whose pop is :meth:`_raced`);
+    ``awaiting`` the one leg waited on directly.
+    """
+
+    __slots__ = ("gather", "primary", "backup", "racing", "awaiting")
+
+    def __init__(self, gather: _ShardGather) -> None:
+        env = gather.env
+        Event.__init__(self, env)
+        self.callbacks.append(gather._slot_done)
+        self.gather = gather
+        self.racing: list[Event] | None = None
+        self.awaiting: Event | None = None
+        _Now(env, self._boot)
+
+    def _boot(self, _event: Event) -> None:
+        self._attempt(self.gather.claim())
+
+    def _attempt(self, node: int | None) -> None:
+        if node is None:
+            self.succeed(None)
+            return
+        self.primary = _NodeLeg(self, node)
+        self.backup = None
+        hedge_after_s = self.gather.query.coord.hedge_after_s
+        if hedge_after_s is None:
+            self.awaiting = self.primary
+        else:
+            timer = Timeout(self.env, hedge_after_s)
+            timer.callbacks.append(self._popped)
+            self._race([self.primary, timer])
+
+    def _race(self, events: list[Event]) -> None:
+        # As a ``Race`` would: a child already processed wins at once.
+        for position, event in enumerate(events):
+            if event.processed:
+                _Now(self.env, self._raced, position)
+                return
+        self.racing = events
+
+    def _popped(self, event: Event) -> None:
+        """A leg's completion or a hedge timer, popped."""
+        if event is self.awaiting:
+            self.awaiting = None
+            self._check()
+            return
+        racing = self.racing
+        if racing is not None and event in racing:
+            self.racing = None
+            _Now(self.env, self._raced, racing.index(event))
+
+    def _raced(self, race: Event) -> None:
+        if self.backup is None and race._value == 1:
+            # The hedge delay passed first: send a backup copy.
+            backup = self.gather.claim()
+            if backup is not None:
+                self.gather.query.coord._note("hedges")
+                self.backup = _NodeLeg(self, backup)
+                self._race([self.primary, self.backup])
+                return
+        if self.backup is None and not self.primary.processed:
+            self.awaiting = self.primary
+        else:
+            self._check()
+
+    def _check(self) -> None:
+        if self.primary.answered:
+            self._answered()
+        elif self.backup is not None and self.backup.answered:
+            self.gather.query.coord._note("hedge_wins")
+            self._answered()
+        else:
+            pending = [leg for leg in (self.primary, self.backup)
+                       if leg is not None and not leg.processed]
+            if pending:
+                self.awaiting = pending[0]
+            else:
+                node = self.gather.claim()
+                if node is not None:
+                    self.gather.query.coord._note("failovers")
+                self._attempt(node)
+
+    def _answered(self) -> None:
+        self.gather.query.successes[self.gather.shard] += 1
+        self.succeed(None)
+
+
+class _NodeLeg(Event):
+    """One request/reply round trip to one replica node.
+
+    Sets ``answered`` when the reply makes it back, then fires.  A
+    node that is dead on arrival — or dies before the sub-query
+    finishes — never answers (the RPC is lost, exactly like a crashed
+    server; the abandoned sub-query runs on).  A partition can eat
+    either direction of the round trip; a replica whose own read path
+    failed permanently (device faults beat its resilience policy)
+    answers an error, which the coordinator treats as no answer.
+    Every way the round trip can die records its fault kind in the
+    query's causes.
+
+    The sub-query replays through the node host's ``start``; its boot
+    and completion are pushes of their own (see :class:`_Now`), and
+    ``dying`` is the state of its race against the node's next death
+    (``None`` = no death scheduled, ``True`` = racing, ``False`` =
+    decided).
+    """
+
+    __slots__ = ("gather", "query", "node", "answered", "mark", "dying",
+                 "failed")
+
+    def __init__(self, slot: _ReplicaSlot, node: int) -> None:
+        env = slot.env
+        Event.__init__(self, env)
+        # The slot is only this event's callback, never an attribute:
+        # the slot holds its legs, and a leg holding the slot back
+        # would be a reference cycle outliving the run.
+        self.callbacks.append(slot._popped)
+        self.gather = slot.gather
+        self.query = slot.gather.query
+        self.node = node
+        self.answered = False
+        _Now(env, self._boot)
+
+    def _boot(self, _event: Event) -> None:
+        coord = self.query.coord
+        self.mark = self.env._now
+        _Hop(coord, coord.topology.coordinator, self.node,
+             self.query.causes, self._sent)
+
+    def _sent(self, delivered: bool) -> None:
+        coord, env, node = self.query.coord, self.env, self.node
+        view = self.gather.view
+        if view is not None:
+            view.add_stage("network", env._now - self.mark)
+        if not delivered:
+            self.succeed(None)
+            return
+        if coord.chaos.dead(node, env._now):
+            self.query.causes.add("node_kill")
+            self.succeed(None)
+            return
+        _Now(env, self._run)
+        death_at = coord.chaos.next_death_after(node, env._now)
+        if death_at is None:
+            self.dying = None
+        else:
+            self.dying = True
+            Timeout(env, death_at - env._now).callbacks.append(self._died)
+
+    def _run(self, _event: Event) -> None:
+        gather, query = self.gather, self.query
+        query.coord.node_replayers[self.node].start(
+            query.plan.shard_plans[gather.shard], gather.view,
+            query.fixed_cpu, self._ran)
+
+    def _ran(self, failed: bool) -> None:
+        # The sub-query's completion push, which the death race (or
+        # the leg itself) waits on.
+        _Now(self.env, self._returned, failed)
+
+    def _returned(self, sub: Event) -> None:
+        self.failed = sub._value
+        if self.dying is None:
+            self._replied()
+        elif self.dying:
+            self.dying = False
+            _Now(self.env, self._raced, 0)
+
+    def _died(self, _timer: Event) -> None:
+        if self.dying:
+            self.dying = False
+            _Now(self.env, self._raced, 1)
+
+    def _raced(self, race: Event) -> None:
+        if race._value == 1:
+            self.query.causes.add("node_kill")
+            self.succeed(None)
+        else:
+            self._replied()
+
+    def _replied(self) -> None:
+        coord = self.query.coord
+        if self.failed:
+            coord._note("replica_errors")
+            self.query.causes.add("device")
+            self.succeed(None)
+            return
+        self.mark = self.env._now
+        _Hop(coord, self.node, coord.topology.coordinator,
+             self.query.causes, self._back)
+
+    def _back(self, delivered: bool) -> None:
+        view = self.gather.view
+        if view is not None:
+            view.add_stage("network", self.env._now - self.mark)
+        if delivered:
+            self.answered = True
+        self.succeed(None)
 
 
 @dataclasses.dataclass
@@ -595,8 +902,10 @@ class ClusterBenchRunner:
         arms every node replayer's read-path defences against them
         (``degrade=True`` raises: a cluster cannot degrade queries).
         ``None`` and the empty schedule are the same, guaranteed-passive,
-        run.
+        run.  Bad knobs raise :class:`~repro.errors.ClusterError` before
+        any plan compiles (:func:`check_knobs`).
         """
+        check_knobs(consistency, hedge_after_s, deadline_s)
         cold, warm, recall = self._compile(dict(search_params or {}))
         topo = self.topology
         env = Environment()

@@ -232,16 +232,53 @@ def _start_stream(host: "QueryReplayer", runner: "BenchRunner",
                   load: MutationLoad, duration_s: float,
                   telemetry: "RunTelemetry | None") -> MutationState:
     """Spawn the mutation processes on one simulated *host*."""
-    env, device, cores = host.env, host.device, host.cores
-    spec = runner.device_spec
-    state = MutationState(base_rows=runner.collection.total_rows,
-                          base_bytes=snapshot_bytes(runner.collection))
-    cap = spec.max_request_bytes
-    manifest_base = runner._allocator.allocate(MANIFEST_BYTES)
+    stream = _Stream(host, runner, load, duration_s, telemetry)
+    env = host.env
+    if load.insert_qps > 0:
+        env.process(stream.wal_appender("insert", load.flush_bytes,
+                                        load.flush_interval_s))
+    if load.delete_qps > 0:
+        env.process(stream.wal_appender(
+            "delete", load.batch_rows * TOMBSTONE_BYTES,
+            load.batch_rows / load.delete_qps))
+    return stream.state
 
-    def chunked(base: int, position: int, size: int, region: int,
+
+class _Stream:
+    """One host's write stream: its WAL appenders and the compactions
+    they trigger.
+
+    An object rather than closures over each other: a compaction
+    re-checks the policy when it commits and the policy check spawns
+    compactions, and two closures doing that form a reference cycle
+    that keeps the host's environment, device (block trace included)
+    and core pool alive until the next full collection.  Nothing here
+    refers back to the stream once its processes have returned.
+    """
+
+    __slots__ = ("env", "device", "cores", "spec", "runner", "load",
+                 "duration_s", "telemetry", "state", "cap",
+                 "manifest_base")
+
+    def __init__(self, host: "QueryReplayer", runner: "BenchRunner",
+                 load: MutationLoad, duration_s: float,
+                 telemetry: "RunTelemetry | None") -> None:
+        self.env, self.device, self.cores = host.env, host.device, host.cores
+        self.spec = runner.device_spec
+        self.runner = runner
+        self.load = load
+        self.duration_s = duration_s
+        self.telemetry = telemetry
+        self.state = MutationState(
+            base_rows=runner.collection.total_rows,
+            base_bytes=snapshot_bytes(runner.collection))
+        self.cap = self.spec.max_request_bytes
+        self.manifest_base = runner._allocator.allocate(MANIFEST_BYTES)
+
+    def chunked(self, base: int, position: int, size: int, region: int,
                 ) -> tuple[list[tuple[int, int]], int]:
         """Split *size* bytes at *position* into circular-log requests."""
+        cap = self.cap
         requests = []
         while size > 0:
             step = min(size, cap)
@@ -252,28 +289,31 @@ def _start_stream(host: "QueryReplayer", runner: "BenchRunner",
             size -= step
         return requests, position
 
-    def maybe_compact() -> None:
+    def maybe_compact(self) -> None:
+        state = self.state
         if state.compacting:
             return
-        if load.policy.should_compact(state.delta_rows, state.tombstones,
-                                      state.total_rows):
+        if self.load.policy.should_compact(state.delta_rows,
+                                           state.tombstones,
+                                           state.total_rows):
             state.compacting = True
-            env.process(compaction())
+            self.env.process(self.compaction())
 
-    def wal_appender(kind: str, flush_bytes: int, interval_s: float):
+    def wal_appender(self, kind: str, flush_bytes: int, interval_s: float):
         """Append one ``kind`` ("insert" or "delete") batch of
         ``load.batch_rows`` rows to a circular WAL region every
         *interval_s* seconds."""
+        env, state, telemetry = self.env, self.state, self.telemetry
         log_size = 256 * flush_bytes
-        base = runner._allocator.allocate(log_size)
+        base = self.runner._allocator.allocate(log_size)
         position = 0
-        rows = load.batch_rows
-        while env.now < duration_s:
+        rows = self.load.batch_rows
+        while env.now < self.duration_s:
             yield env.timeout(interval_s)
-            requests, position = chunked(base, position, flush_bytes,
-                                         log_size)
-            yield cores.hold(len(requests) * spec.cpu_per_request_s)
-            yield device.submit(requests, "W")
+            requests, position = self.chunked(base, position, flush_bytes,
+                                              log_size)
+            yield self.cores.hold(len(requests) * self.spec.cpu_per_request_s)
+            yield self.device.submit(requests, "W")
             if kind == "insert":
                 state.inserted_rows += rows
                 state.delta_rows += rows
@@ -286,9 +326,12 @@ def _start_stream(host: "QueryReplayer", runner: "BenchRunner",
                 telemetry.on_event("mutate", f"{kind}_rows", rows)
                 telemetry.on_event("mutate", "wal_flushes")
                 telemetry.on_event("mutate", "wal_bytes", flush_bytes)
-            maybe_compact()
+            self.maybe_compact()
 
-    def compaction():
+    def compaction(self):
+        env, device, cores = self.env, self.device, self.cores
+        state, load, telemetry = self.state, self.load, self.telemetry
+        cap, chunked = self.cap, self.chunked
         start = env.now
         span = (telemetry.begin_compaction(len(state.compaction_windows),
                                            start)
@@ -302,7 +345,7 @@ def _start_stream(host: "QueryReplayer", runner: "BenchRunner",
             cap)
         rows_kept = int(total * live_fraction)
         cpu_total = rows_kept * load.rebuild_cpu_per_row_s
-        new_base = runner._allocator.allocate(write_bytes)
+        new_base = self.runner._allocator.allocate(write_bytes)
         read_pos = written = 0
         round_bytes = COMPACTION_ROUND_REQUESTS * cap
         # Read / rebuild / write in bounded rounds: each round holds the
@@ -338,7 +381,7 @@ def _start_stream(host: "QueryReplayer", runner: "BenchRunner",
                     span.add_stage("device", env.now - before)
             written = target
         # The commit point: one manifest write swaps the snapshot.
-        yield device.submit([(manifest_base, MANIFEST_BYTES)], "W")
+        yield device.submit([(self.manifest_base, MANIFEST_BYTES)], "W")
         end = env.now
         state.compaction_windows.append((start, end))
         state.compaction_read_bytes += read_bytes
@@ -354,13 +397,4 @@ def _start_stream(host: "QueryReplayer", runner: "BenchRunner",
             telemetry.on_event("mutate", "compaction_write_bytes",
                                write_bytes + MANIFEST_BYTES)
             telemetry.end_compaction(span, end)
-        maybe_compact()
-
-    if load.insert_qps > 0:
-        env.process(wal_appender("insert", load.flush_bytes,
-                                 load.flush_interval_s))
-    if load.delete_qps > 0:
-        env.process(wal_appender("delete",
-                                 load.batch_rows * TOMBSTONE_BYTES,
-                                 load.batch_rows / load.delete_qps))
-    return state
+        self.maybe_compact()

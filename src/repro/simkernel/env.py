@@ -72,27 +72,6 @@ class _Spawned(Process):
         return self
 
 
-class _Inline(Process):
-    """A generator run inside the running callback, as ``yield from``
-    runs one inside a process: no bootstrap push, and returning calls
-    ``then(value)`` instead of pushing a completion event."""
-
-    __slots__ = ("_then",)
-
-    def __init__(self, env: "Environment", generator:
-                 t.Generator[Event, t.Any, t.Any],
-                 then: t.Callable[[t.Any], None]) -> None:
-        Event.__init__(self, env)
-        self._generator = generator
-        self._then = then
-        self._value = None          # the first ``send``: nobody holds self
-        self._resume(self)
-
-    def succeed(self, value: t.Any = None) -> "Event":
-        self._then(value)
-        return self
-
-
 class _Timeline:
     """The one pending timer of :meth:`Environment.timeline`.
 
@@ -195,17 +174,6 @@ class Environment:
         on, so the completion event would be a no-op pop.
         """
         _Spawned(self, generator)
-
-    def drive(self, generator: t.Generator[Event, t.Any, t.Any],
-              then: t.Callable[[t.Any], None]) -> None:
-        """Run *generator* now and call ``then(value)`` when it returns.
-
-        The bridge from a generator to a callback caller: the events of
-        ``value = yield from generator`` inside the caller's process,
-        in the same order — the first step runs at once, and returning
-        pushes nothing.
-        """
-        _Inline(self, generator, then)
 
     def timeline(self, delays: t.Sequence[float],
                  callback: t.Callable[[int], None]) -> None:

@@ -73,6 +73,20 @@ class Event:
             self.callbacks.append(callback)
 
 
+def hand_off(event: Event, value: t.Any) -> None:
+    """Process *event* in place with *value*: no heap push, its
+    callbacks run now, inside the caller.
+
+    How a callback cursor's process face (``yield done``) resumes the
+    waiting process at the cursor's last callback, exactly where a
+    returning ``yield from`` would have continued it.
+    """
+    event._value = value
+    event.processed = True
+    for callback in event.callbacks:
+        callback(event)
+
+
 class Timeout(Event):
     """An event that fires after a fixed simulated delay."""
 

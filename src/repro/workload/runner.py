@@ -34,6 +34,7 @@ from __future__ import annotations
 import collections
 import contextlib
 import dataclasses
+import functools
 import math
 import typing as t
 
@@ -51,6 +52,7 @@ from repro.mutate.simproc import (MutationLoad, mutation_stats,
                                   start_mutation_load)
 from repro.obs import RunTelemetry
 from repro.simkernel import AllOf, Environment, Event, Race, Resource, Timeout
+from repro.simkernel.events import hand_off
 from repro.storage.blockfile import ExtentAllocator
 from repro.storage.device import SimSSD
 from repro.storage.spec import DeviceSpec, samsung_990pro_4tb
@@ -174,14 +176,7 @@ class QueryReplayer:
         would, so the face adds no event.
         """
         done = Event(self.env)
-
-        def hand_off(failed: bool) -> None:
-            done._value = failed
-            done.processed = True
-            for callback in done.callbacks:
-                callback(done)
-
-        self.start(plan, span, fixed_cpu, hand_off)
+        self.start(plan, span, fixed_cpu, functools.partial(hand_off, done))
         return (yield done)
 
 

@@ -13,7 +13,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.chaos import run_chaos
+from repro.chaos import Supervisor, SupervisorConfig, run_chaos
 from repro.cluster import Cluster, ClusterTopology
 from repro.cluster.runner import ClusterBenchRunner
 from repro.engines import get_profile
@@ -143,6 +143,28 @@ def test_unknown_consistency_level_is_rejected(replay_corpus):
     runner = _runner(replay_corpus, ClusterTopology(n_shards=1))
     with pytest.raises(ClusterError, match="consistency"):
         runner.open_replay(consistency="most")
+
+
+@pytest.mark.parametrize("knobs, match", [
+    ({"hedge_after_s": float("nan")}, "hedge_after_s"),
+    ({"deadline_s": float("nan")}, "deadline_s"),
+    ({"hedge_after_s": True}, "hedge_after_s"),
+    ({"hedge_after_s": "0.1"}, "hedge_after_s"),
+    ({"deadline_s": 0.0}, "deadline_s"),
+    ({"deadline_s": -0.5}, "deadline_s"),
+    ({"hedge_after_s": float("inf")}, "hedge_after_s"),
+    ({"consistency": None}, "consistency"),
+], ids=["nan-hedge", "nan-deadline", "bool-hedge", "str-hedge",
+        "zero-deadline", "negative-deadline", "inf-hedge",
+        "none-consistency"])
+def test_cluster_knobs_fail_typed_before_compiling(replay_corpus, knobs,
+                                                    match):
+    runner = _runner(replay_corpus, ClusterTopology(n_shards=2, seed=0))
+    with pytest.raises(ClusterError, match=match):
+        runner.open_replay(**knobs)
+    with pytest.raises(ClusterError, match=match):
+        runner.run(2, duration_s=0.05, **knobs)
+    assert not runner._plan_cache
 
 
 def test_hedged_requests_race_replica_copies(replay_corpus):
@@ -286,3 +308,27 @@ def test_closed_loop_inputs_fail_typed_before_compiling(replay_corpus, args,
     with pytest.raises(WorkloadError, match=match):
         runner.run(*args, **kwargs)
     assert not runner._plan_cache
+
+
+@pytest.mark.parametrize("shape", ["closed", "hedged", "chaos", "server"])
+def test_a_finished_cluster_run_leaves_no_cycle(replay_corpus, live_envs,
+                                                shape):
+    # Every cursor, latch and hop of the coordinator is gone once its
+    # query ends: nothing keeps the shared clock (and with it every
+    # node's device and core pool) alive after the run.
+    runner = _runner(replay_corpus, ClusterTopology(
+        n_shards=2, replicas=2, spares=1, seed=0))
+    config = ServeConfig(
+        policy="fifo", duration_s=0.05, seed=7, max_inflight=8,
+        tenants=(TenantLoad("all", PoissonArrivals(rate_qps=3000.0)),))
+    calls = {
+        "closed": lambda: runner.run(8, duration_s=0.05),
+        "hedged": lambda: runner.run(8, duration_s=0.05,
+                                     hedge_after_s=0.0002),
+        "chaos": lambda: run_chaos(
+            runner, config, ChaosSchedule.seeded(
+                5, 0.05, seed=2, outage_s=0.01, device_nodes=0),
+            supervisor=Supervisor(SupervisorConfig())),
+        "server": lambda: Server(runner, config).serve(),
+    }
+    assert live_envs(ClusterBenchRunner, calls[shape]) == 0

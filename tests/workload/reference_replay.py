@@ -14,8 +14,9 @@ sub-generator per resilient read.
 ``BenchRunner.run``, a ``ClusterBenchRunner.run`` or a serving run goes
 through the old bodies unchanged otherwise.  The shipped server calls
 ``replayer.start``; the reference's ``start`` runs the old
-``query_proc`` generator inline, exactly as the old server's service
-generator ``yield from``-ed it.  Never imported by ``src/``.
+``query_proc`` generator inline (:func:`drive`), exactly as the old
+server's service generator ``yield from``-ed it.  Never imported by
+``src/``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ import contextlib
 import typing as t
 
 from repro.errors import WorkloadError
+from repro.simkernel.env import Process
+from repro.simkernel.events import Event
 from repro.workload.replay import LoopTally, ReplaySession
 from repro.workload.runner import CompiledStep, QueryReplayer
 
@@ -31,11 +34,36 @@ if t.TYPE_CHECKING:
     from repro.workload.runner import BenchRunner
 
 
+class _Inline(Process):
+    """A generator run inside the running callback, as ``yield from``
+    runs one inside a process: no bootstrap push, and returning calls
+    ``then(value)`` instead of pushing a completion event."""
+
+    __slots__ = ("_then",)
+
+    def __init__(self, env, generator, then) -> None:
+        Event.__init__(self, env)
+        self._generator = generator
+        self._then = then
+        self._value = None          # the first ``send``: nobody holds self
+        self._resume(self)
+
+    def succeed(self, value: t.Any = None) -> Event:
+        self._then(value)
+        return self
+
+
+def drive(env, generator, then: t.Callable[[t.Any], None]) -> None:
+    """Run *generator* now; ``then(value)`` when it returns — the events
+    of ``value = yield from generator`` inside the caller's process."""
+    _Inline(env, generator, then)
+
+
 class ReferenceReplayer(QueryReplayer):
     """A :class:`QueryReplayer` replaying through the old generators."""
 
     def start(self, plan, span, fixed_cpu, then) -> None:
-        self.env.drive(self.query_proc(plan, span, fixed_cpu), then)
+        drive(self.env, self.query_proc(plan, span, fixed_cpu), then)
 
     def _read_attempt(self, payload, timing):
         """One submission of a demand round, raced against the

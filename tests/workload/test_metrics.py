@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import WorkloadError
 from repro.workload.metrics import (RunResult, geometric_mean, percentile,
@@ -39,6 +41,30 @@ def test_failed_flag():
 
 def test_percentile_basic():
     assert percentile([1.0, 2.0, 3.0], 50) == 2.0
+
+
+#: Latency-like samples: finite, non-negative, many exact duplicates.
+_SAMPLES = st.lists(
+    st.one_of(st.floats(0.0, 10.0, allow_nan=False),
+              st.sampled_from([0.0, 1e-3, 0.25, 1.0, 5e-324])),
+    min_size=1, max_size=40)
+
+
+@settings(max_examples=400, deadline=None)
+@given(values=_SAMPLES,
+       q=st.one_of(st.sampled_from([0, 100, 0.0, 100.0, 50, 95, 99, 12.5]),
+                   st.floats(0.0, 100.0, allow_nan=False)))
+@example(values=[3.0], q=95)
+@example(values=[2.0, 2.0, 2.0], q=99)
+@example(values=[1.0, 2.0], q=0)
+@example(values=[1.0, 2.0], q=100)
+@example(values=[0.1, 0.7, 0.2], q=37.5)
+def test_percentile_is_bit_identical_to_numpy(values, q):
+    want = float(np.percentile(np.asarray(values, dtype=np.float64), q))
+    got = percentile(values, q)
+    assert type(got) is float
+    assert math.copysign(1.0, got) == math.copysign(1.0, want)
+    assert got == want
 
 
 def test_percentile_validation():

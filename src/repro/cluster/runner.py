@@ -48,7 +48,6 @@ import functools
 import math
 import numbers
 import typing as t
-from heapq import heappush
 
 import numpy as np
 
@@ -61,7 +60,8 @@ from repro.errors import ClusterError, DegradedResult, OutOfMemoryError
 from repro.faults.resilience import ResiliencePolicy
 from repro.faults.schedule import ChaosSchedule
 from repro.obs import RunTelemetry
-from repro.simkernel import Environment, Event, Network, Resource, Timeout
+from repro.simkernel import (AllOf, Environment, Event, Network, Now, Race,
+                             Resource, Timeout)
 from repro.simkernel.events import hand_off
 from repro.storage.spec import DeviceSpec, samsung_990pro_4tb
 from repro.workload.metrics import RunResult
@@ -272,29 +272,6 @@ class ClusterReplayer:
         return (yield done)
 
 
-class _Now(Event):
-    """An event pushed at ``now`` with one callback.
-
-    The cursors push one wherever the generator coordinator of
-    ``tests/cluster/reference_cluster_replay.py`` pushes a process's
-    bootstrap or completion, an ``AllOf``'s or a ``Race``'s firing, at
-    the same time with the same tie key.  None can go: foreign events
-    of the same instant (resource hand-offs, other clients' timers,
-    hops drawing jitter ordinals) interleave between them.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, env: Environment, callback: t.Callable[[Event], None],
-                 value: t.Any = None) -> None:
-        # Event.__init__ and succeed(), inlined: a query pushes dozens.
-        self.env = env
-        self.callbacks = [callback]
-        self.processed = False
-        self._value = value
-        heappush(env._heap, (env._now, next(env._counter), self))
-
-
 class _Hop:
     """One chaos-aware one-way hop; ``then(delivered)``.
 
@@ -355,14 +332,13 @@ class _CoordinatorQuery:
     """One in-flight query of :meth:`ClusterReplayer.start`.
 
     The rpc halves, the scatter (one :class:`_ShardGather` per shard),
-    the gather — a countdown over the shards, raced against the
+    the gather — an ``AllOf`` over the shards, raced against the
     partial-result deadline when one is set — the merge hold on the
     coordinator's cores, and the failure attribution.
     """
 
     __slots__ = ("coord", "plan", "span", "fixed_cpu", "then", "ordinal",
-                 "causes", "successes", "remaining", "raced", "completed",
-                 "missed", "merge_s")
+                 "causes", "successes", "completed", "missed", "merge_s")
 
     def __init__(self, coord: ClusterReplayer, plan: ClusterPlan, span,
                  fixed_cpu: float, then: t.Callable[[bool], None]) -> None:
@@ -386,43 +362,27 @@ class _CoordinatorQuery:
         self._scatter()
 
     def _scatter(self) -> None:
-        coord, span = self.coord, self.span
+        coord, span, env = self.coord, self.span, self.coord.env
         n_shards = coord.topology.n_shards
         self.successes = [0] * n_shards
-        self.remaining = n_shards
-        self.raced = False
-        for shard in range(n_shards):
-            view = _ShardSpanView(span, shard) if span is not None else None
-            _ShardGather(self, shard, view)
+        gathered = AllOf(env, [
+            _ShardGather(self, shard, _ShardSpanView(span, shard)
+                         if span is not None else None)
+            for shard in range(n_shards)])
         coord._note("fanout", n_shards)
-        if coord.deadline_s is not None:
-            Timeout(coord.env, coord.deadline_s).callbacks.append(
-                self._deadline)
-
-    def _shard_done(self, _gather: Event) -> None:
-        self.remaining -= 1
-        if self.remaining == 0:          # the gather's AllOf fires
-            _Now(self.coord.env, self._all_in)
-
-    def _all_in(self, _event: Event) -> None:
-        if self.coord.deadline_s is None:
-            self._gathered()
-        elif not self.raced:
-            self.raced = True
-            _Now(self.coord.env, self._raced, 0)
-
-    def _deadline(self, _event: Event) -> None:
-        if not self.raced:
-            self.raced = True
-            _Now(self.coord.env, self._raced, 1)
+        if coord.deadline_s is None:
+            gathered.callbacks.append(self._gathered)
+        else:
+            Race(env, [gathered, Timeout(env, coord.deadline_s)]
+                 ).callbacks.append(self._raced)
 
     def _raced(self, race: Event) -> None:
         if race._value == 1:
             self.coord._note("partial_results")
             self.causes.add("deadline")
-        self._gathered()
+        self._gathered(race)
 
-    def _gathered(self) -> None:
+    def _gathered(self, _event: Event) -> None:
         coord, plan, causes = self.coord, self.plan, self.causes
         n_shards = coord.topology.n_shards
         successes = self.successes
@@ -479,23 +439,21 @@ class _ShardGather(Event):
     """One shard's gather at the session's consistency level.
 
     Booted by its own push, it starts one :class:`_ReplicaSlot` per
-    replica answer the level needs, counts them down, and fires as an
-    event (the coordinator's gather callback) once every slot has
-    ended.  :meth:`claim` hands out the shard's replicas.
+    replica answer the level needs and fires as an event (the
+    coordinator's ``AllOf`` child) at the pop of the ``AllOf`` over its
+    slots.  :meth:`claim` hands out the shard's replicas.
     """
 
-    __slots__ = ("query", "shard", "view", "rotation", "taken",
-                 "remaining")
+    __slots__ = ("query", "shard", "view", "rotation", "taken")
 
     def __init__(self, query: _CoordinatorQuery, shard: int,
                  view: _ShardSpanView | None) -> None:
         env = query.coord.env
         Event.__init__(self, env)
-        self.callbacks.append(query._shard_done)
         self.query = query
         self.shard = shard
         self.view = view
-        _Now(env, self._boot)
+        Now(env, self._boot)
 
     def _boot(self, _event: Event) -> None:
         coord, shard = self.query.coord, self.shard
@@ -505,11 +463,14 @@ class _ShardGather(Event):
         # Per-query replica rotation spreads load across the group.
         self.rotation = [replicas[(ordinal + i) % n] for i in range(n)]
         self.taken: list[int] = []
-        need = self.remaining = coord._need(shard)
+        need = coord._need(shard)
         if need > 1:
             coord._note("quorum_waits")
-        for _ in range(need):
-            _ReplicaSlot(self)
+        AllOf(self.env, [_ReplicaSlot(self) for _ in range(need)]
+              ).callbacks.append(self._slots_done)
+
+    def _slots_done(self, _event: Event) -> None:
+        self.succeed(None)
 
     def claim(self) -> int | None:
         """The next live, unclaimed replica in rotation order.
@@ -529,43 +490,27 @@ class _ShardGather(Event):
             return node
         return None
 
-    def _slot_done(self, _slot: Event) -> None:
-        self.remaining -= 1
-        if self.remaining == 0:          # the slots' AllOf fires
-            _Now(self.env, self._slots_done)
-
-    def _slots_done(self, _event: Event) -> None:
-        self.succeed(None)
-
 
 class _ReplicaSlot(Event):
     """Get one replica answer for a shard, failing over on death.
 
     Each attempt sends a :class:`_NodeLeg` to the claimed replica and,
-    when the session hedges, races it against the hedge delay; a lost
-    race sends a backup leg to the next replica and waits for the
-    first copy to answer.  A copy that resolves without answering
-    (its node died, a partition ate it, its device failed) leaves the
-    other; when no copy answered, the slot fails over to the next
-    replica, counted only when one is actually claimed.  Fires
-    without recording a success when every replica is dead or
-    already claimed.
-
-    ``racing`` holds the events of a race not yet won (its winner
-    pushes the race's event, whose pop is :meth:`_raced`);
-    ``awaiting`` the one leg waited on directly.
+    when the session hedges, races it against the hedge timer; a lost
+    race sends a backup leg to the next replica and races the two
+    copies.  A copy that resolves without answering (its node died, a
+    partition ate it, its device failed) leaves the other to be waited
+    on; when no copy answered, the slot fails over to the next
+    replica, counted only when one is actually claimed.  Fires without
+    recording a success when every replica is dead or already claimed.
     """
 
-    __slots__ = ("gather", "primary", "backup", "racing", "awaiting")
+    __slots__ = ("gather", "primary", "backup")
 
     def __init__(self, gather: _ShardGather) -> None:
         env = gather.env
         Event.__init__(self, env)
-        self.callbacks.append(gather._slot_done)
         self.gather = gather
-        self.racing: list[Event] | None = None
-        self.awaiting: Event | None = None
-        _Now(env, self._boot)
+        Now(env, self._boot)
 
     def _boot(self, _event: Event) -> None:
         self._attempt(self.gather.claim())
@@ -574,60 +519,41 @@ class _ReplicaSlot(Event):
         if node is None:
             self.succeed(None)
             return
-        self.primary = _NodeLeg(self, node)
+        primary = self.primary = _NodeLeg(self.gather, node)
         self.backup = None
         hedge_after_s = self.gather.query.coord.hedge_after_s
         if hedge_after_s is None:
-            self.awaiting = self.primary
+            primary.callbacks.append(self._check)
         else:
-            timer = Timeout(self.env, hedge_after_s)
-            timer.callbacks.append(self._popped)
-            self._race([self.primary, timer])
+            Race(self.env, [primary, Timeout(self.env, hedge_after_s)]
+                 ).callbacks.append(self._hedge)
 
-    def _race(self, events: list[Event]) -> None:
-        # As a ``Race`` would: a child already processed wins at once.
-        for position, event in enumerate(events):
-            if event.processed:
-                _Now(self.env, self._raced, position)
-                return
-        self.racing = events
-
-    def _popped(self, event: Event) -> None:
-        """A leg's completion or a hedge timer, popped."""
-        if event is self.awaiting:
-            self.awaiting = None
-            self._check()
-            return
-        racing = self.racing
-        if racing is not None and event in racing:
-            self.racing = None
-            _Now(self.env, self._raced, racing.index(event))
-
-    def _raced(self, race: Event) -> None:
-        if self.backup is None and race._value == 1:
-            # The hedge delay passed first: send a backup copy.
+    def _hedge(self, race: Event) -> None:
+        if race._value == 1:
+            # The hedge timer popped first: send a backup copy.
             backup = self.gather.claim()
             if backup is not None:
                 self.gather.query.coord._note("hedges")
-                self.backup = _NodeLeg(self, backup)
-                self._race([self.primary, self.backup])
+                self.backup = _NodeLeg(self.gather, backup)
+                Race(self.env, [self.primary, self.backup]
+                     ).callbacks.append(self._check)
                 return
-        if self.backup is None and not self.primary.processed:
-            self.awaiting = self.primary
-        else:
-            self._check()
+        # No backup: wait for the primary's pop, even when it has
+        # already answered.
+        self.primary._wait(self._check)
 
-    def _check(self) -> None:
-        if self.primary.answered:
+    def _check(self, _event: Event) -> None:
+        primary, backup = self.primary, self.backup
+        if primary.answered:
             self._answered()
-        elif self.backup is not None and self.backup.answered:
+        elif backup is not None and backup.answered:
             self.gather.query.coord._note("hedge_wins")
             self._answered()
         else:
-            pending = [leg for leg in (self.primary, self.backup)
+            pending = [leg for leg in (primary, backup)
                        if leg is not None and not leg.processed]
             if pending:
-                self.awaiting = pending[0]
+                pending[0].callbacks.append(self._check)
             else:
                 node = self.gather.claim()
                 if node is not None:
@@ -652,28 +578,21 @@ class _NodeLeg(Event):
     Every way the round trip can die records its fault kind in the
     query's causes.
 
-    The sub-query replays through the node host's ``start``; its boot
-    and completion are pushes of their own (see :class:`_Now`), and
-    ``dying`` is the state of its race against the node's next death
-    (``None`` = no death scheduled, ``True`` = racing, ``False`` =
-    decided).
+    The sub-query replays through the node host's ``start``, booted by
+    a :class:`~repro.simkernel.Now` push; its completion is a ``sub``
+    event, raced against the node's next death when one is scheduled.
     """
 
-    __slots__ = ("gather", "query", "node", "answered", "mark", "dying",
-                 "failed")
+    __slots__ = ("gather", "query", "node", "answered", "mark", "sub")
 
-    def __init__(self, slot: _ReplicaSlot, node: int) -> None:
-        env = slot.env
+    def __init__(self, gather: _ShardGather, node: int) -> None:
+        env = gather.env
         Event.__init__(self, env)
-        # The slot is only this event's callback, never an attribute:
-        # the slot holds its legs, and a leg holding the slot back
-        # would be a reference cycle outliving the run.
-        self.callbacks.append(slot._popped)
-        self.gather = slot.gather
-        self.query = slot.gather.query
+        self.gather = gather
+        self.query = gather.query
         self.node = node
         self.answered = False
-        _Now(env, self._boot)
+        Now(env, self._boot)
 
     def _boot(self, _event: Event) -> None:
         coord = self.query.coord
@@ -693,48 +612,31 @@ class _NodeLeg(Event):
             self.query.causes.add("node_kill")
             self.succeed(None)
             return
-        _Now(env, self._run)
+        sub = self.sub = Event(env)
+        Now(env, self._run)
         death_at = coord.chaos.next_death_after(node, env._now)
         if death_at is None:
-            self.dying = None
+            sub.callbacks.append(self._returned)
         else:
-            self.dying = True
-            Timeout(env, death_at - env._now).callbacks.append(self._died)
+            Race(env, [sub, Timeout(env, death_at - env._now)]
+                 ).callbacks.append(self._raced)
 
     def _run(self, _event: Event) -> None:
         gather, query = self.gather, self.query
         query.coord.node_replayers[self.node].start(
             query.plan.shard_plans[gather.shard], gather.view,
-            query.fixed_cpu, self._ran)
-
-    def _ran(self, failed: bool) -> None:
-        # The sub-query's completion push, which the death race (or
-        # the leg itself) waits on.
-        _Now(self.env, self._returned, failed)
-
-    def _returned(self, sub: Event) -> None:
-        self.failed = sub._value
-        if self.dying is None:
-            self._replied()
-        elif self.dying:
-            self.dying = False
-            _Now(self.env, self._raced, 0)
-
-    def _died(self, _timer: Event) -> None:
-        if self.dying:
-            self.dying = False
-            _Now(self.env, self._raced, 1)
+            query.fixed_cpu, self.sub.succeed)
 
     def _raced(self, race: Event) -> None:
         if race._value == 1:
             self.query.causes.add("node_kill")
             self.succeed(None)
         else:
-            self._replied()
+            self._returned(self.sub)
 
-    def _replied(self) -> None:
+    def _returned(self, sub: Event) -> None:
         coord = self.query.coord
-        if self.failed:
+        if sub._value:
             coord._note("replica_errors")
             self.query.causes.add("device")
             self.succeed(None)

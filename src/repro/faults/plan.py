@@ -44,6 +44,8 @@ Example::
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 
 from repro.errors import WorkloadError
 
@@ -66,6 +68,17 @@ def _unit(seed: int, window: int, ordinal: int) -> float:
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
     x ^= x >> 31
     return x / 2.0 ** 64
+
+
+def _finite(value: object) -> bool:
+    """Whether *value* is a finite real number (a bool is not one)."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _fraction(value: object) -> bool:
+    """Whether *value* is a real number in ``(0, 1]``."""
+    return _finite(value) and 0.0 < value <= 1.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -92,7 +105,9 @@ class TimeWindow:
     end_s: float
 
     def _check_span(self, what: str) -> None:
-        if self.start_s < 0 or self.end_s <= self.start_s:
+        # A NaN bound would leave the window silently never active.
+        if not (_finite(self.start_s) and _finite(self.end_s)
+                and 0 <= self.start_s < self.end_s):
             raise WorkloadError(
                 f"bad {what} window [{self.start_s}, {self.end_s})")
 
@@ -128,8 +143,8 @@ class LatencySpike(FaultWindow):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.extra_s <= 0:
-            raise WorkloadError(f"bad spike extra_s: {self.extra_s}")
+        if not (_finite(self.extra_s) and self.extra_s > 0):
+            raise WorkloadError(f"bad spike extra_s: {self.extra_s!r}")
 
     @property
     def kind(self) -> str:
@@ -148,10 +163,10 @@ class TailAmplification(FaultWindow):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.multiplier < 1.0:
-            raise WorkloadError(f"bad multiplier: {self.multiplier}")
-        if not 0.0 < self.probability <= 1.0:
-            raise WorkloadError(f"bad probability: {self.probability}")
+        if not (_finite(self.multiplier) and self.multiplier >= 1.0):
+            raise WorkloadError(f"bad multiplier: {self.multiplier!r}")
+        if not _fraction(self.probability):
+            raise WorkloadError(f"bad probability: {self.probability!r}")
 
     @property
     def kind(self) -> str:
@@ -180,10 +195,10 @@ class ReadError(FaultWindow):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not 0.0 < self.probability <= 1.0:
-            raise WorkloadError(f"bad probability: {self.probability}")
-        if self.stall_s <= 0:
-            raise WorkloadError(f"bad stall_s: {self.stall_s}")
+        if not _fraction(self.probability):
+            raise WorkloadError(f"bad probability: {self.probability!r}")
+        if not (_finite(self.stall_s) and self.stall_s > 0):
+            raise WorkloadError(f"bad stall_s: {self.stall_s!r}")
 
     @property
     def kind(self) -> str:
@@ -203,9 +218,9 @@ class Throttle(FaultWindow):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not 0.0 < self.bandwidth_fraction <= 1.0:
+        if not _fraction(self.bandwidth_fraction):
             raise WorkloadError(
-                f"bad bandwidth_fraction: {self.bandwidth_fraction}")
+                f"bad bandwidth_fraction: {self.bandwidth_fraction!r}")
 
     @property
     def kind(self) -> str:

@@ -50,15 +50,24 @@ Example::
 from __future__ import annotations
 
 import dataclasses
+import numbers
 import typing as t
+from collections import abc
 
 from repro.errors import WorkloadError
 from repro.faults.crash import CrashPlan
 from repro.faults.plan import (FaultWindow, LatencySpike, ReadError,
-                               Throttle, TimeWindow, _unit)
+                               Throttle, TimeWindow, _finite, _fraction,
+                               _unit)
 
 #: One atomic fault in a flattened schedule: (plane tag, payload).
 ChaosElement = t.Tuple[str, t.Any]
+
+
+def _node_id(value: object) -> bool:
+    """Whether *value* is a node id: an integer >= 0, not a bool."""
+    return (isinstance(value, numbers.Integral)
+            and not isinstance(value, bool) and value >= 0)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -87,8 +96,8 @@ class NodeKill(TimeWindow):
     end_s: float
 
     def __post_init__(self) -> None:
-        if self.node < 0:
-            raise WorkloadError(f"bad node id: {self.node}")
+        if not _node_id(self.node):
+            raise WorkloadError(f"bad node id: {self.node!r}")
         self._check_span("kill")
 
 
@@ -118,13 +127,18 @@ class PartitionWindow(TimeWindow):
     drop_fraction: float = 1.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        if not self.nodes:
+        nodes = self.nodes
+        if isinstance(nodes, abc.Iterable):
+            nodes = tuple(nodes)
+            object.__setattr__(self, "nodes", nodes)
+        if not nodes:
             raise WorkloadError("partition window isolates no nodes")
+        if not (isinstance(nodes, tuple) and all(map(_node_id, nodes))):
+            raise WorkloadError(f"bad partition nodes: {nodes!r}")
         self._check_span("partition")
-        if not 0.0 < self.drop_fraction <= 1.0:
+        if not _fraction(self.drop_fraction):
             raise WorkloadError(
-                f"bad drop_fraction: {self.drop_fraction}")
+                f"bad drop_fraction: {self.drop_fraction!r}")
 
     def severs(self, src: int, dst: int) -> bool:
         """Whether a src->dst message crosses this partition's cut."""
@@ -158,10 +172,10 @@ class GrayFailure(TimeWindow):
     slowdown: float = 8.0
 
     def __post_init__(self) -> None:
-        if self.node < 0:
-            raise WorkloadError(f"bad gray-failure node: {self.node}")
+        if not _node_id(self.node):
+            raise WorkloadError(f"bad gray-failure node: {self.node!r}")
         self._check_span("gray")
-        if self.slowdown <= 1.0:
+        if not (_finite(self.slowdown) and self.slowdown > 1.0):
             raise WorkloadError(
                 f"gray slowdown must exceed 1.0: {self.slowdown}")
 
@@ -198,8 +212,11 @@ class ChaosSchedule:
                     f"bad {tag} entry in a chaos schedule: {faults!r}")
         for entry in self.device_faults:
             if (len(entry) != 2 or not isinstance(entry[1], FaultWindow)
-                    or entry[0] < 0):
+                    or not _node_id(entry[0])):
                 raise WorkloadError(f"bad device-fault entry: {entry!r}")
+        if (isinstance(self.seed, bool)
+                or not isinstance(self.seed, numbers.Integral)):
+            raise WorkloadError(f"bad chaos seed: {self.seed!r}")
 
     @classmethod
     def seeded(cls, n_nodes: int, duration_s: float, *, seed: int = 0,

@@ -48,6 +48,7 @@ from repro.serve.arrivals import ArrivalModel, check_count, check_positive
 from repro.serve.controller import AIMDConfig, ConcurrencyController
 from repro.serve.queueing import POLICIES, QueuedQuery, make_queue
 from repro.serve.result import ServeResult, TenantStats
+from repro.simkernel import Now
 from repro.workload.metrics import percentiles
 from repro.workload.replay import ReplaySession
 
@@ -407,8 +408,8 @@ class Server:
                                           dispatch_s=env.now)
                     tallies[query.tenant].records.append(record)
                     state["inflight"] += 1
-                    env.timeout(0.0).callbacks.append(functools.partial(
-                        service, query, record, fixed_cpu))
+                    Now(env, functools.partial(service, query, record,
+                                               fixed_cpu))
 
         def arrival(seq: int) -> None:
             when, tenant = schedule[seq]

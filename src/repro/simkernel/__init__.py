@@ -7,7 +7,7 @@ available offline): processes are generators yielding events.
 """
 
 from repro.simkernel.env import Environment, Process
-from repro.simkernel.events import AllOf, AnyOf, Event, Race, Timeout
+from repro.simkernel.events import AllOf, AnyOf, Event, Now, Race, Timeout
 from repro.simkernel.network import Network, NetworkSpec
 from repro.simkernel.resources import Resource
 
@@ -18,6 +18,7 @@ __all__ = [
     "Event",
     "Network",
     "NetworkSpec",
+    "Now",
     "Process",
     "Race",
     "Resource",

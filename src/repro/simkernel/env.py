@@ -24,7 +24,7 @@ import typing as t
 from heapq import heappop, heappush
 
 from repro.errors import SimulationError
-from repro.simkernel.events import AllOf, AnyOf, Event, Race, Timeout
+from repro.simkernel.events import AllOf, AnyOf, Event, Now, Race, Timeout
 
 
 class Process(Event):
@@ -43,9 +43,7 @@ class Process(Event):
         super().__init__(env)
         self._generator = generator
         # Bootstrap: resume the generator as soon as the simulation runs.
-        bootstrap = Event(env)
-        bootstrap.callbacks.append(self._resume)
-        bootstrap.succeed(None)
+        Now(env, self._resume)
 
     def _resume(self, event: Event) -> None:
         # Only ever called with a processed event, so its value is set.
@@ -107,9 +105,7 @@ class _Timeline:
             self._arm(i + 1)
         # Where ``process_at`` bootstraps the entry's process: a fresh
         # key at the timer's pop.
-        run = Event(self.env)
-        run.callbacks.append(self._run)
-        run.succeed(i)
+        Now(self.env, self._run, i)
 
     def _run(self, run: Event) -> None:
         self.callback(run._value)

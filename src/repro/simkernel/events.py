@@ -108,6 +108,26 @@ class Timeout(Event):
         heappush(env._heap, (env._now + delay, next(env._counter), self))
 
 
+class Now(Event):
+    """An event pushed at ``now`` with one callback and *value*.
+
+    A callback cursor's stand-in for a process's bootstrap or
+    completion, or for a zero-delay timer: same time, a fresh tie key,
+    so foreign events of the same instant interleave exactly as before.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, env: "Environment", callback: Callback,
+                 value: t.Any = None) -> None:
+        # Event.__init__ and succeed(), inlined: a query pushes dozens.
+        self.env = env
+        self.callbacks = [callback]
+        self.processed = False
+        self._value = value
+        heappush(env._heap, (env._now, next(env._counter), self))
+
+
 class AllOf(Event):
     """An event that fires once every child event has been processed.
 
@@ -118,19 +138,25 @@ class AllOf(Event):
     __slots__ = ("_events", "_remaining")
 
     def __init__(self, env: "Environment", events: t.Sequence[Event]) -> None:
-        super().__init__(env)
-        self._events = list(events)
-        self._remaining = len(self._events)
-        if self._remaining == 0:
-            self.succeed([])
-            return
-        for event in self._events:
-            event._wait(self._on_child)
+        # Event.__init__, inlined.
+        self.env = env
+        self.callbacks = []
+        self.processed = False
+        self._value = _PENDING
+        events = self._events = list(events)
+        # The constructor holds one count, released last.
+        self._remaining = len(events) + 1
+        on_child = self._on_child
+        for event in events:
+            event._wait(on_child)
+        on_child(self)
 
     def _on_child(self, _event: Event) -> None:
         self._remaining -= 1
         if self._remaining == 0:
-            self.succeed([event.value for event in self._events])
+            self._value = [event._value for event in self._events]
+            env = self.env
+            heappush(env._heap, (env._now, next(env._counter), self))
 
 
 class AnyOf(Event):
@@ -160,19 +186,29 @@ class Race(Event):
     (``0`` = the read landed, ``1`` = it timed out) or against a hedged
     duplicate read.  Ties are resolved by scheduling order, so a read
     completing exactly at its deadline still counts as a completion.
+    The race holds the *events* sequence until it fires: do not
+    mutate it meanwhile.
     """
 
-    __slots__ = ()
+    __slots__ = ("_events",)
 
     def __init__(self, env: "Environment", events: t.Sequence[Event]) -> None:
-        super().__init__(env)
         if not events:
             raise SimulationError("Race requires at least one event")
-        for position, event in enumerate(events):
-            event._wait(self._make_callback(position))
+        # Event.__init__, inlined.
+        self.env = env
+        self.callbacks = []
+        self.processed = False
+        self._value = _PENDING
+        self._events = events
+        on_child = self._on_child
+        for event in events:
+            event._wait(on_child)
 
-    def _make_callback(self, position: int) -> Callback:
-        def on_child(_event: Event) -> None:
-            if not self.triggered:
-                self.succeed(position)
-        return on_child
+    def _on_child(self, event: Event) -> None:
+        if self._value is _PENDING:
+            # The first position holding the winner fires first.
+            self._value = self._events.index(event)
+            self._events = None       # no cycle with the losers
+            env = self.env
+            heappush(env._heap, (env._now, next(env._counter), self))

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.errors import FaultError, WorkloadError
 from repro.obs import RunTelemetry
-from repro.simkernel import Environment, Resource
+from repro.simkernel import Environment, Now, Resource
 from repro.workload.metrics import RunResult, percentiles
 
 if t.TYPE_CHECKING:
@@ -210,8 +210,7 @@ def closed_loop(session: ReplaySession, runner: "BenchRunner",
             issue(client_id)
 
     for client_id in range(clients):
-        env.timeout(0.0).callbacks.append(functools.partial(issue,
-                                                            client_id))
+        Now(env, functools.partial(issue, client_id))
     env.run()
     # ``issue`` and ``complete`` refer to each other: unlink them, or
     # the session (its block trace can be megabytes) outlives the run

@@ -51,7 +51,8 @@ from repro.faults import (ChaosSchedule, FaultInjector, PressureTracker,
 from repro.mutate.simproc import (MutationLoad, mutation_stats,
                                   start_mutation_load)
 from repro.obs import RunTelemetry
-from repro.simkernel import AllOf, Environment, Event, Race, Resource, Timeout
+from repro.simkernel import (AllOf, Environment, Event, Now, Race, Resource,
+                             Timeout)
 from repro.simkernel.events import hand_off
 from repro.storage.blockfile import ExtentAllocator
 from repro.storage.device import SimSSD
@@ -258,7 +259,7 @@ class _QueryCursor:
             for seg in range(len(plan.segments)):
                 finished = Event(env)
                 segment = _SegmentCursor(self, seg, finished.succeed)
-                Timeout(env, 0.0).callbacks.append(segment.advance)
+                Now(env, segment.advance)
                 done.append(finished)
             AllOf(env, done).callbacks.append(self._finish)
         else:
@@ -424,7 +425,7 @@ class _ResilientRead:
     """
 
     __slots__ = ("host", "payload", "timing", "span", "deadline_at",
-                 "then", "attempt", "started", "done", "racing", "backoff")
+                 "then", "attempt", "started", "done", "copies", "backoff")
 
     def __init__(self, host: QueryReplayer, payload, timing, span,
                  deadline_at: float | None,
@@ -474,17 +475,17 @@ class _ResilientRead:
 
     def _race(self, races: list[Event], deadline: float | None) -> None:
         env = self.host.env
-        self.racing = len(races)
+        self.copies = len(races)
         if deadline is not None:
             races = races + [Timeout(env, deadline)]
         Race(env, races).callbacks.append(self._raced)
 
     def _raced(self, race: Event) -> None:
         winner = race._value
-        if winner == self.racing:          # the deadline won
+        if winner == self.copies:          # the deadline won
             self._timed_out()
             return
-        if winner == 1 and self.racing > 1:
+        if winner == 1 and self.copies > 1:
             self.host.note("hedge_wins")
         self._landed()
 

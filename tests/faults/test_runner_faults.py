@@ -18,6 +18,7 @@ The contracts these tests pin down:
 
 import dataclasses
 import hashlib
+import math
 
 import pytest
 
@@ -25,7 +26,7 @@ from repro.engines import IndexSpec, VectorEngine, get_profile
 from repro.errors import FaultError, WorkloadError
 from repro.faults import (ChaosSchedule, CrashPlan, GrayFailure,
                           LatencySpike, NodeKill, PartitionWindow, ReadError,
-                          ResiliencePolicy, Throttle)
+                          ResiliencePolicy, TailAmplification, Throttle)
 from repro.workload import BenchRunner
 
 DURATION = 0.3
@@ -160,6 +161,22 @@ class TestInjection:
         assert result.faults["injected"]["read_error"] > 0
         assert result.p99_latency_s > baseline.p99_latency_s
         assert result.qps < baseline.qps
+
+    @pytest.mark.parametrize("window", [
+        lambda: LatencySpike(0.0, 1.0, extra_s=math.nan),
+        lambda: LatencySpike(0.0, 1.0, extra_s=math.inf),
+        lambda: ReadError(0.0, 1.0, probability=1.0, stall_s=math.nan),
+        lambda: TailAmplification(0.0, 1.0, multiplier=math.nan,
+                                  probability=1.0),
+    ], ids=["nan-spike", "inf-spike", "nan-stall", "nan-multiplier"])
+    def test_a_non_finite_magnitude_is_rejected_not_run(self, runner,
+                                                         window):
+        # NaN used to pass every ``<=`` check and make the faulted run
+        # faster than the healthy one (2 805 -> 4 460 QPS); an inf
+        # spike died mid-run on a NaN timer delay.
+        with pytest.raises(WorkloadError):
+            runner.run(4, PARAMS, duration_s=0.2, chaos=ChaosSchedule(
+                device_faults=((0, window()),)))
 
     def test_ledgers_reconcile(self, runner):
         result = runner.run(2, PARAMS, duration_s=DURATION, trace=True,

@@ -18,12 +18,13 @@ Covers the three primitives the vectorized path is built from:
 and the rewrites that are held to a reference implementation kept
 under ``tests/``: the Vamana build (rows/s, graphs compared edge by
 edge), the DiskANN beam search (queries/s; ids, distance bytes, work
-steps and cache counters compared), CRC-32C (MB/s, digests compared)
-and the replay path — ``Resource.hold`` (events/s of a closed loop;
-firing logs compared), ``SimSSD.submit`` (us per call; completion
-delays and channel state compared) and the closed-loop replay itself
-(passes/s of a DiskANN concurrency sweep; simulated numbers and event
-counts compared), plus the cluster coordinator's scatter-gather
+steps and cache counters compared), k-means (ms on an IVF coarse
+quantizer and a PQ subspace; centroid and assignment bytes compared),
+CRC-32C (MB/s, digests compared) and the replay path —
+``Resource.hold`` (events/s of a closed loop; firing logs compared),
+``SimSSD.submit`` (us per call; completion delays and channel state
+compared) and the closed-loop replay itself (passes/s of a DiskANN
+concurrency sweep; simulated numbers and event counts compared), plus the cluster coordinator's scatter-gather
 (passes/s of a hedged closed loop; simulated numbers and event counts
 compared against ``tests/cluster/reference_cluster_replay.py``).
 Those sections exit non-zero on any *inequality*; no section fails on
@@ -42,6 +43,7 @@ import numpy as np
 
 from repro.ann.diskann import DiskANNIndex, DiskLayout
 from repro.ann.distance import make_batch_kernel, top_k, top_k_batch
+from repro.ann.kmeans import kmeans
 from repro.ann.pq import ProductQuantizer
 from repro.ann.vamana import build_vamana
 from repro.data.synthetic import make_vectors
@@ -51,7 +53,8 @@ from repro.storage import SimSSD, samsung_990pro_4tb
 
 # The reference implementations live with the tests that use them.
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
-from tests.ann import reference_diskann, reference_vamana  # noqa: E402
+from tests.ann import (reference_diskann, reference_kmeans,  # noqa: E402
+                       reference_vamana)
 from tests.cluster import reference_cluster_replay  # noqa: E402
 from tests.durability import reference_crc32c  # noqa: E402
 from tests.simkernel import reference_resources  # noqa: E402
@@ -172,6 +175,22 @@ def bench_search(n: int, dim: int, n_queries: int) -> bool:
                   f"{len(got) / search_s:6.0f} q/s "
                   f"({reference_s / search_s:4.1f}x)  "
                   f"results {'identical' if equal else 'DIFFER'}")
+    return same
+
+
+def bench_kmeans(label: str, data: np.ndarray, k: int) -> bool:
+    """k-means ms, current vs reference; True iff centroids and
+    assignments are byte-equal."""
+    (centroids, assignments), kmeans_s = timed(lambda: kmeans(data, k))
+    (want_c, want_a), reference_s = timed(
+        lambda: reference_kmeans.kmeans(data, k))
+    same = (centroids.tobytes() == want_c.tobytes()
+            and assignments.tobytes() == want_a.tobytes())
+    n, dim = data.shape
+    print(f"  kmeans   {label} {n}x{dim} k={k}: reference "
+          f"{reference_s * 1e3:6.0f} ms  current {kmeans_s * 1e3:6.0f} ms "
+          f"({reference_s / kmeans_s:4.1f}x)  "
+          f"results {'identical' if same else 'DIFFER'}")
     return same
 
 
@@ -400,6 +419,12 @@ def main() -> int:
     equal = [bench_build(size, 96) for size in build_sizes]
     equal.append(bench_search(800 if args.quick else 2_000, 192,
                               16 if args.quick else 48))
+    # The shapes of an IVF build: its coarse quantizer (4 sqrt(n) cells)
+    # and one 4-wide PQ subspace of a 20k training sample.
+    equal.append(bench_kmeans("ivf", make_vectors(
+        4_000, 96, n_clusters=40, seed=8, latent_dim=32), 253))
+    equal.append(bench_kmeans("pq ", make_vectors(
+        20_000, 32, n_clusters=64, seed=9)[:, :4], 256))
     equal.append(bench_crc(500_000 if args.quick else 5_000_000))
     print("replay path vs its reference implementations (single run):")
     equal.append(bench_hold(16, 2_000 if args.quick else 10_000))

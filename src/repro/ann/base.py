@@ -11,6 +11,8 @@ import numpy as np
 from repro.ann.workprofile import SearchResult
 from repro.errors import AnnIndexError
 
+T = t.TypeVar("T")
+
 
 class VectorIndex(abc.ABC):
     """A built-once, searched-many index over a fixed vector set.
@@ -24,6 +26,9 @@ class VectorIndex(abc.ABC):
     kind: str = "abstract"
     #: Whether searching reads from storage (True) or memory only.
     storage_based: bool = False
+    #: Searches awaiting their second use; an instance attribute only
+    #: inside :meth:`_search_once`.
+    _traversals: dict[tuple, t.Any] | None = None
 
     def __init__(self, metric: str = "l2") -> None:
         self.metric = metric
@@ -64,13 +69,43 @@ class VectorIndex(abc.ABC):
     def reuse_traversals(self) -> t.ContextManager[None]:
         """A scope in which a repeated search may reuse its traversal.
 
-        A plan compile searches the query set twice (cold, then warm);
-        indexes whose traversal does not depend on their cache state
-        (DiskANN) override this to search each query once and replay
-        only the cache accounting the second time.  The default does
-        nothing.
+        A plan compile searches the query set twice (cold, then warm).
+        An index whose search reads no cache state searches once per
+        compile: it overrides this with :meth:`_search_once`, and its
+        warm pass takes the cold pass's search back.  The default
+        searches every time.
         """
         return contextlib.nullcontext()
+
+    @contextlib.contextmanager
+    def _search_once(self) -> t.Iterator[None]:
+        """The :meth:`reuse_traversals` of an index that searches once.
+
+        Inside, :meth:`_reused` stores a search the first time its key
+        is asked for and hands it back (and forgets it) the second
+        time.  The memo is deleted on exit, so nothing outlives the
+        scope (or reaches a pickle); a nested scope shares the outer
+        one.
+        """
+        if self._traversals is not None:
+            yield
+            return
+        self._traversals = {}
+        try:
+            yield
+        finally:
+            del self._traversals
+
+    def _reused(self, key: tuple, search: t.Callable[[], T]) -> T:
+        """``search()``, taken from the memo of a :meth:`_search_once`
+        scope when the same *key* was searched there before."""
+        memo = self._traversals
+        if memo is None:
+            return search()
+        found = memo.pop(key, None)
+        if found is None:
+            found = memo[key] = search()
+        return found
 
     @abc.abstractmethod
     def memory_bytes(self) -> int:

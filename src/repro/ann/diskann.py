@@ -59,7 +59,6 @@ and cache effects of the textbook loop over Python tuples and sets
 from __future__ import annotations
 
 import collections
-import contextlib
 import dataclasses
 import numbers
 import typing as t
@@ -162,9 +161,6 @@ class DiskANNIndex(VectorIndex):
 
     kind = "diskann"
     storage_based = True
-    #: Traversals awaiting their second use; an instance attribute only
-    #: inside :meth:`reuse_traversals`.
-    _traversals: dict[tuple, Traversal] | None = None
 
     def __init__(self, metric: str = "l2", R: int = 32, L_build: int = 96,
                  alpha: float = 1.3, pq_m: int | None = None,
@@ -371,41 +367,25 @@ class DiskANNIndex(VectorIndex):
         search_list = max(search_list, k)
         query = prepare_query(query, self.metric)
         record_tails = prefetch_depth > 0
-        memo = self._traversals
-        if memo is None:
-            path = self._traverse(query, search_list, beam_width,
-                                  record_tails)
-        else:
-            key = (query.tobytes(), search_list, beam_width, record_tails)
-            path = memo.pop(key, None)
-            if path is None:
-                path = memo[key] = self._traverse(query, search_list,
-                                                  beam_width, record_tails)
+        path = self._reused(
+            (query.tobytes(), search_list, beam_width, record_tails),
+            lambda: self._traverse(query, search_list, beam_width,
+                                   record_tails))
         work = self._account(path, prefetch_depth)
         # Stable: equal distances keep their visit order.
         best = np.argsort(path.dists, kind="stable")[:k]
         return SearchResult(ids=path.visits[best], work=work,
                             dists=path.dists[best].astype(np.float32))
 
-    @contextlib.contextmanager
-    def reuse_traversals(self) -> t.Iterator[None]:
+    def reuse_traversals(self) -> t.ContextManager[None]:
         """Search each (query, search_list, beam_width) once in here.
 
-        The first search of a key stores its traversal, the next one
-        takes it back and runs only the cache/prefetch accounting and
-        the top-k cut — what a compile's warm pass needs, since its
-        traversals are the cold pass's.  The memo is deleted on exit,
-        so nothing outlives the scope (or reaches a pickle); a nested
-        scope shares the outer one.
+        The second search of a key takes the first one's traversal back
+        and runs only the cache/prefetch accounting and the top-k cut —
+        what a compile's warm pass needs, since its traversals are the
+        cold pass's.
         """
-        if self._traversals is not None:
-            yield
-            return
-        self._traversals = {}
-        try:
-            yield
-        finally:
-            del self._traversals
+        return self._search_once()
 
     def _traverse(self, query: np.ndarray, search_list: int,
                   beam_width: int, record_tails: bool) -> Traversal:

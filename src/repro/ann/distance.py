@@ -334,5 +334,6 @@ def prepare_queries(queries: np.ndarray, metric: str) -> np.ndarray:
         raise AnnIndexError(
             f"query batch must be 2D (B, dim): {queries.shape}")
     if metric == "cosine":
-        return np.vstack([normalize(q) for q in queries])
+        # One call for the block: each row's norm reduces alone.
+        return normalize(queries)
     return np.ascontiguousarray(queries)

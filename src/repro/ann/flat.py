@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import typing as t
+
 import numpy as np
 
 from repro.ann.base import VectorIndex
@@ -43,18 +45,28 @@ class FlatIndex(VectorIndex):
         # bit-identical (see make_batch_kernel).
         self._require_built()
         query = prepare_query(query, self.metric)
-        return self._scan(query.reshape(1, -1), k, params)[0]
+        return self._search(query.reshape(1, -1), k, params)[0]
 
     def search_batch(self, queries: np.ndarray, k: int,
                      **params) -> list[SearchResult]:
         """One matrix-matrix scan scores the whole batch at once."""
         self._require_built()
-        return self._scan(prepare_queries(queries, self.metric), k, params)
+        return self._search(prepare_queries(queries, self.metric), k,
+                            params)
 
-    def _scan(self, prepared: np.ndarray, k: int,
-              params: dict) -> list[SearchResult]:
+    def reuse_traversals(self) -> t.ContextManager[None]:
+        """No cache state reaches a scan: a compile scans each batch
+        once (see :meth:`VectorIndex.reuse_traversals`)."""
+        return self._search_once()
+
+    def _search(self, prepared: np.ndarray, k: int,
+                params: dict) -> list[SearchResult]:
         if params:
             raise AnnIndexError(f"flat index takes no search params: {params}")
+        return self._reused((prepared.tobytes(), k),
+                            lambda: self._scan(prepared, k))
+
+    def _scan(self, prepared: np.ndarray, k: int) -> list[SearchResult]:
         dists = make_batch_kernel(
             self._X, self._imetric,
             x_sq=self._x_sq)(prepared, slice(None))

@@ -15,6 +15,7 @@ the default.
 from __future__ import annotations
 
 import math
+import typing as t
 
 import numpy as np
 
@@ -138,14 +139,25 @@ class IVFIndex(VectorIndex):
         # blocks make each query's result independent of its batchmates.
         self._require_built()
         query = prepare_query(query, self.metric)
-        return self._scan(query.reshape(1, -1), k, nprobe)[0]
+        return self._search(query.reshape(1, -1), k, nprobe)[0]
 
     def search_batch(self, queries: np.ndarray, k: int, *,
                      nprobe: int = 8) -> list[SearchResult]:
         """Batched search; the centroid scan runs as one GEMM and each
         probed cell is scored once for every query that probes it."""
         self._require_built()
-        return self._scan(prepare_queries(queries, self.metric), k, nprobe)
+        return self._search(prepare_queries(queries, self.metric), k,
+                            nprobe)
+
+    def reuse_traversals(self) -> t.ContextManager[None]:
+        """No cache state reaches a scan: a compile scans each batch
+        once (see :meth:`VectorIndex.reuse_traversals`)."""
+        return self._search_once()
+
+    def _search(self, Q: np.ndarray, k: int,
+                nprobe: int) -> list[SearchResult]:
+        return self._reused((Q.tobytes(), k, nprobe),
+                            lambda: self._scan(Q, k, nprobe))
 
     def _scan(self, Q: np.ndarray, k: int, nprobe: int) -> list[SearchResult]:
         if nprobe < 1:

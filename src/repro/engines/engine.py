@@ -13,6 +13,8 @@ replays on the simulated hardware.
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 import typing as t
 from pathlib import Path
 
@@ -80,6 +82,12 @@ class IndexSpec:
 CONSISTENCY_LEVELS = ("one", "quorum", "all")
 
 
+def _integer(value: object) -> bool:
+    """Whether *value* is an integer (a bool is not one)."""
+    return (isinstance(value, numbers.Integral)
+            and not isinstance(value, bool))
+
+
 @dataclasses.dataclass(frozen=True)
 class SearchRequest:
     """A typed search call: what to look for and how.
@@ -119,19 +127,31 @@ class SearchRequest:
     deadline_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.k <= 0:
-            raise EngineError(f"k must be positive: {self.k}")
+        if not _integer(self.k) or self.k <= 0:
+            raise EngineError(f"k must be positive (an integer): {self.k!r}")
+        try:
+            params = dict(self.params)
+        except (TypeError, ValueError):
+            raise EngineError(
+                f"params must be (name, value) pairs: {self.params!r}"
+            ) from None
+        if not all(isinstance(name, str) for name in params):
+            raise EngineError(f"param names must be strings: {params!r}")
         if not isinstance(self.params, tuple):
-            object.__setattr__(self, "params",
-                               tuple(sorted(dict(self.params).items())))
-        if self.shard is not None and self.shard < 0:
-            raise EngineError(f"bad shard hint: {self.shard}")
+            object.__setattr__(self, "params", tuple(sorted(params.items())))
+        if self.shard is not None and (
+                not _integer(self.shard) or self.shard < 0):
+            raise EngineError(f"bad shard hint: {self.shard!r}")
         if self.consistency not in CONSISTENCY_LEVELS:
             raise EngineError(
                 f"unknown consistency level {self.consistency!r}; "
                 f"expected one of {CONSISTENCY_LEVELS}")
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise EngineError(f"bad deadline_s: {self.deadline_s}")
+        # "No deadline" is spelled None: a bool, NaN or inf is not one.
+        if self.deadline_s is not None and (
+                isinstance(self.deadline_s, bool)
+                or not isinstance(self.deadline_s, numbers.Real)
+                or not 0 < self.deadline_s < math.inf):      # or NaN
+            raise EngineError(f"bad deadline_s: {self.deadline_s!r}")
 
     @classmethod
     def of(cls, query: t.Any, k: int = 10, filter: Filter | None = None,

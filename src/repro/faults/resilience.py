@@ -39,10 +39,22 @@ inert.  Example::
 from __future__ import annotations
 
 import dataclasses
+import numbers
 import typing as t
 
 from repro.errors import WorkloadError
-from repro.faults.plan import _unit
+from repro.faults.plan import _finite, _unit
+
+
+def _positive(value: object) -> bool:
+    """Whether *value* is a finite real number > 0 (a bool is not one)."""
+    return _finite(value) and value > 0
+
+
+def _count(value: object, low: int) -> bool:
+    """Whether *value* is an integer >= *low* (a bool is not one)."""
+    return (isinstance(value, numbers.Integral)
+            and not isinstance(value, bool) and value >= low)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -80,31 +92,33 @@ class ResiliencePolicy:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.read_timeout_s is not None and self.read_timeout_s <= 0:
+        # "Never" is spelled None: a bool, NaN or inf is no duration.
+        for name in ("read_timeout_s", "hedge_after_s", "query_deadline_s"):
+            value = getattr(self, name)
+            if value is not None and not _positive(value):
+                raise WorkloadError(
+                    f"{name} must be None or a finite number > 0: "
+                    f"{value!r}")
+        if not _count(self.max_retries, 0):
             raise WorkloadError(
-                f"read_timeout_s must be positive: {self.read_timeout_s}")
-        if self.hedge_after_s is not None and self.hedge_after_s <= 0:
-            raise WorkloadError(
-                f"hedge_after_s must be positive: {self.hedge_after_s}")
-        if self.query_deadline_s is not None and self.query_deadline_s <= 0:
-            raise WorkloadError(
-                f"query_deadline_s must be positive: "
-                f"{self.query_deadline_s}")
-        if self.max_retries < 0:
-            raise WorkloadError(f"max_retries < 0: {self.max_retries}")
-        if (self.backoff_base_s < 0 or self.backoff_cap_s < 0
-                or not 0.0 <= self.backoff_jitter <= 1.0):
+                f"max_retries must be an integer >= 0: {self.max_retries!r}")
+        if not (_finite(self.backoff_base_s) and self.backoff_base_s >= 0
+                and _finite(self.backoff_cap_s) and self.backoff_cap_s >= 0
+                and _finite(self.backoff_jitter)
+                and 0.0 <= self.backoff_jitter <= 1.0):
             raise WorkloadError(f"bad backoff config: {self}")
         if self.degrade:
-            if self.latency_budget_s is None or self.latency_budget_s <= 0:
+            if not _positive(self.latency_budget_s):
                 raise WorkloadError(
-                    "degrade=True needs a positive latency_budget_s")
-            if self.degrade_after < 1 or self.recover_after < 1:
+                    "degrade=True needs a finite latency_budget_s > 0")
+            if not (_count(self.degrade_after, 1)
+                    and _count(self.recover_after, 1)):
                 raise WorkloadError(f"bad degrade thresholds: {self}")
-            if not 0.0 < self.degrade_factor < 1.0:
+            if not (_finite(self.degrade_factor)
+                    and 0.0 < self.degrade_factor < 1.0):
                 raise WorkloadError(
                     f"degrade_factor must be in (0, 1): "
-                    f"{self.degrade_factor}")
+                    f"{self.degrade_factor!r}")
 
     @property
     def active(self) -> bool:

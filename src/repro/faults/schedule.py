@@ -205,7 +205,12 @@ class ChaosSchedule:
 
     def __post_init__(self) -> None:
         for tag, field, kind in _PLANES:
-            faults = tuple(getattr(self, field))
+            faults = getattr(self, field)
+            if not isinstance(faults, abc.Iterable):
+                raise WorkloadError(
+                    f"{field} must be an iterable of {tag} entries: "
+                    f"{faults!r}")
+            faults = tuple(faults)
             object.__setattr__(self, field, faults)
             if not all(isinstance(fault, kind) for fault in faults):
                 raise WorkloadError(
@@ -214,6 +219,9 @@ class ChaosSchedule:
             if (len(entry) != 2 or not isinstance(entry[1], FaultWindow)
                     or not _node_id(entry[0])):
                 raise WorkloadError(f"bad device-fault entry: {entry!r}")
+        if self.crash is not None and not isinstance(self.crash, CrashPlan):
+            raise WorkloadError(
+                f"crash must be None or a CrashPlan: {self.crash!r}")
         if (isinstance(self.seed, bool)
                 or not isinstance(self.seed, numbers.Integral)):
             raise WorkloadError(f"bad chaos seed: {self.seed!r}")

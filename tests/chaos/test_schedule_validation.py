@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 import pytest
 
 from repro.errors import WorkloadError
-from repro.faults import (ChaosSchedule, GrayFailure, LatencySpike,
-                          NodeKill, PartitionWindow, ReadError,
-                          TailAmplification, Throttle)
+from repro.faults import (ChaosSchedule, CrashPlan, GrayFailure,
+                          LatencySpike, NodeKill, PartitionWindow,
+                          ReadError, TailAmplification, Throttle)
 
 #: Values no numeric field accepts.
 BAD = (math.nan, math.inf, -math.inf, True, False, "1", None)
@@ -93,3 +93,37 @@ def test_partition_nodes_must_be_an_iterable():
     for nodes in (3, math.nan, True):
         with pytest.raises(WorkloadError, match="partition nodes"):
             PartitionWindow(nodes, 0.0, 1.0)
+
+
+#: Per plane: valid values; every plane also draws a non-iterable or
+#: an iterable holding a wrong entry.
+PLANES = {
+    "kills": ((), (NodeKill(0, 0.0, 1.0),), [NodeKill(2, 0.5, 1.0)]),
+    "partitions": ((), (PartitionWindow((0, 1), 0.0, 1.0),)),
+    "grays": ((), (GrayFailure(1, 0.0, 1.0, slowdown=2.0),)),
+    "device_faults": ((), ((0, LatencySpike(0.0, 1.0)),)),
+    "crash": (None, CrashPlan.of("save.manifest.write")),
+}
+NOT_A_PLANE = (None, 5, 1.5, True, math.nan, (None,), ("x",),
+               (LatencySpike(0.0, 1.0),))
+NOT_A_CRASH = ("x", "save.manifest.write", True, 0, 1.5, (),
+               (CrashPlan.of("save.manifest.write"),))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.fixed_dictionaries({
+    name: st.one_of(
+        st.sampled_from(valid).map(lambda v: (v, True)),
+        st.sampled_from(NOT_A_CRASH if name == "crash" else NOT_A_PLANE)
+        .map(lambda v: (v, False)))
+    for name, valid in PLANES.items()}))
+def test_a_schedule_builds_exactly_when_every_plane_is_valid(drawn):
+    """A plane is an iterable of its own entries and ``crash`` is None
+    or a :class:`CrashPlan`; anything else is a ``WorkloadError``, never
+    a bare ``TypeError`` and never a schedule."""
+    kwargs = {name: value for name, (value, _ok) in drawn.items()}
+    if all(ok for _value, ok in drawn.values()):
+        ChaosSchedule(**kwargs)
+    else:
+        with pytest.raises(WorkloadError):
+            ChaosSchedule(**kwargs)

@@ -1,5 +1,7 @@
 """Resilience policy: validation, backoff, pressure hysteresis."""
 
+import math
+
 import pytest
 
 from repro.errors import WorkloadError
@@ -105,3 +107,49 @@ class TestDegradedParams:
         out = degraded_search_params(
             "hnsw", {"ef_search": 64, "cache_policy": "lru"}, 0.5, k=10)
         assert out == {"ef_search": 32, "cache_policy": "lru"}
+
+
+class TestHostileKnobs:
+    """"Never" is spelled None: a NaN, an infinity or a bool is no
+    duration, and a retry count is a non-bool integer."""
+
+    @pytest.mark.parametrize("field", ["read_timeout_s", "hedge_after_s",
+                                       "query_deadline_s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                       True, False, "0.1"])
+    def test_a_duration_is_none_or_finite_and_positive(self, field,
+                                                       value):
+        with pytest.raises(WorkloadError, match=field):
+            ResiliencePolicy(**{field: value})
+
+    @pytest.mark.parametrize("value", [1.5, True, False, math.nan, "2",
+                                       None])
+    def test_max_retries_is_a_non_bool_integer(self, value):
+        with pytest.raises(WorkloadError, match="max_retries"):
+            ResiliencePolicy(max_retries=value)
+
+    @pytest.mark.parametrize("field", ["backoff_base_s", "backoff_cap_s",
+                                       "backoff_jitter"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, True, None])
+    def test_backoff_is_finite(self, field, value):
+        with pytest.raises(WorkloadError, match="backoff"):
+            ResiliencePolicy(**{field: value})
+
+    @pytest.mark.parametrize("knobs", [
+        dict(latency_budget_s=math.nan), dict(latency_budget_s=math.inf),
+        dict(latency_budget_s=True),
+        dict(latency_budget_s=0.01, degrade_after=1.5),
+        dict(latency_budget_s=0.01, recover_after=True),
+        dict(latency_budget_s=0.01, degrade_factor=math.nan),
+        dict(latency_budget_s=0.01, degrade_factor="0.5")])
+    def test_degradation_knobs_are_typed(self, knobs):
+        with pytest.raises(WorkloadError):
+            ResiliencePolicy(degrade=True, **knobs)
+
+    def test_valid_knobs_still_build(self):
+        ResiliencePolicy(read_timeout_s=0.002, max_retries=0,
+                         hedge_after_s=1, query_deadline_s=0.5,
+                         backoff_base_s=0, backoff_cap_s=0.01,
+                         backoff_jitter=1, degrade=True,
+                         latency_budget_s=1e-3, degrade_after=1,
+                         recover_after=2, degrade_factor=0.7)

@@ -44,7 +44,7 @@ from repro.serve import ServeConfig, ServeResult, TenantLoad
 from repro.tenancy import TenancyConfig, TenantProfile, TenantRegistry
 from repro.workload.setup import make_runner
 
-__version__ = "1.22.0"
+__version__ = "1.23.0"
 
 __all__ = [
     "ChaosRunResult",

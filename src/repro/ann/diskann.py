@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import collections
 import dataclasses
-import numbers
 import typing as t
 
 import numpy as np
@@ -70,24 +69,10 @@ from repro.ann.distance import prepare_query
 from repro.ann.pq import ProductQuantizer
 from repro.ann.vamana import VamanaGraph, build_vamana
 from repro.ann.workprofile import SearchResult, WorkProfile
-from repro.errors import AnnIndexError
+from repro.errors import AnnIndexError, require_int
 from repro.prefetch import (CachePolicy, LookaheadPrefetcher, PrefetchStats,
                             make_policy)
 from repro.storage.spec import PAGE_SIZE
-
-
-def _count(name: str, value: t.Any, minimum: int) -> int:
-    """*value* as an int >= *minimum*; bools, floats and None refused."""
-    if type(value) is not int:          # the common case skips the ABC
-        if isinstance(value, bool) or not isinstance(value,
-                                                     numbers.Integral):
-            raise AnnIndexError(
-                f"{name} must be >= {minimum}, an integer: {value!r}")
-        value = int(value)
-    if value < minimum:
-        raise AnnIndexError(
-            f"{name} must be >= {minimum}, an integer: {value}")
-    return value
 
 
 class Traversal(t.NamedTuple):
@@ -358,10 +343,18 @@ class DiskANNIndex(VectorIndex):
         second use only walks the accounting.
         """
         self._require_built()
-        k = _count("k", k, 1)
-        search_list = _count("search_list", search_list, 1)
-        beam_width = _count("beam_width", beam_width, 1)
-        prefetch_depth = _count("prefetch_depth", prefetch_depth, 0)
+        # The common case (plain ints in range) skips the ABC checks.
+        if type(k) is not int or k < 1:
+            k = require_int(AnnIndexError, "k", k, 1)
+        if type(search_list) is not int or search_list < 1:
+            search_list = require_int(AnnIndexError, "search_list",
+                                      search_list, 1)
+        if type(beam_width) is not int or beam_width < 1:
+            beam_width = require_int(AnnIndexError, "beam_width",
+                                     beam_width, 1)
+        if type(prefetch_depth) is not int or prefetch_depth < 0:
+            prefetch_depth = require_int(AnnIndexError, "prefetch_depth",
+                                         prefetch_depth, 0)
         if cache_policy is not None:
             self.set_cache_policy(cache_policy)
         search_list = max(search_list, k)

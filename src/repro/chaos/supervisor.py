@@ -38,7 +38,7 @@ import tempfile
 import typing as t
 
 from repro.durability import save_engine, scrub
-from repro.errors import WorkloadError
+from repro.errors import WorkloadError, require_int, require_real
 
 if t.TYPE_CHECKING:
     from repro.cluster.runner import ClusterReplaySession
@@ -64,10 +64,11 @@ class SupervisorConfig:
     enabled: bool = True
 
     def __post_init__(self) -> None:
-        if self.probe_interval_s <= 0 or self.probe_timeout_s <= 0:
-            raise WorkloadError(f"bad supervisor timing: {self}")
-        if self.fail_after < 1:
-            raise WorkloadError(f"bad fail_after: {self.fail_after}")
+        require_real(WorkloadError, "probe_interval_s",
+                     self.probe_interval_s, above=0)
+        require_real(WorkloadError, "probe_timeout_s", self.probe_timeout_s,
+                     above=0)
+        require_int(WorkloadError, "fail_after", self.fail_after, 1)
 
 
 @dataclasses.dataclass

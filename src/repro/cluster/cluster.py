@@ -40,7 +40,7 @@ from repro.engines.engine import (IndexSpec, SearchRequest, VectorEngine,
                                   merge_works)
 from repro.engines.profiles import EngineProfile, get_profile
 from repro.errors import (ClusterError, CollectionNotFoundError,
-                          CorruptionError, EngineError)
+                          CorruptionError, EngineError, SimulationError)
 
 if t.TYPE_CHECKING:
     from repro.engines.payload import Filter, Payload
@@ -407,7 +407,8 @@ class Cluster:
                     entry["name"], entry["dim"], spec, entry["storage_dim"],
                     local_to_global=l2g, global_to_local=g2l,
                     next_global=entry["next_global"])
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        except (ValueError, KeyError, TypeError, AttributeError,
+                ClusterError, SimulationError) as exc:
             raise CorruptionError(
                 f"unreadable cluster manifest {manifest_path}: {exc!r}",
                 file=_MANIFEST) from exc

@@ -45,8 +45,6 @@ from __future__ import annotations
 import collections
 import dataclasses
 import functools
-import math
-import numbers
 import typing as t
 
 import numpy as np
@@ -56,7 +54,8 @@ from repro.cluster.topology import ClusterTopology
 from repro.data.groundtruth import recall_at_k
 from repro.engines.engine import CONSISTENCY_LEVELS, VectorEngine
 from repro.engines.profiles import PAPER_CPU_CORES
-from repro.errors import ClusterError, DegradedResult, OutOfMemoryError
+from repro.errors import (ClusterError, DegradedResult, OutOfMemoryError,
+                          require_real)
 from repro.faults.resilience import ResiliencePolicy
 from repro.faults.schedule import ChaosSchedule
 from repro.obs import RunTelemetry
@@ -109,12 +108,8 @@ def check_knobs(consistency: t.Any, hedge_after_s: t.Any,
             f"{CONSISTENCY_LEVELS}")
     for name, value in (("hedge_after_s", hedge_after_s),
                         ("deadline_s", deadline_s)):
-        if value is not None and (
-                isinstance(value, bool)
-                or not isinstance(value, numbers.Real)
-                or not 0 < value < math.inf):          # or NaN
-            raise ClusterError(
-                f"{name} must be None or a finite number > 0: {value!r}")
+        if value is not None:
+            require_real(ClusterError, name, value, above=0)
 
 
 @dataclasses.dataclass

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.errors import ClusterError
+from repro.errors import ClusterError, require_int
 from repro.simkernel.network import NetworkSpec, _unit
 
 #: Supported row-placement strategies.
@@ -62,22 +62,17 @@ class ClusterTopology:
     rows_per_shard: int | None = None
 
     def __post_init__(self) -> None:
-        if self.n_shards <= 0:
-            raise ClusterError(f"need >= 1 shard: {self.n_shards}")
-        if self.replicas <= 0:
-            raise ClusterError(f"need >= 1 replica: {self.replicas}")
-        if self.spares < 0:
-            raise ClusterError(f"negative spares: {self.spares}")
+        require_int(ClusterError, "n_shards", self.n_shards, 1)
+        require_int(ClusterError, "replicas", self.replicas, 1)
+        require_int(ClusterError, "spares", self.spares, 0)
+        require_int(ClusterError, "seed", self.seed, None)
         if self.sharding not in SHARDING_KINDS:
             raise ClusterError(
                 f"unknown sharding {self.sharding!r}; expected one of "
                 f"{SHARDING_KINDS}")
-        if self.sharding == "range":
-            if self.n_shards > 1 and (self.rows_per_shard is None
-                                      or self.rows_per_shard <= 0):
-                raise ClusterError(
-                    "range sharding needs a positive rows_per_shard")
-        self.network.validate()
+        if self.sharding == "range" and self.n_shards > 1:
+            require_int(ClusterError, "range sharding's rows_per_shard",
+                        self.rows_per_shard, 1)
 
     @property
     def total_nodes(self) -> int:

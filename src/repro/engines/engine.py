@@ -13,8 +13,6 @@ replays on the simulated hardware.
 from __future__ import annotations
 
 import dataclasses
-import math
-import numbers
 import typing as t
 from pathlib import Path
 
@@ -37,7 +35,7 @@ from repro.engines.segments import GrowingBuffer, Segment, plan_segments
 from repro.engines.wal import WriteAheadLog
 from repro.mutate.tombstones import Tombstones
 from repro.errors import (CollectionNotFoundError, EngineError,
-                          OutOfMemoryError)
+                          OutOfMemoryError, require_int, require_real)
 
 INDEX_KINDS = ("flat", "ivf", "hnsw", "diskann", "ivf-pq", "hnsw-sq",
                "hnsw-mmap", "spann")
@@ -82,12 +80,6 @@ class IndexSpec:
 CONSISTENCY_LEVELS = ("one", "quorum", "all")
 
 
-def _integer(value: object) -> bool:
-    """Whether *value* is an integer (a bool is not one)."""
-    return (isinstance(value, numbers.Integral)
-            and not isinstance(value, bool))
-
-
 @dataclasses.dataclass(frozen=True)
 class SearchRequest:
     """A typed search call: what to look for and how.
@@ -127,8 +119,8 @@ class SearchRequest:
     deadline_s: float | None = None
 
     def __post_init__(self) -> None:
-        if not _integer(self.k) or self.k <= 0:
-            raise EngineError(f"k must be positive (an integer): {self.k!r}")
+        require_int(EngineError, "k", self.k, 1,
+                    must="be positive (an integer)")
         try:
             params = dict(self.params)
         except (TypeError, ValueError):
@@ -139,19 +131,15 @@ class SearchRequest:
             raise EngineError(f"param names must be strings: {params!r}")
         if not isinstance(self.params, tuple):
             object.__setattr__(self, "params", tuple(sorted(params.items())))
-        if self.shard is not None and (
-                not _integer(self.shard) or self.shard < 0):
-            raise EngineError(f"bad shard hint: {self.shard!r}")
+        if self.shard is not None:
+            require_int(EngineError, "shard hint", self.shard, 0)
         if self.consistency not in CONSISTENCY_LEVELS:
             raise EngineError(
                 f"unknown consistency level {self.consistency!r}; "
                 f"expected one of {CONSISTENCY_LEVELS}")
         # "No deadline" is spelled None: a bool, NaN or inf is not one.
-        if self.deadline_s is not None and (
-                isinstance(self.deadline_s, bool)
-                or not isinstance(self.deadline_s, numbers.Real)
-                or not 0 < self.deadline_s < math.inf):      # or NaN
-            raise EngineError(f"bad deadline_s: {self.deadline_s!r}")
+        if self.deadline_s is not None:
+            require_real(EngineError, "deadline_s", self.deadline_s, above=0)
 
     @classmethod
     def of(cls, query: t.Any, k: int = 10, filter: Filter | None = None,
@@ -442,8 +430,7 @@ class Collection:
         :class:`~repro.ann.workprofile.SearchResult` shape shared by
         index-, collection-, and engine-level searches.
         """
-        if k <= 0:
-            raise EngineError(f"k must be positive: {k}")
+        require_int(EngineError, "k", k, 1, must="be positive")
         query = np.asarray(query, dtype=np.float32)
         if query.shape != (self.dim,):
             raise EngineError(
@@ -495,8 +482,7 @@ class Collection:
             raise EngineError(
                 f"query batch must have shape (B, {self.dim}): "
                 f"got {queries.shape}")
-        if k <= 0:
-            raise EngineError(f"k must be positive: {k}")
+        require_int(EngineError, "k", k, 1, must="be positive")
         if not np.isfinite(queries).all():
             bad = int(np.isfinite(queries).all(axis=1).argmin())
             raise EngineError(

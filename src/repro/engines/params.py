@@ -15,11 +15,9 @@ All classes are immutable and hashable, so an
 from __future__ import annotations
 
 import dataclasses
-import math
-import numbers
 import typing as t
 
-from repro.errors import EngineError
+from repro.errors import EngineError, require_int, require_real
 from repro.prefetch import POLICY_NAMES
 
 
@@ -39,27 +37,16 @@ class IndexParams:
         """All parameters (defaults included) as a plain dict."""
         return dataclasses.asdict(self)
 
-    def _require_positive(self, **fields: t.Any) -> None:
-        """Integer fields (None = the kind's default) must be >= 1."""
-        for name, value in fields.items():
-            if value is not None:
-                self._require_int(name, value, 1, "positive")
-
-    def _require_int(self, name: str, value: t.Any, minimum: int,
-                     what: str) -> None:
-        if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                or value < minimum):
-            raise EngineError(
-                f"{type(self).__name__}.{name} must be {what}: {value!r}")
-
-    def _require_finite(self, name: str, value: t.Any, minimum: float,
-                        ) -> None:
-        """Float fields must be finite numbers >= *minimum*."""
-        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                or not math.isfinite(value) or value < minimum):
-            raise EngineError(
-                f"{type(self).__name__}.{name} must be a finite number "
-                f">= {minimum}: {value!r}")
+    def _require_counts(self, *names: str, least: int = 1) -> None:
+        """Integer fields >= *least*; ``None`` passes where it is the
+        field's default (the kind then picks the value)."""
+        for name in names:
+            value = getattr(self, name)
+            default = self.__dataclass_fields__[name].default
+            if value is None and default is None:
+                continue
+            require_int(EngineError, f"{type(self).__name__}.{name}",
+                        value, least, must="be positive" if least else None)
 
     def _require_policy(self, name: str, value: str) -> None:
         if value not in POLICY_NAMES:
@@ -80,7 +67,7 @@ class IVFParams(IndexParams):
     nlist: int | None = None
 
     def __post_init__(self) -> None:
-        self._require_positive(nlist=self.nlist)
+        self._require_counts("nlist")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -91,7 +78,7 @@ class IVFPQParams(IndexParams):
     pq_m: int | None = None      # PQ subspaces; default dim // 4
 
     def __post_init__(self) -> None:
-        self._require_positive(nlist=self.nlist, pq_m=self.pq_m)
+        self._require_counts("nlist", "pq_m")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -102,8 +89,7 @@ class HNSWParams(IndexParams):
     ef_construction: int = 200
 
     def __post_init__(self) -> None:
-        self._require_positive(M=self.M,
-                               ef_construction=self.ef_construction)
+        self._require_counts("M", "ef_construction")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -124,7 +110,7 @@ class HNSWMmapParams(HNSWParams):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        self._require_int("cache_bytes", self.cache_bytes, 0, ">= 0")
+        self._require_counts("cache_bytes", least=0)
         self._require_policy("cache_policy", self.cache_policy)
 
 
@@ -138,8 +124,9 @@ class DiskANNParams(IndexParams):
     alpha: float = 1.3
 
     def __post_init__(self) -> None:
-        self._require_positive(R=self.R, L_build=self.L_build)
-        self._require_finite("alpha", self.alpha, 1.0)
+        self._require_counts("R", "L_build")
+        require_real(EngineError, "DiskANNParams.alpha", self.alpha,
+                     at_least=1.0)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -153,11 +140,10 @@ class SPANNParams(IndexParams):
     cache_policy: str = "hotness"
 
     def __post_init__(self) -> None:
-        self._require_positive(n_postings=self.n_postings,
-                               max_replicas=self.max_replicas)
-        self._require_finite("closure_eps", self.closure_eps, 0.0)
-        self._require_int("list_cache_bytes", self.list_cache_bytes, 0,
-                          ">= 0")
+        self._require_counts("n_postings", "max_replicas")
+        require_real(EngineError, "SPANNParams.closure_eps",
+                     self.closure_eps, at_least=0.0)
+        self._require_counts("list_cache_bytes", least=0)
         self._require_policy("cache_policy", self.cache_policy)
 
 

@@ -10,11 +10,24 @@ Example::
     >>> from repro.errors import AnnIndexError, ReproError
     >>> issubclass(AnnIndexError, ReproError)
     True
+
+A knob -- a count, a size, a rate, a duration -- is checked by
+:func:`require_int` or :func:`require_real`, each raising the caller's
+own typed error:
+
+    >>> require_int(WorkloadError, "concurrency", 4, 1)
+    4
+    >>> require_real(WorkloadError, "duration_s", float("nan"), above=0)
+    Traceback (most recent call last):
+        ...
+    repro.errors.WorkloadError: duration_s must be finite and > 0: nan
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 import typing as t
 
 
@@ -141,6 +154,60 @@ class TenancyError(ReproError):
     never for runtime pressure: quota rejections, quality degradation,
     and tier demotions are *outcomes* counted in
     :class:`~repro.tenancy.TenancyStats`, not errors."""
+
+
+def require_int(error: type[ReproError], name: str, value: object,
+                least: int | None, *, must: str | None = None) -> int:
+    """*value* as an ``int`` if it is an integer >= *least*, else raise
+    *error*.
+
+    An integer is any :class:`numbers.Integral` (numpy's included) but
+    a bool.  *least* None sets no lower bound; *must* overrides the
+    message's rule ("``{name} must {must}: {value!r}``").
+    """
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or (least is not None and value < least)):
+        if must is None:
+            must = ("be an integer" if least is None
+                    else f"be >= {least} (an integer)")
+        raise error(f"{name} must {must}: {value!r}")
+    return int(value)
+
+
+def require_real(error: type[ReproError], name: str, value: t.Any, *,
+                 above: float | None = None, at_least: float | None = None,
+                 below: float | None = None, at_most: float | None = None,
+                 must: str | None = None) -> t.Any:
+    """*value* if it is a real number in the given interval, else raise
+    *error*.
+
+    A real number is any :class:`numbers.Real` (numpy floats and
+    :class:`fractions.Fraction` included) but a bool, and never NaN.
+    The interval is open (``above`` / ``below``) or closed
+    (``at_least`` / ``at_most``) at each end and unbounded where no
+    bound is given; it holds ``inf`` or ``-inf`` only when closed at it
+    (``at_most=math.inf``), so by default only finite numbers pass.
+    *must* overrides the message's rule.
+    """
+    low = -math.inf if above is None else above
+    high = math.inf if below is None else below
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (value >= at_least if at_least is not None
+                    else value > low)
+            or not (value <= at_most if at_most is not None
+                    else value < high)):
+        if must is None:
+            rule = ([] if at_most == math.inf or at_least == -math.inf
+                    else ["finite"])
+            for strict, loose, op in ((above, at_least, ">"),
+                                      (below, at_most, "<")):
+                if loose is not None:
+                    rule.append(f"{op}= {loose}")
+                elif strict is not None:
+                    rule.append(f"{op} {strict}")
+            must = "be " + " and ".join(rule)
+        raise error(f"{name} must {must}: {value!r}")
+    return value
 
 
 @dataclasses.dataclass(frozen=True)

@@ -41,7 +41,8 @@ import dataclasses
 import typing as t
 from pathlib import Path
 
-from repro.errors import InjectedCrash, WorkloadError
+from repro.errors import (InjectedCrash, WorkloadError, require_int,
+                          require_real)
 from repro.faults.plan import _unit
 
 
@@ -65,12 +66,11 @@ class CrashPlan:
     def __post_init__(self) -> None:
         if not self.point:
             raise WorkloadError("crash plan needs a point name")
-        if self.occurrence < 0:
-            raise WorkloadError(f"bad occurrence: {self.occurrence}")
-        if self.torn_fraction is not None and not (
-                0.0 <= self.torn_fraction < 1.0):
-            raise WorkloadError(
-                f"torn_fraction must be in [0, 1): {self.torn_fraction}")
+        require_int(WorkloadError, "occurrence", self.occurrence, 0)
+        if self.torn_fraction is not None:
+            require_real(WorkloadError, "torn_fraction", self.torn_fraction,
+                         at_least=0, below=1)
+        require_int(WorkloadError, "crash seed", self.seed, None)
 
     @classmethod
     def of(cls, point: str, occurrence: int = 0,
@@ -153,8 +153,8 @@ class CorruptionPlan:
     flips: int = 1
 
     def __post_init__(self) -> None:
-        if self.flips < 1:
-            raise WorkloadError(f"bad flip count: {self.flips}")
+        require_int(WorkloadError, "corruption seed", self.seed, None)
+        require_int(WorkloadError, "flip count", self.flips, 1)
 
     def targets(self, root: str | Path) -> list[Path]:
         """The files eligible for corruption, in deterministic order."""

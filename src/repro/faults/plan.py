@@ -44,10 +44,8 @@ Example::
 from __future__ import annotations
 
 import dataclasses
-import math
-import numbers
 
-from repro.errors import WorkloadError
+from repro.errors import WorkloadError, require_real
 
 #: All device fault kinds a window can inject (the ``kind`` of each effect).
 FAULT_KINDS = ("latency_spike", "tail_amplification", "read_error",
@@ -68,17 +66,6 @@ def _unit(seed: int, window: int, ordinal: int) -> float:
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
     x ^= x >> 31
     return x / 2.0 ** 64
-
-
-def _finite(value: object) -> bool:
-    """Whether *value* is a finite real number (a bool is not one)."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-def _fraction(value: object) -> bool:
-    """Whether *value* is a real number in ``(0, 1]``."""
-    return _finite(value) and 0.0 < value <= 1.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -106,8 +93,10 @@ class TimeWindow:
 
     def _check_span(self, what: str) -> None:
         # A NaN bound would leave the window silently never active.
-        if not (_finite(self.start_s) and _finite(self.end_s)
-                and 0 <= self.start_s < self.end_s):
+        require_real(WorkloadError, f"{what} window start_s", self.start_s,
+                     at_least=0)
+        require_real(WorkloadError, f"{what} window end_s", self.end_s)
+        if not self.start_s < self.end_s:
             raise WorkloadError(
                 f"bad {what} window [{self.start_s}, {self.end_s})")
 
@@ -143,8 +132,7 @@ class LatencySpike(FaultWindow):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not (_finite(self.extra_s) and self.extra_s > 0):
-            raise WorkloadError(f"bad spike extra_s: {self.extra_s!r}")
+        require_real(WorkloadError, "spike extra_s", self.extra_s, above=0)
 
     @property
     def kind(self) -> str:
@@ -163,10 +151,10 @@ class TailAmplification(FaultWindow):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not (_finite(self.multiplier) and self.multiplier >= 1.0):
-            raise WorkloadError(f"bad multiplier: {self.multiplier!r}")
-        if not _fraction(self.probability):
-            raise WorkloadError(f"bad probability: {self.probability!r}")
+        require_real(WorkloadError, "multiplier", self.multiplier,
+                     at_least=1)
+        require_real(WorkloadError, "probability", self.probability,
+                     above=0, at_most=1)
 
     @property
     def kind(self) -> str:
@@ -195,10 +183,9 @@ class ReadError(FaultWindow):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not _fraction(self.probability):
-            raise WorkloadError(f"bad probability: {self.probability!r}")
-        if not (_finite(self.stall_s) and self.stall_s > 0):
-            raise WorkloadError(f"bad stall_s: {self.stall_s!r}")
+        require_real(WorkloadError, "probability", self.probability,
+                     above=0, at_most=1)
+        require_real(WorkloadError, "stall_s", self.stall_s, above=0)
 
     @property
     def kind(self) -> str:
@@ -218,9 +205,8 @@ class Throttle(FaultWindow):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not _fraction(self.bandwidth_fraction):
-            raise WorkloadError(
-                f"bad bandwidth_fraction: {self.bandwidth_fraction!r}")
+        require_real(WorkloadError, "bandwidth_fraction",
+                     self.bandwidth_fraction, above=0, at_most=1)
 
     @property
     def kind(self) -> str:

@@ -39,22 +39,10 @@ inert.  Example::
 from __future__ import annotations
 
 import dataclasses
-import numbers
 import typing as t
 
-from repro.errors import WorkloadError
-from repro.faults.plan import _finite, _unit
-
-
-def _positive(value: object) -> bool:
-    """Whether *value* is a finite real number > 0 (a bool is not one)."""
-    return _finite(value) and value > 0
-
-
-def _count(value: object, low: int) -> bool:
-    """Whether *value* is an integer >= *low* (a bool is not one)."""
-    return (isinstance(value, numbers.Integral)
-            and not isinstance(value, bool) and value >= low)
+from repro.errors import WorkloadError, require_int, require_real
+from repro.faults.plan import _unit
 
 
 @dataclasses.dataclass(frozen=True)
@@ -95,30 +83,24 @@ class ResiliencePolicy:
         # "Never" is spelled None: a bool, NaN or inf is no duration.
         for name in ("read_timeout_s", "hedge_after_s", "query_deadline_s"):
             value = getattr(self, name)
-            if value is not None and not _positive(value):
-                raise WorkloadError(
-                    f"{name} must be None or a finite number > 0: "
-                    f"{value!r}")
-        if not _count(self.max_retries, 0):
-            raise WorkloadError(
-                f"max_retries must be an integer >= 0: {self.max_retries!r}")
-        if not (_finite(self.backoff_base_s) and self.backoff_base_s >= 0
-                and _finite(self.backoff_cap_s) and self.backoff_cap_s >= 0
-                and _finite(self.backoff_jitter)
-                and 0.0 <= self.backoff_jitter <= 1.0):
-            raise WorkloadError(f"bad backoff config: {self}")
+            if value is not None:
+                require_real(WorkloadError, name, value, above=0)
+        require_int(WorkloadError, "max_retries", self.max_retries, 0)
+        require_real(WorkloadError, "backoff_base_s", self.backoff_base_s,
+                     at_least=0)
+        require_real(WorkloadError, "backoff_cap_s", self.backoff_cap_s,
+                     at_least=0)
+        require_real(WorkloadError, "backoff_jitter", self.backoff_jitter,
+                     at_least=0, at_most=1)
         if self.degrade:
-            if not _positive(self.latency_budget_s):
-                raise WorkloadError(
-                    "degrade=True needs a finite latency_budget_s > 0")
-            if not (_count(self.degrade_after, 1)
-                    and _count(self.recover_after, 1)):
-                raise WorkloadError(f"bad degrade thresholds: {self}")
-            if not (_finite(self.degrade_factor)
-                    and 0.0 < self.degrade_factor < 1.0):
-                raise WorkloadError(
-                    f"degrade_factor must be in (0, 1): "
-                    f"{self.degrade_factor!r}")
+            require_real(WorkloadError, "degrade=True's latency_budget_s",
+                         self.latency_budget_s, above=0)
+            require_int(WorkloadError, "degrade_after", self.degrade_after,
+                        1)
+            require_int(WorkloadError, "recover_after", self.recover_after,
+                        1)
+            require_real(WorkloadError, "degrade_factor",
+                         self.degrade_factor, above=0, below=1)
 
     @property
     def active(self) -> bool:

@@ -50,24 +50,16 @@ Example::
 from __future__ import annotations
 
 import dataclasses
-import numbers
 import typing as t
 from collections import abc
 
-from repro.errors import WorkloadError
+from repro.errors import WorkloadError, require_int, require_real
 from repro.faults.crash import CrashPlan
 from repro.faults.plan import (FaultWindow, LatencySpike, ReadError,
-                               Throttle, TimeWindow, _finite, _fraction,
-                               _unit)
+                               Throttle, TimeWindow, _unit)
 
 #: One atomic fault in a flattened schedule: (plane tag, payload).
 ChaosElement = t.Tuple[str, t.Any]
-
-
-def _node_id(value: object) -> bool:
-    """Whether *value* is a node id: an integer >= 0, not a bool."""
-    return (isinstance(value, numbers.Integral)
-            and not isinstance(value, bool) and value >= 0)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -96,8 +88,7 @@ class NodeKill(TimeWindow):
     end_s: float
 
     def __post_init__(self) -> None:
-        if not _node_id(self.node):
-            raise WorkloadError(f"bad node id: {self.node!r}")
+        require_int(WorkloadError, "kill node id", self.node, 0)
         self._check_span("kill")
 
 
@@ -133,12 +124,13 @@ class PartitionWindow(TimeWindow):
             object.__setattr__(self, "nodes", nodes)
         if not nodes:
             raise WorkloadError("partition window isolates no nodes")
-        if not (isinstance(nodes, tuple) and all(map(_node_id, nodes))):
+        if not isinstance(nodes, tuple):
             raise WorkloadError(f"bad partition nodes: {nodes!r}")
+        for node in nodes:
+            require_int(WorkloadError, "partition node", node, 0)
         self._check_span("partition")
-        if not _fraction(self.drop_fraction):
-            raise WorkloadError(
-                f"bad drop_fraction: {self.drop_fraction!r}")
+        require_real(WorkloadError, "drop_fraction", self.drop_fraction,
+                     above=0, at_most=1)
 
     def severs(self, src: int, dst: int) -> bool:
         """Whether a src->dst message crosses this partition's cut."""
@@ -172,12 +164,10 @@ class GrayFailure(TimeWindow):
     slowdown: float = 8.0
 
     def __post_init__(self) -> None:
-        if not _node_id(self.node):
-            raise WorkloadError(f"bad gray-failure node: {self.node!r}")
+        require_int(WorkloadError, "gray-failure node", self.node, 0)
         self._check_span("gray")
-        if not (_finite(self.slowdown) and self.slowdown > 1.0):
-            raise WorkloadError(
-                f"gray slowdown must exceed 1.0: {self.slowdown}")
+        require_real(WorkloadError, "gray slowdown", self.slowdown,
+                     above=1.0, must="exceed 1.0")
 
 #: The timed planes: (element tag, schedule field, element type).
 _PLANES = (("kill", "kills", NodeKill),
@@ -216,15 +206,13 @@ class ChaosSchedule:
                 raise WorkloadError(
                     f"bad {tag} entry in a chaos schedule: {faults!r}")
         for entry in self.device_faults:
-            if (len(entry) != 2 or not isinstance(entry[1], FaultWindow)
-                    or not _node_id(entry[0])):
+            if len(entry) != 2 or not isinstance(entry[1], FaultWindow):
                 raise WorkloadError(f"bad device-fault entry: {entry!r}")
+            require_int(WorkloadError, "device-fault node", entry[0], 0)
         if self.crash is not None and not isinstance(self.crash, CrashPlan):
             raise WorkloadError(
                 f"crash must be None or a CrashPlan: {self.crash!r}")
-        if (isinstance(self.seed, bool)
-                or not isinstance(self.seed, numbers.Integral)):
-            raise WorkloadError(f"bad chaos seed: {self.seed!r}")
+        require_int(WorkloadError, "chaos seed", self.seed, None)
 
     @classmethod
     def seeded(cls, n_nodes: int, duration_s: float, *, seed: int = 0,
@@ -244,12 +232,12 @@ class ChaosSchedule:
         adds a crash plan at the snapshot manifest commit point — the
         crash-during-compaction case the durability oracle checks.
         """
-        if (n_nodes <= 0 or duration_s <= 0 or outage_s <= 0
-                or min(kills, partitions, grays, device_nodes) < 0):
-            raise WorkloadError(
-                f"bad seeded-schedule parameters: {n_nodes} nodes, "
-                f"{duration_s}s, outage {outage_s}s, counts "
-                f"{(kills, partitions, grays, device_nodes)}")
+        require_int(WorkloadError, "n_nodes", n_nodes, 1)
+        require_real(WorkloadError, "duration_s", duration_s, above=0)
+        require_real(WorkloadError, "outage_s", outage_s, above=0)
+        for name, count in (("kills", kills), ("partitions", partitions),
+                            ("grays", grays), ("device_nodes", device_nodes)):
+            require_int(WorkloadError, name, count, 0)
 
         def draws(lane: int, count: int, span: float):
             """(victim node, window start) per fault of one plane."""

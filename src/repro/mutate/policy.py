@@ -11,9 +11,8 @@ and same-seed runs compact at identical simulated times.
 from __future__ import annotations
 
 import dataclasses
-import numbers
 
-from repro.errors import EngineError
+from repro.errors import EngineError, require_int, require_real
 
 
 @dataclasses.dataclass(frozen=True)
@@ -46,14 +45,9 @@ class CompactionPolicy:
     tombstone_fraction: float = 0.2
 
     def __post_init__(self) -> None:
-        if (isinstance(self.delta_rows, bool)
-                or not isinstance(self.delta_rows, numbers.Integral)
-                or self.delta_rows < 1):
-            raise EngineError(f"delta_rows threshold must be an integer "
-                              f">= 1: {self.delta_rows!r}")
-        if not 0.0 < self.tombstone_fraction <= 1.0:
-            raise EngineError(f"tombstone_fraction must be in (0, 1]: "
-                              f"{self.tombstone_fraction}")
+        require_int(EngineError, "delta_rows threshold", self.delta_rows, 1)
+        require_real(EngineError, "tombstone_fraction",
+                     self.tombstone_fraction, above=0, at_most=1)
 
     def should_compact(self, delta_rows: int, tombstones: int,
                        total_rows: int) -> bool:

@@ -37,11 +37,9 @@ the schedule.
 from __future__ import annotations
 
 import dataclasses
-import math
-import numbers
 import typing as t
 
-from repro.errors import WorkloadError
+from repro.errors import WorkloadError, require_int, require_real
 from repro.mutate.policy import CompactionPolicy
 
 if t.TYPE_CHECKING:
@@ -104,19 +102,11 @@ class MutationLoad:
 
     def __post_init__(self) -> None:
         for name in ("insert_qps", "delete_qps", "rebuild_cpu_per_row_s"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise WorkloadError(
-                    f"{name} must be finite and >= 0: {value!r}")
-        if (isinstance(self.batch_rows, bool)
-                or not isinstance(self.batch_rows, numbers.Integral)
-                or self.batch_rows < 1):
-            raise WorkloadError(f"batch_rows must be an integer >= 1: "
-                                f"{self.batch_rows!r}")
-        if not (math.isfinite(self.write_amplification)
-                and self.write_amplification > 0):
-            raise WorkloadError(f"write_amplification must be finite and "
-                                f"> 0: {self.write_amplification!r}")
+            require_real(WorkloadError, name, getattr(self, name),
+                         at_least=0)
+        require_int(WorkloadError, "batch_rows", self.batch_rows, 1)
+        require_real(WorkloadError, "write_amplification",
+                     self.write_amplification, above=0)
 
     @property
     def flush_interval_s(self) -> float:

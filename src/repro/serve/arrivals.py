@@ -34,26 +34,11 @@ of (model, duration, seed) — replaying it is bit-identical.
 from __future__ import annotations
 
 import dataclasses
-import math
-import numbers
 import typing as t
 
 import numpy as np
 
-from repro.errors import ServeError
-
-
-def check_positive(what: str, value: float) -> None:
-    """Raise :class:`ServeError` unless *value* is finite and > 0."""
-    if not (math.isfinite(value) and value > 0):
-        raise ServeError(f"{what} must be finite and > 0: {value}")
-
-
-def check_count(what: str, value: int) -> None:
-    """Raise :class:`ServeError` unless *value* is an integer >= 1."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < 1):
-        raise ServeError(f"{what} must be an integer >= 1: {value!r}")
+from repro.errors import ServeError, require_real
 
 
 def _rng(seed: int, *stream: int) -> np.random.Generator:
@@ -72,7 +57,7 @@ class PoissonArrivals:
     rate_qps: float
 
     def __post_init__(self) -> None:
-        check_positive("arrival rate", self.rate_qps)
+        require_real(ServeError, "arrival rate", self.rate_qps, above=0)
 
     @property
     def mean_qps(self) -> float:
@@ -82,7 +67,7 @@ class PoissonArrivals:
     def timeline(self, duration_s: float, seed: int = 0,
                  stream: int = 0) -> tuple[float, ...]:
         """Arrival times in ``[0, duration_s)``, sorted ascending."""
-        check_positive("duration", duration_s)
+        require_real(ServeError, "duration", duration_s, above=0)
         rng = _rng(seed, stream)
         # Draw in chunks: the count over the window is ~Poisson(rate*T).
         times: list[float] = []
@@ -115,10 +100,12 @@ class BurstyArrivals:
     mean_burst_s: float = 0.05
 
     def __post_init__(self) -> None:
-        check_positive("calm arrival rate", self.base_qps)
-        check_positive("burst arrival rate", self.burst_qps)
-        check_positive("calm holding time", self.mean_calm_s)
-        check_positive("burst holding time", self.mean_burst_s)
+        require_real(ServeError, "calm arrival rate", self.base_qps, above=0)
+        require_real(ServeError, "burst arrival rate", self.burst_qps, above=0)
+        require_real(ServeError, "calm holding time",
+                     self.mean_calm_s, above=0)
+        require_real(ServeError, "burst holding time",
+                     self.mean_burst_s, above=0)
 
     @property
     def mean_qps(self) -> float:
@@ -130,7 +117,7 @@ class BurstyArrivals:
     def timeline(self, duration_s: float, seed: int = 0,
                  stream: int = 0) -> tuple[float, ...]:
         """Arrival times in ``[0, duration_s)``, sorted ascending."""
-        check_positive("duration", duration_s)
+        require_real(ServeError, "duration", duration_s, above=0)
         rng = _rng(seed, stream)
         times: list[float] = []
         now = 0.0
@@ -183,15 +170,15 @@ class DiurnalArrivals:
     phase: float = 0.0
 
     def __post_init__(self) -> None:
-        check_positive("trough arrival rate", self.trough_qps)
-        check_positive("peak arrival rate", self.peak_qps)
+        require_real(ServeError, "trough arrival rate",
+                     self.trough_qps, above=0)
+        require_real(ServeError, "peak arrival rate", self.peak_qps, above=0)
         if self.peak_qps < self.trough_qps:
             raise ServeError(
                 f"need peak >= trough > 0: {self.peak_qps}, "
                 f"{self.trough_qps}")
-        check_positive("period", self.period_s)
-        if not math.isfinite(self.phase):
-            raise ServeError(f"phase must be finite: {self.phase}")
+        require_real(ServeError, "period", self.period_s, above=0)
+        require_real(ServeError, "phase", self.phase)
 
     @property
     def mean_qps(self) -> float:
@@ -207,7 +194,7 @@ class DiurnalArrivals:
     def timeline(self, duration_s: float, seed: int = 0,
                  stream: int = 0) -> tuple[float, ...]:
         """Arrival times in ``[0, duration_s)``, sorted ascending."""
-        check_positive("duration", duration_s)
+        require_real(ServeError, "duration", duration_s, above=0)
         rng = _rng(seed, stream)
         times: list[float] = []
         now = 0.0

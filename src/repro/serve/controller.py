@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.errors import ServeError
+from repro.errors import ServeError, require_int, require_real
 
 
 @dataclasses.dataclass(frozen=True)
@@ -60,18 +60,15 @@ class AIMDConfig:
     ceiling: int | None = None
 
     def __post_init__(self) -> None:
-        if self.target_latency_s <= 0:
-            raise ServeError(
-                f"target latency must be > 0: {self.target_latency_s}")
-        if self.initial < 1 or self.window < 1 or self.floor < 1:
-            raise ServeError(f"initial/window/floor must be >= 1: {self}")
-        if self.increase < 1 or not 0 < self.decrease < 1:
-            raise ServeError(
-                f"need increase >= 1 and 0 < decrease < 1: {self}")
-        if not 0 < self.percentile <= 1:
-            raise ServeError(f"percentile must be in (0, 1]: {self}")
-        if self.ceiling is not None and self.ceiling < self.floor:
-            raise ServeError(f"ceiling below floor: {self}")
+        require_real(ServeError, "target latency", self.target_latency_s,
+                     above=0)
+        for name in ("initial", "window", "increase", "floor"):
+            require_int(ServeError, name, getattr(self, name), 1)
+        require_real(ServeError, "decrease", self.decrease, above=0, below=1)
+        require_real(ServeError, "percentile", self.percentile, above=0,
+                     at_most=1)
+        if self.ceiling is not None:
+            require_int(ServeError, "ceiling", self.ceiling, self.floor)
 
 
 class ConcurrencyController:

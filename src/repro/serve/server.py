@@ -35,16 +35,15 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import numbers
 import typing as t
 
 import numpy as np
 
-from repro.errors import ServeError
+from repro.errors import ServeError, require_int, require_real
 from repro.mutate.simproc import (MutationLoad, MutationState,
                                   mutation_stats, start_mutation_load)
 from repro.obs import RunTelemetry
-from repro.serve.arrivals import ArrivalModel, check_count, check_positive
+from repro.serve.arrivals import ArrivalModel
 from repro.serve.controller import AIMDConfig, ConcurrencyController
 from repro.serve.queueing import POLICIES, QueuedQuery, make_queue
 from repro.serve.result import ServeResult, TenantStats
@@ -75,9 +74,10 @@ class TenantLoad:
     def __post_init__(self) -> None:
         if not self.name:
             raise ServeError("tenant name must be non-empty")
-        check_positive("tenant weight", self.weight)
+        require_real(ServeError, "tenant weight", self.weight, above=0)
         if self.slo_deadline_s is not None:
-            check_positive("SLO deadline", self.slo_deadline_s)
+            require_real(ServeError, "SLO deadline", self.slo_deadline_s,
+                         above=0)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -118,16 +118,15 @@ class ServeConfig:
         if self.policy not in POLICIES:
             raise ServeError(f"unknown queue policy {self.policy!r}; "
                              f"expected one of {POLICIES}")
-        check_positive("duration", self.duration_s)
+        require_real(ServeError, "duration", self.duration_s, above=0)
         for what in ("queue_bound", "batch_cap", "max_inflight"):
             value = getattr(self, what)
             if value is not None:
-                check_count(what, value)
+                require_int(ServeError, what, value, 1)
         if self.slo_deadline_s is not None:
-            check_positive("SLO deadline", self.slo_deadline_s)
-        if (isinstance(self.seed, bool)
-                or not isinstance(self.seed, numbers.Integral)):
-            raise ServeError(f"seed must be an integer: {self.seed!r}")
+            require_real(ServeError, "SLO deadline", self.slo_deadline_s,
+                         above=0)
+        require_int(ServeError, "seed", self.seed, None)
         if self.shed_late and self.deadline_for(0) is None:
             raise ServeError("shedding needs an SLO deadline")
 

@@ -16,7 +16,6 @@ completes at the *max* of N shard round trips.
 Example::
 
     >>> spec = NetworkSpec(base_latency_s=50e-6, jitter_s=10e-6)
-    >>> spec.validate()
     >>> d1 = spec.delay_s(src=0, dst=1, ordinal=7, seed=3)
     >>> d1 == spec.delay_s(src=0, dst=1, ordinal=7, seed=3)
     True
@@ -31,7 +30,7 @@ from __future__ import annotations
 import dataclasses
 import typing as t
 
-from repro.errors import SimulationError
+from repro.errors import SimulationError, require_real
 
 if t.TYPE_CHECKING:
     from repro.simkernel.env import Environment
@@ -68,12 +67,10 @@ class NetworkSpec:
     #: Uniform jitter added on top of the floor (0 disables jitter).
     jitter_s: float = 20e-6
 
-    def validate(self) -> None:
-        if self.base_latency_s < 0:
-            raise SimulationError(
-                f"negative base_latency_s: {self.base_latency_s}")
-        if self.jitter_s < 0:
-            raise SimulationError(f"negative jitter_s: {self.jitter_s}")
+    def __post_init__(self) -> None:
+        require_real(SimulationError, "base_latency_s", self.base_latency_s,
+                     at_least=0)
+        require_real(SimulationError, "jitter_s", self.jitter_s, at_least=0)
 
     @classmethod
     def local(cls) -> "NetworkSpec":
@@ -112,7 +109,6 @@ class Network:
 
     def __init__(self, env: "Environment", spec: NetworkSpec,
                  seed: int = 0) -> None:
-        spec.validate()
         self.env = env
         self.spec = spec
         self.seed = seed

@@ -9,11 +9,10 @@ way the paper reports global CPU usage (Figure 4).
 from __future__ import annotations
 
 import collections
-import numbers
 import typing as t
 from heapq import heappush
 
-from repro.errors import SimulationError
+from repro.errors import SimulationError, require_int
 from repro.simkernel.env import Environment
 from repro.simkernel.events import _PENDING, Event
 
@@ -31,10 +30,7 @@ class Resource:
                  name: str | None = None,
                  telemetry: t.Any = None) -> None:
         # ``bool`` is an ``int``; a pool of ``True`` slots is a mistake.
-        if (not isinstance(capacity, numbers.Integral)
-                or isinstance(capacity, bool) or capacity < 1):
-            raise SimulationError(
-                f"resource capacity must be an integer >= 1: {capacity!r}")
+        require_int(SimulationError, "resource capacity", capacity, 1)
         self.env = env
         self.capacity = capacity
         self.name = name or "resource"

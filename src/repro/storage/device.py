@@ -21,11 +21,10 @@ kernel's ``block_rq_issue`` tracepoint.
 
 from __future__ import annotations
 
-import numbers
 import typing as t
 from heapq import heapify, heapreplace
 
-from repro.errors import StorageError
+from repro.errors import StorageError, require_int
 from repro.simkernel import Environment, Event, Timeout
 from repro.storage.spec import DeviceSpec
 from repro.storage.tracer import BlockTracer
@@ -165,17 +164,10 @@ class SimSSD:
     # -- validation and introspection ---------------------------------------
 
     def _validate(self, offset: int, size: int) -> None:
-        for value in (offset, size):
-            # numpy integers are Integral; bool is an int but never a size.
-            if (not isinstance(value, numbers.Integral)
-                    or isinstance(value, bool)):
-                raise StorageError(
-                    f"bad request: offset={offset!r} size={size!r} "
-                    f"(integers required)")
-        # Fixed-width numpy integers wrap (or raise) in ``offset + size``.
-        offset, size = int(offset), int(size)
-        if offset < 0 or size <= 0:
-            raise StorageError(f"bad request: offset={offset} size={size}")
+        # Returned as ``int``: fixed-width numpy integers wrap (or
+        # raise) in ``offset + size``.
+        offset = require_int(StorageError, "request offset", offset, 0)
+        size = require_int(StorageError, "request size", size, 1)
         if size > self.spec.max_request_bytes:
             raise StorageError(
                 f"request of {size} B exceeds the block-layer limit of "

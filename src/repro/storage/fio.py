@@ -14,7 +14,7 @@ import typing as t
 
 import numpy as np
 
-from repro.errors import WorkloadError
+from repro.errors import WorkloadError, require_int, require_real
 from repro.simkernel import Environment, Resource
 from repro.storage.device import SimSSD
 from repro.storage.spec import DeviceSpec, PAGE_SIZE
@@ -36,8 +36,11 @@ class FioJobSpec:
     def __post_init__(self) -> None:
         if self.pattern not in ("randread", "seqread", "randwrite"):
             raise WorkloadError(f"unknown fio pattern: {self.pattern}")
-        if min(self.numjobs, self.iodepth, self.cpu_cores) < 1:
-            raise WorkloadError(f"bad fio job: {self}")
+        for name in ("block_size", "numjobs", "iodepth", "cpu_cores"):
+            require_int(WorkloadError, f"fio {name}", getattr(self, name), 1)
+        require_real(WorkloadError, "fio runtime_s", self.runtime_s, above=0)
+        require_int(WorkloadError, "fio span_bytes", self.span_bytes,
+                    self.block_size)
 
 
 @dataclasses.dataclass(frozen=True)

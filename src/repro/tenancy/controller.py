@@ -42,7 +42,7 @@ from __future__ import annotations
 import dataclasses
 import typing as t
 
-from repro.errors import TenancyError
+from repro.errors import TenancyError, require_int, require_real
 from repro.faults.resilience import degraded_search_params
 from repro.tenancy.registry import PRIORITIES
 
@@ -112,10 +112,8 @@ def build_ladder(runner: "BenchRunner", params: dict[str, t.Any],
     levels with identical parameters add nothing), so the ladder never
     carries dead rungs.
     """
-    if not 0.0 < factor < 1.0:
-        raise TenancyError(f"degrade factor must be in (0, 1): {factor}")
-    if max_levels < 1:
-        raise TenancyError(f"need at least one level: {max_levels}")
+    require_real(TenancyError, "degrade factor", factor, above=0, below=1)
+    require_int(TenancyError, "max_levels", max_levels, 1)
     kind = runner.collection.index_spec.kind
     levels: list[LadderLevel] = []
     current = dict(params)
@@ -169,13 +167,9 @@ class SloControllerConfig:
     min_observations: int = 4
 
     def __post_init__(self) -> None:
-        if self.interval_s <= 0:
-            raise TenancyError(f"interval must be > 0: {self.interval_s}")
-        if self.degrade_after < 1 or self.restore_after < 1:
-            raise TenancyError("hysteresis streaks must be >= 1")
-        if self.min_observations < 1:
-            raise TenancyError(
-                f"min_observations must be >= 1: {self.min_observations}")
+        require_real(TenancyError, "interval", self.interval_s, above=0)
+        for name in ("degrade_after", "restore_after", "min_observations"):
+            require_int(TenancyError, name, getattr(self, name), 1)
 
 
 class SloController:

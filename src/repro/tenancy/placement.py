@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.errors import TenancyError
+from repro.errors import TenancyError, require_int, require_real
 
 
 #: Quantization ratio of the cold representation (PQ-style): a
@@ -60,14 +60,13 @@ class PlacementConfig:
     min_residency_s: float = 0.2
 
     def __post_init__(self) -> None:
-        if self.hot_capacity < 1:
-            raise TenancyError(
-                f"hot capacity must be >= 1 group: {self.hot_capacity}")
-        if self.interval_s <= 0 or self.min_residency_s < 0:
-            raise TenancyError(f"bad placement timing: {self}")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise TenancyError(
-                f"EWMA alpha must be in (0, 1]: {self.ewma_alpha}")
+        require_int(TenancyError, "hot capacity (groups)", self.hot_capacity,
+                    1)
+        require_real(TenancyError, "interval_s", self.interval_s, above=0)
+        require_real(TenancyError, "min_residency_s", self.min_residency_s,
+                     at_least=0)
+        require_real(TenancyError, "EWMA alpha", self.ewma_alpha, above=0,
+                     at_most=1)
 
 
 @dataclasses.dataclass(frozen=True)

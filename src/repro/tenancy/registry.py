@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.errors import TenancyError
+from repro.errors import TenancyError, require_real
 from repro.serve.server import TenantLoad
 
 #: Priority classes, ordered from most to least latency-sensitive.
@@ -66,15 +66,12 @@ class TenantProfile(TenantLoad):
         if self.slo_deadline_s is None or self.slo_deadline_s <= 0:
             raise TenancyError(
                 f"SLO deadline must be > 0: {self.slo_deadline_s}")
-        if not 0.0 <= self.recall_floor <= 1.0:
-            raise TenancyError(
-                f"recall floor must be in [0, 1]: {self.recall_floor}")
-        if self.quota_cost_per_s is not None and self.quota_cost_per_s <= 0:
-            raise TenancyError(
-                f"quota must be > 0: {self.quota_cost_per_s}")
-        if self.quota_burst_s <= 0:
-            raise TenancyError(
-                f"quota burst must be > 0: {self.quota_burst_s}")
+        require_real(TenancyError, "recall floor", self.recall_floor,
+                     at_least=0, at_most=1)
+        if self.quota_cost_per_s is not None:
+            require_real(TenancyError, "quota", self.quota_cost_per_s,
+                         above=0)
+        require_real(TenancyError, "quota burst", self.quota_burst_s, above=0)
         if self.priority not in PRIORITIES:
             raise TenancyError(
                 f"unknown priority {self.priority!r}; expected one of "

@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import numbers
+import math
 import typing as t
 
 import numpy as np
 
-from repro.errors import FaultError, WorkloadError
+from repro.errors import FaultError, WorkloadError, require_int, require_real
 from repro.obs import RunTelemetry
 from repro.simkernel import Environment, Now, Resource
 from repro.workload.metrics import RunResult, percentiles
@@ -117,20 +117,11 @@ def check_loop(clients: t.Any, duration_s: t.Any, max_queries: t.Any,
     ``inf`` included, since ``max_queries`` bounds the run.  The
     runners call this before compiling any plan.
     """
-    for name, value, least in (("concurrency", clients, 1),
-                               ("max_queries", max_queries, 1),
-                               ("phase", phase, None)):
-        if (not isinstance(value, numbers.Integral)
-                or isinstance(value, bool)
-                or (least is not None and value < least)):
-            bound = f" >= {least}" if least is not None else ""
-            raise WorkloadError(
-                f"{name} must be an integer{bound}: {value!r}")
-    if (not isinstance(duration_s, numbers.Real)
-            or isinstance(duration_s, bool) or not duration_s > 0):
-        raise WorkloadError(
-            f"duration_s must be a number > 0 (inf allowed): "
-            f"{duration_s!r}")
+    require_int(WorkloadError, "concurrency", clients, 1)
+    require_int(WorkloadError, "max_queries", max_queries, 1)
+    require_int(WorkloadError, "phase", phase, None)
+    require_real(WorkloadError, "duration_s", duration_s, above=0,
+                 at_most=math.inf)
 
 
 def closed_loop(session: ReplaySession, runner: "BenchRunner",
